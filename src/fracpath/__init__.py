@@ -47,7 +47,6 @@ from .coefficients import (
     zero_coefficient,
 )
 from .solver import (
-    NonConvergenceError,
     ProofConstants,
     SolverConfig,
     SolverReport,
@@ -75,7 +74,7 @@ __all__ = [
     "CoefficientFunction", "coefficient_from_kind", "constant_coefficient",
     "gaussian_bump", "smoothed_biot_savart", "tanh_coefficient",
     "zero_coefficient",
-    "NonConvergenceError", "ProofConstants", "SolverConfig", "SolverReport",
+    "ProofConstants", "SolverConfig", "SolverReport",
     "apply_F", "ball_invariance_check", "compute_constants",
     "contraction_probe", "gronwall_check", "quadruple_inequality_check",
     "solve",

@@ -162,10 +162,6 @@ class DrivingField:
     label: str
     _pair_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def lambda_alpha(self) -> float:
-        return self.lambda_value
-
     def pair_matrix(self, t_index: int = 0) -> np.ndarray:
         key = 0 if self.time_constant else int(t_index)
         M = self._pair_cache.get(key)
@@ -175,9 +171,6 @@ class DrivingField:
             M.setflags(write=False)
             self._pair_cache[key] = M
         return M
-
-    def slice_path(self, j: int = 0) -> GridFunction:
-        return self.field.slice_grid(j)
 
     def retimed(self, m: int, T: float) -> "DrivingField":
         """Same spatial driver on a new time grid (time-constant only)."""
@@ -203,7 +196,7 @@ def _finish_field(values2d: np.ndarray, T: float, alpha: float,
         D = norms.right_derivative_pair_matrix(row, f.h, alpha)
         D.setflags(write=False)
         cache[j] = D
-        lam = max(lam, float(np.abs(D).max()) / math.gamma(1.0 - alpha))
+        lam = max(lam, norms.lambda_from_pair_matrix(D, alpha))
         hnorm = max(hnorm, norms.norm_1malpha_infty0(
             SpaceTimeField.constant_in_time(row, 1, T), alpha))
     if not (np.isfinite(lam) and np.isfinite(hnorm)):

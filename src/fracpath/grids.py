@@ -65,18 +65,6 @@ class GridFunction:
         return GridFunction(self.a, self.b, self.values[::-1],
                             endpoint_nan_ok=self.endpoint_nan_ok)
 
-    def restricted(self, i0: int, i1: int) -> "GridFunction":
-        """Restriction to the node range [i0, i1] (at least 2 cells)."""
-        if not 0 <= i0 < i1 <= self.n:
-            raise GridError(f"bad node range [{i0}, {i1}]")
-        return GridFunction(self.nodes[i0], self.nodes[i1],
-                            self.values[i0:i1 + 1])
-
-    @staticmethod
-    def from_callable(fn, n: int, a: float = 0.0, b: float = 1.0) -> "GridFunction":
-        x = np.linspace(a, b, n + 1)
-        return GridFunction(a, b, fn(x))
-
 
 @dataclass(frozen=True)
 class FractionalOrder:
@@ -162,18 +150,6 @@ class SpaceTimeField:
         x = np.linspace(0.0, 1.0, self.n + 1)
         x.setflags(write=False)
         return x
-
-    def slice_values(self, j: int) -> np.ndarray:
-        return self.values[j]
-
-    def slice_grid(self, j: int) -> GridFunction:
-        return GridFunction(0.0, 1.0, self.values[j])
-
-    @staticmethod
-    def from_callable(fn, m: int, n: int, T: float) -> "SpaceTimeField":
-        t = np.linspace(0.0, T, m + 1)[:, None]
-        xi = np.linspace(0.0, 1.0, n + 1)[None, :]
-        return SpaceTimeField(T, fn(t, xi))
 
     @staticmethod
     def constant_in_time(values, m: int, T: float) -> "SpaceTimeField":

@@ -21,21 +21,16 @@ __all__ = [
     "norm_1malpha_infty0",
     "norm_alpha_1",
     "lambda_alpha",
+    "lambda_from_pair_matrix",
     "slice_norm_alpha_infty",
-    "holder_tail",
     "right_derivative_pair_matrix",
 ]
-
-
-def holder_tail(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """int_0^xi |f(xi) - f(eta)| / (xi - eta)^(alpha+1) deta at every node xi."""
-    return marchaud_difference_abs(values, h, alpha)
 
 
 def slice_norm_alpha_infty(values: np.ndarray, h: float, alpha) -> float:
     a = order_value(alpha)
     v = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(v) + holder_tail(v, h, a)))
+    return float(np.max(np.abs(v) + marchaud_difference_abs(v, h, a)))
 
 
 def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
@@ -55,7 +50,7 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
         raise GridError("norm_alpha_1 is defined for grids on [0, 1]")
     v = np.abs(f.values)
     first = left_power_integral(v, f.h, a)
-    tail = holder_tail(f.values, f.h, a)
+    tail = marchaud_difference_abs(f.values, f.h, a)
     second = f.h * (tail.sum() - 0.5 * (tail[0] + tail[-1]))
     return float(first + second)
 
@@ -86,11 +81,15 @@ def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndar
     return D
 
 
+def lambda_from_pair_matrix(D: np.ndarray, alpha: float) -> float:
+    """Lambda_alpha of one slice from its pair matrix: max |D| / Gamma(1-alpha)."""
+    return float(np.abs(D).max()) / math.gamma(1.0 - alpha)
+
+
 def lambda_alpha(g, alpha) -> float:
     """sup over times and pairs eta < xi of |D^{1-alpha}_{xi-} g_{xi-}(eta)|,
     divided by Gamma(1-alpha)."""
     a = order_value(alpha)
-    pre = 1.0 / math.gamma(1.0 - a)
     if isinstance(g, SpaceTimeField):
         slices = [g.values[j] for j in range(g.m + 1)]
         h = g.h
@@ -99,11 +98,8 @@ def lambda_alpha(g, alpha) -> float:
     else:
         arr = np.asarray(g, dtype=float)
         slices, h = [arr], 1.0 / (arr.size - 1)
-    best = 0.0
-    for row in slices:
-        D = right_derivative_pair_matrix(row, h, a)
-        best = max(best, float(np.abs(D).max()))
-    return pre * best
+    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, h, a), a)
+               for row in slices)
 
 
 def norm_1malpha_infty0(g: SpaceTimeField, alpha) -> float:

@@ -12,7 +12,7 @@ asserts is re-checked numerically and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,11 @@ __all__ = [
     "ProofConstants",
     "WindowRecord",
     "SolverReport",
-    "NonConvergenceError",
     "compute_constants",
     "apply_F",
     "solve",
     "contraction_probe",
+    "contraction_sweep",
     "ball_invariance_check",
     "gronwall_check",
     "quadruple_inequality_check",
@@ -41,14 +41,8 @@ __all__ = [
 
 _REL_SLACK = 1e-6
 WINDOW_POLICIES = ("paper-constants", "adaptive")
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised by callers that refuse an unconverged report."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = list(residual_history or [])
+# time cells of the random fields drawn by the ball and contraction probes
+PROBE_TIME_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,9 @@ class ProofConstants:
     """All constants the existence proof manufactures, computed numerically.
 
     b5 carries the full contraction prefactor including the realized
-    sup Lambda_alpha(g) and the conservative b3 = max(1, b1); the variant
-    built from b1 alone is recorded as ``b5_b1_form``.  K is the Gronwall
-    exponent (identical to b2 by construction).
+    sup Lambda_alpha(g) and b3 = max(1, b1); since b1 = B(2 alpha, 1 - alpha)
+    exceeds 1 on (0, 1/2), b3 = b1.  K is the Gronwall exponent (identical
+    to b2 by construction).
     """
 
     alpha: float
@@ -106,7 +100,6 @@ class ProofConstants:
     b3: float
     b4: float
     b5: float
-    b5_b1_form: float
     t1: float
     t2: float
     t0: float
@@ -116,7 +109,7 @@ class ProofConstants:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "alpha", "lam", "m1", "m2", "mn_r1", "phi_norm", "r1",
-            "b1", "b2", "b3", "b4", "b5", "b5_b1_form",
+            "b1", "b2", "b3", "b4", "b5",
             "t1", "t2", "t0", "gronwall_k", "contraction_target")}
 
 
@@ -148,14 +141,13 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     b4 = (m1 + mn) * (1.0 + 2.0 * r1)
     rho = (2.0 - 3.0 * a) / ((1.0 - 2.0 * a) * (1.0 - a))
     b5 = lam * b3 * b4 * rho
-    b5_b1 = lam * b1 * b4 * rho
     t1 = (r1 - phi_norm) / (b2 * (1.0 + r1)) if b2 > 0 else horizon
     t2 = contraction_target / b5 if b5 > 0 else horizon
     t0 = min(t1, t2)
     if not math.isfinite(t0):
         t0 = horizon
     return ProofConstants(a, lam, m1, m2, mn, phi_norm, float(r1),
-                          b1, b2, b3, b4, b5, b5_b1, t1, t2, t0, b2,
+                          b1, b2, b3, b4, b5, t1, t2, t0, b2,
                           contraction_target)
 
 
@@ -279,9 +271,6 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
     lam = driver.lambda_value
     phi0 = cfg.phi.values
     Y = np.tile(phi0, (m + 1, 1))
-    global_constants = compute_constants(a, cfg.coeff, lam, cfg.phi_norm(),
-                                         horizon=cfg.T,
-                                         contraction_target=cfg.contraction_target)
     windows: list[WindowRecord] = []
     converged = True
     failed_window = None
@@ -338,6 +327,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
         j0 = j1
 
     solution = SpaceTimeField(cfg.T, Y)
+    # window 0 starts from phi itself, so its constants are the global set
+    constants = windows[0].constants
     verdicts = {
         "fixed_point_residual": {
             "max_final_residual": max(w.final_residual for w in windows),
@@ -345,23 +336,21 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
             "passed": converged,
         },
     }
-    gr = gronwall_check(solution, cfg, driver)
+    gr = gronwall_check(solution, cfg, constants)
     verdicts["gronwall"] = gr
     if verify and converged:
-        verdicts.update(_spot_verdicts(cfg, driver, verification_trials,
+        verdicts.update(_spot_verdicts(cfg, driver, constants, verification_trials,
                                        verification_seed))
-    return SolverReport(solution, converged, windows, global_constants,
+    return SolverReport(solution, converged, windows, constants,
                         lam, verdicts, failed_window)
 
 
-def gronwall_check(solution, cfg: SolverConfig, driver: DrivingField) -> dict:
+def gronwall_check(solution, cfg: SolverConfig, constants: ProofConstants) -> dict:
     """Envelope ||phi|| exp(K t) against the running slice norm at every node."""
     sol = solution.solution if isinstance(solution, SolverReport) else solution
     a = cfg.alpha
-    cons = compute_constants(a, cfg.coeff, driver.lambda_value, cfg.phi_norm(),
-                             horizon=cfg.T, contraction_target=cfg.contraction_target)
-    phi_norm = cons.phi_norm
-    k = cons.gronwall_k
+    phi_norm = constants.phi_norm
+    k = constants.gronwall_k
     t = sol.t_nodes
     env = phi_norm * np.exp(k * t)
     running = np.array([norms.slice_norm_alpha_infty(sol.values[j], sol.h, a)
@@ -381,20 +370,17 @@ def gronwall_check(solution, cfg: SolverConfig, driver: DrivingField) -> dict:
 
 
 def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
-                      driver: DrivingField, r1: float | None = None) -> dict:
+                      driver: DrivingField, constants: ProofConstants) -> dict:
     """Measured Lipschitz ratio of F on a field pair against the b5*T ceiling."""
     a = cfg.alpha
     if Y1.values.shape != Y2.values.shape or abs(Y1.T - Y2.T) > 1e-12:
         raise GridError("probe fields must share one grid")
     if np.array_equal(Y1.values, Y2.values):
         raise GridError("probe fields must differ (zero denominator)")
-    cons = compute_constants(a, cfg.coeff, driver.lambda_value, cfg.phi_norm(),
-                             r1=r1, horizon=cfg.T,
-                             contraction_target=cfg.contraction_target)
     n1 = norms.norm_alpha_infty(Y1, a)
     n2 = norms.norm_alpha_infty(Y2, a)
-    if max(n1, n2) > cons.r1 * (1.0 + 1e-9):
-        raise GridError(f"probe fields leave the ball of radius R1 = {cons.r1}")
+    if max(n1, n2) > constants.r1 * (1.0 + 1e-9):
+        raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
     local = driver if (driver.field.m == Y1.m and abs(driver.field.T - Y1.T) < 1e-12) \
         else driver.retimed(Y1.m, Y1.T)
     F1 = apply_F(Y1, cfg.phi, cfg.coeff, local, a)
@@ -402,39 +388,57 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
     num = _window_norm(F1.values - F2.values, Y1.h, a)
     den = _window_norm(Y1.values - Y2.values, Y1.h, a)
     ratio = num / den
-    ceiling = cons.b5 * Y1.T
-    return {"ratio": float(ratio), "ceiling": float(ceiling), "b5": cons.b5,
+    ceiling = constants.b5 * Y1.T
+    return {"ratio": float(ratio), "ceiling": float(ceiling), "b5": constants.b5,
             "T": Y1.T, "passed": bool(ratio <= ceiling * 1.1 or ceiling == 0.0)}
 
 
+def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
+                      constants: ProofConstants, t_w: float, trials: int,
+                      rng: np.random.Generator) -> dict:
+    """``trials`` contraction probes on random field pairs of length t_w,
+    each field scaled to 0.8 R1, summarized as one verdict."""
+    probes = []
+    for _ in range(trials):
+        pair = []
+        for _ in range(2):
+            Y = random_smooth_field(PROBE_TIME_CELLS, cfg.n, t_w, rng)
+            s = 0.8 * constants.r1 / max(norms.norm_alpha_infty(Y, cfg.alpha), 1e-12)
+            pair.append(SpaceTimeField(t_w, Y.values * s))
+        probes.append(contraction_probe(*pair, cfg, driver, constants))
+    return {
+        "passed": all(p["passed"] for p in probes),
+        "max_ratio": max((p["ratio"] for p in probes), default=0.0),
+        "ceiling": float(constants.b5 * t_w),
+        "trials": len(probes),
+    }
+
+
 def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
-                          r1: float | None = None, trials: int = 100,
-                          seed: int = 0, m_probe: int = 4) -> dict:
+                          constants: ProofConstants, trials: int = 100,
+                          seed: int = 0) -> dict:
     """Sample fields with norm <= R1 and verify ||F(Y)|| <= R1 on [0, T1]."""
     a = cfg.alpha
-    cons = compute_constants(a, cfg.coeff, driver.lambda_value, cfg.phi_norm(),
-                             r1=r1, horizon=cfg.T,
-                             contraction_target=cfg.contraction_target)
-    t_w = cons.t1 if math.isfinite(cons.t1) else cfg.T
-    local = driver.retimed(m_probe, t_w)
+    t_w = constants.t1 if math.isfinite(constants.t1) else cfg.T
+    local = driver.retimed(PROBE_TIME_CELLS, t_w)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     results = []
     # trial 0: the flat extension of phi, the iteration's own starting point
-    flat = SpaceTimeField.constant_in_time(cfg.phi.values, m_probe, t_w)
+    flat = SpaceTimeField.constant_in_time(cfg.phi.values, PROBE_TIME_CELLS, t_w)
     samples = [flat]
     for _ in range(max(0, trials - 1)):
-        Yr = random_smooth_field(m_probe, cfg.n, t_w, rng)
+        Yr = random_smooth_field(PROBE_TIME_CELLS, cfg.n, t_w, rng)
         nrm = norms.norm_alpha_infty(Yr, a)
-        target = rng.uniform(0.2, 1.0) * cons.r1
+        target = rng.uniform(0.2, 1.0) * constants.r1
         samples.append(SpaceTimeField(t_w, Yr.values * (target / max(nrm, 1e-12))))
     for Yr in samples:
         F = apply_F(Yr, cfg.phi, cfg.coeff, local, a)
         fn = norms.norm_alpha_infty(F, a)
-        worst = max(worst, fn - cons.r1)
+        worst = max(worst, fn - constants.r1)
         results.append(fn)
-    passed = all(fn <= cons.r1 * (1.0 + _REL_SLACK) for fn in results)
-    return {"passed": bool(passed), "r1": cons.r1, "t1": t_w,
+    passed = all(fn <= constants.r1 * (1.0 + _REL_SLACK) for fn in results)
+    return {"passed": bool(passed), "r1": constants.r1, "t1": t_w,
             "worst_excess": float(worst), "trials": len(results)}
 
 
@@ -457,34 +461,16 @@ def quadruple_inequality_check(coeff: CoefficientFunction, radius: float,
             "violations": violations, "trials": int(trials), "radius": radius}
 
 
-def _spot_verdicts(cfg: SolverConfig, driver: DrivingField, trials: int,
-                   seed: int) -> dict:
+def _spot_verdicts(cfg: SolverConfig, driver: DrivingField,
+                   constants: ProofConstants, trials: int, seed: int) -> dict:
     if not driver.time_constant:
         return {}
     out = {}
-    out["ball_invariance"] = ball_invariance_check(cfg, driver, trials=trials,
-                                                   seed=seed)
-    cons = compute_constants(cfg.alpha, cfg.coeff, driver.lambda_value,
-                             cfg.phi_norm(), horizon=cfg.T,
-                             contraction_target=cfg.contraction_target)
-    t2 = cons.t2 if math.isfinite(cons.t2) else cfg.T
-    rng = np.random.default_rng(seed + 1)
-    probes = []
-    for _ in range(trials):
-        Y1 = random_smooth_field(4, cfg.n, t2, rng)
-        Y2 = random_smooth_field(4, cfg.n, t2, rng)
-        s1 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y1, cfg.alpha), 1e-12)
-        s2 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y2, cfg.alpha), 1e-12)
-        probe = contraction_probe(SpaceTimeField(t2, Y1.values * s1),
-                                  SpaceTimeField(t2, Y2.values * s2),
-                                  cfg, driver)
-        probes.append(probe)
-    out["contraction"] = {
-        "passed": all(p["passed"] for p in probes),
-        "max_ratio": max(p["ratio"] for p in probes),
-        "ceiling": probes[0]["ceiling"] if probes else None,
-        "trials": len(probes),
-    }
-    out["prop2"] = quadruple_inequality_check(cfg.coeff, cons.r1,
+    out["ball_invariance"] = ball_invariance_check(cfg, driver, constants,
+                                                   trials=trials, seed=seed)
+    t2 = constants.t2 if math.isfinite(constants.t2) else cfg.T
+    out["contraction"] = contraction_sweep(cfg, driver, constants, t2, trials,
+                                           np.random.default_rng(seed + 1))
+    out["prop2"] = quadruple_inequality_check(cfg.coeff, constants.r1,
                                               max(1000, trials * 100), seed + 2)
     return out

@@ -15,7 +15,6 @@ endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +189,7 @@ def bound_357_check(f: GridFunction, g, alpha) -> BoundReport:
     if f.values.size != gv.size:
         raise GridError("f and g must share one grid")
     D = norms.right_derivative_pair_matrix(gv, f.h, a)
-    lam = float(np.abs(D).max()) / math.gamma(1.0 - a)
+    lam = norms.lambda_from_pair_matrix(D, a)
     return _bound_report(f.values, gv, D, f.h, a, lam)
 
 

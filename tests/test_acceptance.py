@@ -151,10 +151,10 @@ def test_criterion_5_ball_invariance_and_contraction():
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, n=n, T=0.2, phi=phi,
                               coeff=co.tanh_coefficient(0.5))
     drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
-    ball = solver.ball_invariance_check(cfg, drv, trials=100, seed=55)
-
     cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
                                     cfg.phi_norm(), horizon=cfg.T)
+    ball = solver.ball_invariance_check(cfg, drv, cons, trials=100, seed=55)
+
     t2 = min(cons.t2, cfg.T)
     rng = np.random.default_rng(66)
     max_ratio = 0.0
@@ -165,7 +165,7 @@ def test_criterion_5_ball_invariance_and_contraction():
         s1 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y1, cfg.alpha), 1e-12)
         s2 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y2, cfg.alpha), 1e-12)
         p = solver.contraction_probe(SpaceTimeField(t2, Y1.values * s1),
-                                     SpaceTimeField(t2, Y2.values * s2), cfg, drv)
+                                     SpaceTimeField(t2, Y2.values * s2), cfg, drv, cons)
         max_ratio = max(max_ratio, p["ratio"])
         contraction_ok = contraction_ok and p["ratio"] <= p["ceiling"] * 1.1
     report("criterion 5 (ball invariance and contraction)",

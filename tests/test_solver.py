@@ -19,6 +19,13 @@ def make_cfg(n=48, m=20, T=0.2, alpha=0.3, hurst=0.75, coeff=None, phi=None, **k
         coeff=coeff if coeff is not None else co.tanh_coefficient(0.5), **kw)
 
 
+def constants_for(cfg, drv):
+    """The global proof constants of a solve of cfg against drv."""
+    return solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
+                                    cfg.phi_norm(), horizon=cfg.T,
+                                    contraction_target=cfg.contraction_target)
+
+
 class TestComputeConstants:
     def test_worked_example_to_four_figures(self):
         # alpha = 1/4, M1 = M2 = Lambda = 1, ||phi|| = 1, R1 = 2
@@ -223,13 +230,28 @@ class TestSolve:
         assert "ball_invariance" not in rep.verdicts
 
 
+class TestConstantsFlow:
+    def test_verdicts_use_the_window_zero_constants(self):
+        cfg = make_cfg(n=32, m=8)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        rep = solver.solve(cfg, drv, verification_trials=2)
+        cons = rep.constants
+        assert cons == rep.windows[0].constants
+        assert cons == constants_for(cfg, drv)
+        assert rep.verdicts["gronwall"]["k"] == cons.gronwall_k
+        assert rep.verdicts["gronwall"]["phi_norm"] == cons.phi_norm
+        t2 = cons.t2 if math.isfinite(cons.t2) else cfg.T
+        assert rep.verdicts["contraction"]["ceiling"] == cons.b5 * t2
+        assert rep.verdicts["ball_invariance"]["r1"] == cons.r1
+
+
 class TestContractionProbe:
     def test_rejects_identical_fields(self):
         cfg = make_cfg()
         drv = fbm.stub_driving_field("quadratic", cfg.n, 4, 0.01, cfg.alpha)
         Y = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
         with pytest.raises(GridError):
-            solver.contraction_probe(Y, Y, cfg, drv)
+            solver.contraction_probe(Y, Y, cfg, drv, constants_for(cfg, drv))
 
     def test_constant_coefficient_has_zero_ratio(self):
         # F depends on Y only through A, so constant A gives numerator 0
@@ -237,25 +259,42 @@ class TestContractionProbe:
         drv = fbm.stub_driving_field("quadratic", cfg.n, 4, 0.01, cfg.alpha)
         Y1 = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
         Y2 = SpaceTimeField(0.01, Y1.values + 0.3)
-        probe = solver.contraction_probe(Y1, Y2, cfg, drv)
+        probe = solver.contraction_probe(Y1, Y2, cfg, drv, constants_for(cfg, drv))
         assert probe["ratio"] == 0.0
 
-    def test_randomized_ratios_below_ceiling(self):
+    @staticmethod
+    def randomized_probes():
+        """25 probes on random pairs scaled to 0.8 R1, written out by hand
+        as the reference for ``solver.contraction_sweep``."""
         cfg = make_cfg(n=64)
         drv = fbm.stub_driving_field("quadratic", 64, 4, cfg.T, cfg.alpha)
         cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
                                         cfg.phi_norm(), horizon=cfg.T)
         t2 = min(cons.t2, cfg.T)
         rng = np.random.default_rng(2)
+        probes = []
         for _ in range(25):
             Y1 = random_smooth_field(4, 64, t2, rng)
             Y2 = random_smooth_field(4, 64, t2, rng)
             s1 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y1, cfg.alpha), 1e-12)
             s2 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y2, cfg.alpha), 1e-12)
-            probe = solver.contraction_probe(SpaceTimeField(t2, Y1.values * s1),
-                                             SpaceTimeField(t2, Y2.values * s2),
-                                             cfg, drv)
+            probes.append(solver.contraction_probe(SpaceTimeField(t2, Y1.values * s1),
+                                                   SpaceTimeField(t2, Y2.values * s2),
+                                                   cfg, drv, cons))
+        return cfg, drv, cons, t2, probes
+
+    def test_randomized_ratios_below_ceiling(self):
+        for probe in self.randomized_probes()[-1]:
             assert probe["ratio"] <= probe["ceiling"] * 1.1
+
+    def test_sweep_matches_hand_rolled_probes(self):
+        cfg, drv, cons, t2, probes = self.randomized_probes()
+        sweep = solver.contraction_sweep(cfg, drv, cons, t2, 25,
+                                         np.random.default_rng(2))
+        assert sweep["max_ratio"] == max(p["ratio"] for p in probes)
+        assert sweep["ceiling"] == probes[0]["ceiling"]
+        assert sweep["passed"] == all(p["passed"] for p in probes)
+        assert sweep["trials"] == 25
 
     def test_ratio_scales_linearly_in_window_length(self):
         cfg = make_cfg(n=64)
@@ -267,7 +306,8 @@ class TestContractionProbe:
         for T in (0.02, 0.01):
             Y1 = SpaceTimeField(T, 0.3 * base)
             Y2 = SpaceTimeField(T, 0.3 * base + 0.1 * pert)
-            ratios.append(solver.contraction_probe(Y1, Y2, cfg, drv)["ratio"])
+            ratios.append(solver.contraction_probe(Y1, Y2, cfg, drv,
+                                                   constants_for(cfg, drv))["ratio"])
         assert ratios[1] == pytest.approx(0.5 * ratios[0], rel=0.2)
 
 
@@ -275,19 +315,22 @@ class TestBallInvariance:
     def test_zero_coefficient_never_leaves_ball(self):
         cfg = make_cfg(coeff=co.zero_coefficient())
         drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
-        rep = solver.ball_invariance_check(cfg, drv, trials=20, seed=0)
+        rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
+                                           trials=20, seed=0)
         assert rep["passed"]
 
     def test_flat_extension_of_phi_stays_inside(self):
         cfg = make_cfg()
         drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
-        rep = solver.ball_invariance_check(cfg, drv, trials=1, seed=0)
+        rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
+                                           trials=1, seed=0)
         assert rep["passed"] and rep["worst_excess"] < 0
 
     def test_random_sweep(self):
         cfg = make_cfg(n=64)
         drv = fbm.stub_driving_field("quadratic", 64, cfg.m, cfg.T, cfg.alpha)
-        rep = solver.ball_invariance_check(cfg, drv, trials=100, seed=3)
+        rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
+                                           trials=100, seed=3)
         assert rep["passed"]
 
 
