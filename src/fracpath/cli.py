@@ -167,10 +167,14 @@ def _driver_from_config(cfg: dict):
 def _solver_config(cfg: dict):
     g = cfg["grid"]
     picard = cfg.get("picard", {})
+    try:
+        coeff = coefficient_from_kind(cfg["A"]["kind"], **cfg["A"].get("params", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad coefficient A: {exc}") from exc
     return solver.SolverConfig(
         alpha=cfg["alpha"], hurst=cfg["hurst"], m=g["m"], n=g["n"], T=g["T"],
         phi=_phi_from_config(cfg["phi"], g["n"]),
-        coeff=coefficient_from_kind(cfg["A"]["kind"], **cfg["A"].get("params", {})),
+        coeff=coeff,
         picard_tol=picard.get("tol", 1e-9),
         max_iterations=picard.get("max_iter", 60),
         window_policy=cfg.get("window_policy", "paper-constants"))

@@ -4,8 +4,13 @@ All operators are discretized by product integration on uniform grids: the
 singular kernel is integrated exactly against the piecewise-linear
 interpolant of the data, so every operator is a linear map of the nodal
 values with nonnegative weights.  Weight tables depend only on the exact
-pair (n, order) and are memoized; the caches are plain ``lru_cache`` and
-therefore safe for concurrent readers.
+pair (n, order) and are memoized; every table is O(n), and the caches are
+plain ``lru_cache`` and therefore safe for concurrent readers.
+
+The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
+of slices.  It sums only the lower triangle of node pairs, in blocks of
+about 1 MB read against a strided Toeplitz view of the O(n) weight vector,
+so no (n+1)^2 weight matrix is formed or cached.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -33,6 +38,8 @@ __all__ = [
 ]
 
 _MIN_BETA_ORDER = 1e-6
+# pairs per block of the Hoelder-tail kernel: 2^17 float64 values, about 1 MB
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @lru_cache(maxsize=128)
@@ -88,17 +95,14 @@ def _difference_weights(n: int, alpha: float):
     return C, A, rowsum
 
 
-@lru_cache(maxsize=6)
-def _difference_weight_matrix(n: int, alpha: float):
-    """Dense weights W[i, j] of the difference integral at node i (row 0 empty)."""
+@lru_cache(maxsize=64)
+def _tail_weights(n: int, alpha: float) -> np.ndarray:
+    """Read-only (n+1, n) Toeplitz view T[r, q] = C[r - q] for q < r, 0 for
+    q >= r, of the difference weights C; row i - 1 weights the columns
+    j = q + 1 < i of node i.  Backed by one vector of 2n values."""
     C, _, _ = _difference_weights(n, alpha)
-    _, B = _hat_moments(-alpha, n)
-    idx = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
-    W = C[idx.clip(min=0)]
-    W[:, 0] = B
-    W[0, :] = 0.0
-    W.setflags(write=False)
-    return W
+    padded = np.concatenate((C[:0:-1], np.zeros(n)))
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
 
 
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -111,13 +115,43 @@ def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarra
     out[0] = 0.0
     return out
 
+
 def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Same integral with |f(x_i) - f(y)|; this is the Hoelder-tail of a slice."""
+    """Same integral with |f(x_i) - f(y)|; this is the Hoelder-tail of a slice.
+
+    ``values`` is one slice (n+1,) or a stack of slices (k, n+1); the result
+    has the same shape, and each row of a stack is bitwise the one-slice
+    result for that row.  Only the pairs j < i carry weight.  Column 0 gets
+    the boundary weight B[i] and is added as one vector term; columns
+    1..i-1 get the Toeplitz weights C[i-j] (``_tail_weights``), reduced row
+    by row in blocks of about ``_BLOCK_ELEMENTS`` pairs, so no (n+1)^2
+    array is formed.  A block holds whole slices when they fit, and
+    otherwise a band of rows of one slice.
+    """
     v = np.asarray(values, dtype=float)
-    n = v.size - 1
-    W = _difference_weight_matrix(n, alpha)
-    diffs = np.abs(v[:, None] - v[None, :])
-    return (W * diffs).sum(axis=1) * h ** (-alpha)
+    rows = v.reshape(-1, v.shape[-1])
+    k, n = rows.shape[0], rows.shape[1] - 1
+    _, B = _hat_moments(-alpha, n)
+    out = rows - rows[:, :1]
+    np.abs(out, out=out)
+    out *= B
+    if n >= 2:
+        toeplitz = _tail_weights(n, alpha)
+        step = min(n - 1, max(1, _BLOCK_ELEMENTS // (n + 1)))   # rows per block
+        group = max(1, min(k, _BLOCK_ELEMENTS // (n * n)))      # slices per block
+        buf = np.empty(group * step * (n - 1))
+        for s0 in range(0, k, group):
+            s1 = min(s0 + group, k)
+            for r0 in range(2, n + 1, step):
+                r1 = min(r0 + step, n + 1)
+                D = buf[:(s1 - s0) * (r1 - r0) * (r1 - 2)]
+                D = D.reshape(s1 - s0, r1 - r0, r1 - 2)
+                np.subtract(rows[s0:s1, r0:r1, None], rows[s0:s1, None, 1:r1 - 1], out=D)
+                np.abs(D, out=D)
+                out[s0:s1, r0:r1] += np.einsum("sij,ij->si", D,
+                                               toeplitz[r0 - 1:r1 - 1, :r1 - 2])
+    out *= h ** (-alpha)
+    return out.reshape(v.shape)
 
 
 def left_power_integral(values: np.ndarray, h: float, alpha: float) -> float:

@@ -23,20 +23,32 @@ __all__ = [
     "lambda_alpha",
     "lambda_from_pair_matrix",
     "slice_norm_alpha_infty",
+    "slice_norms_alpha_infty",
     "right_derivative_pair_matrix",
 ]
 
 
 def slice_norm_alpha_infty(values: np.ndarray, h: float, alpha) -> float:
+    """max over xi of |f| plus the singular Hoelder tail, for one slice."""
+    row = np.asarray(values, dtype=float)[None, :]
+    return float(slice_norms_alpha_infty(row, h, alpha)[0])
+
+
+def slice_norms_alpha_infty(rows: np.ndarray, h: float, alpha) -> np.ndarray:
+    """The slice norm of every row of a (k, n+1) stack, in one kernel call.
+
+    Entry i is bitwise ``slice_norm_alpha_infty(rows[i], h, alpha)``.
+    """
     a = order_value(alpha)
-    v = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(v) + marchaud_difference_abs(v, h, a)))
+    v = np.asarray(rows, dtype=float)
+    total = marchaud_difference_abs(v, h, a)
+    total += np.abs(v)
+    return total.max(axis=1)
 
 
 def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
     """sup over t and xi of |f| plus the singular Hoelder tail in xi."""
-    a = order_value(alpha)
-    return max(slice_norm_alpha_infty(f.values[j], f.h, a) for j in range(f.m + 1))
+    return float(slice_norms_alpha_infty(f.values, f.h, alpha).max())
 
 
 def norm_alpha_1(f: GridFunction, alpha) -> float:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "fracpath.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def write_config(path, **overrides):
@@ -121,6 +121,16 @@ class TestSolveCommand:
         (tmp_path / "cfg.json").write_text('{"hurst": 0.75}')
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("params", [{"scale": -1}, {"foo": 1}],
+                             ids=["bad-value", "unknown-key"])
+    def test_bad_coefficient_params_exit_2(self, tmp_path, params):
+        write_config(tmp_path / "cfg.json", A={"kind": "tanh", "params": params})
+        r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr
 
     def test_nonconvergence_exit_3(self, tmp_path):
         write_config(tmp_path / "cfg.json", picard={"tol": 1e-16, "max_iter": 1},
@@ -244,6 +254,20 @@ class TestReproducibility:
         for name in ("solution.csv", "report.json"):
             assert (tmp_path / "r1" / name).read_bytes() \
                 == (tmp_path / "r2" / name).read_bytes()
+
+    def test_blas_thread_count_does_not_change_output(self, tmp_path):
+        import os
+        write_config(tmp_path / "cfg.json", grid={"m": 8, "n": 64, "T": 0.1},
+                     driver={"model": "frozen", "seed": 7})
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            r = run_cli("--out", str(tmp_path / threads), "solve",
+                        str(tmp_path / "cfg.json"), env=env)
+            assert r.returncode == 0, r.stderr
+        for name in ("solution.csv", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() \
+                == (tmp_path / "2" / name).read_bytes()
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         import os

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
+    _hat_moments,
     beta_b1,
+    marchaud_difference_abs,
     rl_integral_left,
     rl_integral_right,
     weyl_derivative_left,
@@ -239,3 +242,66 @@ class TestOperatorProperties:
         out = weyl_derivative_left(f, 0.3)
         assert np.isnan(out.values[0]) and out.endpoint_nan_ok
         assert np.isfinite(out.values[1:]).all()
+
+
+def holder_tail_double_loop(v, h, alpha):
+    """Reference Hoelder tail: for every pair j < i the weight from the hat
+    moments of u^(-alpha-1) (B[i] on column 0, A[i-j] + B[i-j] elsewhere)
+    times |v_i - v_j|, summed exactly per row."""
+    n = v.size - 1
+    A, B = _hat_moments(-alpha, n)
+    out = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        j = np.arange(1, i)
+        pairs = (A[i - j] + B[i - j]) * np.abs(v[i] - v[j])
+        out[i] = math.fsum([B[i] * abs(v[i] - v[0]), *pairs])
+    return out * h ** (-alpha)
+
+
+class TestHolderTailKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 511, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_matches_double_loop_oracle(self, n, alpha):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n + 1).cumsum()
+        out = marchaud_difference_abs(v, 1.0 / n, alpha)
+        np.testing.assert_allclose(out, holder_tail_double_loop(v, 1.0 / n, alpha),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_linear_data_closed_form(self, alpha):
+        # product integration is exact on piecewise-linear data:
+        # int_0^x |c| (x - y)^(-alpha) dy = |c| x^(1-alpha) / (1-alpha)
+        n, c = 256, -2.5
+        x = np.linspace(0.0, 1.0, n + 1)
+        out = marchaud_difference_abs(c * x, 1.0 / n, alpha)
+        assert out[0] == 0.0
+        np.testing.assert_allclose(out[1:], abs(c) * x[1:] ** (1 - alpha) / (1 - alpha),
+                                   rtol=1e-13, atol=0.0)
+
+    # k = 40 slices of n = 64 span two blocks of whole slices; n >= 1024
+    # splits each slice into bands of rows
+    @pytest.mark.parametrize("n, k", [(2, 4), (7, 4), (64, 40), (256, 4),
+                                      (1024, 3), (4096, 2)])
+    def test_stacked_rows_equal_one_slice_calls(self, n, k):
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
+        stack[1] = 0.0
+        out = marchaud_difference_abs(stack, 1.0 / n, 0.3)
+        assert out.shape == stack.shape
+        for row, tail in zip(stack, out):
+            one = marchaud_difference_abs(row, 1.0 / n, 0.3)
+            assert one.shape == row.shape
+            assert np.array_equal(tail, one)
+
+    def test_memory_ceiling_at_n4096(self):
+        # a dense kernel would hold (n+1)^2 float64 arrays of 134 MB each
+        n = 4096
+        v = np.random.default_rng(0).standard_normal(n + 1).cumsum()
+        tracemalloc.start()
+        try:
+            marchaud_difference_abs(v, 1.0 / n, 0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

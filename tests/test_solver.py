@@ -359,3 +359,16 @@ class TestGronwall:
         assert rep.converged
         assert rep.verdicts["gronwall"]["passed"]
         assert rep.verdicts["gronwall"]["min_margin"] >= 0.0
+
+
+class TestWindowNorm:
+    @pytest.mark.parametrize("zero_rows", [(), (0,), (0, 3)])
+    def test_equals_max_of_slice_norms(self, zero_rows):
+        n = 64
+        diff = np.random.default_rng(3).standard_normal((5, n + 1)).cumsum(axis=1)
+        diff[list(zero_rows)] = 0.0
+        expected = max(norms.slice_norm_alpha_infty(row, 1.0 / n, 0.3) for row in diff)
+        assert solver._window_norm(diff, 1.0 / n, 0.3) == expected
+
+    def test_all_zero_rows(self):
+        assert solver._window_norm(np.zeros((3, 17)), 1.0 / 16, 0.3) == 0.0
