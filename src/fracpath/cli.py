@@ -40,12 +40,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def _row_template(types) -> str:
+    """One %-template for a row with cells of these types: integers and
+    bools as %d (bools print 1/0), everything else as %.17g, which gives
+    the same digits as ``format(float(x), ".17g")``."""
+    return ",".join("%d" if issubclass(t, (int, np.integer, np.bool_)) else "%.17g"
+                    for t in types) + "\n"
 
 
 def config_hash(obj) -> str:
@@ -60,11 +60,15 @@ def _outdir(args) -> str:
 
 
 def write_csv(path: str, columns, rows, chash: str):
-    lines = [f"# config_hash={chash}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    templates = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# config_hash={chash}\n" + ",".join(columns) + "\n")
+        for row in rows:
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = _row_template(types)
+            fh.write(template % tuple(row))
 
 
 def write_json(path: str, payload: dict, chash: str):
@@ -188,11 +192,11 @@ def _run_config(cfg: dict, verify: bool = True):
 
 
 def _solution_rows(field):
-    t = field.t_nodes
+    """(t, xi, value) rows, time-major, as lists of floats taken one time
+    slice at a time."""
     xi = field.xi_nodes
-    for j in range(field.m + 1):
-        for i in range(field.n + 1):
-            yield (t[j], xi[i], field.values[j, i])
+    for t, values in zip(field.t_nodes, field.values):
+        yield from np.column_stack((np.full_like(xi, t), xi, values)).tolist()
 
 
 def cmd_fbm(args) -> int:

@@ -67,29 +67,41 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     return float(first + second)
 
 
-def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndarray:
-    """D[i, j] = right Weyl derivative of order 1-alpha of g - g(xi_i) on
-    [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
-
-    Column j is filled in one vectorized sweep that reuses prefix sums of
-    the product-integration weights, so the full matrix costs O(n^2).
-    """
-    a = order_value(alpha)
-    v = np.asarray(values, dtype=float)
+def _right_columns(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
+    """Yield, for j = 0..n-1, the column c with c[i - j - 1] = d/dist
+    + scale * S for every node i > j, where d is v[j] - v[i] (or its modulus), dist is
+    (xi_i - eta_j)^(1-alpha) and S is the product-integrated singular tail
+    of d on [eta_j, xi_i]; S reuses prefix sums of the weights, so the sweep
+    over all columns costs O(n^2)."""
     n = v.size - 1
     A, B = _hat_moments(a - 1.0, n)
     C = A + B
-    inv_gamma = 1.0 / math.gamma(a)
-    scale = (1.0 - a) * h ** (a - 1.0)
     dist = (np.arange(1, n + 1) * h) ** (1.0 - a)
-    D = np.zeros((n + 1, n + 1))
     for j in range(n):
         u = v[j] - v[j + 1:]
+        if absolute:
+            u = np.abs(u)
         L = u.size
         S = B[1:L + 1] * u
         if L > 1:
             S[1:] += np.cumsum(C[1:L] * u[:-1])
-        D[j + 1:, j] = inv_gamma * (u / dist[:L] + scale * S)
+        yield u / dist[:L] + scale * S
+
+
+def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndarray:
+    """D[i, j] = right Weyl derivative of order 1-alpha of g - g(xi_i) on
+    [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
+
+    Column j is filled by one step of ``_right_columns``, so the full
+    matrix costs O(n^2).
+    """
+    a = order_value(alpha)
+    v = np.asarray(values, dtype=float)
+    n = v.size - 1
+    inv_gamma = 1.0 / math.gamma(a)
+    D = np.zeros((n + 1, n + 1))
+    for j, col in enumerate(_right_columns(v, h, a, (1.0 - a) * h ** (a - 1.0), False)):
+        D[j + 1:, j] = inv_gamma * col
     return D
 
 
@@ -120,19 +132,9 @@ def norm_1malpha_infty0(g: SpaceTimeField, alpha) -> float:
     a = order_value(alpha)
     if not isinstance(g, SpaceTimeField):
         g = SpaceTimeField.constant_in_time(np.asarray(g, dtype=float), 1, 1.0)
-    n, h = g.n, g.h
-    A, B = _hat_moments(a - 1.0, n)
-    C = A + B
-    scale = h ** (a - 1.0)
-    dist = (np.arange(1, n + 1) * h) ** (1.0 - a)
+    scale = g.h ** (a - 1.0)
     best = 0.0
-    for j_t in range(g.m + 1):
-        v = g.values[j_t]
-        for j in range(n):
-            u = np.abs(v[j] - v[j + 1:])
-            L = u.size
-            S = B[1:L + 1] * u
-            if L > 1:
-                S[1:] += np.cumsum(C[1:L] * u[:-1])
-            best = max(best, float((u / dist[:L] + scale * S).max()))
+    for row in g.values:
+        for col in _right_columns(row, g.h, a, scale, True):
+            best = max(best, float(col.max()))
     return best

@@ -151,27 +151,44 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
                           contraction_target)
 
 
-def _inner_integrals(y_slice: np.ndarray, coeff: CoefficientFunction,
+def _inner_integrals(y_rows: np.ndarray, coeff: CoefficientFunction,
                      g_slice: np.ndarray, pair_matrix: np.ndarray,
                      h: float, alpha: float) -> np.ndarray:
-    u = coeff(y_slice)
+    """int_0^xi A(y) dg at every node for one slice y (n+1,) or a stack of
+    slices (k, n+1) against one integrator slice."""
+    u = coeff(y_rows)
     if not np.isfinite(u).all():
-        bad = int(np.argwhere(~np.isfinite(u))[0][0])
+        bad = int(np.argwhere(~np.isfinite(u))[0][-1])
         raise GridError(f"coefficient produced a non-finite value at node {bad}")
     return stieltjes_all_upper_limits(u, g_slice, pair_matrix, h, alpha)
 
 
 def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
                   coeff: CoefficientFunction, driver: DrivingField,
-                  alpha: float, j_start: int, dt: float) -> np.ndarray:
-    """F restricted to a window: row l maps time node j_start + l."""
+                  alpha: float, j_start: int, dt: float,
+                  v0: np.ndarray | None = None) -> np.ndarray:
+    """F restricted to a window: row l maps time node j_start + l.
+
+    ``v0`` is the inner integral of row 0 when the caller already has it
+    (row 0 is phi_w in every Picard iteration of a window).  The rows that
+    share one driver slice go through one stacked kernel call: the whole
+    window for a time-constant driver, one row per call otherwise.
+    """
     w = y_window.shape[0] - 1
     h = driver.field.h
     V = np.empty_like(y_window)
-    for l in range(w + 1):
-        V[l] = _inner_integrals(y_window[l], coeff,
-                                driver.field.values[j_start + l],
-                                driver.pair_matrix(j_start + l), h, alpha)
+    l0 = 0
+    if v0 is not None:
+        V[0] = v0
+        l0 = 1
+    if driver.time_constant:
+        V[l0:] = _inner_integrals(y_window[l0:], coeff, driver.field.values[j_start],
+                                  driver.pair_matrix(j_start), h, alpha)
+    else:
+        for l in range(l0, w + 1):
+            V[l] = _inner_integrals(y_window[l], coeff,
+                                    driver.field.values[j_start + l],
+                                    driver.pair_matrix(j_start + l), h, alpha)
     out = np.empty_like(y_window)
     out[0] = phi_values
     if w >= 1:
@@ -297,12 +314,15 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
         guarantee_ok = cells * dt <= cons.t0 * (1.0 + 1e-9)
 
         Yw = np.tile(phi_w, (cells + 1, 1))
+        # row 0 of every iterate is phi_w, so its inner integral is fixed
+        v0 = _inner_integrals(phi_w, cfg.coeff, driver.field.values[j0],
+                              driver.pair_matrix(j0), h, a)
         history = []
         w_converged = False
         iterations = 0
         for it in range(1, cfg.max_iterations + 1):
             iterations = it
-            Fw = _apply_window(Yw, phi_w, cfg.coeff, driver, a, j0, dt)
+            Fw = _apply_window(Yw, phi_w, cfg.coeff, driver, a, j0, dt, v0)
             res = _window_norm(Fw - Yw, h, a)
             history.append(res)
             Yw = Fw

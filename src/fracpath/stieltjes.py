@@ -11,6 +11,14 @@ suite asserts it matches ``PAIRING_SIGN``).
 The pairing integral uses the trapezoid rule on interior nodes; the two
 endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 (d-x)^alpha, contribute through those local power models.
+
+``stieltjes_all_upper_limits`` evaluates the integral up to every node at
+once, for one integrand slice or a stack of slices against one integrator
+slice: each row's left derivative is contracted with the precomputed pair
+matrix by ``np.einsum``, which calls no BLAS (so the bits do not depend on
+the BLAS thread count) and forms no (n+1)^2 temporary.  The solver stacks
+a whole window of a time-constant driver into one call and computes the
+window's fixed row 0 once.
 """
 
 from __future__ import annotations
@@ -105,28 +113,36 @@ def stieltjes_all_upper_limits(u: np.ndarray, g_values: np.ndarray,
                                pair_matrix: np.ndarray, h: float, alpha) -> np.ndarray:
     """int_0^{xi_i} u dg for every grid node xi_i at O(n^2) total cost.
 
+    ``u`` is one integrand slice (n+1,) or a stack (k, n+1) integrated
+    against the same integrator slice; the result has the same shape, and
+    each row of a stack is bitwise the one-slice result for that row.
     ``pair_matrix`` holds the per-upper-limit right-derivative fields
-    (``norms.right_derivative_pair_matrix`` of the integrator slice); the
-    left-derivative field of u is computed once and swept across rows.
+    (``norms.right_derivative_pair_matrix`` of the integrator slice).  The
+    left-derivative field of each row is computed once and contracted with
+    every row of the pair matrix by ``np.einsum`` (no BLAS call, so no
+    dependence on the BLAS thread count, and no (n+1)^2 temporary); the
+    trapezoid end corrections are O(n) vector terms.
     """
     a = order_value(alpha)
     u = np.asarray(u, dtype=float)
-    n = u.size - 1
-    f = GridFunction(0.0, 1.0, u) if abs(h - 1.0 / n) < 1e-12 else None
-    if f is None:
+    rows = u.reshape(-1, u.shape[-1])
+    n = rows.shape[1] - 1
+    if abs(h - 1.0 / n) >= 1e-12:
         raise GridError("stieltjes_all_upper_limits expects the unit grid")
-    Du = weyl_derivative_left(f, a, subtract_base=True).values
-    P = pair_matrix * Du[None, :]
-    rowsum = P.sum(axis=1)
-    first = P[:, 1]
-    last = np.concatenate([[0.0], np.diagonal(P, offset=-1)])
+    Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), a,
+                                        subtract_base=True).values
+                   for row in rows])
+    rowsum = np.einsum("sj,ij->si", Du, pair_matrix)
+    first = pair_matrix[:, 1] * Du[:, 1:2]
+    last = np.zeros_like(rowsum)
+    last[:, 1:] = np.diagonal(pair_matrix, -1) * Du[:, :-1]
     trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
-    trap[:2] = 0.0
-    out = PAIRING_SIGN * h * trap + u[0] * (g_values - g_values[0])
+    trap[:, :2] = 0.0
+    out = PAIRING_SIGN * h * trap + rows[:, :1] * (g_values - g_values[0])
     if not np.isfinite(out).all():
-        bad = int(np.argwhere(~np.isfinite(out))[0][0])
+        bad = int(np.argwhere(~np.isfinite(out))[0][-1])
         raise GridError(f"non-finite pathwise integral at node {bad}")
-    return out
+    return out.reshape(u.shape)
 
 
 @dataclass

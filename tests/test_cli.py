@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -278,3 +279,36 @@ class TestReproducibility:
                    capture_output=True, text=True, env=env)
         assert r.returncode == 0
         assert (tmp_path / "envout/fbm_path.csv").exists()
+
+
+class TestCsvWriter:
+    @staticmethod
+    def cell_by_cell(path, columns, rows, chash):
+        """The earlier writer: every cell formatted on its own."""
+        def fmt(x):
+            if isinstance(x, (bool, np.bool_)):
+                return "1" if x else "0"
+            if isinstance(x, (int, np.integer)):
+                return str(int(x))
+            return format(float(x), ".17g")
+        lines = [f"# config_hash={chash}", ",".join(columns)]
+        lines += [",".join(fmt(v) for v in row) for row in rows]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    def test_same_bytes_as_cell_by_cell_formatting(self, tmp_path):
+        from fracpath import cli
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                    sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1e16]
+        rows = [(k, x, np.float64(x), int(k % 2 == 0), k % 3 == 0, np.int64(-k),
+                 np.bool_(k % 2))
+                for k, x in enumerate(specials)]
+        rows.append((7, math.nan, math.nan, 0, False, np.int64(0), np.bool_(False)))
+        rng = np.random.default_rng(3)
+        rows += np.column_stack((rng.standard_normal(50),
+                                 rng.standard_normal(50) * 1e300,
+                                 rng.standard_normal(50) * 1e-300)).tolist()
+        cols = ("a", "b", "c", "d", "e", "f", "g")
+        cli.write_csv(str(tmp_path / "new.csv"), cols, rows, "abc")
+        self.cell_by_cell(str(tmp_path / "old.csv"), cols, rows, "abc")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

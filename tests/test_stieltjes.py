@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracpath.frac_calc import weyl_derivative_left
 from fracpath.grids import GridError, GridFunction
-from fracpath import fbm, norms, stieltjes
+from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.sampling import random_trig_grid
 
 
@@ -165,3 +171,111 @@ class TestPathwiseBound:
                                               seed=seed), 0.3)
         u = random_trig_grid(128, rng)
         assert stieltjes.pathwise_integral_bound_check(u, drv).holds
+
+
+def dense_sweep(u, g_values, pair_matrix, h, alpha):
+    """Reference: the dense (n+1)^2 product of the pair matrix with the
+    left-derivative row, its row sums and the trapezoid end corrections."""
+    Du = weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha,
+                              subtract_base=True).values
+    P = pair_matrix * Du[None, :]
+    first = P[:, 1]
+    last = np.concatenate([[0.0], np.diagonal(P, offset=-1)])
+    trap = P.sum(axis=1) - 0.5 * (first + last) \
+        + first / (2.0 - alpha) + last / (1.0 + alpha)
+    trap[:2] = 0.0
+    return stieltjes.PAIRING_SIGN * h * trap + u[0] * (g_values - g_values[0])
+
+
+def sweep_inputs(n, alpha, k, seed=0):
+    rng = np.random.default_rng(seed)
+    g = fbm.fbm_path(0.75, n, 100 + n).values
+    P = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+    return rng.standard_normal((k, n + 1)), g, P
+
+
+class TestAllUpperLimits:
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_matches_dense_formula(self, n, alpha):
+        U, g, P = sweep_inputs(n, alpha, 3)
+        got = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, alpha)
+        for row, out in zip(U, got):
+            ref = dense_sweep(row, g, P, 1.0 / n, alpha)
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, k", [(2, 4), (64, 1), (64, 9), (1024, 51)])
+    def test_stacked_rows_equal_one_slice_calls(self, n, k):
+        U, g, P = sweep_inputs(n, 0.3, k, seed=k)
+        stacked = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)
+        assert stacked.shape == U.shape
+        for row, out in zip(U, stacked):
+            one = stieltjes.stieltjes_all_upper_limits(row, g, P, 1.0 / n, 0.3)
+            assert one.shape == row.shape
+            assert np.array_equal(one, out)
+
+    def test_no_square_temporary(self):
+        n = 2048
+        U, g, P = sweep_inputs(n, 0.3, 3)
+        stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)  # warm caches
+        tracemalloc.start()
+        stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < P.nbytes / 8
+
+    def test_blas_thread_count_does_not_change_n1024_solve(self, tmp_path):
+        cfg = {"hurst": 0.75, "alpha": 0.3,
+               "grid": {"m": 8, "n": 1024, "T": 0.02},
+               "driver": {"model": "frozen", "seed": 7},
+               "phi": {"kind": "sine", "params": {"k": 1, "amplitude": 0.5}},
+               "A": {"kind": "tanh", "params": {"scale": 1.0}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            r = subprocess.run([sys.executable, "-m", "fracpath.cli", "--out",
+                                str(tmp_path / threads), "solve",
+                                str(tmp_path / "cfg.json")],
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+        for name in ("solution.csv", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() \
+                == (tmp_path / "2" / name).read_bytes()
+
+
+def window_setup(model="frozen", n=64, m=6, T=0.05):
+    phi = GridFunction(0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1)))
+    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, n=n, T=T, phi=phi,
+                              coeff=co.tanh_coefficient(1.0))
+    drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7,
+                                          time_model=model), 0.3)
+    return cfg, drv
+
+
+class TestWindowSweep:
+    def test_nonfinite_coefficient_names_space_node(self):
+        cfg, drv = window_setup()
+        # NaN wherever y exceeds 10: only row 2, space node 37, does
+        coeff = co.CoefficientFunction(
+            "nan-above-10", lambda x: np.where(np.asarray(x) > 10.0, np.nan, x),
+            lambda x: np.ones_like(x), 1.0, 1.0, lambda N: 0.0)
+        Y = np.tile(cfg.phi.values, (cfg.m + 1, 1))
+        Y[2, 37] = 11.0
+        with pytest.raises(GridError, match=r"non-finite value at node 37$"):
+            solver._apply_window(Y, cfg.phi.values, coeff, drv, 0.3, 0, cfg.dt)
+
+    @pytest.mark.parametrize("model", ["frozen", "sheet"])
+    def test_cached_row_zero_matches_recomputing_it(self, model, monkeypatch):
+        cfg, drv = window_setup(model)
+        cached = solver.solve(cfg, drv, verify=False)
+        apply_window = solver._apply_window
+
+        def recompute_row_zero(*args):
+            return apply_window(*args[:7])   # drop the cached row-0 integral
+
+        monkeypatch.setattr(solver, "_apply_window", recompute_row_zero)
+        fresh = solver.solve(cfg, drv, verify=False)
+        assert np.array_equal(cached.solution.values, fresh.solution.values)
+        assert [w.residual_history for w in cached.windows] \
+            == [w.residual_history for w in fresh.windows]
