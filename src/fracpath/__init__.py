@@ -3,7 +3,7 @@ for the driven integral equation Y(t, xi) = phi(xi) + int_0^t int_0^xi
 A(Y(s, eta)) dg(s, eta) ds, with the existence proof's constants and
 inequalities computed and checked numerically."""
 
-from .grids import FractionalOrder, GridError, GridFunction, SpaceTimeField
+from .grids import GridError, GridFunction, SpaceTimeField
 from .frac_calc import (
     beta_b1,
     rl_integral_left,
@@ -62,7 +62,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FractionalOrder", "GridError", "GridFunction", "SpaceTimeField",
+    "GridError", "GridFunction", "SpaceTimeField",
     "beta_b1", "rl_integral_left", "rl_integral_right",
     "weyl_derivative_left", "weyl_derivative_right",
     "lambda_alpha", "norm_1malpha_infty0", "norm_alpha_1", "norm_alpha_infty",

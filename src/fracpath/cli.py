@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fbm, solver, stieltjes
 from .coefficients import coefficient_from_kind
-from .grids import GridError, GridFunction, SpaceTimeField
+from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order
 from .sampling import random_trig_grid
 
 EXIT_OK = 0
@@ -92,10 +92,7 @@ def load_config(path: str) -> dict:
         jsonschema.validate(cfg, schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config violates schema: {exc.message}") from exc
-    hurst, alpha = cfg["hurst"], cfg["alpha"]
-    if not (1.0 - hurst) < alpha < 0.5:
-        raise ConfigError(
-            f"alpha={alpha} outside the solver window (1-H, 1/2) for H={hurst}")
+    check_solver_order(cfg["alpha"], cfg["hurst"])
     driver = cfg["driver"]
     if driver["model"] in ("frozen", "sheet") and "seed" not in driver:
         raise ConfigError("stochastic drivers need a seed")

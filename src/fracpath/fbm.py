@@ -1,16 +1,20 @@
 """Seedable fractional Brownian motion paths and driving fields.
 
 Paths are generated by Davies-Harte circulant embedding of the fractional
-Gaussian noise covariance (O(n log n)), with a dense Cholesky fallback when
-the embedding is not nonnegative.  A fixed seed determines the output
-bit-for-bit; ensemble member k draws from the split stream
-``SeedSequence((seed, k))``.
+Gaussian noise covariance (O(n log n)); the embedding of the fGn
+covariance is nonnegative for every H in (0, 1), and a negative eigenvalue
+raises.  A fixed seed determines the output bit-for-bit; ensemble member k
+draws from the split stream ``SeedSequence((seed, k))``.
 
 The equation's driver is a space-time field g(t, xi).  The joint temporal
 law is not pinned down by the model, so two constructions are provided:
 the canonical ``frozen`` field (one spatial path, constant in time) and a
 clearly non-canonical fractional-sheet field for experiments.  Smooth
 deterministic stubs are first-class drivers for oracle tests.
+
+A ``DrivingField`` is built once, with the pair matrix of every distinct
+slice, and is read as it is: a time-constant driver has one slice and
+serves any time grid over its spatial grid.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import norms
-from .grids import GridError, GridFunction, SpaceTimeField
+from .grids import GridError, GridFunction, SpaceTimeField, order_value
 
 __all__ = [
     "FbmConfig",
@@ -37,6 +41,8 @@ __all__ = [
 ]
 
 _SHEET_MAX_TIME_NODES = 64
+# |z| above which the covariance validator flags an entry
+_Z_LIMIT = 4.0
 STUB_KINDS = ("zero", "linear", "quadratic", "sine")
 
 
@@ -64,7 +70,9 @@ def _fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
     row = np.concatenate([c, c[-2:0:-1]])  # circulant first row, length 2n
     eig = np.fft.fft(row).real
     if eig.min() < -1e-8 * max(eig.max(), 1.0):
-        return None
+        raise RuntimeError(
+            f"circulant embedding of the fGn covariance has a negative eigenvalue "
+            f"{eig.min()}; this indicates a bug")
     eig = np.clip(eig, 0.0, None)
     z = np.empty(2 * n, dtype=complex)
     z[0] = rng.standard_normal()
@@ -75,28 +83,13 @@ def _fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
     return math.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
 
 
-def _fgn_cholesky(c: np.ndarray, n: int, rng: np.random.Generator):
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov = c[idx]
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
-        raise RuntimeError(
-            "fGn covariance is numerically non-PSD; this indicates a bug") from exc
-    return L @ rng.standard_normal(n)
-
-
 def fractional_gaussian_noise(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-spacing fGn variates (circulant embedding, Cholesky fallback)."""
+    """n unit-spacing fGn variates by circulant embedding."""
     if not 0.0 < hurst < 1.0:
         raise GridError(f"Hurst parameter must lie in (0, 1), got {hurst}")
     if hurst == 0.5:
         return rng.standard_normal(n)
-    c = increment_covariance(hurst, np.arange(n + 1))
-    out = _fgn_davies_harte(c, n, rng)
-    if out is None:
-        out = _fgn_cholesky(c[:n], n, rng)
-    return out
+    return _fgn_davies_harte(increment_covariance(hurst, np.arange(n + 1)), n, rng)
 
 
 def fbm_path(hurst: float, n: int, seed: int, stream: tuple = ()) -> GridFunction:
@@ -145,13 +138,14 @@ class FbmConfig:
                 raise GridError(f"sheet temporal Hurst must be >= 0.9, got {self.hurst_t}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DrivingField:
     """A driver g with its realized integrator functional and Hoelder norm.
 
-    Satisfies g(t, 0) = 0 for all t.  ``pair_matrix(j)`` returns the
-    right-derivative pair field of time slice j, cached so that Picard
-    iterations never re-quadrature; time-constant drivers share one matrix.
+    Satisfies g(t, 0) = 0 for all t.  ``pair_matrices`` holds the
+    right-derivative pair field of every distinct time slice, built once
+    so that Picard iterations never re-quadrature: one matrix for a
+    time-constant driver, one per time node otherwise.
     """
 
     field: SpaceTimeField
@@ -160,27 +154,13 @@ class DrivingField:
     holder_norm: float
     time_constant: bool
     label: str
-    _pair_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    pair_matrices: tuple = dc_field(repr=False, compare=False)
 
-    def pair_matrix(self, t_index: int = 0) -> np.ndarray:
-        key = 0 if self.time_constant else int(t_index)
-        M = self._pair_cache.get(key)
-        if M is None:
-            M = norms.right_derivative_pair_matrix(
-                self.field.values[key], self.field.h, self.alpha)
-            M.setflags(write=False)
-            self._pair_cache[key] = M
-        return M
-
-    def retimed(self, m: int, T: float) -> "DrivingField":
-        """Same spatial driver on a new time grid (time-constant only)."""
-        if not self.time_constant:
-            raise GridError("retimed() requires a time-constant driver")
-        f = SpaceTimeField.constant_in_time(self.field.values[0], m, T)
-        out = DrivingField(f, self.alpha, self.lambda_value, self.holder_norm,
-                           True, self.label)
-        out._pair_cache = self._pair_cache
-        return out
+    def time_slice(self, t_index: int) -> tuple:
+        """The values and the pair matrix of time slice ``t_index``; a
+        time-constant driver answers every index with its one slice."""
+        j = 0 if self.time_constant else t_index
+        return self.field.values[j], self.pair_matrices[j]
 
 
 def _finish_field(values2d: np.ndarray, T: float, alpha: float,
@@ -188,27 +168,23 @@ def _finish_field(values2d: np.ndarray, T: float, alpha: float,
     if not np.all(values2d[:, 0] == 0.0):
         raise GridError("driving field must satisfy g(t, 0) = 0")
     f = SpaceTimeField(T, values2d)
-    rows = [values2d[0]] if time_constant else [values2d[j] for j in range(f.m + 1)]
+    rows = f.values[:1] if time_constant else f.values
+    mats = []
     lam = 0.0
     hnorm = 0.0
-    cache = {}
-    for j, row in enumerate(rows):
+    for row in rows:
         D = norms.right_derivative_pair_matrix(row, f.h, alpha)
         D.setflags(write=False)
-        cache[j] = D
+        mats.append(D)
         lam = max(lam, norms.lambda_from_pair_matrix(D, alpha))
-        hnorm = max(hnorm, norms.norm_1malpha_infty0(
-            SpaceTimeField.constant_in_time(row, 1, T), alpha))
+        hnorm = max(hnorm, norms.norm_1malpha_infty0(row, alpha))
     if not (np.isfinite(lam) and np.isfinite(hnorm)):
         raise GridError("realized driver functionals are non-finite")
-    out = DrivingField(f, float(alpha), lam, hnorm, time_constant, label)
-    out._pair_cache = cache
-    return out
+    return DrivingField(f, float(alpha), lam, hnorm, time_constant, label, tuple(mats))
 
 
 def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     """Assemble the FBM driver for the solver and record Lambda and the norm."""
-    from .grids import order_value
     a = order_value(alpha)
     if cfg.time_model == "frozen":
         path = fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream)
@@ -222,14 +198,14 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
         fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream + (k,)).values
         for k in range(cfg.m)])
     vals = np.zeros((cfg.m + 1, cfg.n + 1))
-    vals[1:] = L @ paths
+    # einsum calls no BLAS, so the bits do not depend on the BLAS thread count
+    vals[1:] = np.einsum("tk,kj->tj", L, paths)
     return _finish_field(vals, cfg.T, a, False,
                          f"fbm-sheet(H={cfg.hurst},Ht={cfg.hurst_t})")
 
 
 def field_from_path(path: GridFunction, m: int, T: float, alpha) -> DrivingField:
     """Frozen driver built from an explicit spatial path with g(0) = 0."""
-    from .grids import order_value
     vals = np.tile(path.values, (m + 1, 1))
     return _finish_field(vals, T, order_value(alpha), True, "from-path")
 
@@ -241,7 +217,6 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
     kinds: zero, linear (scale*xi), quadratic (scale*xi^2),
     sine (amplitude*sin(k*pi*xi)).
     """
-    from .grids import order_value
     a = order_value(alpha)
     xi = np.linspace(0.0, 1.0, n + 1)
     if kind == "zero":
@@ -279,13 +254,12 @@ class CovarianceReport:
 
 
 def covariance_validator(hurst: float, samples: int, seed: int,
-                         n: int = 64, z_limit: float = 4.0) -> CovarianceReport:
+                         n: int = 64) -> CovarianceReport:
     """Monte-Carlo check of the FBM law against its analytic covariance.
 
     Generates ``samples`` independent paths (split streams of ``seed``) and
     z-scores the empirical covariances, increment variances and disjoint
-    increment products on a coarse node subset.  Any |z| > ``z_limit`` is
-    flagged.
+    increment products on a coarse node subset.  Any |z| > 4 is flagged.
     """
     if samples < 10 ** 3:
         raise GridError(f"validator needs at least 1000 samples, got {samples}")
@@ -335,4 +309,4 @@ def covariance_validator(hurst: float, samples: int, seed: int,
 
     max_abs_z = max(abs(e["z"]) for e in entries)
     return CovarianceReport(hurst, n, samples, entries, max_abs_z,
-                            max_abs_z <= z_limit)
+                            max_abs_z <= _Z_LIMIT)

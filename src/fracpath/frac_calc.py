@@ -229,7 +229,7 @@ def beta_b1(alpha) -> float:
     (the downstream factor 1/(1-2*alpha) diverges) and alpha below 1e-6
     (Gamma(2*alpha) pole).
     """
-    a = alpha.alpha if hasattr(alpha, "alpha") else float(alpha)
+    a = float(alpha)
     if a >= 0.5:
         raise GridError(f"beta_b1 needs alpha < 1/2, got {a}")
     if a < _MIN_BETA_ORDER:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridError", "GridFunction", "SpaceTimeField", "FractionalOrder"]
+__all__ = ["GridError", "GridFunction", "SpaceTimeField"]
 
 
 class GridError(ValueError):
@@ -66,38 +66,23 @@ class GridFunction:
                             endpoint_nan_ok=self.endpoint_nan_ok)
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """A fractional order alpha in (0, 1).
-
-    ``for_solver`` additionally enforces the regime 1 - H < alpha < 1/2
-    required by the fixed-point argument.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not 0.0 < self.alpha < 1.0:
-            raise GridError(f"fractional order must lie in (0, 1), got {self.alpha}")
-
-    @classmethod
-    def for_solver(cls, alpha: float, hurst: float) -> "FractionalOrder":
-        if not 0.5 < hurst < 1.0:
-            raise GridError(f"Hurst parameter must lie in (1/2, 1), got {hurst}")
-        if not (1.0 - hurst) < alpha < 0.5:
-            raise GridError(
-                f"alpha={alpha} outside the solver window (1-H, 1/2) = "
-                f"({1.0 - hurst}, 0.5)")
-        return cls(alpha)
-
-
 def order_value(alpha) -> float:
-    """Accept a float or a FractionalOrder; validate the (0,1) range."""
-    a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
+    """The fractional order as a float; validate the (0, 1) range."""
+    a = float(alpha)
     if not 0.0 < a < 1.0:
         raise GridError(f"fractional order must lie in (0, 1), got {a}")
     return a
+
+
+def check_solver_order(alpha: float, hurst: float) -> None:
+    """Reject a Hurst parameter outside (1/2, 1) and an order alpha outside
+    the window 1 - H < alpha < 1/2 of the fixed-point argument."""
+    if not 0.5 < hurst < 1.0:
+        raise GridError(f"Hurst parameter must lie in (1/2, 1), got {hurst}")
+    if not (1.0 - hurst) < alpha < 0.5:
+        raise GridError(
+            f"alpha={alpha} outside the solver window (1-H, 1/2) = "
+            f"({1.0 - hurst}, 0.5)")
 
 
 @dataclass(frozen=True)

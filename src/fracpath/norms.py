@@ -110,31 +110,26 @@ def lambda_from_pair_matrix(D: np.ndarray, alpha: float) -> float:
     return float(np.abs(D).max()) / math.gamma(1.0 - alpha)
 
 
-def lambda_alpha(g, alpha) -> float:
+def lambda_alpha(g: SpaceTimeField, alpha) -> float:
     """sup over times and pairs eta < xi of |D^{1-alpha}_{xi-} g_{xi-}(eta)|,
     divided by Gamma(1-alpha)."""
     a = order_value(alpha)
-    if isinstance(g, SpaceTimeField):
-        slices = [g.values[j] for j in range(g.m + 1)]
-        h = g.h
-    elif isinstance(g, GridFunction):
-        slices, h = [g.values], g.h
-    else:
-        arr = np.asarray(g, dtype=float)
-        slices, h = [arr], 1.0 / (arr.size - 1)
-    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, h, a), a)
-               for row in slices)
+    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, g.h, a), a)
+               for row in g.values)
 
 
-def norm_1malpha_infty0(g: SpaceTimeField, alpha) -> float:
+def norm_1malpha_infty0(g: SpaceTimeField | np.ndarray, alpha) -> float:
     """sup over t and node pairs eta < xi of the (1-alpha)-Hoelder quotient
-    plus the left-anchored singular tail integral."""
+    plus the left-anchored singular tail integral.
+
+    ``g`` is a field or one slice (n+1,) on the unit grid.
+    """
     a = order_value(alpha)
-    if not isinstance(g, SpaceTimeField):
-        g = SpaceTimeField.constant_in_time(np.asarray(g, dtype=float), 1, 1.0)
-    scale = g.h ** (a - 1.0)
+    rows = g.values if isinstance(g, SpaceTimeField) else np.asarray(g, dtype=float)[None, :]
+    h = 1.0 / (rows.shape[1] - 1)
+    scale = h ** (a - 1.0)
     best = 0.0
-    for row in g.values:
-        for col in _right_columns(row, g.h, a, scale, True):
+    for row in rows:
+        for col in _right_columns(row, h, a, scale, True):
             best = max(best, float(col.max()))
     return best

@@ -8,30 +8,31 @@ from .grids import GridFunction, SpaceTimeField
 
 __all__ = ["random_trig_grid", "random_smooth_field"]
 
+# sine modes of a random grid function and of a random space-time field
+_GRID_MODES = 5
+_FIELD_MODES = 4
 
-def random_trig_grid(n: int, rng: np.random.Generator, modes: int = 5,
-                     with_constant: bool = True) -> GridFunction:
-    """Random low-order trigonometric polynomial on [0, 1]."""
+
+def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
+    """Random low-order trigonometric polynomial plus a constant on [0, 1]."""
     x = np.linspace(0.0, 1.0, n + 1)
-    k = np.arange(1, modes + 1)
-    amps = rng.standard_normal(modes) / k ** 1.5
-    v = sum(amps[i] * np.sin(k[i] * np.pi * x) for i in range(modes))
-    if with_constant:
-        v = v + rng.standard_normal()
-    return GridFunction(0.0, 1.0, v)
+    k = np.arange(1, _GRID_MODES + 1)
+    amps = rng.standard_normal(_GRID_MODES) / k ** 1.5
+    v = sum(amps[i] * np.sin(k[i] * np.pi * x) for i in range(_GRID_MODES))
+    return GridFunction(0.0, 1.0, v + rng.standard_normal())
 
 
-def random_smooth_field(m: int, n: int, T: float, rng: np.random.Generator,
-                        modes: int = 4) -> SpaceTimeField:
+def random_smooth_field(m: int, n: int, T: float,
+                        rng: np.random.Generator) -> SpaceTimeField:
     """Random smooth space-time field with mode amplitudes drifting in time."""
     t = np.linspace(0.0, T, m + 1)[:, None]
     xi = np.linspace(0.0, 1.0, n + 1)[None, :]
-    k = np.arange(1, modes + 1)
-    a = rng.standard_normal(modes) / k ** 2
-    b = rng.standard_normal(modes) / k ** 2
+    k = np.arange(1, _FIELD_MODES + 1)
+    a = rng.standard_normal(_FIELD_MODES) / k ** 2
+    b = rng.standard_normal(_FIELD_MODES) / k ** 2
     c0 = rng.standard_normal()
     tt = t / T if T > 0 else t
     vals = c0 + sum((a[i] + b[i] * tt) * np.sin(k[i] * np.pi * xi)
-                    for i in range(modes))
+                    for i in range(_FIELD_MODES))
     vals = np.broadcast_to(vals, (m + 1, n + 1)).copy()
     return SpaceTimeField(T, vals)

@@ -6,7 +6,9 @@ driver slice) and the outer time integral with the trapezoid rule.  Local
 existence windows are sized from the explicitly computed proof constants
 (b1..b5, T1, T2, T0); continuation re-anchors the initial slice and
 refreshes the constants window by window.  Every inequality the analysis
-asserts is re-checked numerically and reported.
+asserts is re-checked numerically and reported.  A time-constant driver
+serves any time grid over its spatial grid, so the probes apply the
+solve's own driver to their short probe windows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import norms
 from .coefficients import CoefficientFunction
 from .fbm import DrivingField
 from .frac_calc import beta_b1
-from .grids import FractionalOrder, GridError, GridFunction, SpaceTimeField
+from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order, order_value
 from .sampling import random_smooth_field
 from .stieltjes import stieltjes_all_upper_limits
 
@@ -43,6 +45,11 @@ _REL_SLACK = 1e-6
 WINDOW_POLICIES = ("paper-constants", "adaptive")
 # time cells of the random fields drawn by the ball and contraction probes
 PROBE_TIME_CELLS = 4
+# the contraction level b5 T2 that sizes the T2 window
+CONTRACTION_TARGET = 0.5
+# trials of each spot probe of ``solve``, and the seed they draw from
+VERIFICATION_TRIALS = 5
+VERIFICATION_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -57,18 +64,15 @@ class SolverConfig:
     picard_tol: float = 1e-9
     max_iterations: int = 60
     window_policy: str = "paper-constants"
-    contraction_target: float = 0.5
 
     def __post_init__(self):
-        FractionalOrder.for_solver(self.alpha, self.hurst)
+        check_solver_order(self.alpha, self.hurst)
         if self.window_policy not in WINDOW_POLICIES:
             raise GridError(f"unknown window policy {self.window_policy!r}")
         if self.phi.n != self.n or abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
             raise GridError("phi must live on the solver's spatial grid over [0, 1]")
         if self.m < 1 or self.T <= 0:
             raise GridError("need m >= 1 time cells and T > 0")
-        if not 0.0 < self.contraction_target < 1.0:
-            raise GridError("contraction target must lie in (0, 1)")
 
     @property
     def dt(self) -> float:
@@ -115,12 +119,11 @@ class ProofConstants:
 
 def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
                       phi_norm: float, r1: float | None = None,
-                      horizon: float = math.inf,
-                      contraction_target: float = 0.5) -> ProofConstants:
+                      horizon: float = math.inf) -> ProofConstants:
     """Evaluate b1..b5, the window lengths T1, T2, T0 and the Gronwall rate.
 
     T1 makes the ball of radius R1 invariant; T2 scales the contraction
-    factor to ``contraction_target`` < 1.  Degenerate coefficients
+    factor to ``CONTRACTION_TARGET`` < 1.  Degenerate coefficients
     (A identically 0) make both windows unbounded, in which case the
     configured horizon is returned.
     """
@@ -142,13 +145,13 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     rho = (2.0 - 3.0 * a) / ((1.0 - 2.0 * a) * (1.0 - a))
     b5 = lam * b3 * b4 * rho
     t1 = (r1 - phi_norm) / (b2 * (1.0 + r1)) if b2 > 0 else horizon
-    t2 = contraction_target / b5 if b5 > 0 else horizon
+    t2 = CONTRACTION_TARGET / b5 if b5 > 0 else horizon
     t0 = min(t1, t2)
     if not math.isfinite(t0):
         t0 = horizon
     return ProofConstants(a, lam, m1, m2, mn, phi_norm, float(r1),
                           b1, b2, b3, b4, b5, t1, t2, t0, b2,
-                          contraction_target)
+                          CONTRACTION_TARGET)
 
 
 def _inner_integrals(y_rows: np.ndarray, coeff: CoefficientFunction,
@@ -182,13 +185,12 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
         V[0] = v0
         l0 = 1
     if driver.time_constant:
-        V[l0:] = _inner_integrals(y_window[l0:], coeff, driver.field.values[j_start],
-                                  driver.pair_matrix(j_start), h, alpha)
+        V[l0:] = _inner_integrals(y_window[l0:], coeff, *driver.time_slice(j_start), h,
+                                  alpha)
     else:
         for l in range(l0, w + 1):
-            V[l] = _inner_integrals(y_window[l], coeff,
-                                    driver.field.values[j_start + l],
-                                    driver.pair_matrix(j_start + l), h, alpha)
+            V[l] = _inner_integrals(y_window[l], coeff, *driver.time_slice(j_start + l),
+                                    h, alpha)
     out = np.empty_like(y_window)
     out[0] = phi_values
     if w >= 1:
@@ -201,16 +203,22 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
     return out
 
 
-def apply_F(Y: SpaceTimeField, phi, coeff: CoefficientFunction,
+def _check_driver_grid(driver: DrivingField, m: int, n: int, T: float):
+    """A time-constant driver serves any time grid over its spatial grid; a
+    driver that varies in time serves only its own grid."""
+    f = driver.field
+    if f.n != n or not driver.time_constant and (f.m != m or abs(f.T - T) > 1e-12):
+        raise GridError("field and driver grids must match")
+
+
+def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff: CoefficientFunction,
             driver: DrivingField, alpha) -> SpaceTimeField:
     """One application of the fixed-point operator over the full field."""
-    a = FractionalOrder(alpha).alpha if not isinstance(alpha, FractionalOrder) else alpha.alpha
-    phi_values = phi.values if isinstance(phi, GridFunction) else np.asarray(phi, dtype=float)
-    if Y.values.shape != driver.field.values.shape or abs(Y.T - driver.field.T) > 1e-12:
-        raise GridError("field and driver grids must match")
-    if phi_values.size != Y.n + 1:
+    a = order_value(alpha)
+    _check_driver_grid(driver, Y.m, Y.n, Y.T)
+    if phi.n != Y.n:
         raise GridError("phi must live on the field's spatial grid")
-    out = _apply_window(Y.values, phi_values, coeff, driver, a, 0, Y.dt)
+    out = _apply_window(Y.values, phi.values, coeff, driver, a, 0, Y.dt)
     return SpaceTimeField(Y.T, out)
 
 
@@ -276,8 +284,7 @@ def _measured_ratio(history: list) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
-          verification_trials: int = 5, verification_seed: int = 0) -> SolverReport:
+def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> SolverReport:
     """Windowed Picard iteration over [0, T] with per-window constants.
 
     Never returns an unconverged field silently: on failure the report has
@@ -285,9 +292,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
     history.
     """
     a = cfg.alpha
-    if driver.field.m != cfg.m or driver.field.n != cfg.n \
-            or abs(driver.field.T - cfg.T) > 1e-12:
-        raise GridError("driver grids must match the solver configuration")
+    _check_driver_grid(driver, cfg.m, cfg.n, cfg.T)
     if abs(driver.alpha - a) > 1e-12:
         raise GridError("driver was prepared for a different alpha")
     m, n, dt, h = cfg.m, cfg.n, cfg.dt, cfg.phi.h
@@ -302,8 +307,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
     adaptive_cells = None
     while j0 < m:
         pn = norms.slice_norm_alpha_infty(phi_w, h, a)
-        cons = compute_constants(a, cfg.coeff, lam, pn, horizon=cfg.T,
-                                 contraction_target=cfg.contraction_target)
+        cons = compute_constants(a, cfg.coeff, lam, pn, horizon=cfg.T)
         paper_cells = max(1, int(cons.t0 / dt + 1e-12))
         if cfg.window_policy == "adaptive" and adaptive_cells is not None:
             cells = adaptive_cells
@@ -315,8 +319,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
 
         Yw = np.tile(phi_w, (cells + 1, 1))
         # row 0 of every iterate is phi_w, so its inner integral is fixed
-        v0 = _inner_integrals(phi_w, cfg.coeff, driver.field.values[j0],
-                              driver.pair_matrix(j0), h, a)
+        v0 = _inner_integrals(phi_w, cfg.coeff, *driver.time_slice(j0), h, a)
         history = []
         w_converged = False
         iterations = 0
@@ -365,15 +368,14 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True,
     gr = gronwall_check(solution, cfg, constants)
     verdicts["gronwall"] = gr
     if verify and converged:
-        verdicts.update(_spot_verdicts(cfg, driver, constants, verification_trials,
-                                       verification_seed))
+        verdicts.update(_spot_verdicts(cfg, driver, constants))
     return SolverReport(solution, converged, windows, constants,
                         lam, verdicts, failed_window)
 
 
-def gronwall_check(solution, cfg: SolverConfig, constants: ProofConstants) -> dict:
+def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
+                   constants: ProofConstants) -> dict:
     """Envelope ||phi|| exp(K t) against the running slice norm at every node."""
-    sol = solution.solution if isinstance(solution, SolverReport) else solution
     a = cfg.alpha
     phi_norm = constants.phi_norm
     k = constants.gronwall_k
@@ -406,10 +408,8 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
     n2 = norms.norm_alpha_infty(Y2, a)
     if max(n1, n2) > constants.r1 * (1.0 + 1e-9):
         raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
-    local = driver if (driver.field.m == Y1.m and abs(driver.field.T - Y1.T) < 1e-12) \
-        else driver.retimed(Y1.m, Y1.T)
-    F1 = apply_F(Y1, cfg.phi, cfg.coeff, local, a)
-    F2 = apply_F(Y2, cfg.phi, cfg.coeff, local, a)
+    F1 = apply_F(Y1, cfg.phi, cfg.coeff, driver, a)
+    F2 = apply_F(Y2, cfg.phi, cfg.coeff, driver, a)
     num = _window_norm(F1.values - F2.values, Y1.h, a)
     den = _window_norm(Y1.values - Y2.values, Y1.h, a)
     ratio = num / den
@@ -445,7 +445,6 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
     """Sample fields with norm <= R1 and verify ||F(Y)|| <= R1 on [0, T1]."""
     a = cfg.alpha
     t_w = constants.t1 if math.isfinite(constants.t1) else cfg.T
-    local = driver.retimed(PROBE_TIME_CELLS, t_w)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     results = []
@@ -458,7 +457,7 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
         target = rng.uniform(0.2, 1.0) * constants.r1
         samples.append(SpaceTimeField(t_w, Yr.values * (target / max(nrm, 1e-12))))
     for Yr in samples:
-        F = apply_F(Yr, cfg.phi, cfg.coeff, local, a)
+        F = apply_F(Yr, cfg.phi, cfg.coeff, driver, a)
         fn = norms.norm_alpha_infty(F, a)
         worst = max(worst, fn - constants.r1)
         results.append(fn)
@@ -487,9 +486,10 @@ def quadruple_inequality_check(coeff: CoefficientFunction, radius: float,
 
 
 def _spot_verdicts(cfg: SolverConfig, driver: DrivingField,
-                   constants: ProofConstants, trials: int, seed: int) -> dict:
+                   constants: ProofConstants) -> dict:
     if not driver.time_constant:
         return {}
+    trials, seed = VERIFICATION_TRIALS, VERIFICATION_SEED
     out = {}
     out["ball_invariance"] = ball_invariance_check(cfg, driver, constants,
                                                    trials=trials, seed=seed)

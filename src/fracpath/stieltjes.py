@@ -29,7 +29,7 @@ import numpy as np
 
 from . import norms
 from .frac_calc import weyl_derivative_left, weyl_derivative_right
-from .grids import GridError, GridFunction, SpaceTimeField, order_value
+from .grids import GridError, GridFunction, order_value
 
 __all__ = [
     "PAIRING_SIGN",
@@ -198,25 +198,19 @@ def _bound_report(u: np.ndarray, g_values: np.ndarray, pair_matrix: np.ndarray,
                        rhs - lhs, lam, f_norm)
 
 
-def bound_357_check(f: GridFunction, g, alpha) -> BoundReport:
+def bound_357_check(f: GridFunction, g: GridFunction, alpha) -> BoundReport:
     """Check max_xi |int_0^xi f dg| <= Lambda_alpha(g) ||f||_{alpha,1}."""
     a = order_value(alpha)
-    gv = g.values if isinstance(g, GridFunction) else np.asarray(g, dtype=float)
-    if f.values.size != gv.size:
-        raise GridError("f and g must share one grid")
-    D = norms.right_derivative_pair_matrix(gv, f.h, a)
+    _check_compatible(f, g)
+    D = norms.right_derivative_pair_matrix(g.values, f.h, a)
     lam = norms.lambda_from_pair_matrix(D, a)
-    return _bound_report(f.values, gv, D, f.h, a, lam)
+    return _bound_report(f.values, g.values, D, f.h, a, lam)
 
 
-def pathwise_integral_bound_check(u, driver, alpha=None, t_index: int = 0) -> BoundReport:
+def pathwise_integral_bound_check(u: GridFunction, driver, t_index: int = 0) -> BoundReport:
     """Same bound against a realized FBM driver: |int u dB| <= G ||u||_{alpha,1}."""
-    a = order_value(driver.alpha if alpha is None else alpha)
-    if a != driver.alpha:
-        raise GridError("alpha must match the driver's alpha")
-    if isinstance(u, SpaceTimeField):
-        u = u.values[0]
-    uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    g_values = driver.field.values[t_index]
-    return _bound_report(uv, g_values, driver.pair_matrix(t_index),
-                         driver.field.h, a, driver.lambda_value)
+    if u.n != driver.field.n or abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
+        raise GridError("u must live on the driver's spatial grid over [0, 1]")
+    g_values, pair_matrix = driver.time_slice(t_index)
+    return _bound_report(u.values, g_values, pair_matrix, driver.field.h,
+                         driver.alpha, driver.lambda_value)

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,16 +31,18 @@ class TestPathGeneration:
         with pytest.raises(GridError):
             fbm.fbm_path(1.2, 64, 0)
 
-    def test_cholesky_fallback_matches_law(self):
-        # force the dense path and compare second moments against the
-        # analytic covariance on a small grid
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 257, 1024, 4096])
+    def test_circulant_embedding_nonnegative(self, n):
+        # the embedding check raises on a negative eigenvalue; no H reaches it
         rng = np.random.default_rng(0)
-        n, S = 16, 4000
-        c = fbm.increment_covariance(0.75, np.arange(n))
-        samples = np.array([fbm._fgn_cholesky(c, n, rng) for _ in range(S)])
-        emp = samples.T @ samples / S
-        idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        np.testing.assert_allclose(emp, c[idx], atol=0.12)
+        for hurst in np.arange(1, 100) / 100:
+            c = fbm.increment_covariance(hurst, np.arange(n + 1))
+            assert np.isfinite(fbm._fgn_davies_harte(c, n, rng)).all()
+
+    def test_negative_embedding_raises(self):
+        c = np.array([1.0, 2.0, 0.0, 0.0, 0.0])  # not a covariance sequence
+        with pytest.raises(RuntimeError):
+            fbm._fgn_davies_harte(c, 4, np.random.default_rng(0))
 
 
 class TestCovarianceLaw:
@@ -124,10 +130,56 @@ class TestDrivingField:
         df2 = fbm.driving_field(cfg, 0.3)
         assert np.array_equal(df.field.values, df2.field.values)
 
-    def test_retimed_keeps_path_and_lambda(self):
-        cfg = fbm.FbmConfig(hurst=0.75, n=48, m=10, T=1.0, seed=8)
-        df = fbm.driving_field(cfg, 0.3)
-        rv = df.retimed(4, 0.25)
-        assert rv.field.m == 4 and rv.field.T == 0.25
-        assert np.array_equal(rv.field.values[0], df.field.values[0])
-        assert rv.lambda_value == df.lambda_value
+    def test_pair_matrices_built_once(self):
+        frozen = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
+                                                 seed=8), 0.3)
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
+                                                seed=8, time_model="sheet"), 0.3)
+        assert len(frozen.pair_matrices) == 1 and len(sheet.pair_matrices) == 6
+        for drv in (frozen, sheet):
+            for j in range(6):
+                g, D = drv.time_slice(j)
+                assert np.array_equal(g, drv.field.values[j])
+                assert not D.flags.writeable
+                assert np.array_equal(D, norms.right_derivative_pair_matrix(
+                    g, drv.field.h, 0.3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.lambda_value = 0.0
+
+    # (driver, holder_norm, lambda_value) as float.hex, recorded before the
+    # driver functionals were reorganized; they must not move by one bit
+    RECORDED = [
+        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=256, m=3, T=0.5,
+                                                 seed=7), 0.3),
+         "0x1.6125861fa9549p+3", "0x1.1017e2a76f082p+1"),
+        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=4, T=0.1, seed=7,
+                                                 time_model="sheet"), 0.3),
+         "0x1.0c44e1bc0366ep+0", "0x1.909fcb9d4e6c7p-3"),
+        (lambda: fbm.stub_driving_field("sine", 96, 2, 0.2, 0.25),
+         "0x1.7a0afdc656da2p+3", "0x1.0afa12f5321d8p+1"),
+        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.6, n=1024, m=1, T=1.0,
+                                                 seed=3), 0.45),
+         "0x1.28e9519692c91p+4", "0x1.c6cfc9794aedap+1"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(RECORDED)))
+    def test_functionals_match_recorded_bits(self, case):
+        make, holder, lam = self.RECORDED[case]
+        drv = make()
+        assert drv.holder_norm == float.fromhex(holder)
+        assert drv.lambda_value == float.fromhex(lam)
+
+    def test_sheet_field_independent_of_blas_threads(self):
+        code = ("import hashlib; from fracpath import fbm; "
+                "d = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=256, m=64, T=0.1, "
+                "seed=7, time_model='sheet'), 0.3); "
+                "print(hashlib.sha256(d.field.values.tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            digests.append(r.stdout)
+        assert digests[0] == digests[1]

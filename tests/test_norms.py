@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracpath.frac_calc import weyl_derivative_right
 from fracpath.grids import GridFunction, SpaceTimeField
-from fracpath import norms
+from fracpath import fbm, norms
 
 
 def constant_field(c, m=3, n=64):
@@ -55,6 +56,15 @@ class TestNorm1mAlphaInfty0:
         assert norms.norm_1malpha_infty0(scaled, 0.3) == pytest.approx(
             abs(c) * norms.norm_1malpha_infty0(f, 0.3), rel=1e-12, abs=1e-12)
 
+    def test_slice_equals_field_form(self):
+        f = random_field(8)
+        for row in f.values:
+            one_row = SpaceTimeField.constant_in_time(row, 1, 1.0)
+            assert norms.norm_1malpha_infty0(row, 0.3) == \
+                norms.norm_1malpha_infty0(one_row, 0.3)
+        assert norms.norm_1malpha_infty0(f, 0.3) == max(
+            norms.norm_1malpha_infty0(row, 0.3) for row in f.values)
+
 
 class TestNormAlpha1:
     def test_zero(self):
@@ -92,6 +102,22 @@ class TestLambdaAlpha:
         lam = norms.lambda_alpha(f, a)
         bound = norms.norm_1malpha_infty0(f, a) / (math.gamma(1 - a) * math.gamma(a))
         assert lam <= bound * (1 + 1e-6)
+
+
+class TestPairMatrix:
+    @pytest.mark.parametrize("n", [16, 257, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_rows_match_right_weyl_derivative(self, n, alpha):
+        # row i (prefix sums over columns) against the right Weyl derivative
+        # of g on [0, xi_i] (reflect, then convolve): two independent paths
+        g = fbm.fbm_path(0.75, n, 100 + n).values
+        xi = np.linspace(0, 1, n + 1)
+        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        for i in (2, n // 2, n):
+            ref = weyl_derivative_right(GridFunction(0.0, xi[i], g[:i + 1]),
+                                        1.0 - alpha, subtract_base=True).values
+            assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert not D[i, i + 1:].any()
 
 
 class TestSharedProperties:

@@ -22,8 +22,7 @@ def make_cfg(n=48, m=20, T=0.2, alpha=0.3, hurst=0.75, coeff=None, phi=None, **k
 def constants_for(cfg, drv):
     """The global proof constants of a solve of cfg against drv."""
     return solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                    cfg.phi_norm(), horizon=cfg.T,
-                                    contraction_target=cfg.contraction_target)
+                                    cfg.phi_norm(), horizon=cfg.T)
 
 
 class TestComputeConstants:
@@ -108,6 +107,27 @@ class TestApplyF:
         Y = SpaceTimeField.constant_in_time(np.zeros(49), 5, 1.0)
         with pytest.raises(GridError):
             solver.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
+
+    def test_frozen_driver_serves_any_time_grid(self):
+        # a frozen driver built on one time grid, applied on a probe grid,
+        # gives the bits of a driver built on the probe grid itself
+        n = 48
+        path = fbm.fbm_path(0.75, n, 11)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0,
+                                              seed=11), 0.3)
+        probe = fbm.field_from_path(path, 4, 0.25, 0.3)
+        Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
+        F = solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+        F_probe = solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
+        assert np.array_equal(F.values, F_probe.values)
+
+    def test_sheet_driver_rejects_other_time_grid(self):
+        n = 48
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0,
+                                              seed=11, time_model="sheet"), 0.3)
+        Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
+        with pytest.raises(GridError):
+            solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
 
 
 class TestSolve:
@@ -217,6 +237,27 @@ class TestSolve:
         r2 = solver.solve(cfg, drv, verify=False)
         assert np.array_equal(r1.solution.values, r2.solution.values)
 
+    @pytest.mark.parametrize("alpha, hurst", [(0.2, 0.75), (0.5, 0.75), (0.3, 0.5),
+                                              (0.3, 1.0)])
+    def test_config_rejects_order_outside_solver_window(self, alpha, hurst):
+        with pytest.raises(GridError):
+            make_cfg(alpha=alpha, hurst=hurst)
+
+    def test_frozen_driver_from_another_time_grid(self):
+        cfg = make_cfg()
+        own = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        other = fbm.stub_driving_field("quadratic", cfg.n, 3, 1.0, cfg.alpha)
+        r_own = solver.solve(cfg, own, verify=False)
+        r_other = solver.solve(cfg, other, verify=False)
+        assert np.array_equal(r_own.solution.values, r_other.solution.values)
+
+    def test_sheet_driver_on_another_grid_rejected(self):
+        cfg = make_cfg(n=32, m=24, T=0.05)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=12, T=0.05,
+                                              seed=6, time_model="sheet"), cfg.alpha)
+        with pytest.raises(GridError):
+            solver.solve(cfg, drv, verify=False)
+
     def test_sheet_driver_runs(self):
         n, m, T = 32, 24, 0.05
         cfg = make_cfg(n=n, m=m, T=T)
@@ -234,7 +275,7 @@ class TestConstantsFlow:
     def test_verdicts_use_the_window_zero_constants(self):
         cfg = make_cfg(n=32, m=8)
         drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
-        rep = solver.solve(cfg, drv, verification_trials=2)
+        rep = solver.solve(cfg, drv)
         cons = rep.constants
         assert cons == rep.windows[0].constants
         assert cons == constants_for(cfg, drv)

@@ -145,6 +145,12 @@ class TestBound357:
         rep = stieltjes.bound_357_check(f, g, 0.3)
         assert rep.holds, rep.to_dict()
 
+    def test_rejects_integrator_on_other_grid(self):
+        f = grid(lambda x: np.ones_like(x), 256)
+        for g in (grid(lambda x: x, 128), GridFunction(0, 2, np.linspace(0, 2, 257))):
+            with pytest.raises(GridError):
+                stieltjes.bound_357_check(f, g, 0.3)
+
 
 class TestPathwiseBound:
     def test_zero(self):
@@ -171,6 +177,12 @@ class TestPathwiseBound:
                                               seed=seed), 0.3)
         u = random_trig_grid(128, rng)
         assert stieltjes.pathwise_integral_bound_check(u, drv).holds
+
+    def test_rejects_integrand_on_other_grid(self):
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=1, T=1.0,
+                                              seed=4), 0.3)
+        with pytest.raises(GridError):
+            stieltjes.pathwise_integral_bound_check(grid(np.ones_like, 64), drv)
 
 
 def dense_sweep(u, g_values, pair_matrix, h, alpha):
