@@ -95,14 +95,22 @@ def _difference_weights(n: int, alpha: float):
     return C, A, rowsum
 
 
+def _lower_toeplitz(w: np.ndarray, pad: float) -> np.ndarray:
+    """Read-only (n+1, n+1) Toeplitz view T[i, j] = w[i - j - 1] for j < i,
+    ``pad`` for j >= i, of the n weights w at distances 1..n.  Backed by one
+    vector of 2n+1 values; every row is unit-stride."""
+    n = w.size
+    padded = np.concatenate((w[::-1], np.full(n + 1, pad)))
+    return np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]
+
+
 @lru_cache(maxsize=64)
 def _tail_weights(n: int, alpha: float) -> np.ndarray:
     """Read-only (n+1, n) Toeplitz view T[r, q] = C[r - q] for q < r, 0 for
     q >= r, of the difference weights C; row i - 1 weights the columns
-    j = q + 1 < i of node i.  Backed by one vector of 2n values."""
+    j = q + 1 < i of node i."""
     C, _, _ = _difference_weights(n, alpha)
-    padded = np.concatenate((C[:0:-1], np.zeros(n)))
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+    return _lower_toeplitz(C[1:], 0.0)[:, :n]
 
 
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .frac_calc import _hat_moments, left_power_integral, marchaud_difference_abs
+from .frac_calc import (_BLOCK_ELEMENTS, _hat_moments, _lower_toeplitz, left_power_integral,
+                        marchaud_difference_abs)
 from .grids import GridError, GridFunction, SpaceTimeField, order_value
 
 __all__ = [
@@ -67,47 +68,71 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     return float(first + second)
 
 
-def _right_columns(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
-    """Yield, for j = 0..n-1, the column c with c[i - j - 1] = d/dist
-    + scale * S for every node i > j, where d is v[j] - v[i] (or its modulus), dist is
-    (xi_i - eta_j)^(1-alpha) and S is the product-integrated singular tail
-    of d on [eta_j, xi_i]; S reuses prefix sums of the weights, so the sweep
-    over all columns costs O(n^2)."""
+def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
+    """Yield (i0, i1, X) for bands of rows i0 <= i < i1 of about
+    ``_BLOCK_ELEMENTS`` node pairs, with X[i - i0, j] = d/dist + scale * S
+    for every column j < i1 - 1: d is v[j] - v[i] (or its modulus), dist is
+    (xi_i - eta_j)^(1-alpha) and S = B[i-j] d + sum_{j<l<i} C[l-j] d(l, j)
+    is the product-integrated singular tail of d on [eta_j, xi_i].  Entries
+    with j >= i are 0.
+
+    The weights are Toeplitz views of O(n) vectors, padded so that the pairs
+    j >= i carry none, and the running column sums of C d are one cumsum
+    per band whose last row carries into the next band, so the sweep over
+    all bands costs O(n^2) in blocks of about 1 MB.  X is a reused buffer,
+    valid until the next band.
+    """
     n = v.size - 1
     A, B = _hat_moments(a - 1.0, n)
-    C = A + B
-    dist = (np.arange(1, n + 1) * h) ** (1.0 - a)
-    for j in range(n):
-        u = v[j] - v[j + 1:]
+    Bt = _lower_toeplitz(B[1:], 0.0)
+    Ct = _lower_toeplitz((A + B)[1:], 0.0)
+    dist = _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - a), np.inf)
+    step = max(1, _BLOCK_ELEMENTS // (n + 1))   # rows per band
+    carry = np.zeros(n)   # column sums of C d over the rows above the band
+    xbuf, sbuf, pbuf = np.empty(step * n), np.empty(step * n), np.empty((step + 1) * n)
+    for i0 in range(1, n + 1, step):
+        i1 = min(i0 + step, n + 1)
+        r, c = i1 - i0, i1 - 1
+        X = xbuf[:r * c].reshape(r, c)
+        S = sbuf[:r * c].reshape(r, c)
+        P = pbuf[:(r + 1) * c].reshape(r + 1, c)
+        np.subtract(v[None, :c], v[i0:i1, None], out=X)
         if absolute:
-            u = np.abs(u)
-        L = u.size
-        S = B[1:L + 1] * u
-        if L > 1:
-            S[1:] += np.cumsum(C[1:L] * u[:-1])
-        yield u / dist[:L] + scale * S
+            np.abs(X, out=X)
+        P[0] = carry[:c]
+        np.multiply(Ct[i0:i1, :c], X, out=P[1:])
+        np.cumsum(P, axis=0, out=P)   # P[k] sums the rows above row i0 + k
+        carry[:c] = P[-1]
+        np.multiply(Bt[i0:i1, :c], X, out=S)
+        S += P[:-1]
+        S *= scale
+        X /= dist[i0:i1, :c]
+        X += S
+        yield i0, i1, X
 
 
 def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndarray:
     """D[i, j] = right Weyl derivative of order 1-alpha of g - g(xi_i) on
     [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
 
-    Column j is filled by one step of ``_right_columns``, so the full
-    matrix costs O(n^2).
+    Written band by band from ``_right_bands``, so the full matrix costs
+    O(n^2) and the sweep needs about 3 MB beside it.
     """
     a = order_value(alpha)
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     inv_gamma = 1.0 / math.gamma(a)
     D = np.zeros((n + 1, n + 1))
-    for j, col in enumerate(_right_columns(v, h, a, (1.0 - a) * h ** (a - 1.0), False)):
-        D[j + 1:, j] = inv_gamma * col
+    for i0, i1, X in _right_bands(v, h, a, (1.0 - a) * h ** (a - 1.0), False):
+        np.multiply(X, inv_gamma, out=D[i0:i1, :i1 - 1])
     return D
 
 
 def lambda_from_pair_matrix(D: np.ndarray, alpha: float) -> float:
-    """Lambda_alpha of one slice from its pair matrix: max |D| / Gamma(1-alpha)."""
-    return float(np.abs(D).max()) / math.gamma(1.0 - alpha)
+    """Lambda_alpha of one slice from its pair matrix: max |D| / Gamma(1-alpha),
+    with max |D| taken as max(max D, -min D) so that no second matrix is
+    formed."""
+    return float(max(D.max(), -D.min())) / math.gamma(1.0 - alpha)
 
 
 def lambda_alpha(g: SpaceTimeField, alpha) -> float:
@@ -130,6 +155,6 @@ def norm_1malpha_infty0(g: SpaceTimeField | np.ndarray, alpha) -> float:
     scale = h ** (a - 1.0)
     best = 0.0
     for row in rows:
-        for col in _right_columns(row, h, a, scale, True):
-            best = max(best, float(col.max()))
+        for _, _, X in _right_bands(row, h, a, scale, True):
+            best = max(best, float(X.max()))
     return best

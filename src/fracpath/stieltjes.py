@@ -188,10 +188,12 @@ class BoundReport:
 _BOUND_SLACK = 1e-6
 
 
-def _bound_report(u: np.ndarray, g_values: np.ndarray, pair_matrix: np.ndarray,
-                  h: float, a: float, lam: float) -> BoundReport:
-    integrals = stieltjes_all_upper_limits(u, g_values, pair_matrix, h, a)
-    lhs = float(np.abs(integrals).max())
+def _sup_integral(u: np.ndarray, g_values: np.ndarray, pair_matrix: np.ndarray,
+                  h: float, a: float) -> float:
+    return float(np.abs(stieltjes_all_upper_limits(u, g_values, pair_matrix, h, a)).max())
+
+
+def _bound_report(u: np.ndarray, lhs: float, a: float, lam: float) -> BoundReport:
     f_norm = norms.norm_alpha_1(GridFunction(0.0, 1.0, u), a)
     rhs = lam * f_norm
     return BoundReport(lhs, rhs, lhs <= rhs * (1.0 + _BOUND_SLACK),
@@ -204,13 +206,16 @@ def bound_357_check(f: GridFunction, g: GridFunction, alpha) -> BoundReport:
     _check_compatible(f, g)
     D = norms.right_derivative_pair_matrix(g.values, f.h, a)
     lam = norms.lambda_from_pair_matrix(D, a)
-    return _bound_report(f.values, g.values, D, f.h, a, lam)
+    return _bound_report(f.values, _sup_integral(f.values, g.values, D, f.h, a), a, lam)
 
 
-def pathwise_integral_bound_check(u: GridFunction, driver, t_index: int = 0) -> BoundReport:
-    """Same bound against a realized FBM driver: |int u dB| <= G ||u||_{alpha,1}."""
+def pathwise_integral_bound_check(u: GridFunction, driver) -> BoundReport:
+    """Same bound against a realized FBM driver on every distinct time slice:
+    max over t and xi of |int_0^xi u dB_t| <= G ||u||_{alpha,1}, where G is
+    the driver's Lambda_alpha, already the sup over its slices."""
     if u.n != driver.field.n or abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
         raise GridError("u must live on the driver's spatial grid over [0, 1]")
-    g_values, pair_matrix = driver.time_slice(t_index)
-    return _bound_report(u.values, g_values, pair_matrix, driver.field.h,
-                         driver.alpha, driver.lambda_value)
+    h, a = driver.field.h, driver.alpha
+    lhs = max(_sup_integral(u.values, *driver.time_slice(j), h, a)
+              for j in range(len(driver.pair_matrices)))
+    return _bound_report(u.values, lhs, a, driver.lambda_value)

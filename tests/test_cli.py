@@ -1,10 +1,15 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from fracpath import cli
+
+VERIFY_REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench/reference/verify-all.json"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -166,6 +171,17 @@ class TestVerifyCommand:
     def test_malformed_suite_exit_2(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "nosuchsuite")
         assert r.returncode == 2
+
+    def test_all_matches_benchmark_reference(self, tmp_path):
+        # the benchmark's verify-all oracle: same check names, and every
+        # worst_margin within 1e-12 * max(1, |reference|)
+        assert cli.main(["--out", str(tmp_path), "verify", "all", "--seed", "7"]) == 0
+        checks = json.loads((tmp_path / "verify_all.json").read_text())["checks"]
+        ref = json.loads(VERIFY_REFERENCE.read_text())
+        assert [[c["suite"], c["name"]] for c in checks] == [r[:2] for r in ref]
+        for c, (suite, name, margin) in zip(checks, ref):
+            assert abs(c["worst_margin"] - margin) <= 1e-12 * max(1.0, abs(margin)), \
+                (suite, name)
 
 
 class TestEnsembleCommand:

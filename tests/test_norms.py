@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracpath.frac_calc import weyl_derivative_right
+from fracpath.frac_calc import _hat_moments, weyl_derivative_right
 from fracpath.grids import GridFunction, SpaceTimeField
 from fracpath import fbm, norms
 
@@ -118,6 +119,67 @@ class TestPairMatrix:
                                         1.0 - alpha, subtract_base=True).values
             assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
             assert not D[i, i + 1:].any()
+
+
+def reference_columns(v, h, a, scale, absolute):
+    """The per-column sweep the banded kernel replaced: for j = 0..n-1 the
+    column c with c[i - j - 1] = d/dist + scale * S for every node i > j."""
+    n = v.size - 1
+    A, B = _hat_moments(a - 1.0, n)
+    C = A + B
+    dist = (np.arange(1, n + 1) * h) ** (1.0 - a)
+    for j in range(n):
+        u = v[j] - v[j + 1:]
+        if absolute:
+            u = np.abs(u)
+        L = u.size
+        S = B[1:L + 1] * u
+        if L > 1:
+            S[1:] += np.cumsum(C[1:L] * u[:-1])
+        yield u / dist[:L] + scale * S
+
+
+def reference_pair_matrix(v, h, a):
+    D = np.zeros((v.size, v.size))
+    cols = reference_columns(v, h, a, (1.0 - a) * h ** (a - 1.0), False)
+    for j, col in enumerate(cols):
+        D[j + 1:, j] = (1.0 / math.gamma(a)) * col
+    return D
+
+
+def reference_holder_norm(v, a):
+    h = 1.0 / (v.size - 1)
+    return max((float(col.max()) for col in reference_columns(v, h, a, h ** (a - 1.0), True)),
+               default=0.0)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBandedSweep:
+    # n = 1024 and 2049 span several bands of about 1 MB, 2049 with a short last band
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024, 2049])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_bitwise_equal_to_column_sweep(self, n, alpha):
+        g = fbm.fbm_path(0.75, n, 300 + n).values
+        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        assert D.tobytes() == reference_pair_matrix(g, 1.0 / n, alpha).tobytes()
+        assert norms.norm_1malpha_infty0(g, alpha) == reference_holder_norm(g, alpha)
+
+    def test_traced_peaks_at_n2048(self):
+        n, a = 2048, 0.3
+        g = fbm.fbm_path(0.75, n, 9).values
+        matrix = (n + 1) ** 2 * 8
+        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 4e6
+        assert traced_peak(norms.norm_1malpha_infty0, g, a) < 4e6
+        D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
+        assert traced_peak(norms.lambda_from_pair_matrix, D, a) < 1e6
 
 
 class TestSharedProperties:

@@ -401,6 +401,20 @@ class TestGronwall:
         assert rep.verdicts["gronwall"]["passed"]
         assert rep.verdicts["gronwall"]["min_margin"] >= 0.0
 
+    def test_window_start_norms_reused_bitwise(self):
+        n, m, T = 48, 60, 0.05
+        cfg = make_cfg(n=n, m=m, T=T)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=1),
+                                cfg.alpha)
+        rep = solver.solve(cfg, drv, verify=False)
+        assert len(rep.windows) > 1
+        # recomputing every row gives the same verdict, bit for bit
+        assert solver.gronwall_check(rep.solution, cfg, rep.constants, {}) == \
+            rep.verdicts["gronwall"]
+        # and a known norm is taken as given, not recomputed
+        bad = solver.gronwall_check(rep.solution, cfg, rep.constants, {3: 1e9})
+        assert not bad["passed"] and bad["violations"][0]["running_norm"] == 1e9
+
 
 class TestWindowNorm:
     @pytest.mark.parametrize("zero_rows", [(), (0,), (0, 3)])

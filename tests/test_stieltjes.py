@@ -184,6 +184,19 @@ class TestPathwiseBound:
         with pytest.raises(GridError):
             stieltjes.pathwise_integral_bound_check(grid(np.ones_like, 64), drv)
 
+    def test_sheet_driver_checks_every_slice(self):
+        # slice 0 of a sheet is identically zero; the check must see the others
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=6, T=0.5, seed=4,
+                                              time_model="sheet"), 0.3)
+        u = random_trig_grid(64, np.random.default_rng(2))
+        rep = stieltjes.pathwise_integral_bound_check(u, drv)
+        per_slice = [stieltjes.bound_357_check(u, GridFunction(0, 1, row), 0.3)
+                     for row in drv.field.values]
+        assert rep.lhs > 0.0
+        assert rep.lhs == max(r.lhs for r in per_slice)
+        assert rep.lam == drv.lambda_value == max(r.lam for r in per_slice)
+        assert rep.holds
+
 
 def dense_sweep(u, g_values, pair_matrix, h, alpha):
     """Reference: the dense (n+1)^2 product of the pair matrix with the
