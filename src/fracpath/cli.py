@@ -48,6 +48,11 @@ def _row_template(types) -> str:
                     for t in types) + "\n"
 
 
+def _check_at_least(flag: str, value: int, least: int):
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def config_hash(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -60,10 +65,20 @@ def _outdir(args) -> str:
 
 
 def write_csv(path: str, columns, rows, chash: str):
+    """Write a config-hash comment, the header line and ``rows``.
+
+    An item of ``rows`` that is a str is a block of formatted lines (one
+    time slice of ``_solution_rows``) and is written as it is; any other
+    item is one row of cells, formatted with the %-template of its cell
+    types (``_row_template``, cached per tuple of types).  Each item is
+    written as it comes, so the file is never held in memory whole."""
     templates = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={chash}\n" + ",".join(columns) + "\n")
         for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+                continue
             types = tuple(map(type, row))
             template = templates.get(types)
             if template is None:
@@ -189,14 +204,19 @@ def _run_config(cfg: dict, verify: bool = True):
 
 
 def _solution_rows(field):
-    """(t, xi, value) rows, time-major, as lists of floats taken one time
-    slice at a time."""
-    xi = field.xi_nodes
+    """The (t, xi, value) lines of a space-time field, time-major, as one
+    text block per time slice.  Every cell is %.17g, the digits of
+    ``format(float(x), ".17g")``; each xi is formatted once per field and
+    each t once per slice, so only the value cell is formatted per row."""
+    cells = ["%.17g,%%.17g\n" % x for x in field.xi_nodes]
     for t, values in zip(field.t_nodes, field.values):
-        yield from np.column_stack((np.full_like(xi, t), xi, values)).tolist()
+        head = "%.17g," % t
+        yield (head + head.join(cells)) % tuple(values.tolist())
 
 
 def cmd_fbm(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
+    _check_at_least("--field-m", args.field_m, 0)
     out = _outdir(args)
     cfg = {"hurst": args.hurst, "n": args.n, "seed": args.seed,
            "samples": args.samples, "validate": bool(args.validate),
@@ -360,6 +380,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     out = _outdir(args)
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     cfg = {"suite": args.suite, "seed": args.seed}
@@ -394,6 +415,8 @@ def _ensemble_run(cfg: dict, base_seed: int, k: int):
 
 
 def cmd_ensemble(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
+    _check_at_least("--count", args.count, 1)
     out = _outdir(args)
     cfg = load_config(args.config)
     if cfg["driver"]["model"] == "stub":
@@ -447,6 +470,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"bad resolution list {args.resolutions!r}") from exc
     if len(res) < 2:
         raise ConfigError("need at least two resolutions")
+    _check_at_least("every resolution", res[0], 2)
     n_ref = res[-1]
     for n in res:
         if n_ref % n:

@@ -126,12 +126,24 @@ def stieltjes_all_upper_limits(u: np.ndarray, g_values: np.ndarray,
     a = order_value(alpha)
     u = np.asarray(u, dtype=float)
     rows = u.reshape(-1, u.shape[-1])
+    Du = _left_fields(rows, h, a)
+    return _contract(Du, rows, g_values, pair_matrix, h, a).reshape(u.shape)
+
+
+def _left_fields(rows: np.ndarray, h: float, a: float) -> np.ndarray:
+    """Left Weyl derivative of each row minus its base value, on [0, 1]."""
     n = rows.shape[1] - 1
     if abs(h - 1.0 / n) >= 1e-12:
         raise GridError("stieltjes_all_upper_limits expects the unit grid")
-    Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), a,
-                                        subtract_base=True).values
-                   for row in rows])
+    return np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), a,
+                                          subtract_base=True).values
+                     for row in rows])
+
+
+def _contract(Du: np.ndarray, rows: np.ndarray, g_values: np.ndarray,
+              pair_matrix: np.ndarray, h: float, a: float) -> np.ndarray:
+    """Integrals up to every node of the stacked ``rows`` against one
+    integrator slice, from their left-derivative fields ``Du``."""
     rowsum = np.einsum("sj,ij->si", Du, pair_matrix)
     first = pair_matrix[:, 1] * Du[:, 1:2]
     last = np.zeros_like(rowsum)
@@ -142,7 +154,7 @@ def stieltjes_all_upper_limits(u: np.ndarray, g_values: np.ndarray,
     if not np.isfinite(out).all():
         bad = int(np.argwhere(~np.isfinite(out))[0][-1])
         raise GridError(f"non-finite pathwise integral at node {bad}")
-    return out.reshape(u.shape)
+    return out
 
 
 @dataclass
@@ -188,11 +200,6 @@ class BoundReport:
 _BOUND_SLACK = 1e-6
 
 
-def _sup_integral(u: np.ndarray, g_values: np.ndarray, pair_matrix: np.ndarray,
-                  h: float, a: float) -> float:
-    return float(np.abs(stieltjes_all_upper_limits(u, g_values, pair_matrix, h, a)).max())
-
-
 def _bound_report(u: np.ndarray, lhs: float, a: float, lam: float) -> BoundReport:
     f_norm = norms.norm_alpha_1(GridFunction(0.0, 1.0, u), a)
     rhs = lam * f_norm
@@ -206,16 +213,20 @@ def bound_357_check(f: GridFunction, g: GridFunction, alpha) -> BoundReport:
     _check_compatible(f, g)
     D = norms.right_derivative_pair_matrix(g.values, f.h, a)
     lam = norms.lambda_from_pair_matrix(D, a)
-    return _bound_report(f.values, _sup_integral(f.values, g.values, D, f.h, a), a, lam)
+    lhs = np.abs(stieltjes_all_upper_limits(f.values, g.values, D, f.h, a)).max()
+    return _bound_report(f.values, float(lhs), a, lam)
 
 
 def pathwise_integral_bound_check(u: GridFunction, driver) -> BoundReport:
     """Same bound against a realized FBM driver on every distinct time slice:
     max over t and xi of |int_0^xi u dB_t| <= G ||u||_{alpha,1}, where G is
-    the driver's Lambda_alpha, already the sup over its slices."""
+    the driver's Lambda_alpha, already the sup over its slices.  The left
+    derivative of u is computed once and contracted against every slice."""
     if u.n != driver.field.n or abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
         raise GridError("u must live on the driver's spatial grid over [0, 1]")
     h, a = driver.field.h, driver.alpha
-    lhs = max(_sup_integral(u.values, *driver.time_slice(j), h, a)
+    rows = u.values[None, :]
+    Du = _left_fields(rows, h, a)
+    lhs = max(float(np.abs(_contract(Du, rows, *driver.time_slice(j), h, a)).max())
               for j in range(len(driver.pair_matrices)))
     return _bound_report(u.values, lhs, a, driver.lambda_value)

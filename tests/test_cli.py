@@ -3,6 +3,8 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +32,14 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return cfg
+
+
+def assert_usage_error(r):
+    """Exit 2 with one ``error:`` line and no traceback."""
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr
 
 
 def read_csv(path):
@@ -84,6 +94,16 @@ class TestFbmCommand:
                     "--n", "64", "--seed", "1")
         assert r.returncode == 2
 
+    def test_negative_seed_exit_2(self, tmp_path):
+        r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.75",
+                    "--n", "64", "--seed", "-1")
+        assert_usage_error(r)
+
+    def test_negative_field_m_exit_2(self, tmp_path):
+        r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.75",
+                    "--n", "64", "--seed", "1", "--field-m", "-2")
+        assert_usage_error(r)
+
 
 class TestSolveCommand:
     def test_zero_coefficient_replicates_phi(self, tmp_path):
@@ -133,10 +153,13 @@ class TestSolveCommand:
     def test_bad_coefficient_params_exit_2(self, tmp_path, params):
         write_config(tmp_path / "cfg.json", A={"kind": "tanh", "params": params})
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: ")
-        assert len(r.stderr.splitlines()) == 1
-        assert "Traceback" not in r.stderr
+        assert_usage_error(r)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1]], ids=["int", "list"])
+    def test_negative_driver_seed_exit_2(self, tmp_path, seed):
+        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": seed})
+        r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
+        assert_usage_error(r)
 
     def test_nonconvergence_exit_3(self, tmp_path):
         write_config(tmp_path / "cfg.json", picard={"tol": 1e-16, "max_iter": 1},
@@ -171,6 +194,10 @@ class TestVerifyCommand:
     def test_malformed_suite_exit_2(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "verify", "nosuchsuite")
         assert r.returncode == 2
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        r = run_cli("--out", str(tmp_path), "verify", "prop2", "--seed", "-1")
+        assert_usage_error(r)
 
     def test_all_matches_benchmark_reference(self, tmp_path):
         # the benchmark's verify-all oracle: same check names, and every
@@ -223,6 +250,17 @@ class TestEnsembleCommand:
             assert row[5] == "1"
             assert float(row[4]) >= 0.0
 
+    @pytest.mark.parametrize("flags", [("--count", "2", "--seed", "-1"),
+                                       ("--count", "-1", "--seed", "1"),
+                                       ("--count", "0", "--seed", "1")],
+                             ids=["negative-seed", "negative-count", "zero-count"])
+    def test_bad_flags_exit_2(self, tmp_path, flags):
+        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5})
+        r = run_cli("--out", str(tmp_path), "ensemble", str(tmp_path / "cfg.json"),
+                    *flags)
+        assert_usage_error(r)
+        assert not (tmp_path / "ensemble_summary.csv").exists()
+
 
 class TestConvergenceCommand:
     def test_zero_coefficient_all_errors_zero(self, tmp_path):
@@ -259,6 +297,12 @@ class TestConvergenceCommand:
                     "--resolutions", "32,64")
         assert r.returncode == 2
         assert "deterministic stub" in r.stderr
+
+    def test_zero_resolution_exit_2(self, tmp_path):
+        write_config(tmp_path / "cfg.json")
+        r = run_cli("--out", str(tmp_path), "convergence", str(tmp_path / "cfg.json"),
+                    "--resolutions", "0,32")
+        assert_usage_error(r)
 
 
 class TestReproducibility:
@@ -328,3 +372,56 @@ class TestCsvWriter:
         cli.write_csv(str(tmp_path / "new.csv"), cols, rows, "abc")
         self.cell_by_cell(str(tmp_path / "old.csv"), cols, rows, "abc")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestSolutionWriter:
+    @staticmethod
+    def row_by_row(field):
+        """The rows of the earlier solution writer: one (t, xi, value) row of
+        floats at a time, every cell formatted with %.17g."""
+        xi = field.xi_nodes
+        return "".join("%.17g,%.17g,%.17g\n" % tuple(row)
+                       for t, values in zip(field.t_nodes, field.values)
+                       for row in np.column_stack((np.full_like(xi, t), xi,
+                                                   values)).tolist())
+
+    @staticmethod
+    def field(m, n, T, seed=0):
+        """Values at every decimal exponent, with -0.0, the least subnormal
+        and +-max double in the first and last slices."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((m + 1, n + 1)) \
+            * 10.0 ** rng.integers(-300, 300, (m + 1, n + 1))
+        specials = [-0.0, 5e-324, sys.float_info.max, -sys.float_info.max]
+        flat = values.reshape(-1)
+        flat[:4] = specials
+        flat[-4:] = specials
+        # n=1 is below the solver's least grid, so no SpaceTimeField here
+        return SimpleNamespace(t_nodes=np.linspace(0.0, T, m + 1),
+                               xi_nodes=np.linspace(0.0, 1.0, n + 1), values=values)
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 1024])
+    @pytest.mark.parametrize("m", [1, 3, 200])
+    def test_same_bytes_as_row_by_row(self, tmp_path, m, n):
+        for T in (0.1, 0.5, 1.0 / 3.0):
+            field = self.field(m, n, T)
+            rows = self.row_by_row(field).encode()
+            for name, header in (("solution.csv", "t,xi,Y"), ("fbm_field.csv", "t,xi,g")):
+                cli.write_csv(str(tmp_path / name), header.split(","),
+                              cli._solution_rows(field), "abc")
+                assert (tmp_path / name).read_bytes() \
+                    == f"# config_hash=abc\n{header}\n".encode() + rows, (name, T)
+
+    def test_memory_holds_a_few_slices_not_the_file(self, tmp_path):
+        # m=200, n=1024: the file is about 12 MB, one slice about 60 kB of
+        # text; 1 MB of peak Python allocation leaves room for a few slices
+        field = self.field(200, 1024, 0.1)
+        path = tmp_path / "solution.csv"
+        tracemalloc.start()
+        try:
+            cli.write_csv(str(path), ("t", "xi", "Y"), cli._solution_rows(field), "abc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 * 2 ** 20
+        assert peak <= 2 ** 20, peak

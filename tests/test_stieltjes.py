@@ -197,6 +197,26 @@ class TestPathwiseBound:
         assert rep.lam == drv.lambda_value == max(r.lam for r in per_slice)
         assert rep.holds
 
+    def test_sheet_driver_left_derivative_computed_once(self, monkeypatch):
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=8, T=0.5, seed=4,
+                                              time_model="sheet"), 0.3)
+        u = random_trig_grid(64, np.random.default_rng(5))
+        # one sweep per slice, each computing its own left derivative of u
+        sups = [float(np.abs(stieltjes.stieltjes_all_upper_limits(
+                    u.values, *drv.time_slice(j), drv.field.h, drv.alpha)).max())
+                for j in range(len(drv.pair_matrices))]
+        assert len(sups) == 9 and len(set(sups)) == 9
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return weyl_derivative_left(*args, **kwargs)
+
+        monkeypatch.setattr(stieltjes, "weyl_derivative_left", counted)
+        rep = stieltjes.pathwise_integral_bound_check(u, drv)
+        assert len(calls) == 1
+        assert rep.lhs == max(sups)
+
 
 def dense_sweep(u, g_values, pair_matrix, h, alpha):
     """Reference: the dense (n+1)^2 product of the pair matrix with the
