@@ -19,13 +19,12 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import fbm, solver, stieltjes
 from .coefficients import coefficient_from_kind
-from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order
+from .grids import GridError, GridFunction, SpaceTimeField, check_grid
 from .sampling import random_trig_grid
 
 EXIT_OK = 0
@@ -94,25 +93,55 @@ def write_json(path: str, payload: dict, chash: str):
         fh.write("\n")
 
 
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               dict: "an object", list: "an array"}
+
+
+class _Section:
+    """A solve-config object.  ``get`` reads a key (required unless given a
+    default) and checks its type (float: any number, int: an integer, a
+    bool neither; an object comes as a _Section) or that it is one of some
+    strings; ``done`` refuses unread keys.  Constructors check the ranges."""
+
+    def __init__(self, obj: dict, name: str = ""):
+        self.obj, self.name, self.unread = obj, name, set(obj)
+
+    def get(self, key: str, kind, default=...):
+        value = self.obj.get(key, default)
+        if value is ...:
+            raise ConfigError(f"{self.name}{key} is required")
+        self.unread.discard(key)
+        if isinstance(kind, type):
+            ok = isinstance(value, (int, float) if kind is float else kind)
+            want = _TYPE_NAMES[kind]
+        else:
+            ok, want = value in tuple(kind), "one of " + ", ".join(kind)
+        if not ok or isinstance(value, bool):
+            raise ConfigError(f"{self.name}{key} must be {want}, "
+                              f"got {json.dumps(value)}")
+        return _Section(value, f"{self.name}{key}.") if kind is dict else value
+
+    def numbers(self, keys=None) -> dict:
+        """Every key as a number; the keys must be among ``keys`` if given."""
+        values = {k: self.get(k, float) for k in self.obj if keys is None or k in keys}
+        self.done()
+        return values
+
+    def done(self):
+        if self.unread:
+            raise ConfigError(f"unknown key {self.name}{min(self.unread)}")
+
+
 def load_config(path: str) -> dict:
+    """The config in ``path``, read as a solve reads it but without a driver."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    import jsonschema
-    schema = json.loads(resources.files("fracpath.schemas")
-                        .joinpath("solve_config.schema.json").read_text())
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config violates schema: {exc.message}") from exc
-    check_solver_order(cfg["alpha"], cfg["hurst"])
-    driver = cfg["driver"]
-    if driver["model"] in ("frozen", "sheet") and "seed" not in driver:
-        raise ConfigError("stochastic drivers need a seed")
-    if driver["model"] == "stub" and "kind" not in driver:
-        raise ConfigError("stub drivers need a kind")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    _read_config(cfg)
     return cfg
 
 
@@ -139,68 +168,75 @@ def _load_xy_csv(path: str) -> np.ndarray:
     return data[order]
 
 
-def _phi_from_config(spec: dict, n: int) -> GridFunction:
-    kind = spec["kind"]
-    params = spec.get("params", {})
+def _phi_from_config(spec: _Section, n: int) -> GridFunction:
+    kind = spec.get("kind", ("zero", "sine", "ramp", "file"))
+    params = spec.get("params", dict, {})
+    spec.done()
     x = np.linspace(0.0, 1.0, n + 1)
     if kind == "zero":
         v = np.zeros(n + 1)
     elif kind == "ramp":
         v = x.copy()
     elif kind == "sine":
-        v = params.get("amplitude", 1.0) * np.sin(params.get("k", 1) * math.pi * x)
-    elif kind == "file":
-        path = params.get("path")
-        if not path:
-            raise ConfigError("phi kind 'file' needs params.path")
-        data = _load_xy_csv(path)
+        v = (params.get("amplitude", float, 1.0)
+             * np.sin(params.get("k", float, 1) * math.pi * x))
+    else:
+        data = _load_xy_csv(params.get("path", str))
         v = np.interp(x, data[:, 0], data[:, 1])
-    else:  # pragma: no cover - schema guards this
-        raise ConfigError(f"unknown phi kind {kind!r}")
+    params.done()
     return GridFunction(0.0, 1.0, v)
 
 
-def _seed_entropy(seed) -> tuple:
-    if isinstance(seed, list):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
+def _driver_from_config(d: _Section, scfg: solver.SolverConfig):
+    """A builder of the driver ``d`` names; reading ``d`` checks it whole."""
+    model = d.get("model", ("frozen", "sheet", "stub"))
+    if model == "stub":
+        kind = d.get("kind", fbm.STUB_KINDS)
+        params = d.get("params", dict, {}).numbers(fbm.STUB_KINDS[kind])
+        d.done()
+        return lambda: fbm.stub_driving_field(kind, scfg.n, scfg.m, scfg.T,
+                                              scfg.alpha, **params)
+    seed = (d.get("seed", list) if isinstance(d.obj.get("seed"), list)
+            else [d.get("seed", int)])
+    if not seed or any(type(s) is not int for s in seed):
+        raise ConfigError(f"driver.seed must hold integers, got {json.dumps(seed)}")
+    fc = fbm.FbmConfig(hurst=scfg.hurst, n=scfg.n, m=scfg.m, T=scfg.T,
+                       seed=seed[0], time_model=model,
+                       hurst_t=d.get("hurst_t", float, 0.95), stream=tuple(seed[1:]))
+    d.done()
+    return lambda: fbm.driving_field(fc, scfg.alpha)
 
 
-def _driver_from_config(cfg: dict):
-    g = cfg["grid"]
-    d = cfg["driver"]
-    alpha = cfg["alpha"]
-    if d["model"] == "stub":
-        return fbm.stub_driving_field(d["kind"], g["n"], g["m"], g["T"], alpha,
-                                      **d.get("params", {}))
-    entropy = _seed_entropy(d["seed"])
-    fc = fbm.FbmConfig(hurst=cfg["hurst"], n=g["n"], m=g["m"], T=g["T"],
-                       seed=entropy[0], time_model=d["model"],
-                       hurst_t=d.get("hurst_t", 0.95), stream=entropy[1:])
-    return fbm.driving_field(fc, alpha)
-
-
-def _solver_config(cfg: dict):
-    g = cfg["grid"]
-    picard = cfg.get("picard", {})
+def _read_config(cfg) -> tuple:
+    """The solver config and a driver builder; each key is read once."""
+    top = _Section(cfg)
+    grid = top.get("grid", dict)
+    m, n, T = grid.get("m", int), grid.get("n", int), grid.get("T", float)
+    grid.done()
+    check_grid(m, n, T)  # before phi is sampled on n + 1 nodes
+    spec = top.get("A", dict)
+    kind, params = spec.get("kind", str), spec.get("params", dict, {}).numbers()
+    spec.done()
     try:
-        coeff = coefficient_from_kind(cfg["A"]["kind"], **cfg["A"].get("params", {}))
+        coeff = coefficient_from_kind(kind, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad coefficient A: {exc}") from exc
-    return solver.SolverConfig(
-        alpha=cfg["alpha"], hurst=cfg["hurst"], m=g["m"], n=g["n"], T=g["T"],
-        phi=_phi_from_config(cfg["phi"], g["n"]),
-        coeff=coeff,
-        picard_tol=picard.get("tol", 1e-9),
-        max_iterations=picard.get("max_iter", 60),
-        window_policy=cfg.get("window_policy", "paper-constants"))
+    picard = top.get("picard", dict, {})
+    tol, max_iter = picard.get("tol", float, 1e-9), picard.get("max_iter", int, 60)
+    picard.done()
+    scfg = solver.SolverConfig(
+        alpha=top.get("alpha", float), hurst=top.get("hurst", float),
+        m=m, n=n, T=T, phi=_phi_from_config(top.get("phi", dict), n), coeff=coeff,
+        picard_tol=tol, max_iterations=max_iter,
+        window_policy=top.get("window_policy", str, "paper-constants"))
+    build_driver = _driver_from_config(top.get("driver", dict), scfg)
+    top.done()
+    return scfg, build_driver
 
 
 def _run_config(cfg: dict, verify: bool = True):
-    scfg = _solver_config(cfg)
-    driver = _driver_from_config(cfg)
-    report = solver.solve(scfg, driver, verify=verify)
-    return scfg, driver, report
+    scfg, build_driver = _read_config(cfg)
+    return solver.solve(scfg, build_driver(), verify=verify)
 
 
 def _solution_rows(field):
@@ -243,7 +279,7 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     cfg = load_config(args.config)
     chash = config_hash(cfg)
-    scfg, driver, report = _run_config(cfg)
+    report = _run_config(cfg)
     write_csv(os.path.join(out, "solution.csv"), ("t", "xi", "Y"),
               _solution_rows(report.solution), chash)
     write_json(os.path.join(out, "report.json"), report.to_dict(), chash)
@@ -395,10 +431,9 @@ def cmd_verify(args) -> int:
 
 
 def _ensemble_run(cfg: dict, base_seed: int, k: int):
-    run_cfg = json.loads(json.dumps(cfg))
-    run_cfg["driver"]["seed"] = [base_seed, k]
+    run_cfg = dict(cfg, driver=dict(cfg["driver"], seed=[base_seed, k]))
     try:
-        scfg, driver, report = _run_config(run_cfg, verify=False)
+        report = _run_config(run_cfg, verify=False)
     except (GridError, ConfigError) as exc:
         return {"seed": k, "ok": False, "error": str(exc)}
     g = report.verdicts["gronwall"]
@@ -478,9 +513,8 @@ def cmd_convergence(args) -> int:
     chash = config_hash({"config": cfg, "resolutions": res})
     solutions = {}
     for n in res:
-        run_cfg = json.loads(json.dumps(cfg))
-        run_cfg["grid"]["n"] = n
-        _, _, report = _run_config(run_cfg, verify=False)
+        run_cfg = dict(cfg, grid=dict(cfg["grid"], n=n))
+        report = _run_config(run_cfg, verify=False)
         if not report.converged:
             return EXIT_NO_CONVERGENCE
         solutions[n] = report.solution.values

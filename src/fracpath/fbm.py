@@ -43,7 +43,8 @@ __all__ = [
 _SHEET_MAX_TIME_NODES = 64
 # |z| above which the covariance validator flags an entry
 _Z_LIMIT = 4.0
-STUB_KINDS = ("zero", "linear", "quadratic", "sine")
+STUB_KINDS = {"zero": (), "linear": ("scale",), "quadratic": ("scale",),  # kind: params
+              "sine": ("k", "amplitude")}
 
 
 def _rng(seed: int, stream: tuple = ()) -> np.random.Generator:
@@ -111,8 +112,8 @@ class FbmConfig:
     """Driver generation parameters.
 
     ``time_model`` is "frozen" (one spatial path, constant in time) or
-    "sheet" (fractional sheet with temporal Hurst ``hurst_t`` >= 0.9,
-    dense temporal Cholesky, m <= 64).
+    "sheet" (fractional sheet with temporal Hurst ``hurst_t`` in [0.9, 1),
+    dense temporal Cholesky, m <= 64).  Seeds are nonnegative integers.
     """
 
     hurst: float
@@ -129,13 +130,14 @@ class FbmConfig:
             raise GridError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
         if self.time_model not in ("frozen", "sheet"):
             raise GridError(f"unknown time model {self.time_model!r}")
-        if self.time_model == "sheet":
-            if self.m > _SHEET_MAX_TIME_NODES:
-                raise GridError(
-                    f"sheet model limited to m <= {_SHEET_MAX_TIME_NODES} "
-                    f"time cells (dense temporal Cholesky), got m={self.m}")
-            if self.hurst_t < 0.9:
-                raise GridError(f"sheet temporal Hurst must be >= 0.9, got {self.hurst_t}")
+        if self.time_model == "sheet" and self.m > _SHEET_MAX_TIME_NODES:
+            raise GridError(
+                f"sheet model limited to m <= {_SHEET_MAX_TIME_NODES} "
+                f"time cells (dense temporal Cholesky), got m={self.m}")
+        if not 0.9 <= self.hurst_t < 1.0:
+            raise GridError(f"temporal Hurst must lie in [0.9, 1), got {self.hurst_t}")
+        if min((self.seed, *self.stream)) < 0:
+            raise GridError(f"seeds must be >= 0, got {(self.seed, *self.stream)}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,6 @@ class DrivingField:
     lambda_value: float
     holder_norm: float
     time_constant: bool
-    label: str
     pair_matrices: tuple = dc_field(repr=False, compare=False)
 
     def time_slice(self, t_index: int) -> tuple:
@@ -164,7 +165,7 @@ class DrivingField:
 
 
 def _finish_field(values2d: np.ndarray, T: float, alpha: float,
-                  time_constant: bool, label: str) -> DrivingField:
+                  time_constant: bool) -> DrivingField:
     if not np.all(values2d[:, 0] == 0.0):
         raise GridError("driving field must satisfy g(t, 0) = 0")
     f = SpaceTimeField(T, values2d)
@@ -180,7 +181,7 @@ def _finish_field(values2d: np.ndarray, T: float, alpha: float,
         hnorm = max(hnorm, norms.norm_1malpha_infty0(row, alpha))
     if not (np.isfinite(lam) and np.isfinite(hnorm)):
         raise GridError("realized driver functionals are non-finite")
-    return DrivingField(f, float(alpha), lam, hnorm, time_constant, label, tuple(mats))
+    return DrivingField(f, float(alpha), lam, hnorm, time_constant, tuple(mats))
 
 
 def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
@@ -189,7 +190,7 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     if cfg.time_model == "frozen":
         path = fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream)
         vals = np.tile(path.values, (cfg.m + 1, 1))
-        return _finish_field(vals, cfg.T, a, True, f"fbm-frozen(H={cfg.hurst})")
+        return _finish_field(vals, cfg.T, a, True)
     # sheet: time-correlated mixture of iid spatial paths
     t = np.linspace(0.0, cfg.T, cfg.m + 1)[1:]
     cov_t = fbm_covariance(cfg.hurst_t, t[:, None], t[None, :])
@@ -200,14 +201,13 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     vals = np.zeros((cfg.m + 1, cfg.n + 1))
     # einsum calls no BLAS, so the bits do not depend on the BLAS thread count
     vals[1:] = np.einsum("tk,kj->tj", L, paths)
-    return _finish_field(vals, cfg.T, a, False,
-                         f"fbm-sheet(H={cfg.hurst},Ht={cfg.hurst_t})")
+    return _finish_field(vals, cfg.T, a, False)
 
 
 def field_from_path(path: GridFunction, m: int, T: float, alpha) -> DrivingField:
     """Frozen driver built from an explicit spatial path with g(0) = 0."""
     vals = np.tile(path.values, (m + 1, 1))
-    return _finish_field(vals, T, order_value(alpha), True, "from-path")
+    return _finish_field(vals, T, order_value(alpha), True)
 
 
 def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
@@ -229,8 +229,8 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
         k = params.get("k", 1)
         row = params.get("amplitude", 1.0) * np.sin(k * math.pi * xi)
     else:
-        raise GridError(f"unknown stub kind {kind!r}; choose from {STUB_KINDS}")
-    return _finish_field(np.tile(row, (m + 1, 1)), T, a, True, f"stub-{kind}")
+        raise GridError(f"unknown stub kind {kind!r}; choose from {tuple(STUB_KINDS)}")
+    return _finish_field(np.tile(row, (m + 1, 1)), T, a, True)
 
 
 @dataclass

@@ -85,6 +85,12 @@ def check_solver_order(alpha: float, hurst: float) -> None:
             f"({1.0 - hurst}, 0.5)")
 
 
+def check_grid(m: int, n: int, T: float) -> None:
+    """Reject fewer than 1 time cell or 2 space cells, or a horizon T <= 0."""
+    if m < 1 or n < 2 or not T > 0:
+        raise GridError(f"need m >= 1, n >= 2 and T > 0, got m={m}, n={n}, T={T}")
+
+
 @dataclass(frozen=True)
 class SpaceTimeField:
     """Real values on the tensor grid [0, T] x [0, 1].
@@ -101,10 +107,9 @@ class SpaceTimeField:
         arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if not self.T > 0.0:
-            raise GridError(f"horizon must be positive, got {self.T}")
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 3:
-            raise GridError("field needs m >= 1 time cells and n >= 2 space cells")
+        if arr.ndim != 2:
+            raise GridError("field values must be a 2-D array")
+        check_grid(arr.shape[0] - 1, arr.shape[1] - 1, self.T)
         if not np.isfinite(arr).all():
             raise GridError("non-finite field values")
 

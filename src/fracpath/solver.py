@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import norms
+from . import grids, norms
 from .coefficients import CoefficientFunction
 from .fbm import DrivingField
 from .frac_calc import beta_b1
@@ -71,8 +71,9 @@ class SolverConfig:
             raise GridError(f"unknown window policy {self.window_policy!r}")
         if self.phi.n != self.n or abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
             raise GridError("phi must live on the solver's spatial grid over [0, 1]")
-        if self.m < 1 or self.T <= 0:
-            raise GridError("need m >= 1 time cells and T > 0")
+        grids.check_grid(self.m, self.n, self.T)
+        if self.max_iterations < 1 or not self.picard_tol > 0:
+            raise GridError("need max_iterations >= 1 and picard_tol > 0")
 
     @property
     def dt(self) -> float:

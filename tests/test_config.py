@@ -3,6 +3,9 @@ before any solve starts."""
 
 import copy
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +119,46 @@ def test_bad_config_refused(tmp_path, capsys, changes):
 def test_config_not_an_object_refused(tmp_path, capsys, cfg):
     rc, err = solve_exit(tmp_path, capsys, cfg)
     assert_refused(tmp_path, rc, err)
+
+
+@pytest.mark.parametrize("key", ["grid.m", "grid.n", "picard.max_iter"])
+def test_integer_given_as_float_refused(tmp_path, capsys, key):
+    section, name = key.split(".")
+    rc, err = solve_exit(tmp_path, capsys,
+                         bad_config({key: float(BASE[section][name])}))
+    assert_refused(tmp_path, rc, err)
+
+
+@pytest.mark.parametrize("changes", [
+    {"phi": {"kind": "sine", "params": {"k": 1, "foo": 1}}},
+    {"phi": {"kind": "ramp", "params": {"k": 1}}},
+    {"phi": {"kind": "sine", "params": {"amplitude": "x"}}},
+    {"phi": {"kind": "file", "params": {"path": 3}}},
+    {"driver.params": {"foo": 1}},
+    {"driver.params": {"k": 2}},   # a sine parameter on a linear stub
+    {"driver.params": {"scale": "x"}},
+], ids=["phi-unknown", "phi-ramp-k", "phi-string", "phi-path-number",
+        "stub-unknown", "stub-other-kind", "stub-string"])
+def test_bad_params_refused(tmp_path, capsys, changes):
+    rc, err = solve_exit(tmp_path, capsys, bad_config(changes))
+    assert_refused(tmp_path, rc, err)
+
+
+def readme_config() -> dict:
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A solve config looks like\n\n```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+def test_readme_config_loads_and_solves_without_jsonschema(tmp_path):
+    cfg = readme_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.load_config(str(path)) == cfg
+    script = ("import sys\n"
+              "from fracpath import cli\n"
+              f"rc = cli.main(['--out', {str(tmp_path)!r}, 'solve', {str(path)!r}])\n"
+              "print(rc, 'jsonschema' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.stdout.split() == ["0", "False"], r.stderr
+    assert (tmp_path / "solution.csv").exists()

@@ -120,6 +120,20 @@ class TestDrivingField:
         with pytest.raises(GridError):
             fbm.FbmConfig(hurst=0.75, n=32, m=65, T=1.0, seed=0, time_model="sheet")
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(GridError):
+            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=-1)
+
+    def test_config_rejects_negative_stream_entry(self):
+        with pytest.raises(GridError):
+            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=3, stream=(0, -2))
+
+    @pytest.mark.parametrize("hurst_t", [1.0, 1.5])
+    def test_config_rejects_temporal_hurst_at_least_one(self, hurst_t):
+        with pytest.raises(GridError):
+            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=0,
+                          time_model="sheet", hurst_t=hurst_t)
+
     def test_sheet_model(self):
         cfg = fbm.FbmConfig(hurst=0.75, n=32, m=12, T=1.0, seed=5,
                             time_model="sheet")

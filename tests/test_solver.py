@@ -243,6 +243,15 @@ class TestSolve:
         with pytest.raises(GridError):
             make_cfg(alpha=alpha, hurst=hurst)
 
+    def test_config_rejects_zero_max_iterations(self):
+        with pytest.raises(GridError):
+            make_cfg(max_iterations=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_config_rejects_nonpositive_picard_tol(self, tol):
+        with pytest.raises(GridError):
+            make_cfg(picard_tol=tol)
+
     def test_frozen_driver_from_another_time_grid(self):
         cfg = make_cfg()
         own = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
