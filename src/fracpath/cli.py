@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,14 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _row_template(types) -> str:
-    """One %-template for a row with cells of these types: integers and
-    bools as %d (bools print 1/0), everything else as %.17g, which gives
-    the same digits as ``format(float(x), ".17g")``."""
-    return ",".join("%d" if issubclass(t, (int, np.integer, np.bool_)) else "%.17g"
-                    for t in types) + "\n"
-
-
 def _check_at_least(flag: str, value: int, least: int):
     if value < least:
         raise ConfigError(f"{flag} must be >= {least}, got {value}")
@@ -63,33 +56,32 @@ def _outdir(args) -> str:
     return out
 
 
-def write_csv(path: str, columns, rows, chash: str):
-    """Write a config-hash comment, the header line and ``rows``.
-
-    An item of ``rows`` that is a str is a block of formatted lines (one
-    time slice of ``_solution_rows``) and is written as it is; any other
-    item is one row of cells, formatted with the %-template of its cell
-    types (``_row_template``, cached per tuple of types).  Each item is
-    written as it comes, so the file is never held in memory whole."""
-    templates = {}
+def write_csv(path: str, columns, lines, chash: str):
+    """Write a config-hash comment, the header line and ``lines``, blocks
+    of text that the caller formats with the one fixed template of its file.
+    Each block is written as it comes, so the file is never held in memory
+    whole."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={chash}\n" + ",".join(columns) + "\n")
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-                continue
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = _row_template(types)
-            fh.write(template % tuple(row))
+        fh.writelines(lines)
+
+
+def _fields(record) -> dict:
+    """A dataclass record as the dict of its fields (read directly, not
+    deep-copied as ``dataclasses.asdict`` would); the ``default`` of
+    ``json.dump``, so it refuses anything else."""
+    if not dataclasses.is_dataclass(record) or isinstance(record, type):
+        raise TypeError(f"{type(record).__name__} is not JSON serializable")
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 def write_json(path: str, payload: dict, chash: str):
+    """Write ``payload`` and its config hash as sorted, indented JSON; a
+    dataclass record anywhere in it is written as its fields."""
     payload = dict(payload)
     payload["config_hash"] = chash
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_fields)
         fh.write("\n")
 
 
@@ -146,19 +138,23 @@ def load_config(path: str) -> dict:
 
 
 def _load_xy_csv(path: str) -> np.ndarray:
-    """Two-column CSV with optional '#' comments and one header row."""
+    """Two-column CSV with optional '#' comments; the first other line may
+    be a header, every later one holds exactly two numbers."""
     try:
-        rows = []
+        rows, header_allowed = [], True
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                parts = line.split(",")
                 try:
-                    rows.append((float(parts[0]), float(parts[1])))
+                    x, y = map(float, line.split(","))
+                    rows.append((x, y))
                 except ValueError:
-                    continue  # header row
+                    if not header_allowed:
+                        raise ConfigError(f"{path}, line {number}: need two numbers, "
+                                          f"got {line!r}") from None
+                header_allowed = False
         data = np.array(rows)
     except OSError as exc:
         raise ConfigError(f"cannot read sampled phi from {path}: {exc}") from exc
@@ -201,8 +197,9 @@ def _driver_from_config(d: _Section, scfg: solver.SolverConfig):
     if not seed or any(type(s) is not int for s in seed):
         raise ConfigError(f"driver.seed must hold integers, got {json.dumps(seed)}")
     fc = fbm.FbmConfig(hurst=scfg.hurst, n=scfg.n, m=scfg.m, T=scfg.T,
-                       seed=seed[0], time_model=model,
-                       hurst_t=d.get("hurst_t", float, 0.95), stream=tuple(seed[1:]))
+                       seed=seed[0], time_model=model, stream=tuple(seed[1:]),
+                       # a frozen driver has no time law: done() refuses hurst_t
+                       hurst_t=d.get("hurst_t", float, 0.95) if model == "sheet" else 0.95)
     d.done()
     return lambda: fbm.driving_field(fc, scfg.alpha)
 
@@ -260,7 +257,7 @@ def cmd_fbm(args) -> int:
     chash = config_hash(cfg)
     path = fbm.fbm_path(args.hurst, args.n, args.seed)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
-              zip(path.nodes, path.values), chash)
+              ("%.17g,%.17g\n" % xv for xv in zip(path.nodes, path.values)), chash)
     if args.field_m:
         field = SpaceTimeField.constant_in_time(path.values, args.field_m,
                                                 args.field_T)
@@ -269,7 +266,7 @@ def cmd_fbm(args) -> int:
     if args.validate:
         rep = fbm.covariance_validator(args.hurst, args.samples, args.seed,
                                        n=min(args.n, 64))
-        write_json(os.path.join(out, "fbm_validation.json"), rep.to_dict(), chash)
+        write_json(os.path.join(out, "fbm_validation.json"), _fields(rep), chash)
         if args.strict and not rep.passed:
             return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -313,7 +310,7 @@ def _suite_stieltjes(seed: int) -> list:
     rep = stieltjes.stieltjes_indicator_consistency(f, g, 0.25, 0.25, 0.75)
     checks.append({"suite": "stieltjes", "name": "indicator(0.25,0.75)",
                    "passed": rep.gap <= 1e-2, "worst_margin": 1e-2 - rep.gap,
-                   "details": rep.to_dict()})
+                   "details": rep})
     return checks
 
 
@@ -342,7 +339,7 @@ def _suite_bounds(seed: int) -> list:
     return checks
 
 
-def _probe_config(n: int, seed: int):
+def _probe_config(n: int):
     x = np.linspace(0.0, 1.0, n + 1)
     phi = GridFunction(0, 1, x)
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, n=n, T=0.2, phi=phi,
@@ -352,7 +349,7 @@ def _probe_config(n: int, seed: int):
 
 
 def _suite_contraction(seed: int) -> list:
-    cfg, drv = _probe_config(96, seed)
+    cfg, drv = _probe_config(96)
     cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
                                     cfg.phi_norm(), horizon=cfg.T)
     t2 = min(cons.t2, cfg.T)
@@ -460,17 +457,14 @@ def cmd_ensemble(args) -> int:
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
         rows = list(ex.map(lambda k: _ensemble_run(cfg, args.seed, k),
                            range(args.count)))
-    rows.sort(key=lambda r: r["seed"])
-    csv_rows = []
-    for r in rows:
-        if r["ok"]:
-            csv_rows.append((r["seed"], r["lambda_alpha"], r["sup_norm"],
-                             r["iterations"], r["gronwall_margin"], 1))
-        else:
-            csv_rows.append((r["seed"], math.nan, math.nan, 0, math.nan, 0))
     write_csv(os.path.join(out, "ensemble_summary.csv"),
               ("seed", "lambda_alpha", "sup_norm", "iterations",
-               "gronwall_margin", "converged"), csv_rows, chash)
+               "gronwall_margin", "converged"),
+              ("%d,%.17g,%.17g,%d,%.17g,%d\n" % (
+                  (r["seed"], r["lambda_alpha"], r["sup_norm"], r["iterations"],
+                   r["gronwall_margin"], 1) if r["ok"]
+                  else (r["seed"], math.nan, math.nan, 0, math.nan, 0))
+               for r in rows), chash)
     ok_rows = [r for r in rows if r["ok"]]
     stats = {
         "count": args.count,
@@ -523,11 +517,11 @@ def cmd_convergence(args) -> int:
     for n in res[:-1]:
         stride = n_ref // n
         errors.append(float(np.abs(solutions[n] - ref[:, ::stride]).max()))
-    rows = [(n, e) for n, e in zip(res[:-1], errors)]
     # errors at machine-epsilon scale count as converged
     sig = [e for e in errors if e > 1e-12]
     monotone = all(b <= a * 1.1 for a, b in zip(sig, sig[1:]))
-    write_csv(os.path.join(out, "convergence.csv"), ("n", "sup_error"), rows, chash)
+    write_csv(os.path.join(out, "convergence.csv"), ("n", "sup_error"),
+              ("%d,%.17g\n" % ne for ne in zip(res[:-1], errors)), chash)
     return EXIT_OK if monotone else EXIT_CHECK_FAILED
 
 

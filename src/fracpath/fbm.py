@@ -188,9 +188,8 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     """Assemble the FBM driver for the solver and record Lambda and the norm."""
     a = order_value(alpha)
     if cfg.time_model == "frozen":
-        path = fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream)
-        vals = np.tile(path.values, (cfg.m + 1, 1))
-        return _finish_field(vals, cfg.T, a, True)
+        return field_from_path(fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream),
+                               cfg.m, cfg.T, a)
     # sheet: time-correlated mixture of iid spatial paths
     t = np.linspace(0.0, cfg.T, cfg.m + 1)[1:]
     cov_t = fbm_covariance(cfg.hurst_t, t[:, None], t[None, :])
@@ -217,7 +216,6 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
     kinds: zero, linear (scale*xi), quadratic (scale*xi^2),
     sine (amplitude*sin(k*pi*xi)).
     """
-    a = order_value(alpha)
     xi = np.linspace(0.0, 1.0, n + 1)
     if kind == "zero":
         row = np.zeros(n + 1)
@@ -230,7 +228,7 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
         row = params.get("amplitude", 1.0) * np.sin(k * math.pi * xi)
     else:
         raise GridError(f"unknown stub kind {kind!r}; choose from {tuple(STUB_KINDS)}")
-    return _finish_field(np.tile(row, (m + 1, 1)), T, a, True)
+    return field_from_path(GridFunction(0.0, 1.0, row), m, T, alpha)
 
 
 @dataclass
@@ -241,16 +239,6 @@ class CovarianceReport:
     entries: list
     max_abs_z: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "hurst": self.hurst,
-            "n": self.n,
-            "samples": self.samples,
-            "max_abs_z": self.max_abs_z,
-            "passed": self.passed,
-            "entries": self.entries,
-        }
 
 
 def covariance_validator(hurst: float, samples: int, seed: int,

@@ -111,12 +111,6 @@ class ProofConstants:
     gronwall_k: float
     contraction_target: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "alpha", "lam", "m1", "m2", "mn_r1", "phi_norm", "r1",
-            "b1", "b2", "b3", "b4", "b5",
-            "t1", "t2", "t0", "gronwall_k", "contraction_target")}
-
 
 def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
                       phi_norm: float, r1: float | None = None,
@@ -247,14 +241,6 @@ class WindowRecord:
     guarantee_ok: bool
     constants: ProofConstants
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "index", "t_start", "t_end", "cells", "iterations", "converged",
-            "final_residual", "residual_history", "contraction_ratio",
-            "guarantee_ok")}
-        d["constants"] = self.constants.to_dict()
-        return d
-
 
 @dataclass
 class SolverReport:
@@ -267,12 +253,13 @@ class SolverReport:
     failed_window: int | None = None
 
     def to_dict(self) -> dict:
+        """Every field but ``solution``; the records in it stay records."""
         return {
             "converged": self.converged,
             "failed_window": self.failed_window,
             "lambda_alpha": self.lambda_alpha,
-            "constants": self.constants.to_dict(),
-            "windows": [w.to_dict() for w in self.windows],
+            "constants": self.constants,
+            "windows": self.windows,
             "verdicts": self.verdicts,
         }
 

@@ -60,11 +60,9 @@ def _check_compatible(f: GridFunction, g: GridFunction):
 
 
 def _pairing_quadrature(psi: np.ndarray, h: float, alpha: float) -> float:
-    """Integrate the pairing integrand given at the nodes of [c, d]."""
-    N = psi.size - 1
-    if N < 2:
-        return 0.0
-    inner = psi[1:N]
+    """Integrate the pairing integrand given at the nodes of [c, d], of
+    which ``_pairing_value`` passes at least three."""
+    inner = psi[1:-1]
     total = inner.sum() - 0.5 * (inner[0] + inner[-1])
     total += inner[0] / (2.0 - alpha) + inner[-1] / (1.0 + alpha)
     return h * float(total)
@@ -162,9 +160,6 @@ class IndicatorReport:
     direct: float
     embedded: float
     gap: float
-
-    def to_dict(self) -> dict:
-        return {"direct": self.direct, "embedded": self.embedded, "gap": self.gap}
 
 
 def stieltjes_indicator_consistency(f: GridFunction, g: GridFunction, alpha,

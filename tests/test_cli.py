@@ -138,6 +138,19 @@ class TestSolveCommand:
         assert rep["verdicts"]["gronwall"]["passed"]
         assert rep["windows"]
 
+    def test_report_records_are_their_fields(self, tmp_path):
+        from dataclasses import fields
+        from fracpath.solver import ProofConstants, WindowRecord
+        write_config(tmp_path / "cfg.json")
+        assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        window_keys = {f.name for f in fields(WindowRecord)}
+        constant_keys = {f.name for f in fields(ProofConstants)}
+        assert set(rep["constants"]) == constant_keys
+        for w in rep["windows"]:
+            assert set(w) == window_keys
+            assert set(w["constants"]) == constant_keys
+
     def test_alpha_outside_window_exit_2(self, tmp_path):
         write_config(tmp_path / "cfg.json", alpha=0.2)  # 1-H = 0.25 > alpha
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
@@ -356,22 +369,49 @@ class TestCsvWriter:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def test_same_bytes_as_cell_by_cell_formatting(self, tmp_path):
-        from fracpath import cli
-        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                    sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1e16]
-        rows = [(k, x, np.float64(x), int(k % 2 == 0), k % 3 == 0, np.int64(-k),
-                 np.bool_(k % 2))
-                for k, x in enumerate(specials)]
-        rows.append((7, math.nan, math.nan, 0, False, np.int64(0), np.bool_(False)))
-        rng = np.random.default_rng(3)
-        rows += np.column_stack((rng.standard_normal(50),
-                                 rng.standard_normal(50) * 1e300,
-                                 rng.standard_normal(50) * 1e-300)).tolist()
-        cols = ("a", "b", "c", "d", "e", "f", "g")
-        cli.write_csv(str(tmp_path / "new.csv"), cols, rows, "abc")
-        self.cell_by_cell(str(tmp_path / "old.csv"), cols, rows, "abc")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    def assert_cell_by_cell(self, path, rows):
+        """``path`` holds the bytes the cell-by-cell writer gives for its
+        own comment and header and these rows."""
+        comment, header = path.read_text().split("\n", 2)[:2]
+        self.cell_by_cell(str(path) + ".old", header.split(","), rows,
+                          comment.removeprefix("# config_hash="))
+        assert path.read_bytes() == pathlib.Path(str(path) + ".old").read_bytes()
+
+    def test_fbm_path(self, tmp_path):
+        from fracpath import fbm
+        assert cli.main(["--out", str(tmp_path), "fbm", "--hurst", "0.75",
+                         "--n", "250", "--seed", "7"]) == 0
+        path = fbm.fbm_path(0.75, 250, 7)
+        self.assert_cell_by_cell(tmp_path / "fbm_path.csv",
+                                 list(zip(path.nodes, path.values)))
+
+    def test_convergence(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           driver={"model": "stub", "kind": "sine"})
+        assert cli.main(["--out", str(tmp_path), "convergence", str(tmp_path / "cfg.json"),
+                         "--resolutions", "32,64,128"]) == 0
+        sol = {n: cli._run_config(dict(cfg, grid=dict(cfg["grid"], n=n)),
+                                  verify=False).solution.values
+               for n in (32, 64, 128)}
+        rows = [(n, float(np.abs(sol[n] - sol[128][:, ::128 // n]).max()))
+                for n in (32, 64)]
+        assert all(e > 1e-6 for _, e in rows)
+        self.assert_cell_by_cell(tmp_path / "convergence.csv", rows)
+
+    @pytest.mark.parametrize("max_iter", [40, 1], ids=["converged", "failed"])
+    def test_ensemble_summary(self, tmp_path, max_iter):
+        cfg = write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5},
+                           picard={"tol": 1e-10, "max_iter": max_iter})
+        rc = cli.main(["--out", str(tmp_path), "ensemble", str(tmp_path / "cfg.json"),
+                       "--count", "3", "--seed", "7"])
+        assert rc == (0 if max_iter > 1 else 1)
+        members = [cli._ensemble_run(cfg, 7, k) for k in range(3)]
+        assert all(r["ok"] == (max_iter > 1) for r in members)
+        rows = [(r["seed"], r["lambda_alpha"], r["sup_norm"], r["iterations"],
+                 r["gronwall_margin"], 1) if r["ok"]
+                else (r["seed"], math.nan, math.nan, 0, math.nan, 0)
+                for r in members]
+        self.assert_cell_by_cell(tmp_path / "ensemble_summary.csv", rows)
 
 
 class TestSolutionWriter:

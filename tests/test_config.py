@@ -70,6 +70,7 @@ BAD = [
     ("frozen-without-seed", {"driver": {"model": "frozen"}}),
     ("sheet-without-seed", {"driver": {"model": "sheet"}}),
     ("stub-without-kind", {"driver": {"model": "stub"}}),
+    ("frozen-with-hurst_t", {"driver": FROZEN, "driver.hurst_t": 0.95}),
 ]
 
 NOT_OBJECT = [[], 3, "config", None, [BASE]]
@@ -142,6 +143,17 @@ def test_integer_given_as_float_refused(tmp_path, capsys, key):
 def test_bad_params_refused(tmp_path, capsys, changes):
     rc, err = solve_exit(tmp_path, capsys, bad_config(changes))
     assert_refused(tmp_path, rc, err)
+
+
+@pytest.mark.parametrize("line", ["0.5", "0.5,abc", "0.5,1,2", "x,y"],
+                         ids=["no-comma", "not-a-number", "three-cells", "second-header"])
+def test_malformed_phi_file_refused(tmp_path, capsys, line):
+    path = tmp_path / "phi.csv"
+    path.write_text(f"# phi\nx,y\n0,0\n{line}\n1,1\n")
+    rc, err = solve_exit(tmp_path, capsys, bad_config(
+        {"phi": {"kind": "file", "params": {"path": str(path)}}}))
+    assert_refused(tmp_path, rc, err)
+    assert f"{path}, line 4" in err
 
 
 def readme_config() -> dict:
