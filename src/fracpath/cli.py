@@ -139,7 +139,9 @@ def load_config(path: str) -> dict:
 
 def _load_xy_csv(path: str) -> np.ndarray:
     """Two-column CSV with optional '#' comments; the first other line may
-    be a header, every later one holds exactly two numbers."""
+    be a header, every later one holds exactly two finite numbers.  The x
+    values are distinct and reach 0 and 1, so sampling on [0, 1] never
+    extends the table flat past its ends.  Returned sorted by x."""
     try:
         rows, header_allowed = [], True
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,8 +162,17 @@ def _load_xy_csv(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read sampled phi from {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[0] < 2:
         raise ConfigError(f"{path} does not hold a two-column sample table")
-    order = np.argsort(data[:, 0])
-    return data[order]
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: every x and y must be finite")
+    data = data[np.argsort(data[:, 0])]
+    x = data[:, 0]
+    if x[0] > 0.0 or x[-1] < 1.0:
+        raise ConfigError(f"{path}: x runs from {x[0]:g} to {x[-1]:g}, "
+                          f"which does not cover [0, 1]")
+    repeated = x[1:][x[1:] == x[:-1]]
+    if repeated.size:
+        raise ConfigError(f"{path}: x = {repeated[0]:g} appears more than once")
+    return data
 
 
 def _phi_from_config(spec: _Section, n: int) -> GridFunction:
@@ -454,7 +465,7 @@ def cmd_ensemble(args) -> int:
     if cfg["driver"]["model"] == "stub":
         raise ConfigError("ensembles need a stochastic driver")
     chash = config_hash({"config": cfg, "count": args.count, "seed": args.seed})
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as ex:
         rows = list(ex.map(lambda k: _ensemble_run(cfg, args.seed, k),
                            range(args.count)))
     write_csv(os.path.join(out, "ensemble_summary.csv"),
@@ -569,6 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_at_least("--threads", args.threads, 1)
         return args.fn(args)
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ plain ``lru_cache`` and therefore safe for concurrent readers.
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in blocks of
 about 1 MB read against a strided Toeplitz view of the O(n) weight vector,
-so no (n+1)^2 weight matrix is formed or cached.
+so no (n+1)^2 weight matrix is formed or cached.  The node differences of
+a block are built in place in its buffer: a fill, then a subtraction.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -134,7 +135,8 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.nd
     1..i-1 get the Toeplitz weights C[i-j] (``_tail_weights``), reduced row
     by row in blocks of about ``_BLOCK_ELEMENTS`` pairs, so no (n+1)^2
     array is formed.  A block holds whole slices when they fit, and
-    otherwise a band of rows of one slice.
+    otherwise a band of rows of one slice.  Its differences are built in
+    place: each row is filled with f(x_i), then f(x_j) is subtracted.
     """
     v = np.asarray(values, dtype=float)
     rows = v.reshape(-1, v.shape[-1])
@@ -154,7 +156,8 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.nd
                 r1 = min(r0 + step, n + 1)
                 D = buf[:(s1 - s0) * (r1 - r0) * (r1 - 2)]
                 D = D.reshape(s1 - s0, r1 - r0, r1 - 2)
-                np.subtract(rows[s0:s1, r0:r1, None], rows[s0:s1, None, 1:r1 - 1], out=D)
+                np.copyto(D, rows[s0:s1, r0:r1, None])
+                np.subtract(D, rows[s0:s1, None, 1:r1 - 1], out=D)
                 np.abs(D, out=D)
                 out[s0:s1, r0:r1] += np.einsum("sij,ij->si", D,
                                                toeplitz[r0 - 1:r1 - 1, :r1 - 2])

@@ -68,6 +68,13 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     return float(first + second)
 
 
+def _row_bands(n: int) -> list:
+    """The bands [i0, i1) of rows 1..n in which the pair sweeps run, each
+    of about ``_BLOCK_ELEMENTS`` node pairs; row 0 pairs with no column."""
+    step = max(1, _BLOCK_ELEMENTS // (n + 1))
+    return [(i0, min(i0 + step, n + 1)) for i0 in range(1, n + 1, step)]
+
+
 def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
     """Yield (i0, i1, X) for bands of rows i0 <= i < i1 of about
     ``_BLOCK_ELEMENTS`` node pairs, with X[i - i0, j] = d/dist + scale * S
@@ -87,11 +94,11 @@ def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool
     Bt = _lower_toeplitz(B[1:], 0.0)
     Ct = _lower_toeplitz((A + B)[1:], 0.0)
     dist = _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - a), np.inf)
-    step = max(1, _BLOCK_ELEMENTS // (n + 1))   # rows per band
+    bands = _row_bands(n)
+    step = bands[0][1] - bands[0][0]   # rows per band
     carry = np.zeros(n)   # column sums of C d over the rows above the band
     xbuf, sbuf, pbuf = np.empty(step * n), np.empty(step * n), np.empty((step + 1) * n)
-    for i0 in range(1, n + 1, step):
-        i1 = min(i0 + step, n + 1)
+    for i0, i1 in bands:
         r, c = i1 - i0, i1 - 1
         X = xbuf[:r * c].reshape(r, c)
         S = sbuf[:r * c].reshape(r, c)

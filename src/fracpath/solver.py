@@ -2,7 +2,10 @@
 
 The fixed-point operator F evaluates the inner pathwise integral with the
 Stieltjes engine (per-upper-limit derivative fields precomputed once per
-driver slice) and the outer time integral with the trapezoid rule.  Local
+driver slice) and the outer time integral with the trapezoid rule.  Row 0
+of every window iterate is the window's start slice, so its inner integral
+is taken once per window; on a time-constant driver it is also every row
+of the first iterate's inner integral, and that iterate needs no sweep.  Local
 existence windows are sized from the explicitly computed proof constants
 (b1..b5, T1, T2, T0); continuation re-anchors the initial slice and
 refreshes the constants window by window.  Every inequality the analysis
@@ -186,9 +189,31 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
         for l in range(l0, w + 1):
             V[l] = _inner_integrals(y_window[l], coeff, *driver.time_slice(j_start + l),
                                     h, alpha)
-    out = np.empty_like(y_window)
+    return _time_integral(V, phi_values, j_start, dt)
+
+
+def _first_iterate(y_window: np.ndarray, phi_values: np.ndarray,
+                   coeff: CoefficientFunction, driver: DrivingField,
+                   alpha: float, j_start: int, dt: float,
+                   v0: np.ndarray) -> np.ndarray:
+    """F of a window's first iterate, the flat ``y_window`` = tile(phi_w),
+    whose row-0 inner integral is ``v0``.  On a time-constant driver every
+    row is phi_w against the same slice, and stacked rows are bitwise
+    one-slice calls, so every row of the inner integral is ``v0`` and no
+    sweep runs; a sheet driver sweeps each slice as ``_apply_window`` does.
+    """
+    if not driver.time_constant:
+        return _apply_window(y_window, phi_values, coeff, driver, alpha, j_start, dt, v0)
+    return _time_integral(np.broadcast_to(v0, y_window.shape), phi_values, j_start, dt)
+
+
+def _time_integral(V: np.ndarray, phi_values: np.ndarray, j_start: int,
+                   dt: float) -> np.ndarray:
+    """phi plus the trapezoid integral in time of the inner integrals ``V``,
+    whose row l is at time node j_start + l."""
+    out = np.empty(V.shape)
     out[0] = phi_values
-    if w >= 1:
+    if V.shape[0] > 1:
         steps = 0.5 * dt * (V[1:] + V[:-1])
         out[1:] = phi_values[None, :] + np.cumsum(steps, axis=0)
     if not np.isfinite(out).all():
@@ -315,7 +340,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         iterations = 0
         for it in range(1, cfg.max_iterations + 1):
             iterations = it
-            Fw = _apply_window(Yw, phi_w, cfg.coeff, driver, a, j0, dt, v0)
+            sweep = _first_iterate if it == 1 else _apply_window
+            Fw = sweep(Yw, phi_w, cfg.coeff, driver, a, j0, dt, v0)
             res = _window_norm(Fw - Yw, h, a)
             history.append(res)
             Yw = Fw

@@ -15,10 +15,12 @@ endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 ``stieltjes_all_upper_limits`` evaluates the integral up to every node at
 once, for one integrand slice or a stack of slices against one integrator
 slice: each row's left derivative is contracted with the precomputed pair
-matrix by ``np.einsum``, which calls no BLAS (so the bits do not depend on
-the BLAS thread count) and forms no (n+1)^2 temporary.  The solver stacks
-a whole window of a time-constant driver into one call and computes the
-window's fixed row 0 once.
+matrix by ``np.einsum``, band by band over the lower triangle where the
+pair matrix lives (the row bands of ``norms._row_bands``).  ``np.einsum``
+calls no BLAS, so the bits do not depend on the BLAS thread count, and no
+(n+1)^2 temporary is formed.  The solver stacks a whole window of a
+time-constant driver into one call, computes the window's fixed row 0
+once, and builds each window's first iterate from that row alone.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ def stieltjes_all_upper_limits(u: np.ndarray, g_values: np.ndarray,
     ``pair_matrix`` holds the per-upper-limit right-derivative fields
     (``norms.right_derivative_pair_matrix`` of the integrator slice).  The
     left-derivative field of each row is computed once and contracted with
-    every row of the pair matrix by ``np.einsum`` (no BLAS call, so no
-    dependence on the BLAS thread count, and no (n+1)^2 temporary); the
-    trapezoid end corrections are O(n) vector terms.
+    the pair matrix by ``np.einsum``, one band of rows [i0, i1) at a time
+    against the columns j < i1 - 1 only, since D[i, j] = 0 for j >= i (no
+    BLAS call, so no dependence on the BLAS thread count, and no (n+1)^2
+    temporary); the trapezoid end corrections are O(n) vector terms.
     """
     a = order_value(alpha)
     u = np.asarray(u, dtype=float)
@@ -142,7 +145,12 @@ def _contract(Du: np.ndarray, rows: np.ndarray, g_values: np.ndarray,
               pair_matrix: np.ndarray, h: float, a: float) -> np.ndarray:
     """Integrals up to every node of the stacked ``rows`` against one
     integrator slice, from their left-derivative fields ``Du``."""
-    rowsum = np.einsum("sj,ij->si", Du, pair_matrix)
+    # the pair matrix is zero for j >= i, so each band of rows meets only
+    # the columns left of its last row
+    rowsum = np.zeros_like(Du)
+    for i0, i1 in norms._row_bands(rows.shape[1] - 1):
+        np.einsum("sj,ij->si", Du[:, :i1 - 1], pair_matrix[i0:i1, :i1 - 1],
+                  out=rowsum[:, i0:i1])
     first = pair_matrix[:, 1] * Du[:, 1:2]
     last = np.zeros_like(rowsum)
     last[:, 1:] = np.diagonal(pair_matrix, -1) * Du[:, :-1]

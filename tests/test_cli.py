@@ -274,6 +274,15 @@ class TestEnsembleCommand:
         assert_usage_error(r)
         assert not (tmp_path / "ensemble_summary.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads):
+        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5})
+        r = run_cli("--out", str(tmp_path), "--threads", threads, "ensemble",
+                    str(tmp_path / "cfg.json"), "--count", "2", "--seed", "1")
+        assert_usage_error(r)
+        assert "--threads" in r.stderr
+        assert not (tmp_path / "ensemble_summary.csv").exists()
+
 
 class TestConvergenceCommand:
     def test_zero_coefficient_all_errors_zero(self, tmp_path):

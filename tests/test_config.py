@@ -156,6 +156,31 @@ def test_malformed_phi_file_refused(tmp_path, capsys, line):
     assert f"{path}, line 4" in err
 
 
+@pytest.mark.parametrize("table, message", [
+    ("0,0\n0.5,1\n", "x runs from 0 to 0.5, which does not cover [0, 1]"),
+    ("0.25,0\n1,1\n", "x runs from 0.25 to 1, which does not cover [0, 1]"),
+    ("0,0\n0.5,1\n0.5,2\n1,1\n", "x = 0.5 appears more than once"),
+    ("0,0\nnan,1\n1,1\n", "every x and y must be finite"),
+    ("0,0\n0.5,inf\n1,1\n", "every x and y must be finite"),
+], ids=["short-of-one", "short-of-zero", "repeated-x", "nan-x", "infinite-y"])
+def test_phi_file_that_cannot_be_sampled_refused(tmp_path, capsys, table, message):
+    path = tmp_path / "phi.csv"
+    path.write_text("x,y\n" + table)
+    rc, err = solve_exit(tmp_path, capsys, bad_config(
+        {"phi": {"kind": "file", "params": {"path": str(path)}}}))
+    assert_refused(tmp_path, rc, err)
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_phi_file_may_reach_past_the_unit_interval(tmp_path, capsys):
+    path = tmp_path / "phi.csv"
+    path.write_text("x,y\n1.5,3\n-0.5,-1\n")
+    rc, err = solve_exit(tmp_path, capsys, bad_config(
+        {"phi": {"kind": "file", "params": {"path": str(path)}},
+         "A": {"kind": "zero"}}))
+    assert rc == 0 and err == ""
+
+
 def readme_config() -> dict:
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("A solve config looks like\n\n```json\n", 1)[1]

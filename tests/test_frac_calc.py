@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
+    _BLOCK_ELEMENTS,
     _hat_moments,
+    _tail_weights,
     beta_b1,
     marchaud_difference_abs,
     rl_integral_left,
@@ -258,6 +260,28 @@ def holder_tail_double_loop(v, h, alpha):
     return out * h ** (-alpha)
 
 
+def holder_tail_out_of_place(values, h, alpha):
+    """Reference: the blocked Hoelder tail with each block of differences
+    formed by one out-of-place broadcast subtraction."""
+    rows = np.asarray(values, dtype=float).reshape(-1, np.shape(values)[-1])
+    k, n = rows.shape[0], rows.shape[1] - 1
+    _, B = _hat_moments(-alpha, n)
+    out = np.abs(rows - rows[:, :1]) * B
+    if n >= 2:
+        toeplitz = _tail_weights(n, alpha)
+        step = min(n - 1, max(1, _BLOCK_ELEMENTS // (n + 1)))
+        group = max(1, min(k, _BLOCK_ELEMENTS // (n * n)))
+        for s0 in range(0, k, group):
+            s1 = min(s0 + group, k)
+            for r0 in range(2, n + 1, step):
+                r1 = min(r0 + step, n + 1)
+                D = np.abs(rows[s0:s1, r0:r1, None] - rows[s0:s1, None, 1:r1 - 1])
+                out[s0:s1, r0:r1] += np.einsum("sij,ij->si", D,
+                                               toeplitz[r0 - 1:r1 - 1, :r1 - 2])
+    out *= h ** (-alpha)
+    return out.reshape(np.shape(values))
+
+
 class TestHolderTailKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 511, 1024])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
@@ -267,6 +291,15 @@ class TestHolderTailKernel:
         out = marchaud_difference_abs(v, 1.0 / n, alpha)
         np.testing.assert_allclose(out, holder_tail_double_loop(v, 1.0 / n, alpha),
                                    rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 1), (7, 1), (256, 1),
+                                      (511, 1), (1024, 1), (64, 40)])
+    def test_in_place_differences_match_out_of_place_bitwise(self, n, k):
+        rng = np.random.default_rng(n + k)
+        stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
+        values = stack[0] if k == 1 else stack
+        out = marchaud_difference_abs(values, 1.0 / n, 0.37)
+        assert np.array_equal(out, holder_tail_out_of_place(values, 1.0 / n, 0.37))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_linear_data_closed_form(self, alpha):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -232,6 +233,23 @@ def dense_sweep(u, g_values, pair_matrix, h, alpha):
     return stieltjes.PAIRING_SIGN * h * trap + u[0] * (g_values - g_values[0])
 
 
+def full_square_sweep(U, g_values, pair_matrix, h, alpha):
+    """Reference: the stacked sweep with one ``np.einsum`` over the whole
+    (n+1)^2 pair matrix, zeros above the diagonal included."""
+    Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha,
+                                        subtract_base=True).values for u in U])
+    rowsum = np.einsum("sj,ij->si", Du, pair_matrix)
+    first = pair_matrix[:, 1] * Du[:, 1:2]
+    last = np.zeros_like(rowsum)
+    last[:, 1:] = np.diagonal(pair_matrix, -1) * Du[:, :-1]
+    trap = rowsum - 0.5 * (first + last) + first / (2.0 - alpha) + last / (1.0 + alpha)
+    trap[:, :2] = 0.0
+    out = stieltjes.PAIRING_SIGN * h * trap + U[:, :1] * (g_values - g_values[0])
+    # the modulus sum of the contraction, the scale its rounding acts on
+    scale = h * np.einsum("sj,ij->si", np.abs(Du), np.abs(pair_matrix))
+    return out, scale
+
+
 def sweep_inputs(n, alpha, k, seed=0):
     rng = np.random.default_rng(seed)
     g = fbm.fbm_path(0.75, n, 100 + n).values
@@ -248,6 +266,18 @@ class TestAllUpperLimits:
         for row, out in zip(U, got):
             ref = dense_sweep(row, g, P, 1.0 / n, alpha)
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024, 2049])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("k", [1, 51])
+    def test_banded_sweep_matches_full_square(self, n, alpha, k):
+        # the bands drop only the zero pairs j >= i, so the two sweeps sum
+        # the same terms and differ by rounding of the re-grouped sums alone
+        U, g, P = sweep_inputs(n, alpha, k, seed=k)
+        got = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, alpha)
+        ref, scale = full_square_sweep(U, g, P, 1.0 / n, alpha)
+        eps = np.finfo(float).eps
+        assert (np.abs(got - ref) <= 2 * eps * (scale + np.abs(ref))).all()
 
     @pytest.mark.parametrize("n, k", [(2, 4), (64, 1), (64, 9), (1024, 51)])
     def test_stacked_rows_equal_one_slice_calls(self, n, k):
@@ -324,3 +354,47 @@ class TestWindowSweep:
         assert np.array_equal(cached.solution.values, fresh.solution.values)
         assert [w.residual_history for w in cached.windows] \
             == [w.residual_history for w in fresh.windows]
+
+    @pytest.mark.parametrize("model, policy", [("frozen", "paper-constants"),
+                                               ("frozen", "adaptive"),
+                                               ("sheet", "adaptive")])
+    def test_first_iterate_from_row_zero_matches_sweeping_it(self, model, policy,
+                                                             monkeypatch):
+        # adaptive windows grow to 16 cells, so whole stacks are reused
+        cfg, drv = window_setup(model, m=40, T=0.2)
+        cfg = dataclasses.replace(cfg, window_policy=policy)
+        reused = solver.solve(cfg, drv, verify=False)
+        apply_window = solver._apply_window
+
+        def sweep_first_iterate(*args):
+            return apply_window(*args[:7])   # sweep every row, row 0 included
+
+        monkeypatch.setattr(solver, "_first_iterate", sweep_first_iterate)
+        swept = solver.solve(cfg, drv, verify=False)
+        if policy == "adaptive":
+            assert max(w.cells for w in swept.windows) > 1
+        assert np.array_equal(reused.solution.values, swept.solution.values)
+        assert [w.residual_history for w in reused.windows] \
+            == [w.residual_history for w in swept.windows]
+
+    @pytest.mark.parametrize("model", ["frozen", "sheet"])
+    @pytest.mark.parametrize("policy", ["paper-constants", "adaptive"])
+    def test_sweep_calls_per_window(self, model, policy, monkeypatch):
+        cfg, drv = window_setup(model, m=40, T=0.2)
+        cfg = dataclasses.replace(cfg, window_policy=policy)
+        calls = []
+        sweep = solver.stieltjes_all_upper_limits
+
+        def counted(*args):
+            calls.append(np.shape(args[0]))
+            return sweep(*args)
+
+        monkeypatch.setattr(solver, "stieltjes_all_upper_limits", counted)
+        windows = solver.solve(cfg, drv, verify=False).windows
+        if model == "frozen":
+            # row 0 once per window, then one stacked call per later iteration
+            expected = len(windows) + sum(w.iterations - 1 for w in windows)
+        else:
+            # row 0 once per window, then one call per row and iteration
+            expected = sum(1 + w.cells * w.iterations for w in windows)
+        assert len(calls) == expected
