@@ -12,9 +12,10 @@ the canonical ``frozen`` field (one spatial path, constant in time) and a
 clearly non-canonical fractional-sheet field for experiments.  Smooth
 deterministic stubs are first-class drivers for oracle tests.
 
-A ``DrivingField`` is built once, with the pair matrix of every distinct
-slice, and is read as it is: a time-constant driver has one slice and
-serves any time grid over its spatial grid.
+A ``DrivingField`` is built once, with the integration operator
+(``stieltjes.SliceOperator``) of every distinct slice, and is read as it
+is: a time-constant driver has one slice and serves any time grid over its
+spatial grid.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import norms
 from .grids import GridError, GridFunction, SpaceTimeField, order_value
+from .stieltjes import SliceOperator, slice_operator
 
 __all__ = [
     "FbmConfig",
@@ -144,10 +146,10 @@ class FbmConfig:
 class DrivingField:
     """A driver g with its realized integrator functional and Hoelder norm.
 
-    Satisfies g(t, 0) = 0 for all t.  ``pair_matrices`` holds the
-    right-derivative pair field of every distinct time slice, built once
-    so that Picard iterations never re-quadrature: one matrix for a
-    time-constant driver, one per time node otherwise.
+    Satisfies g(t, 0) = 0 for all t.  ``slices`` holds the integration
+    operator of every distinct time slice, built once so that Picard
+    iterations never re-quadrature: one for a time-constant driver, one per
+    time node otherwise.
     """
 
     field: SpaceTimeField
@@ -155,13 +157,12 @@ class DrivingField:
     lambda_value: float
     holder_norm: float
     time_constant: bool
-    pair_matrices: tuple = dc_field(repr=False, compare=False)
+    slices: tuple = dc_field(repr=False, compare=False)
 
-    def time_slice(self, t_index: int) -> tuple:
-        """The values and the pair matrix of time slice ``t_index``; a
-        time-constant driver answers every index with its one slice."""
-        j = 0 if self.time_constant else t_index
-        return self.field.values[j], self.pair_matrices[j]
+    def time_slice(self, t_index: int) -> SliceOperator:
+        """The operator of time slice ``t_index``; a time-constant driver
+        answers every index with its one slice."""
+        return self.slices[0 if self.time_constant else t_index]
 
 
 def _finish_field(values2d: np.ndarray, T: float, alpha: float,
@@ -170,18 +171,12 @@ def _finish_field(values2d: np.ndarray, T: float, alpha: float,
         raise GridError("driving field must satisfy g(t, 0) = 0")
     f = SpaceTimeField(T, values2d)
     rows = f.values[:1] if time_constant else f.values
-    mats = []
-    lam = 0.0
-    hnorm = 0.0
-    for row in rows:
-        D = norms.right_derivative_pair_matrix(row, f.h, alpha)
-        D.setflags(write=False)
-        mats.append(D)
-        lam = max(lam, norms.lambda_from_pair_matrix(D, alpha))
-        hnorm = max(hnorm, norms.norm_1malpha_infty0(row, alpha))
+    ops = tuple(slice_operator(row, alpha) for row in rows)
+    lam = max(op.lam for op in ops)
+    hnorm = max(norms.norm_1malpha_infty0(row, alpha) for row in rows)
     if not (np.isfinite(lam) and np.isfinite(hnorm)):
         raise GridError("realized driver functionals are non-finite")
-    return DrivingField(f, float(alpha), lam, hnorm, time_constant, tuple(mats))
+    return DrivingField(f, float(alpha), lam, hnorm, time_constant, ops)
 
 
 def driving_field(cfg: FbmConfig, alpha) -> DrivingField:

@@ -1,17 +1,18 @@
 """Windowed Picard solver for Y(t,xi) = phi(xi) + int_0^t int_0^xi A(Y) dg ds.
 
 The fixed-point operator F evaluates the inner pathwise integral with the
-Stieltjes engine (per-upper-limit derivative fields precomputed once per
-driver slice) and the outer time integral with the trapezoid rule.  Row 0
-of every window iterate is the window's start slice, so its inner integral
-is taken once per window; on a time-constant driver it is also every row
-of the first iterate's inner integral, and that iterate needs no sweep.  Local
-existence windows are sized from the explicitly computed proof constants
-(b1..b5, T1, T2, T0); continuation re-anchors the initial slice and
-refreshes the constants window by window.  Every inequality the analysis
-asserts is re-checked numerically and reported.  A time-constant driver
-serves any time grid over its spatial grid, so the probes apply the
-solve's own driver to their short probe windows.
+integration operator of each driver slice (``stieltjes.SliceOperator``,
+built once with the driver) and the outer time integral with the trapezoid
+rule.  Row 0 of every window iterate is the window's start slice, so its
+inner integral is taken once per window; on a time-constant driver it is
+also every row of the first iterate's inner integral, and that iterate
+needs no sweep.  Local existence windows are sized from the explicitly
+computed proof constants (b1..b5, T1, T2, T0); continuation re-anchors the
+initial slice and refreshes the constants window by window.  Every
+inequality the analysis asserts is re-checked numerically and reported.  A
+time-constant driver serves any time grid over its spatial grid, so the
+probes apply the solve's own driver to their short probe windows.  Every
+entry point checks that the driver was prepared for its order alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .fbm import DrivingField
 from .frac_calc import beta_b1
 from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order, order_value
 from .sampling import random_smooth_field
-from .stieltjes import stieltjes_all_upper_limits
+from .stieltjes import SliceOperator, stieltjes_all_upper_limits
 
 __all__ = [
     "SolverConfig",
@@ -153,21 +154,19 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
 
 
 def _inner_integrals(y_rows: np.ndarray, coeff: CoefficientFunction,
-                     g_slice: np.ndarray, pair_matrix: np.ndarray,
-                     h: float, alpha: float) -> np.ndarray:
+                     op: SliceOperator) -> np.ndarray:
     """int_0^xi A(y) dg at every node for one slice y (n+1,) or a stack of
-    slices (k, n+1) against one integrator slice."""
+    slices (k, n+1) against the integrator slice of ``op``."""
     u = coeff(y_rows)
     if not np.isfinite(u).all():
         bad = int(np.argwhere(~np.isfinite(u))[0][-1])
         raise GridError(f"coefficient produced a non-finite value at node {bad}")
-    return stieltjes_all_upper_limits(u, g_slice, pair_matrix, h, alpha)
+    return stieltjes_all_upper_limits(u, op)
 
 
 def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
                   coeff: CoefficientFunction, driver: DrivingField,
-                  alpha: float, j_start: int, dt: float,
-                  v0: np.ndarray | None = None) -> np.ndarray:
+                  j_start: int, dt: float, v0: np.ndarray | None = None) -> np.ndarray:
     """F restricted to a window: row l maps time node j_start + l.
 
     ``v0`` is the inner integral of row 0 when the caller already has it
@@ -176,26 +175,22 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
     window for a time-constant driver, one row per call otherwise.
     """
     w = y_window.shape[0] - 1
-    h = driver.field.h
     V = np.empty_like(y_window)
     l0 = 0
     if v0 is not None:
         V[0] = v0
         l0 = 1
     if driver.time_constant:
-        V[l0:] = _inner_integrals(y_window[l0:], coeff, *driver.time_slice(j_start), h,
-                                  alpha)
+        V[l0:] = _inner_integrals(y_window[l0:], coeff, driver.time_slice(j_start))
     else:
         for l in range(l0, w + 1):
-            V[l] = _inner_integrals(y_window[l], coeff, *driver.time_slice(j_start + l),
-                                    h, alpha)
+            V[l] = _inner_integrals(y_window[l], coeff, driver.time_slice(j_start + l))
     return _time_integral(V, phi_values, j_start, dt)
 
 
 def _first_iterate(y_window: np.ndarray, phi_values: np.ndarray,
                    coeff: CoefficientFunction, driver: DrivingField,
-                   alpha: float, j_start: int, dt: float,
-                   v0: np.ndarray) -> np.ndarray:
+                   j_start: int, dt: float, v0: np.ndarray) -> np.ndarray:
     """F of a window's first iterate, the flat ``y_window`` = tile(phi_w),
     whose row-0 inner integral is ``v0``.  On a time-constant driver every
     row is phi_w against the same slice, and stacked rows are bitwise
@@ -203,7 +198,7 @@ def _first_iterate(y_window: np.ndarray, phi_values: np.ndarray,
     sweep runs; a sheet driver sweeps each slice as ``_apply_window`` does.
     """
     if not driver.time_constant:
-        return _apply_window(y_window, phi_values, coeff, driver, alpha, j_start, dt, v0)
+        return _apply_window(y_window, phi_values, coeff, driver, j_start, dt, v0)
     return _time_integral(np.broadcast_to(v0, y_window.shape), phi_values, j_start, dt)
 
 
@@ -223,9 +218,11 @@ def _time_integral(V: np.ndarray, phi_values: np.ndarray, j_start: int,
     return out
 
 
-def _check_driver_grid(driver: DrivingField, m: int, n: int, T: float):
-    """A time-constant driver serves any time grid over its spatial grid; a
-    driver that varies in time serves only its own grid."""
+def _check_driver(driver: DrivingField, alpha: float, m: int, n: int, T: float):
+    """The driver must be prepared for the order ``alpha``; a time-constant
+    driver serves any time grid over its spatial grid, a sheet only its own."""
+    if abs(driver.alpha - alpha) > 1e-12:
+        raise GridError("driver was prepared for a different alpha")
     f = driver.field
     if f.n != n or not driver.time_constant and (f.m != m or abs(f.T - T) > 1e-12):
         raise GridError("field and driver grids must match")
@@ -234,11 +231,10 @@ def _check_driver_grid(driver: DrivingField, m: int, n: int, T: float):
 def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff: CoefficientFunction,
             driver: DrivingField, alpha) -> SpaceTimeField:
     """One application of the fixed-point operator over the full field."""
-    a = order_value(alpha)
-    _check_driver_grid(driver, Y.m, Y.n, Y.T)
+    _check_driver(driver, order_value(alpha), Y.m, Y.n, Y.T)
     if phi.n != Y.n:
         raise GridError("phi must live on the field's spatial grid")
-    out = _apply_window(Y.values, phi.values, coeff, driver, a, 0, Y.dt)
+    out = _apply_window(Y.values, phi.values, coeff, driver, 0, Y.dt)
     return SpaceTimeField(Y.T, out)
 
 
@@ -305,9 +301,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     history.
     """
     a = cfg.alpha
-    _check_driver_grid(driver, cfg.m, cfg.n, cfg.T)
-    if abs(driver.alpha - a) > 1e-12:
-        raise GridError("driver was prepared for a different alpha")
+    _check_driver(driver, a, cfg.m, cfg.n, cfg.T)
     m, n, dt, h = cfg.m, cfg.n, cfg.dt, cfg.phi.h
     lam = driver.lambda_value
     phi0 = cfg.phi.values
@@ -334,14 +328,14 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
 
         Yw = np.tile(phi_w, (cells + 1, 1))
         # row 0 of every iterate is phi_w, so its inner integral is fixed
-        v0 = _inner_integrals(phi_w, cfg.coeff, *driver.time_slice(j0), h, a)
+        v0 = _inner_integrals(phi_w, cfg.coeff, driver.time_slice(j0))
         history = []
         w_converged = False
         iterations = 0
         for it in range(1, cfg.max_iterations + 1):
             iterations = it
             sweep = _first_iterate if it == 1 else _apply_window
-            Fw = sweep(Yw, phi_w, cfg.coeff, driver, a, j0, dt, v0)
+            Fw = sweep(Yw, phi_w, cfg.coeff, driver, j0, dt, v0)
             res = _window_norm(Fw - Yw, h, a)
             history.append(res)
             Yw = Fw

@@ -12,15 +12,16 @@ The pairing integral uses the trapezoid rule on interior nodes; the two
 endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 (d-x)^alpha, contribute through those local power models.
 
-``stieltjes_all_upper_limits`` evaluates the integral up to every node at
-once, for one integrand slice or a stack of slices against one integrator
-slice: each row's left derivative is contracted with the precomputed pair
-matrix by ``np.einsum``, band by band over the lower triangle where the
-pair matrix lives (the row bands of ``norms._row_bands``).  ``np.einsum``
-calls no BLAS, so the bits do not depend on the BLAS thread count, and no
-(n+1)^2 temporary is formed.  The solver stacks a whole window of a
-time-constant driver into one call, computes the window's fixed row 0
-once, and builds each window's first iterate from that row alone.
+Against one integrator slice the integral up to every node is a linear
+operator, a ``SliceOperator`` built once; its pair matrix is read only here.
+``stieltjes_all_upper_limits`` applies it to one integrand slice or a stack:
+each row's left derivative is contracted with the pair matrix by
+``np.einsum``, band by band over the lower triangle where the pair matrix
+lives (the row bands of ``norms._row_bands``).  ``np.einsum`` calls no
+BLAS, so the bits do not depend on the BLAS thread count, and no (n+1)^2
+temporary is formed.  The solver stacks a whole window of a time-constant
+driver into one call, computes the window's fixed row 0 once, and builds
+each window's first iterate from that row alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .grids import GridError, GridFunction, order_value
 
 __all__ = [
     "PAIRING_SIGN",
+    "SliceOperator",
+    "slice_operator",
     "calibrate_pairing_sign",
     "stieltjes_integral",
     "stieltjes_all_upper_limits",
@@ -109,54 +112,71 @@ def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:
     return float(np.sign(0.5 / raw))
 
 
-def stieltjes_all_upper_limits(u: np.ndarray, g_values: np.ndarray,
-                               pair_matrix: np.ndarray, h: float, alpha) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SliceOperator:
+    """u -> int_0^xi u dg at every node, for one integrator slice g on the
+    unit grid: read-only copies of g's values and of its pair matrix, the
+    step h, the order alpha and Lambda_alpha(g)."""
+
+    values: np.ndarray
+    h: float
+    alpha: float
+    lam: float
+    pair_matrix: np.ndarray
+
+
+def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
+    """Build the operator of one integrator slice on the unit grid."""
+    a = order_value(alpha)
+    g = np.array(values, dtype=float)
+    g.setflags(write=False)
+    h = 1.0 / (g.size - 1)
+    D = norms.right_derivative_pair_matrix(g, h, a)
+    D.setflags(write=False)
+    return SliceOperator(g, h, a, norms.lambda_from_pair_matrix(D, a), D)
+
+
+def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     """int_0^{xi_i} u dg for every grid node xi_i at O(n^2) total cost.
 
     ``u`` is one integrand slice (n+1,) or a stack (k, n+1) integrated
-    against the same integrator slice; the result has the same shape, and
-    each row of a stack is bitwise the one-slice result for that row.
-    ``pair_matrix`` holds the per-upper-limit right-derivative fields
-    (``norms.right_derivative_pair_matrix`` of the integrator slice).  The
-    left-derivative field of each row is computed once and contracted with
-    the pair matrix by ``np.einsum``, one band of rows [i0, i1) at a time
-    against the columns j < i1 - 1 only, since D[i, j] = 0 for j >= i (no
-    BLAS call, so no dependence on the BLAS thread count, and no (n+1)^2
-    temporary); the trapezoid end corrections are O(n) vector terms.
+    against the integrator slice of ``op``; the result has the same shape,
+    and each row of a stack is bitwise the one-slice result for that row.
+    The left-derivative field of each row is computed once and contracted
+    with the pair matrix one band of rows [i0, i1) at a time against the
+    columns j < i1 - 1 only, since D[i, j] = 0 for j >= i; the trapezoid
+    end corrections are O(n) vector terms.
     """
-    a = order_value(alpha)
     u = np.asarray(u, dtype=float)
     rows = u.reshape(-1, u.shape[-1])
-    Du = _left_fields(rows, h, a)
-    return _contract(Du, rows, g_values, pair_matrix, h, a).reshape(u.shape)
+    return _contract(_left_fields(rows, op), rows, op).reshape(u.shape)
 
 
-def _left_fields(rows: np.ndarray, h: float, a: float) -> np.ndarray:
+def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
     """Left Weyl derivative of each row minus its base value, on [0, 1]."""
-    n = rows.shape[1] - 1
-    if abs(h - 1.0 / n) >= 1e-12:
-        raise GridError("stieltjes_all_upper_limits expects the unit grid")
-    return np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), a,
+    if rows.shape[1] != op.values.size:
+        raise GridError("the integrand must live on the operator's grid")
+    return np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), op.alpha,
                                           subtract_base=True).values
                      for row in rows])
 
 
-def _contract(Du: np.ndarray, rows: np.ndarray, g_values: np.ndarray,
-              pair_matrix: np.ndarray, h: float, a: float) -> np.ndarray:
-    """Integrals up to every node of the stacked ``rows`` against one
-    integrator slice, from their left-derivative fields ``Du``."""
+def _contract(Du: np.ndarray, rows: np.ndarray, op: SliceOperator) -> np.ndarray:
+    """Integrals up to every node of the stacked ``rows`` against the slice
+    of ``op``, from their left-derivative fields ``Du``."""
+    D, g, a = op.pair_matrix, op.values, op.alpha
     # the pair matrix is zero for j >= i, so each band of rows meets only
     # the columns left of its last row
     rowsum = np.zeros_like(Du)
     for i0, i1 in norms._row_bands(rows.shape[1] - 1):
-        np.einsum("sj,ij->si", Du[:, :i1 - 1], pair_matrix[i0:i1, :i1 - 1],
+        np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1],
                   out=rowsum[:, i0:i1])
-    first = pair_matrix[:, 1] * Du[:, 1:2]
+    first = D[:, 1] * Du[:, 1:2]
     last = np.zeros_like(rowsum)
-    last[:, 1:] = np.diagonal(pair_matrix, -1) * Du[:, :-1]
+    last[:, 1:] = np.diagonal(D, -1) * Du[:, :-1]
     trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
     trap[:, :2] = 0.0
-    out = PAIRING_SIGN * h * trap + rows[:, :1] * (g_values - g_values[0])
+    out = PAIRING_SIGN * op.h * trap + rows[:, :1] * (g - g[0])
     if not np.isfinite(out).all():
         bad = int(np.argwhere(~np.isfinite(out))[0][-1])
         raise GridError(f"non-finite pathwise integral at node {bad}")
@@ -203,8 +223,15 @@ class BoundReport:
 _BOUND_SLACK = 1e-6
 
 
-def _bound_report(u: np.ndarray, lhs: float, a: float, lam: float) -> BoundReport:
-    f_norm = norms.norm_alpha_1(GridFunction(0.0, 1.0, u), a)
+def _bound_report(u: GridFunction, ops, lam: float) -> BoundReport:
+    """max over the slices of ``ops`` and over xi of |int_0^xi u dg| against
+    lam ||u||_{alpha,1}; the left derivative of u is computed once."""
+    if abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
+        raise GridError("the bound is checked for u on the unit grid")
+    rows = u.values[None, :]
+    Du = _left_fields(rows, ops[0])
+    lhs = max(float(np.abs(_contract(Du, rows, op)).max()) for op in ops)
+    f_norm = norms.norm_alpha_1(GridFunction(0.0, 1.0, u.values), ops[0].alpha)
     rhs = lam * f_norm
     return BoundReport(lhs, rhs, lhs <= rhs * (1.0 + _BOUND_SLACK),
                        rhs - lhs, lam, f_norm)
@@ -212,24 +239,13 @@ def _bound_report(u: np.ndarray, lhs: float, a: float, lam: float) -> BoundRepor
 
 def bound_357_check(f: GridFunction, g: GridFunction, alpha) -> BoundReport:
     """Check max_xi |int_0^xi f dg| <= Lambda_alpha(g) ||f||_{alpha,1}."""
-    a = order_value(alpha)
     _check_compatible(f, g)
-    D = norms.right_derivative_pair_matrix(g.values, f.h, a)
-    lam = norms.lambda_from_pair_matrix(D, a)
-    lhs = np.abs(stieltjes_all_upper_limits(f.values, g.values, D, f.h, a)).max()
-    return _bound_report(f.values, float(lhs), a, lam)
+    op = slice_operator(g.values, alpha)
+    return _bound_report(f, (op,), op.lam)
 
 
 def pathwise_integral_bound_check(u: GridFunction, driver) -> BoundReport:
     """Same bound against a realized FBM driver on every distinct time slice:
     max over t and xi of |int_0^xi u dB_t| <= G ||u||_{alpha,1}, where G is
-    the driver's Lambda_alpha, already the sup over its slices.  The left
-    derivative of u is computed once and contracted against every slice."""
-    if u.n != driver.field.n or abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
-        raise GridError("u must live on the driver's spatial grid over [0, 1]")
-    h, a = driver.field.h, driver.alpha
-    rows = u.values[None, :]
-    Du = _left_fields(rows, h, a)
-    lhs = max(float(np.abs(_contract(Du, rows, *driver.time_slice(j), h, a)).max())
-              for j in range(len(driver.pair_matrices)))
-    return _bound_report(u.values, lhs, a, driver.lambda_value)
+    the driver's Lambda_alpha, already the sup over its slices."""
+    return _bound_report(u, driver.slices, driver.lambda_value)

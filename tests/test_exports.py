@@ -30,3 +30,12 @@ def test_benchmark_hooks_resolve():
     unresolved = [site for site in sites
                   if not callable(getattr(importlib.import_module(site[0]), site[1], None))]
     assert unresolved == []
+
+
+def test_only_norms_and_stieltjes_name_the_pair_matrix():
+    # a slice operator is passed around as a stieltjes.SliceOperator; how it
+    # is stored is known where it is built (norms) and contracted (stieltjes)
+    src = pathlib.Path(__file__).parents[1] / "src/fracpath"
+    naming = sorted(path.name for path in src.glob("*.py")
+                    if "pair_matrix" in path.read_text())
+    assert naming == ["norms.py", "stieltjes.py"]

@@ -149,16 +149,25 @@ class TestDrivingField:
                                                  seed=8), 0.3)
         sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
                                                 seed=8, time_model="sheet"), 0.3)
-        assert len(frozen.pair_matrices) == 1 and len(sheet.pair_matrices) == 6
+        assert len(frozen.slices) == 1 and len(sheet.slices) == 6
         for drv in (frozen, sheet):
             for j in range(6):
-                g, D = drv.time_slice(j)
+                op = drv.time_slice(j)
+                g, D = op.values, op.pair_matrix
                 assert np.array_equal(g, drv.field.values[j])
                 assert not D.flags.writeable
                 assert np.array_equal(D, norms.right_derivative_pair_matrix(
                     g, drv.field.h, 0.3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             frozen.lambda_value = 0.0
+
+    def test_time_slice_returns_the_stored_operator(self):
+        frozen = fbm.stub_driving_field("sine", 32, 5, 1.0, 0.3)
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
+                                                seed=8, time_model="sheet"), 0.3)
+        # a time-constant driver answers every index with its one operator
+        assert all(frozen.time_slice(j) is frozen.slices[0] for j in range(6))
+        assert all(sheet.time_slice(j) is sheet.slices[j] for j in range(6))
 
     # (driver, holder_norm, lambda_value) as float.hex, recorded before the
     # driver functionals were reorganized; they must not move by one bit

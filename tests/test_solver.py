@@ -280,6 +280,45 @@ class TestSolve:
         assert "ball_invariance" not in rep.verdicts
 
 
+class TestDriverOrder:
+    """Every entry point refuses a driver prepared for another order alpha,
+    rather than mixing the two orders in one operator."""
+
+    @staticmethod
+    def mismatched():
+        cfg = make_cfg(n=64, m=4, T=0.01, alpha=0.35)
+        drv = fbm.stub_driving_field("sine", 64, 4, 0.01, 0.3)
+        return cfg, drv, constants_for(cfg, drv)
+
+    def test_apply_F(self):
+        drv = fbm.stub_driving_field("sine", 64, 4, 1.0, 0.3)
+        Y = SpaceTimeField.constant_in_time(ramp_phi(64).values, 4, 1.0)
+        with pytest.raises(GridError, match="different alpha"):
+            solver.apply_F(Y, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
+
+    def test_solve(self):
+        cfg, drv, _ = self.mismatched()
+        with pytest.raises(GridError, match="different alpha"):
+            solver.solve(cfg, drv, verify=False)
+
+    def test_ball_invariance_check(self):
+        cfg, drv, cons = self.mismatched()
+        with pytest.raises(GridError, match="different alpha"):
+            solver.ball_invariance_check(cfg, drv, cons, trials=2, seed=0)
+
+    def test_contraction_probe(self):
+        cfg, drv, cons = self.mismatched()
+        Y1 = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
+        Y2 = SpaceTimeField(0.01, 0.5 * Y1.values)
+        with pytest.raises(GridError, match="different alpha"):
+            solver.contraction_probe(Y1, Y2, cfg, drv, cons)
+
+    def test_contraction_sweep(self):
+        cfg, drv, cons = self.mismatched()
+        with pytest.raises(GridError, match="different alpha"):
+            solver.contraction_sweep(cfg, drv, cons, 0.01, 2, np.random.default_rng(1))
+
+
 class TestConstantsFlow:
     def test_verdicts_use_the_window_zero_constants(self):
         cfg = make_cfg(n=32, m=8)

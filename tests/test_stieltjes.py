@@ -204,8 +204,8 @@ class TestPathwiseBound:
         u = random_trig_grid(64, np.random.default_rng(5))
         # one sweep per slice, each computing its own left derivative of u
         sups = [float(np.abs(stieltjes.stieltjes_all_upper_limits(
-                    u.values, *drv.time_slice(j), drv.field.h, drv.alpha)).max())
-                for j in range(len(drv.pair_matrices))]
+                    u.values, stieltjes.slice_operator(row, drv.alpha))).max())
+                for row in drv.field.values]
         assert len(sups) == 9 and len(set(sups)) == 9
         calls = []
 
@@ -262,7 +262,7 @@ class TestAllUpperLimits:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_matches_dense_formula(self, n, alpha):
         U, g, P = sweep_inputs(n, alpha, 3)
-        got = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, alpha)
+        got = stieltjes.stieltjes_all_upper_limits(U, stieltjes.slice_operator(g, alpha))
         for row, out in zip(U, got):
             ref = dense_sweep(row, g, P, 1.0 / n, alpha)
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -274,7 +274,7 @@ class TestAllUpperLimits:
         # the bands drop only the zero pairs j >= i, so the two sweeps sum
         # the same terms and differ by rounding of the re-grouped sums alone
         U, g, P = sweep_inputs(n, alpha, k, seed=k)
-        got = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, alpha)
+        got = stieltjes.stieltjes_all_upper_limits(U, stieltjes.slice_operator(g, alpha))
         ref, scale = full_square_sweep(U, g, P, 1.0 / n, alpha)
         eps = np.finfo(float).eps
         assert (np.abs(got - ref) <= 2 * eps * (scale + np.abs(ref))).all()
@@ -282,19 +282,21 @@ class TestAllUpperLimits:
     @pytest.mark.parametrize("n, k", [(2, 4), (64, 1), (64, 9), (1024, 51)])
     def test_stacked_rows_equal_one_slice_calls(self, n, k):
         U, g, P = sweep_inputs(n, 0.3, k, seed=k)
-        stacked = stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)
+        op = stieltjes.slice_operator(g, 0.3)
+        stacked = stieltjes.stieltjes_all_upper_limits(U, op)
         assert stacked.shape == U.shape
         for row, out in zip(U, stacked):
-            one = stieltjes.stieltjes_all_upper_limits(row, g, P, 1.0 / n, 0.3)
+            one = stieltjes.stieltjes_all_upper_limits(row, op)
             assert one.shape == row.shape
             assert np.array_equal(one, out)
 
     def test_no_square_temporary(self):
         n = 2048
         U, g, P = sweep_inputs(n, 0.3, 3)
-        stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)  # warm caches
+        op = stieltjes.slice_operator(g, 0.3)
+        stieltjes.stieltjes_all_upper_limits(U, op)  # warm caches
         tracemalloc.start()
-        stieltjes.stieltjes_all_upper_limits(U, g, P, 1.0 / n, 0.3)
+        stieltjes.stieltjes_all_upper_limits(U, op)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < P.nbytes / 8
@@ -319,6 +321,38 @@ class TestAllUpperLimits:
                 == (tmp_path / "2" / name).read_bytes()
 
 
+class TestSliceOperator:
+    def test_holds_read_only_copies(self):
+        g = fbm.fbm_path(0.75, 64, 3).values.copy()
+        op = stieltjes.slice_operator(g, 0.3)
+        before = op.values.copy()
+        for arr in (op.values, op.pair_matrix):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+        g[1:] = 7.0   # the caller's array, mutated after the build
+        assert np.array_equal(op.values, before)
+
+    @pytest.mark.parametrize("n", [2, 64, 257])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_matrix_and_lambda_are_the_norms_kernels(self, n, alpha):
+        g = fbm.fbm_path(0.75, n, 100 + n).values
+        op = stieltjes.slice_operator(g, alpha)
+        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        assert op.pair_matrix.tobytes() == D.tobytes()
+        assert op.lam.hex() == norms.lambda_from_pair_matrix(D, alpha).hex()
+        assert (op.h, op.alpha) == (1.0 / n, alpha)
+
+    @pytest.mark.parametrize("n_u", [32, 128])
+    def test_integrand_on_another_grid_rejected(self, n_u):
+        op = stieltjes.slice_operator(fbm.fbm_path(0.75, 64, 3).values, 0.3)
+        U = np.ones((2, n_u + 1))
+        with pytest.raises(GridError):
+            stieltjes.stieltjes_all_upper_limits(U[0], op)
+        with pytest.raises(GridError):
+            stieltjes.stieltjes_all_upper_limits(U, op)
+
+
 def window_setup(model="frozen", n=64, m=6, T=0.05):
     phi = GridFunction(0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1)))
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, n=n, T=T, phi=phi,
@@ -338,7 +372,7 @@ class TestWindowSweep:
         Y = np.tile(cfg.phi.values, (cfg.m + 1, 1))
         Y[2, 37] = 11.0
         with pytest.raises(GridError, match=r"non-finite value at node 37$"):
-            solver._apply_window(Y, cfg.phi.values, coeff, drv, 0.3, 0, cfg.dt)
+            solver._apply_window(Y, cfg.phi.values, coeff, drv, 0, cfg.dt)
 
     @pytest.mark.parametrize("model", ["frozen", "sheet"])
     def test_cached_row_zero_matches_recomputing_it(self, model, monkeypatch):
@@ -347,7 +381,7 @@ class TestWindowSweep:
         apply_window = solver._apply_window
 
         def recompute_row_zero(*args):
-            return apply_window(*args[:7])   # drop the cached row-0 integral
+            return apply_window(*args[:6])   # drop the cached row-0 integral
 
         monkeypatch.setattr(solver, "_apply_window", recompute_row_zero)
         fresh = solver.solve(cfg, drv, verify=False)
@@ -367,7 +401,7 @@ class TestWindowSweep:
         apply_window = solver._apply_window
 
         def sweep_first_iterate(*args):
-            return apply_window(*args[:7])   # sweep every row, row 0 included
+            return apply_window(*args[:6])   # sweep every row, row 0 included
 
         monkeypatch.setattr(solver, "_first_iterate", sweep_first_iterate)
         swept = solver.solve(cfg, drv, verify=False)
