@@ -8,10 +8,11 @@ pair (n, order) and are memoized; every table is O(n), and the caches are
 plain ``lru_cache`` and therefore safe for concurrent readers.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
-of slices.  It sums only the lower triangle of node pairs, in blocks of
+of slices.  It sums only the lower triangle of node pairs, in bands of
 about 1 MB read against a strided Toeplitz view of the O(n) weight vector,
 so no (n+1)^2 weight matrix is formed or cached.  The node differences of
-a block are built in place in its buffer: a fill, then a subtraction.
+a band are built in place in its buffer: a fill, then a subtraction.  A
+caller may sum only some bands; the slice norm skips those without its max.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -114,6 +115,13 @@ def _tail_weights(n: int, alpha: float) -> np.ndarray:
     return _lower_toeplitz(C[1:], 0.0)[:, :n]
 
 
+def _tail_bands(n: int) -> range:
+    """First rows of the bands of about ``_BLOCK_ELEMENTS`` pairs in which the
+    Hoelder tail of one slice is summed: rows 2..n, as rows 0 and 1 pair
+    with column 0 alone."""
+    return range(2, n + 1, max(1, min(n - 1, _BLOCK_ELEMENTS // (n + 1))))
+
+
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node."""
     v = np.asarray(values, dtype=float)
@@ -125,7 +133,7 @@ def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarra
     return out
 
 
-def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
+def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=None) -> np.ndarray:
     """Same integral with |f(x_i) - f(y)|; this is the Hoelder-tail of a slice.
 
     ``values`` is one slice (n+1,) or a stack of slices (k, n+1); the result
@@ -137,6 +145,10 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.nd
     array is formed.  A block holds whole slices when they fit, and
     otherwise a band of rows of one slice.  Its differences are built in
     place: each row is filled with f(x_i), then f(x_j) is subtracted.
+
+    ``bands`` lists the first rows (from ``_tail_bands(n)``) of the bands to
+    sum, each bitwise as in the full call, ``None`` all; the rows of the
+    other bands keep only their column-0 term.
     """
     v = np.asarray(values, dtype=float)
     rows = v.reshape(-1, v.shape[-1])
@@ -147,12 +159,13 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float) -> np.nd
     out *= B
     if n >= 2:
         toeplitz = _tail_weights(n, alpha)
-        step = min(n - 1, max(1, _BLOCK_ELEMENTS // (n + 1)))   # rows per block
+        starts = _tail_bands(n)
+        step = starts.step                                      # rows per block
         group = max(1, min(k, _BLOCK_ELEMENTS // (n * n)))      # slices per block
         buf = np.empty(group * step * (n - 1))
         for s0 in range(0, k, group):
             s1 = min(s0 + group, k)
-            for r0 in range(2, n + 1, step):
+            for r0 in starts if bands is None else bands:
                 r1 = min(r0 + step, n + 1)
                 D = buf[:(s1 - s0) * (r1 - r0) * (r1 - 2)]
                 D = D.reshape(s1 - s0, r1 - r0, r1 - 2)

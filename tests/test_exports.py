@@ -39,3 +39,12 @@ def test_only_norms_and_stieltjes_name_the_pair_matrix():
     naming = sorted(path.name for path in src.glob("*.py")
                     if "pair_matrix" in path.read_text())
     assert naming == ["norms.py", "stieltjes.py"]
+
+
+def test_only_frac_calc_reads_the_tail_weights():
+    # the Hoelder tail is summed by one kernel, frac_calc.marchaud_difference_abs;
+    # the slice norm selects its bands instead of summing a tail of its own
+    src = pathlib.Path(__file__).parents[1] / "src/fracpath"
+    reading = sorted(path.name for path in src.glob("*.py")
+                     if "_tail_weights" in path.read_text())
+    assert reading == ["frac_calc.py"]

@@ -9,6 +9,7 @@ from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
     _BLOCK_ELEMENTS,
     _hat_moments,
+    _tail_bands,
     _tail_weights,
     beta_b1,
     marchaud_difference_abs,
@@ -326,6 +327,32 @@ class TestHolderTailKernel:
             one = marchaud_difference_abs(row, 1.0 / n, 0.3)
             assert one.shape == row.shape
             assert np.array_equal(tail, one)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 361, 362, 363, 1024, 4096])
+    def test_bands_cover_rows_two_to_n(self, n):
+        starts = _tail_bands(n)
+        rows = [r for r0 in starts for r in range(r0, min(r0 + starts.step, n + 1))]
+        assert rows == list(range(2, n + 1))
+        assert starts.step * (n + 1) <= max(_BLOCK_ELEMENTS, n + 1)
+
+    @pytest.mark.parametrize("n, k", [(363, 1), (1024, 1), (1024, 3), (4096, 1)])
+    def test_band_selection_is_bitwise_the_full_call(self, n, k):
+        rng = np.random.default_rng(n + k)
+        stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
+        full = marchaud_difference_abs(stack, 1.0 / n, 0.3)
+        column0 = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=())
+        starts = _tail_bands(n)
+        chosen = list(starts)[1::2]
+        part = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=chosen)
+        summed = np.zeros(n + 1, dtype=bool)
+        for r0 in chosen:
+            summed[r0:r0 + starts.step] = True
+        assert np.array_equal(part[:, summed], full[:, summed])
+        assert np.array_equal(part[:, ~summed], column0[:, ~summed])
+        assert np.array_equal(column0[:, :2], full[:, :2])
+        assert (column0 <= full).all()
+        every = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=starts)
+        assert np.array_equal(every, full)
 
     def test_memory_ceiling_at_n4096(self):
         # a dense kernel would hold (n+1)^2 float64 arrays of 134 MB each

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracpath.frac_calc import _hat_moments, weyl_derivative_right
+from fracpath.frac_calc import (_hat_moments, _tail_bands, marchaud_difference_abs,
+                                weyl_derivative_right)
 from fracpath.grids import GridFunction, SpaceTimeField
 from fracpath import fbm, norms
 
@@ -180,6 +181,91 @@ class TestBandedSweep:
         assert traced_peak(norms.norm_1malpha_infty0, g, a) < 4e6
         D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
         assert traced_peak(norms.lambda_from_pair_matrix, D, a) < 1e6
+
+
+def pruning_rows(n, seed):
+    """Slices that stress the band bound of the slice norm."""
+    rng = np.random.default_rng(seed)
+    walk = rng.standard_normal(n + 1).cumsum()
+    x = np.linspace(0.0, 1.0, n + 1)
+    spike = np.zeros(n + 1)
+    spike[n // 3] = 1.0
+    return {"walk": walk, "offset": 1e8 + 1e-6 * walk, "spike": spike,
+            "alternating": np.where(np.arange(n + 1) % 2, -1.0, 1.0),
+            "constant": np.full(n + 1, -2.5), "zero": np.zeros(n + 1),
+            "linear": 3.0 * x - 1.0, "tiny": 1e-300 * walk,
+            "step": np.where(x < 0.6, 0.0, 1.0), "smooth": np.sin(3.0 * x) + x ** 2}
+
+
+def full_kernel_max(rows, h, alpha):
+    """Oracle: the max over nodes of |f| plus the tail summed over every band."""
+    return (marchaud_difference_abs(rows, h, alpha) + np.abs(rows)).max(axis=1)
+
+
+class TestPrunedSliceNorm:
+    SIZES = [361, 362, 363, 512, 1024, 2048, 4096]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_bitwise_the_full_kernel_max(self, n, alpha):
+        rows = pruning_rows(n, n)
+        for name, row in rows.items():
+            got = norms.slice_norms_alpha_infty(row[None, :], 1.0 / n, alpha)
+            assert got.tobytes() == full_kernel_max(row[None, :], 1.0 / n, alpha).tobytes(), name
+        stack = np.stack([rows[k] for k in ("walk", "spike", "zero", "smooth", "step")])
+        got = norms.slice_norms_alpha_infty(stack, 1.0 / n, alpha)
+        assert got.tobytes() == full_kernel_max(stack, 1.0 / n, alpha).tobytes()
+
+    @pytest.mark.parametrize("n", [363, 1024, 4096])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_bound_dominates_every_node(self, n, alpha):
+        for name, row in pruning_rows(n, n + 1).items():
+            exact = marchaud_difference_abs(row, 1.0 / n, alpha) + np.abs(row)
+            assert (norms._tail_bound(row, 1.0 / n, alpha) >= exact).all(), name
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_gives_nan(self, n, bad):
+        stack = np.stack([pruning_rows(n, 3)["walk"]] * 2)
+        stack[1, n // 2] = bad
+        with np.errstate(invalid="ignore"):   # inf - inf in the kernel
+            got = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
+            assert got.tobytes() == full_kernel_max(stack, 1.0 / n, 0.3).tobytes()
+        assert np.isnan(got[1]) and np.isfinite(got[0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_grids(self, n):
+        stack = np.random.default_rng(n).standard_normal((3, n + 1))
+        got = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
+        assert got.tobytes() == full_kernel_max(stack, 1.0 / n, 0.3).tobytes()
+
+    @staticmethod
+    def band_spy(monkeypatch):
+        """Count the kernel bands that the slice norm sums."""
+        summed = []
+
+        def spy(values, h, alpha, bands=None):
+            n = np.shape(values)[-1] - 1
+            summed.append(len(_tail_bands(n) if bands is None else bands))
+            return marchaud_difference_abs(values, h, alpha, bands=bands)
+        monkeypatch.setattr(norms, "marchaud_difference_abs", spy)
+        return summed
+
+    def test_smooth_row_skips_bands(self, monkeypatch):
+        n = 1024
+        summed = self.band_spy(monkeypatch)
+        row = pruning_rows(n, 0)["smooth"]
+        norms.slice_norm_alpha_infty(row, 1.0 / n, 0.3)
+        assert 0 < sum(summed) < len(_tail_bands(n))
+
+    @pytest.mark.parametrize("n", [2, 64, 361, 362])
+    def test_no_bound_with_one_band(self, monkeypatch, n):
+        assert len(_tail_bands(n)) == 1
+        summed = self.band_spy(monkeypatch)
+        monkeypatch.setattr(norms, "_tail_bound", None)   # a call would raise
+        stack = np.stack([pruning_rows(n, 1)["walk"]] * 3)
+        norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
+        assert summed == [1]
 
 
 class TestSharedProperties:

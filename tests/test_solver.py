@@ -423,6 +423,29 @@ class TestBallInvariance:
         assert rep["passed"]
 
 
+class TestFlatImage:
+    # trial 0 of the ball check is built from phi's row-0 inner integral;
+    # it must be bitwise F of the flat extension of phi
+    @pytest.mark.parametrize("model", ["frozen", "sheet"])
+    def test_bitwise_apply_F(self, model):
+        n, t_w = 48, 0.05
+        cfg = make_cfg(n=n, m=solver.PROBE_TIME_CELLS, T=t_w, phi=GridFunction(
+            0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7,
+                                              time_model=model), cfg.alpha)
+        flat = SpaceTimeField.constant_in_time(cfg.phi.values, solver.PROBE_TIME_CELLS, t_w)
+        F = solver.apply_F(flat, cfg.phi, cfg.coeff, drv, cfg.alpha)
+        image = solver._flat_image(cfg, drv, t_w)
+        assert image.T == F.T
+        assert image.values.tobytes() == F.values.tobytes()
+
+    def test_checks_the_driver_first(self):
+        cfg = make_cfg(n=64, alpha=0.35)
+        drv = fbm.stub_driving_field("sine", 64, 4, 0.01, 0.3)
+        with pytest.raises(GridError, match="different alpha"):
+            solver._flat_image(cfg, drv, 0.01)
+
+
 class TestGronwall:
     def test_zero_coefficient_flat_envelope(self):
         cfg = make_cfg(coeff=co.zero_coefficient())
