@@ -149,7 +149,9 @@ class DrivingField:
     Satisfies g(t, 0) = 0 for all t.  ``slices`` holds the integration
     operator of every distinct time slice, built once so that Picard
     iterations never re-quadrature: one for a time-constant driver, one per
-    time node otherwise.
+    time node otherwise.  The operators are built one slice at a time, and
+    from ``frac_calc._FFT_MIN_N`` cells on each keeps O(n) data, not its
+    pair matrix.
     """
 
     field: SpaceTimeField

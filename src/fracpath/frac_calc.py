@@ -7,6 +7,11 @@ values with nonnegative weights.  Weight tables depend only on the exact
 pair (n, order) and are memoized; every table is O(n), and the caches are
 plain ``lru_cache`` and therefore safe for concurrent readers.
 
+The causal convolutions of the Weyl derivative and the left integral run
+by ``np.convolve`` below ``_FFT_MIN_N`` cells and from there on by rfft
+against spectra cached per (n, order) (``_convolve``, which the Stieltjes
+sweep shares), with the largest weights summed directly.
+
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of
 about 1 MB read against a strided Toeplitz view of the O(n) weight vector,
@@ -42,6 +47,10 @@ __all__ = [
 _MIN_BETA_ORDER = 1e-6
 # pairs per block of the Hoelder-tail kernel: 2^17 float64 values, about 1 MB
 _BLOCK_ELEMENTS = 1 << 17
+# cells from which causal convolutions run by rfft (measured crossover)
+_FFT_MIN_N = 512
+# kernel distances 0.._NEAR_FIELD of an rfft convolution summed directly
+_NEAR_FIELD = 4
 
 
 @lru_cache(maxsize=128)
@@ -97,6 +106,44 @@ def _difference_weights(n: int, alpha: float):
     return C, A, rowsum
 
 
+@lru_cache(maxsize=16)
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= 2n + 1: a causal convolution of n + 1
+    values at that length does not wrap."""
+    e = range((2 * n).bit_length() + 1)
+    return min(m for m in (2 ** i * 3 ** j * 5 ** k for i in e for j in e for k in e)
+               if m > 2 * n)
+
+
+@lru_cache(maxsize=64)
+def _split_kernels(kernels, n: int, alpha: float):
+    """The weights at distances 0.._NEAR_FIELD and the rfft spectrum of the
+    rest, stacked over the causal kernels ``kernels(n, alpha)`` returns."""
+    w = np.stack(kernels(n, alpha))
+    near = w[:, :_NEAR_FIELD + 1].copy()
+    w[:, :_NEAR_FIELD + 1] = 0.0
+    spectra = np.fft.rfft(w, _fft_length(n))
+    near.setflags(write=False)
+    spectra.setflags(write=False)
+    return near, spectra
+
+
+def _convolve(x: np.ndarray, kernels, alpha: float) -> np.ndarray:
+    """y[q, ..., i] = sum_{j <= i} w_q[i - j] x[..., j] at i <= n for a stack
+    x (..., n+1) and each kernel w_q of ``kernels(n, alpha)``.  The largest
+    weights, at distances <= _NEAR_FIELD, set the rounding of the transform,
+    so they are summed directly.  Each row is bitwise its one-row call."""
+    n = x.shape[-1] - 1
+    near, spectra = _split_kernels(kernels, n, alpha)
+    L = _fft_length(n)
+    rows = x.reshape(-1, n + 1)
+    y = np.fft.irfft(np.fft.rfft(rows, L) * spectra[:, None], L)[:, :, :n + 1]
+    for r, row in enumerate(rows):
+        for q, w in enumerate(near):
+            y[q, r] += np.convolve(row, w)[:n + 1]
+    return y.reshape(near.shape[:1] + x.shape)
+
+
 def _lower_toeplitz(w: np.ndarray, pad: float) -> np.ndarray:
     """Read-only (n+1, n+1) Toeplitz view T[i, j] = w[i - j - 1] for j < i,
     ``pad`` for j >= i, of the n weights w at distances 1..n.  Backed by one
@@ -122,12 +169,27 @@ def _tail_bands(n: int) -> range:
     return range(2, n + 1, max(1, min(n - 1, _BLOCK_ELEMENTS // (n + 1))))
 
 
+def _difference_kernel(n: int, alpha: float) -> tuple:
+    return _difference_weights(n, alpha)[:1]
+
+
+def _integral_kernel(n: int, alpha: float) -> tuple:
+    return _integral_weights(n, alpha)[:1]
+
+
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node."""
+    """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node.
+
+    The rfft path takes the row centered at its mid-range: only differences
+    enter, so the shift is exact and keeps an offset from cancelling."""
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     C, A, rowsum = _difference_weights(n, alpha)
-    conv = np.convolve(C, v)[: n + 1]
+    if n < _FFT_MIN_N:
+        conv = np.convolve(C, v)[: n + 1]
+    else:
+        v = v - 0.5 * (v.max() + v.min())
+        conv = _convolve(v, _difference_kernel, alpha)[0]
     out = (v * rowsum - (conv - A * v[0])) * h ** (-alpha)
     out[0] = 0.0
     return out
@@ -200,7 +262,7 @@ def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
     v = _finite_values(f)
     n = f.n
     C, A = _integral_weights(n, a)
-    conv = np.convolve(C, v)[: n + 1]
+    conv = np.convolve(C, v)[: n + 1] if n < _FFT_MIN_N else _convolve(v, _integral_kernel, a)[0]
     out = (f.h ** a / math.gamma(a)) * (conv - A * v[0])
     out[0] = 0.0
     return f.with_values(out)

@@ -95,7 +95,9 @@ def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
     """An upper bound of |f| plus the Hoelder tail at every node of a finite
     slice, in O(n (_NEAR + n/s)).  Column 0 and distances <= _NEAR are exact;
     for column j in far block k, |f_i - f_j| <= |f_i - mid_k| + rad_k, with
-    mid_k the centre of the block's range and rad_k its farther end."""
+    mid_k the centre of the block's range and rad_k its farther end.  Block
+    k weights only the nodes i >= s k + _NEAR + 2, so each chunk of nodes
+    sums only the blocks left of its last node."""
     n = v.size - 1
     C, _, _ = _difference_weights(n, a)
     tail = _hat_moments(-a, n)[1] * np.abs(v - v[0])
@@ -105,13 +107,16 @@ def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
     lo, hi = (f.reduceat(v[1:n], np.arange(0, n - 1, s)) for f in (np.minimum, np.maximum))
     mid = 0.5 * (lo + hi)
     rad = np.maximum(hi - mid, mid - lo)
-    step = max(1, _BLOCK_ELEMENTS // mid.size)   # nodes per block of about 1 MB
-    buf = np.empty((mid.size, min(step, n + 1)))
-    for c0 in range(0, n + 1, step):
-        D = buf[:, :min(step, n + 1 - c0)]
-        np.abs(np.subtract(v[c0:c0 + step], mid[:, None], out=D), out=D)
-        D += rad[:, None]
-        tail[c0:c0 + step] += np.einsum("ki,ki->i", W[:, c0:c0 + step], D)
+    # nodes per chunk: a multiple of s, about 1/4 MB at full height
+    step = max(s, _BLOCK_ELEMENTS // 4 // mid.size // s * s)
+    buf = np.empty(mid.size * step)
+    for c0 in range(_NEAR + 2, n + 1, step):
+        c1 = min(c0 + step, n + 1)
+        k = min(mid.size, (c1 - _NEAR - 3) // s + 1)   # blocks that weight a node < c1
+        D = buf[:k * (c1 - c0)].reshape(k, c1 - c0)
+        np.abs(np.subtract(v[c0:c1], mid[:k, None], out=D), out=D)
+        D += rad[:k, None]
+        tail[c0:c1] += np.einsum("ki,ki->i", W[:k, c0:c1], D)
     # a slack of 1 + 1e-9, far above the rounding of either sum of nonnegative
     # terms (about n * eps <= 1e-12 at n <= 4096); 1e-300 covers underflow
     return (tail * h ** (-a) + np.abs(v)) * (1.0 + 1e-9) + 1e-300

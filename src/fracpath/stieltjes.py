@@ -13,25 +13,31 @@ endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 (d-x)^alpha, contribute through those local power models.
 
 Against one integrator slice the integral up to every node is a linear
-operator, a ``SliceOperator`` built once; its pair matrix is read only here.
-``stieltjes_all_upper_limits`` applies it to one integrand slice or a stack:
-each row's left derivative is contracted with the pair matrix by
-``np.einsum``, band by band over the lower triangle where the pair matrix
-lives (the row bands of ``norms._row_bands``).  ``np.einsum`` calls no
-BLAS, so the bits do not depend on the BLAS thread count, and no (n+1)^2
-temporary is formed.  The solver stacks a whole window of a time-constant
-driver into one call, computes the window's fixed row 0 once, and builds
-each window's first iterate from that row alone.
+operator, a ``SliceOperator`` built once; its pair matrix D is read only
+here.  ``stieltjes_all_upper_limits`` applies it to one integrand slice or
+a stack.  Below ``frac_calc._FFT_MIN_N`` cells each row's left derivative
+is contracted with D by ``np.einsum``, band by band over the lower triangle
+(the row bands of ``norms._row_bands``).  From there on D is dropped after
+the build: two Toeplitz kernels against differences of the slice values
+(``_pair_kernels``) make the contraction four causal convolutions and one
+prefix sum.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the near
+field's dot products have at most five terms, so the bits do not depend on
+the BLAS thread count; no (n+1)^2 temporary is formed.  The solver stacks
+a whole window of a time-constant driver into one call, computes the
+window's fixed row 0 once, and builds each window's first iterate from
+that row alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import norms
-from .frac_calc import weyl_derivative_left, weyl_derivative_right
+from .frac_calc import (_FFT_MIN_N, _convolve, _hat_moments, weyl_derivative_left,
+                        weyl_derivative_right)
 from .grids import GridError, GridFunction, order_value
 
 __all__ = [
@@ -115,25 +121,48 @@ def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:
 @dataclass(frozen=True, eq=False)
 class SliceOperator:
     """u -> int_0^xi u dg at every node, for one integrator slice g on the
-    unit grid: read-only copies of g's values and of its pair matrix, the
-    step h, the order alpha and Lambda_alpha(g)."""
+    unit grid: read-only copies of g's values, of column 1 and of the
+    subdiagonal of its pair matrix D, the step h, the order alpha and
+    Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps D, read-only;
+    from there on ``pair_matrix`` is None and the sweep convolves."""
 
     values: np.ndarray
     h: float
     alpha: float
     lam: float
-    pair_matrix: np.ndarray
+    column: np.ndarray
+    subdiagonal: np.ndarray
+    pair_matrix: np.ndarray | None
 
 
 def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
-    """Build the operator of one integrator slice on the unit grid."""
+    """Build the operator of one integrator slice on the unit grid; D is
+    built once and, from ``_FFT_MIN_N`` cells on, dropped after use."""
     a = order_value(alpha)
     g = np.array(values, dtype=float)
-    g.setflags(write=False)
-    h = 1.0 / (g.size - 1)
-    D = norms.right_derivative_pair_matrix(g, h, a)
-    D.setflags(write=False)
-    return SliceOperator(g, h, a, norms.lambda_from_pair_matrix(D, a), D)
+    n = g.size - 1
+    D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
+    column, subdiagonal = D[:, 1].copy(), np.diagonal(D, -1).copy()
+    for arr in (g, column, subdiagonal, D):
+        arr.setflags(write=False)
+    return SliceOperator(g, 1.0 / n, a, norms.lambda_from_pair_matrix(D, a),
+                         column, subdiagonal, D if n < _FFT_MIN_N else None)
+
+
+def _pair_kernels(n: int, a: float) -> tuple:
+    """The kernels K(d) and s C(d), each over Gamma(a), of the pair matrix on
+    the unit grid: for j < i, d = i - j and s = (1-a) h^(a-1),
+    Gamma(a) D[i, j] = (v_j - v_i) K(d) + s sum_{0<l<d} C(l) (v_j - v_{j+l}),
+    K(d) = (d h)^(a-1) + s B(d), with B and C = A + B the hat moments of
+    u^(a-2) (``norms._right_bands``); K(0) = C(0) = 0."""
+    h = 1.0 / n
+    A, B = _hat_moments(a - 1.0, n)
+    s = (1.0 - a) * h ** (a - 1.0)
+    K = np.zeros(n + 1)
+    K[1:] = 1.0 / (np.arange(1, n + 1) * h) ** (1.0 - a) + s * B[1:]
+    C = s * (A + B)
+    C[0] = 0.0
+    return K / math.gamma(a), C / math.gamma(a)
 
 
 def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
@@ -143,9 +172,10 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     against the integrator slice of ``op``; the result has the same shape,
     and each row of a stack is bitwise the one-slice result for that row.
     The left-derivative field of each row is computed once and contracted
-    with the pair matrix one band of rows [i0, i1) at a time against the
-    columns j < i1 - 1 only, since D[i, j] = 0 for j >= i; the trapezoid
-    end corrections are O(n) vector terms.
+    with the pair matrix, one band of rows [i0, i1) at a time against the
+    columns j < i1 - 1 only, since D[i, j] = 0 for j >= i, or from
+    ``_FFT_MIN_N`` cells on by convolutions; the trapezoid end corrections
+    are O(n) vector terms.
     """
     u = np.asarray(u, dtype=float)
     rows = u.reshape(-1, u.shape[-1])
@@ -161,19 +191,36 @@ def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
                      for row in rows])
 
 
+def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:
+    """sum_{j<i} Du_j D[i, j] at every node i, by the causal convolutions of
+    ``_pair_kernels``: (Du w * K)_i - w_i (Du * K)_i plus the prefix sum over
+    p < i of (Du w * sC)_p - w_p (Du * sC)_p, with w the slice centered at
+    its mid-range, as D holds differences of values only."""
+    g = op.values
+    w = g - 0.5 * (g.max() + g.min())
+    y = _convolve(np.stack((Du * w, Du), axis=1), _pair_kernels, op.alpha)
+    y = y[:, :, 0] - w * y[:, :, 1]
+    rowsum = y[0]
+    rowsum[:, 1:] += np.cumsum(y[1, :, :-1], axis=1)
+    return rowsum
+
+
 def _contract(Du: np.ndarray, rows: np.ndarray, op: SliceOperator) -> np.ndarray:
     """Integrals up to every node of the stacked ``rows`` against the slice
     of ``op``, from their left-derivative fields ``Du``."""
     D, g, a = op.pair_matrix, op.values, op.alpha
-    # the pair matrix is zero for j >= i, so each band of rows meets only
-    # the columns left of its last row
-    rowsum = np.zeros_like(Du)
-    for i0, i1 in norms._row_bands(rows.shape[1] - 1):
-        np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1],
-                  out=rowsum[:, i0:i1])
-    first = D[:, 1] * Du[:, 1:2]
+    if D is None:
+        rowsum = _convolved_rowsums(Du, op)
+    else:
+        # the pair matrix is zero for j >= i, so each band of rows meets
+        # only the columns left of its last row
+        rowsum = np.zeros_like(Du)
+        for i0, i1 in norms._row_bands(rows.shape[1] - 1):
+            np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1],
+                      out=rowsum[:, i0:i1])
+    first = op.column * Du[:, 1:2]
     last = np.zeros_like(rowsum)
-    last[:, 1:] = np.diagonal(D, -1) * Du[:, :-1]
+    last[:, 1:] = op.subdiagonal * Du[:, :-1]
     trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
     trap[:, :2] = 0.0
     out = PAIRING_SIGN * op.h * trap + rows[:, :1] * (g - g[0])

@@ -161,6 +161,15 @@ class TestDrivingField:
         with pytest.raises(dataclasses.FrozenInstanceError):
             frozen.lambda_value = 0.0
 
+    def test_sheet_slices_keep_no_pair_matrix_from_the_fft_size(self):
+        # nine n = 1024 pair matrices would hold 9 x 8.4 MB
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=1024, m=8, T=0.1,
+                                                seed=8, time_model="sheet"), 0.3)
+        assert len(sheet.slices) == 9
+        held = sum(v.nbytes for op in sheet.slices for v in vars(op).values()
+                   if isinstance(v, np.ndarray))
+        assert held < 2 ** 20
+
     def test_time_slice_returns_the_stored_operator(self):
         frozen = fbm.stub_driving_field("sine", 32, 5, 1.0, 0.3)
         sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,

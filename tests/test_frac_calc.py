@@ -8,10 +8,15 @@ from hypothesis import given, settings, strategies as st
 from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
     _BLOCK_ELEMENTS,
+    _FFT_MIN_N,
+    _convolve,
+    _difference_kernel,
+    _difference_weights,
     _hat_moments,
     _tail_bands,
     _tail_weights,
     beta_b1,
+    marchaud_difference,
     marchaud_difference_abs,
     rl_integral_left,
     rl_integral_right,
@@ -245,6 +250,59 @@ class TestOperatorProperties:
         out = weyl_derivative_left(f, 0.3)
         assert np.isnan(out.values[0]) and out.endpoint_nan_ok
         assert np.isfinite(out.values[1:]).all()
+
+
+def difference_rows(n):
+    """A walk, an offset smooth row and white noise on n + 1 nodes."""
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 1.0, n + 1)
+    return [rng.standard_normal(n + 1).cumsum() / math.sqrt(n),
+            np.sin(3.0 * x) + 100.0, rng.standard_normal(n + 1)]
+
+
+def direct_difference(v, h, alpha):
+    """Reference: the weights of ``marchaud_difference`` applied by direct
+    ``np.convolve`` to the row centered at its mid-range, and the modulus
+    sum h^(-alpha) (|w| rowsum + C * |w|) its rounding acts on."""
+    n = v.size - 1
+    C, A, rowsum = _difference_weights(n, alpha)
+    w = v - 0.5 * (v.max() + v.min())
+    out = (w * rowsum - (np.convolve(C, w)[:n + 1] - A * w[0])) * h ** (-alpha)
+    out[0] = 0.0
+    scale = (np.abs(w) * rowsum + np.convolve(C, np.abs(w))[:n + 1]) * h ** (-alpha)
+    return out, scale
+
+
+class TestWeylConvolution:
+    @pytest.mark.parametrize("n", [_FFT_MIN_N, 2048, 4096])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49, 0.7])
+    def test_fft_difference_matches_direct_formula(self, n, alpha):
+        eps = np.finfo(float).eps
+        for v in difference_rows(n):
+            ref, scale = direct_difference(v, 1.0 / n, alpha)
+            got = marchaud_difference(v, 1.0 / n, alpha)
+            assert np.abs(got - ref).max() <= 16 * eps * scale.max()
+
+    @pytest.mark.parametrize("n", [_FFT_MIN_N, 2048])
+    @pytest.mark.parametrize("alpha", [0.25, 0.6])
+    def test_fft_integral_matches_direct_convolution(self, n, alpha):
+        v = difference_rows(n)[0]
+        A, B = _hat_moments(alpha, n)
+        C = A + B
+        C[0] = A[0]
+        ref = (np.convolve(C, v)[:n + 1] - A * v[0]) * (1.0 / n) ** alpha / math.gamma(alpha)
+        ref[0] = 0.0
+        got = rl_integral_left(GridFunction(0.0, 1.0, v), alpha).values
+        scale = np.convolve(C, np.abs(v))[:n + 1].max() * (1.0 / n) ** alpha
+        assert np.abs(got - ref).max() <= 16 * np.finfo(float).eps * scale
+
+    def test_stacked_rows_equal_one_row_calls(self):
+        n = 1024
+        x = np.random.default_rng(1).standard_normal((7, 2, n + 1))
+        stacked = _convolve(x, _difference_kernel, 0.3)
+        for i, j in np.ndindex(7, 2):
+            one = _convolve(x[i, j], _difference_kernel, 0.3)
+            assert np.array_equal(stacked[:, i, j], one)
 
 
 def holder_tail_double_loop(v, h, alpha):

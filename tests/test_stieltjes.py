@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpath.frac_calc import weyl_derivative_left
+from fracpath.frac_calc import _FFT_MIN_N, weyl_derivative_left
 from fracpath.grids import GridError, GridFunction
 from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.sampling import random_trig_grid
@@ -250,6 +250,18 @@ def full_square_sweep(U, g_values, pair_matrix, h, alpha):
     return out, scale
 
 
+def assert_fft_sweep_matches_full_square(U, g, P, alpha):
+    """The convolved sweep regroups every sum, so it is held to a row-wise
+    bound: a few eps of the row's largest modulus sum."""
+    n = g.size - 1
+    op = stieltjes.slice_operator(g, alpha)
+    assert op.pair_matrix is None
+    got = stieltjes.stieltjes_all_upper_limits(U, op)
+    ref, scale = full_square_sweep(U, g, P, 1.0 / n, alpha)
+    eps = np.finfo(float).eps
+    assert (np.abs(got - ref) <= 64 * eps * (scale + np.abs(ref)).max(axis=1, keepdims=True)).all()
+
+
 def sweep_inputs(n, alpha, k, seed=0):
     rng = np.random.default_rng(seed)
     g = fbm.fbm_path(0.75, n, 100 + n).values
@@ -267,7 +279,7 @@ class TestAllUpperLimits:
             ref = dense_sweep(row, g, P, 1.0 / n, alpha)
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024, 2049])
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     @pytest.mark.parametrize("k", [1, 51])
     def test_banded_sweep_matches_full_square(self, n, alpha, k):
@@ -278,6 +290,49 @@ class TestAllUpperLimits:
         ref, scale = full_square_sweep(U, g, P, 1.0 / n, alpha)
         eps = np.finfo(float).eps
         assert (np.abs(got - ref) <= 2 * eps * (scale + np.abs(ref))).all()
+
+    @pytest.mark.parametrize("n", [512, 1024, 2049, 4096])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("k", [1, 51])
+    def test_fft_sweep_matches_full_square(self, n, alpha, k):
+        U, g, P = sweep_inputs(n, alpha, k, seed=k)
+        assert_fft_sweep_matches_full_square(U, g, P, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_fft_sweep_on_offset_driver(self, alpha):
+        # |g| far above its increments cancels in the two convolutions of
+        # each difference unless the slice is centered first
+        n = 4096
+        U, g, _ = sweep_inputs(n, alpha, 3)
+        g = g + 100.0
+        P = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        assert_fft_sweep_matches_full_square(U, g, P, alpha)
+
+    def test_fft_sweep_matches_streamed_oracle_at_n16384(self):
+        # the oracle and the operator's two vectors come from the pair
+        # matrix streamed band by band, so no (n+1)^2 array is held
+        n, alpha = 16384, 0.3
+        U, g, _ = sweep_inputs(n, alpha, 2)
+        Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha,
+                                            subtract_base=True).values for u in U])
+        rowsum = np.zeros_like(Du)
+        column, subdiagonal = np.zeros(n + 1), np.zeros(n)
+        inv_gamma = 1.0 / math.gamma(alpha)
+        for i0, i1, X in norms._right_bands(g, 1.0 / n, alpha,
+                                            (1.0 - alpha) * n ** (1.0 - alpha), False):
+            X = X * inv_gamma
+            rowsum[:, i0:i1] = np.einsum("sj,ij->si", Du[:, :i1 - 1], X)
+            column[max(i0, 2):i1] = X[max(i0, 2) - i0:, 1]
+            subdiagonal[i0 - 1:i1 - 1] = X[np.arange(i1 - i0), np.arange(i0 - 1, i1 - 1)]
+        op = stieltjes.SliceOperator(g, 1.0 / n, alpha, math.nan, column, subdiagonal, None)
+        first = column * Du[:, 1:2]
+        last = np.zeros_like(rowsum)
+        last[:, 1:] = subdiagonal * Du[:, :-1]
+        trap = rowsum - 0.5 * (first + last) + first / (2.0 - alpha) + last / (1.0 + alpha)
+        trap[:, :2] = 0.0
+        ref = stieltjes.PAIRING_SIGN * trap / n + U[:, :1] * (g - g[0])
+        got = stieltjes.stieltjes_all_upper_limits(U, op)
+        assert (np.abs(got - ref).max(axis=1) <= 1e-12 * np.abs(ref).max(axis=1)).all()
 
     @pytest.mark.parametrize("n, k", [(2, 4), (64, 1), (64, 9), (1024, 51)])
     def test_stacked_rows_equal_one_slice_calls(self, n, k):
@@ -326,7 +381,7 @@ class TestSliceOperator:
         g = fbm.fbm_path(0.75, 64, 3).values.copy()
         op = stieltjes.slice_operator(g, 0.3)
         before = op.values.copy()
-        for arr in (op.values, op.pair_matrix):
+        for arr in (op.values, op.column, op.subdiagonal, op.pair_matrix):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0.0
@@ -342,6 +397,20 @@ class TestSliceOperator:
         assert op.pair_matrix.tobytes() == D.tobytes()
         assert op.lam.hex() == norms.lambda_from_pair_matrix(D, alpha).hex()
         assert (op.h, op.alpha) == (1.0 / n, alpha)
+
+    @pytest.mark.parametrize("n", [_FFT_MIN_N - 1, _FFT_MIN_N, 2048])
+    def test_keeps_the_pair_matrix_below_the_fft_size_only(self, n):
+        g = fbm.fbm_path(0.75, n, 100 + n).values
+        op = stieltjes.slice_operator(g, 0.3)
+        D = norms.right_derivative_pair_matrix(g, 1.0 / n, 0.3)
+        assert np.array_equal(op.column, D[:, 1])
+        assert np.array_equal(op.subdiagonal, np.diagonal(D, -1))
+        arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        if n < _FFT_MIN_N:
+            assert np.array_equal(op.pair_matrix, D)
+        else:
+            assert op.pair_matrix is None
+            assert max(arr.size for arr in arrays) == n + 1
 
     @pytest.mark.parametrize("n_u", [32, 128])
     def test_integrand_on_another_grid_rejected(self, n_u):
