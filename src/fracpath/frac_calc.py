@@ -7,10 +7,11 @@ values with nonnegative weights.  Weight tables depend only on the exact
 pair (n, order) and are memoized; every table is O(n), and the caches are
 plain ``lru_cache`` and therefore safe for concurrent readers.
 
-The causal convolutions of the Weyl derivative and the left integral run
-by ``np.convolve`` below ``_FFT_MIN_N`` cells and from there on by rfft
-against spectra cached per (n, order) (``_convolve``, which the Stieltjes
-sweep shares), with the largest weights summed directly.
+The causal convolution of the Weyl derivative runs by ``np.convolve``
+below ``_FFT_MIN_N`` cells and from there on by rfft against spectra
+cached per (n, order) (``_convolve``, which the Stieltjes sweep shares),
+with the largest weights summed directly.  The left integral always runs
+by ``np.convolve``.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of
@@ -47,7 +48,10 @@ __all__ = [
 _MIN_BETA_ORDER = 1e-6
 # pairs per block of the Hoelder-tail kernel: 2^17 float64 values, about 1 MB
 _BLOCK_ELEMENTS = 1 << 17
-# cells from which causal convolutions run by rfft (measured crossover)
+# cells from which the Stieltjes sweep and the Weyl convolution run by rfft:
+# the measured crossover of the sweep's contraction.  The Weyl convolution's
+# own crossover is about 768 cells; one value serves both until a workload
+# runs in between and can tell them apart.
 _FFT_MIN_N = 512
 # kernel distances 0.._NEAR_FIELD of an rfft convolution summed directly
 _NEAR_FIELD = 4
@@ -173,10 +177,6 @@ def _difference_kernel(n: int, alpha: float) -> tuple:
     return _difference_weights(n, alpha)[:1]
 
 
-def _integral_kernel(n: int, alpha: float) -> tuple:
-    return _integral_weights(n, alpha)[:1]
-
-
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node.
 
@@ -262,7 +262,7 @@ def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
     v = _finite_values(f)
     n = f.n
     C, A = _integral_weights(n, a)
-    conv = np.convolve(C, v)[: n + 1] if n < _FFT_MIN_N else _convolve(v, _integral_kernel, a)[0]
+    conv = np.convolve(C, v)[: n + 1]
     out = (f.h ** a / math.gamma(a)) * (conv - A * v[0])
     out[0] = 0.0
     return f.with_values(out)

@@ -283,19 +283,6 @@ class TestWeylConvolution:
             got = marchaud_difference(v, 1.0 / n, alpha)
             assert np.abs(got - ref).max() <= 16 * eps * scale.max()
 
-    @pytest.mark.parametrize("n", [_FFT_MIN_N, 2048])
-    @pytest.mark.parametrize("alpha", [0.25, 0.6])
-    def test_fft_integral_matches_direct_convolution(self, n, alpha):
-        v = difference_rows(n)[0]
-        A, B = _hat_moments(alpha, n)
-        C = A + B
-        C[0] = A[0]
-        ref = (np.convolve(C, v)[:n + 1] - A * v[0]) * (1.0 / n) ** alpha / math.gamma(alpha)
-        ref[0] = 0.0
-        got = rl_integral_left(GridFunction(0.0, 1.0, v), alpha).values
-        scale = np.convolve(C, np.abs(v))[:n + 1].max() * (1.0 / n) ** alpha
-        assert np.abs(got - ref).max() <= 16 * np.finfo(float).eps * scale
-
     def test_stacked_rows_equal_one_row_calls(self):
         n = 1024
         x = np.random.default_rng(1).standard_normal((7, 2, n + 1))
