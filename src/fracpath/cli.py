@@ -291,7 +291,10 @@ def cmd_solve(args) -> int:
     write_csv(os.path.join(out, "solution.csv"), ("t", "xi", "Y"),
               _solution_rows(report.solution), chash)
     write_json(os.path.join(out, "report.json"), report.to_dict(), chash)
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    if not report.converged:
+        return EXIT_NO_CONVERGENCE
+    passed = all(v["passed"] for v in report.verdicts.values())
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _suite_stieltjes(seed: int) -> list:

@@ -3,8 +3,10 @@
 Paths are generated by Davies-Harte circulant embedding of the fractional
 Gaussian noise covariance (O(n log n)); the embedding of the fGn
 covariance is nonnegative for every H in (0, 1), and a negative eigenvalue
-raises.  A fixed seed determines the output bit-for-bit; ensemble member k
-draws from the split stream ``SeedSequence((seed, k))``.
+raises.  The square roots of its eigenvalues are computed once per (H, n)
+and cached read-only, so a path costs one inverse FFT of fresh noise.  A
+fixed seed determines the output bit-for-bit; ensemble member k draws from
+the split stream ``SeedSequence((seed, k))``.
 
 The equation's driver is a space-time field g(t, xi).  The joint temporal
 law is not pinned down by the model, so two constructions are provided:
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,30 +72,50 @@ def increment_covariance(hurst: float, lags) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k ** two_h + np.abs(k - 1.0) ** two_h)
 
 
-def _fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
+def _circulant_root(c: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of the circulant embedding of the
+    autocovariance c[0..n]; a negative eigenvalue raises."""
     row = np.concatenate([c, c[-2:0:-1]])  # circulant first row, length 2n
     eig = np.fft.fft(row).real
     if eig.min() < -1e-8 * max(eig.max(), 1.0):
         raise RuntimeError(
             f"circulant embedding of the fGn covariance has a negative eigenvalue "
             f"{eig.min()}; this indicates a bug")
-    eig = np.clip(eig, 0.0, None)
+    return np.sqrt(np.clip(eig, 0.0, None))
+
+
+@lru_cache(maxsize=16)
+def _fgn_root(hurst: float, n: int) -> np.ndarray:
+    """Read-only ``_circulant_root`` of unit fGn at n variates."""
+    root = _circulant_root(increment_covariance(hurst, np.arange(n + 1)))
+    root.setflags(write=False)
+    return root
+
+
+def _fgn_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Gaussian variates with the circulant spectrum whose roots are ``root``."""
     z = np.empty(2 * n, dtype=complex)
     z[0] = rng.standard_normal()
     z[n] = rng.standard_normal()
     uv = rng.standard_normal((n - 1, 2))
     z[1:n] = (uv[:, 0] + 1j * uv[:, 1]) / math.sqrt(2.0)
     z[n + 1:] = np.conj(z[1:n][::-1])
-    return math.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
+    return math.sqrt(2 * n) * np.fft.ifft(root * z).real[:n]
+
+
+def _fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
+    """n variates with autocovariance c[0..n] by circulant embedding."""
+    return _fgn_sample(_circulant_root(c), n, rng)
 
 
 def fractional_gaussian_noise(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-spacing fGn variates by circulant embedding."""
+    """n unit-spacing fGn variates by circulant embedding, with the spectrum
+    cached per (hurst, n)."""
     if not 0.0 < hurst < 1.0:
         raise GridError(f"Hurst parameter must lie in (0, 1), got {hurst}")
     if hurst == 0.5:
         return rng.standard_normal(n)
-    return _fgn_davies_harte(increment_covariance(hurst, np.arange(n + 1)), n, rng)
+    return _fgn_sample(_fgn_root(float(hurst), n), n, rng)
 
 
 def fbm_path(hurst: float, n: int, seed: int, stream: tuple = ()) -> GridFunction:

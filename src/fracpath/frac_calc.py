@@ -11,7 +11,10 @@ The causal convolution of the Weyl derivative runs by ``np.convolve``
 below ``_FFT_MIN_N`` cells and from there on by rfft against spectra
 cached per (n, order) (``_convolve``, which the Stieltjes sweep shares),
 with the largest weights summed directly.  The left integral always runs
-by ``np.convolve``.
+by ``np.convolve``.  The Weyl derivative reads its node powers
+(x_i - a)^alpha from a read-only cache per (a, b, n, order), and checks
+finiteness again only for an input that may carry a NaN endpoint: the
+``GridFunction`` constructor checked every other.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of
@@ -288,10 +291,10 @@ def weyl_derivative_left(f: GridFunction, alpha, subtract_base: bool = False) ->
     v = _finite_values(f)
     n = f.n
     diff = marchaud_difference(v, f.h, a)
-    x = f.nodes - f.a
+    x = _node_powers(f.a, f.b, n, a)
     base = v[0] if subtract_base else 0.0
     out = np.empty(n + 1)
-    out[1:] = ((v[1:] - base) / x[1:] ** a + a * diff[1:]) / math.gamma(1.0 - a)
+    out[1:] = ((v[1:] - base) / x + a * diff[1:]) / math.gamma(1.0 - a)
     flagged = not (subtract_base or v[0] == 0.0)
     out[0] = np.nan if flagged else 0.0
     return GridFunction(f.a, f.b, out, endpoint_nan_ok=flagged)
@@ -323,7 +326,18 @@ def beta_b1(alpha) -> float:
     return math.gamma(2.0 * a) * math.gamma(1.0 - a) / math.gamma(1.0 + a)
 
 
+@lru_cache(maxsize=64)
+def _node_powers(a: float, b: float, n: int, alpha: float) -> np.ndarray:
+    """Read-only (x_i - a)^alpha at the nodes i = 1..n of the grid of n cells
+    on [a, b], bitwise ``(f.nodes - f.a)[1:] ** alpha`` of a GridFunction."""
+    x = (np.linspace(a, b, n + 1) - a)[1:] ** alpha
+    x.setflags(write=False)
+    return x
+
+
 def _finite_values(f: GridFunction) -> np.ndarray:
-    if not np.isfinite(f.values).all():
+    """The values of f, all finite: the constructor checked them unless f
+    may carry a NaN endpoint."""
+    if f.endpoint_nan_ok and not np.isfinite(f.values).all():
         raise GridError("operator input carries non-finite nodes")
     return f.values

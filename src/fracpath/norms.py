@@ -6,6 +6,11 @@ from ``frac_calc``, so constants and linear data are reproduced exactly.
 Near-diagonal behaviour is handled by the piecewise-linear model, whose
 sub-cell Hoelder quotient is maximized at the adjacent-node pair.
 
+The pair matrix and the driver's Hoelder norm come from one sweep over
+node pairs in bands of ``_SWEEP_ROWS`` rows, each against only the columns
+left of its last row, with buffers sized to one band; its values are
+bitwise the same for any band height.
+
 The slice norm is the max over nodes of |f| plus the Hoelder tail.  Over
 several kernel bands, an O(n^1.5) upper bound at every node picks the bands
 to sum: the one with the largest bound, then each whose bound reaches the
@@ -143,17 +148,24 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     return float(first + second)
 
 
+# rows per band of the pair sweep (``_right_bands``): its three buffers stay
+# small at every n, and only the pairs left of each band's last row are
+# computed
+_SWEEP_ROWS = 32
+
+
 def _row_bands(n: int) -> list:
-    """The bands [i0, i1) of rows 1..n in which the pair sweeps run, each
-    of about ``_BLOCK_ELEMENTS`` node pairs; row 0 pairs with no column."""
+    """The bands [i0, i1) of rows 1..n in which the Stieltjes contraction
+    reads the pair matrix, each of about ``_BLOCK_ELEMENTS`` node pairs; row
+    0 pairs with no column.  The einsum's bits depend on the band height."""
     step = max(1, _BLOCK_ELEMENTS // (n + 1))
     return [(i0, min(i0 + step, n + 1)) for i0 in range(1, n + 1, step)]
 
 
 def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
-    """Yield (i0, i1, X) for bands of rows i0 <= i < i1 of about
-    ``_BLOCK_ELEMENTS`` node pairs, with X[i - i0, j] = d/dist + scale * S
-    for every column j < i1 - 1: d is v[j] - v[i] (or its modulus), dist is
+    """Yield (i0, i1, X) for bands of ``_SWEEP_ROWS`` rows i0 <= i < i1 (the
+    last may be shorter), with X[i - i0, j] = d/dist + scale * S for every
+    column j < i1 - 1: d is v[j] - v[i] (or its modulus), dist is
     (xi_i - eta_j)^(1-alpha) and S = B[i-j] d + sum_{j<l<i} C[l-j] d(l, j)
     is the product-integrated singular tail of d on [eta_j, xi_i].  Entries
     with j >= i are 0.
@@ -161,19 +173,21 @@ def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool
     The weights are Toeplitz views of O(n) vectors, padded so that the pairs
     j >= i carry none, and the running column sums of C d are one cumsum
     per band whose last row carries into the next band, so the sweep over
-    all bands costs O(n^2) in blocks of about 1 MB.  X is a reused buffer,
-    valid until the next band.
+    all bands costs O(n^2), touches only the lower triangle up to each
+    band's last column, and every value is bitwise the same for any band
+    height.  X is a reused buffer of the band's size, valid until the next
+    band.
     """
     n = v.size - 1
     A, B = _hat_moments(a - 1.0, n)
     Bt = _lower_toeplitz(B[1:], 0.0)
     Ct = _lower_toeplitz((A + B)[1:], 0.0)
     dist = _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - a), np.inf)
-    bands = _row_bands(n)
-    step = bands[0][1] - bands[0][0]   # rows per band
+    step = _SWEEP_ROWS
     carry = np.zeros(n)   # column sums of C d over the rows above the band
     xbuf, sbuf, pbuf = np.empty(step * n), np.empty(step * n), np.empty((step + 1) * n)
-    for i0, i1 in bands:
+    for i0 in range(1, n + 1, step):
+        i1 = min(i0 + step, n + 1)
         r, c = i1 - i0, i1 - 1
         X = xbuf[:r * c].reshape(r, c)
         S = sbuf[:r * c].reshape(r, c)
@@ -198,7 +212,8 @@ def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndar
     [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
 
     Written band by band from ``_right_bands``, so the full matrix costs
-    O(n^2) and the sweep needs about 3 MB beside it.
+    O(n^2) and the sweep needs three band buffers of at most
+    (``_SWEEP_ROWS`` + 1) n values beside it.
     """
     a = order_value(alpha)
     v = np.asarray(values, dtype=float)

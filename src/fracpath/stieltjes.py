@@ -17,7 +17,9 @@ operator, a ``SliceOperator`` built once; its pair matrix D is read only
 here.  ``stieltjes_all_upper_limits`` applies it to one integrand slice or
 a stack.  Below ``frac_calc._FFT_MIN_N`` cells each row's left derivative
 is contracted with D by ``np.einsum``, band by band over the lower triangle
-(the row bands of ``norms._row_bands``).  From there on D is dropped after
+(the bands of about 2^17 pairs of ``norms._row_bands``: the einsum's bits
+depend on the band height, so it does not share the 32-row bands in which
+``norms._right_bands`` builds D).  From there on D is dropped after
 the build: two Toeplitz kernels against differences of the slice values
 (``_pair_kernels``) make the contraction four causal convolutions and one
 prefix sum.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the near

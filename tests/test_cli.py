@@ -122,7 +122,12 @@ class TestSolveCommand:
         write_config(tmp_path / "cfg.json", A={"kind": "const", "params": {"c": 1.0}},
                      phi={"kind": "zero"})
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
-        assert r.returncode == 0
+        # A = 1 moves Y = t xi off phi = 0, above the Gronwall envelope
+        # ||phi|| exp(K t) = 0: the only failed verdict, so the solve exits 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        failed = sorted(k for k, v in report["verdicts"].items() if not v["passed"])
+        assert report["converged"] and failed == ["gronwall"]
+        assert r.returncode == 1
         _, rows = read_csv(tmp_path / "solution.csv")
         worst = max(abs(float(t) * float(x) - float(y)) for t, x, y in rows)
         assert worst <= 1e-12
@@ -179,6 +184,24 @@ class TestSolveCommand:
                      driver={"model": "stub", "kind": "quadratic"})
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("verdict", ["gronwall", "ball_invariance", "contraction", "prop2"])
+    def test_failed_verdict_exit_1(self, tmp_path, monkeypatch, verdict):
+        # a converged solve whose report carries one failed verdict
+        solve = cli.solver.solve
+
+        def failing(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            report.verdicts[verdict]["passed"] = False
+            return report
+
+        monkeypatch.setattr(cli.solver, "solve", failing)
+        write_config(tmp_path / "cfg.json")
+        assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 1
+        rep = json.loads((tmp_path / "report.json").read_text())
+        failed = [k for k, v in rep["verdicts"].items() if not v["passed"]]
+        assert rep["converged"] and failed == [verdict]
+        assert (tmp_path / "solution.csv").exists()
 
     def test_phi_sampled_from_file(self, tmp_path):
         # use an exported FBM path as the initial condition

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 MODULES = ["fracpath", "fracpath.grids", "fracpath.frac_calc", "fracpath.norms",
@@ -48,3 +49,41 @@ def test_only_frac_calc_reads_the_tail_weights():
     reading = sorted(path.name for path in src.glob("*.py")
                      if "_tail_weights" in path.read_text())
     assert reading == ["frac_calc.py"]
+
+
+# sample arguments of every lru_cache'd table; a new cache must be listed here
+CACHED_TABLES = {
+    "fracpath.frac_calc": {
+        "_hat_moments": (-0.7, 16),
+        "_integral_weights": (16, 0.3),
+        "_difference_weights": (16, 0.3),
+        "_fft_length": (16,),
+        "_split_kernels": ("_difference_kernel", 16, 0.3),
+        "_tail_weights": (16, 0.3),
+        "_node_powers": (0.25, 0.75, 16, 0.3),
+    },
+    "fracpath.norms": {"_far_weights": (64, 0.3)},
+    "fracpath.fbm": {"_fgn_root": (0.75, 16)},
+}
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("module", sorted(CACHED_TABLES))
+def test_cached_tables_are_read_only(module):
+    # threads of an ensemble share these tables, so none may be written
+    mod = importlib.import_module(module)
+    cached = {name for name, obj in vars(mod).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == module}
+    assert cached == set(CACHED_TABLES[module])
+    for name, args in CACHED_TABLES[module].items():
+        args = tuple(getattr(mod, a) if isinstance(a, str) else a for a in args)
+        arrays = _arrays(getattr(mod, name)(*args))
+        assert name == "_fft_length" or arrays, name
+        assert not any(a.flags.writeable for a in arrays), name

@@ -149,6 +149,30 @@ class TestWeylLeft:
             errs.append(np.max(np.abs(D[sel] - f[sel])))
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("n, c, d", [(2048, 0.25, 0.75), (48, 0.1, 0.7),
+                                         (257, -1.5, 2.0), (64, 0.0, 1.0)])
+    @pytest.mark.parametrize("subtract_base", [True, False])
+    def test_bitwise_the_node_formula_on_any_interval(self, n, c, d, subtract_base):
+        # the node powers (x - c)^alpha come from a cache; they must be the
+        # bits of f.nodes - f.a, on a sub-interval [c, d] as the Stieltjes
+        # integral builds it
+        alpha = 0.3
+        x = np.linspace(c, d, n + 1)
+        f = GridFunction(c, d, np.sin(3.0 * x) + x)
+        base = f.values[0] if subtract_base else 0.0
+        diff = marchaud_difference(f.values, f.h, alpha)
+        ref = ((f.values[1:] - base) / (f.nodes - f.a)[1:] ** alpha
+               + alpha * diff[1:]) / math.gamma(1.0 - alpha)
+        for _ in range(2):   # the second call reads the cached powers
+            out = weyl_derivative_left(GridFunction(c, d, f.values), alpha, subtract_base)
+            assert out.values[1:].tobytes() == ref.tobytes()
+
+    def test_rejects_a_nan_endpoint_input(self):
+        flagged = weyl_derivative_left(GridFunction(0, 1, np.full(33, 1.0)), 0.3)
+        assert flagged.endpoint_nan_ok
+        with pytest.raises(GridError):
+            weyl_derivative_left(flagged, 0.3)
+
 
 class TestWeylRight:
     def test_zero_input(self):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracpath.frac_calc import (_hat_moments, _tail_bands, marchaud_difference_abs,
-                                weyl_derivative_right)
+from fracpath.frac_calc import (_hat_moments, _lower_toeplitz, _tail_bands,
+                                marchaud_difference_abs, weyl_derivative_right)
 from fracpath.grids import GridFunction, SpaceTimeField
 from fracpath import fbm, norms
 
@@ -164,7 +164,7 @@ def traced_peak(fn, *args):
 
 
 class TestBandedSweep:
-    # n = 1024 and 2049 span several bands of about 1 MB, 2049 with a short last band
+    # n = 1024 and 2049 span many 32-row bands, 2049 with a short last band
     @pytest.mark.parametrize("n", [2, 3, 64, 257, 1024, 2049])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_bitwise_equal_to_column_sweep(self, n, alpha):
@@ -181,6 +181,53 @@ class TestBandedSweep:
         assert traced_peak(norms.norm_1malpha_infty0, g, a) < 4e6
         D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
         assert traced_peak(norms.lambda_from_pair_matrix, D, a) < 1e6
+
+
+def one_band_sweep(v, h, a, scale, absolute):
+    """Oracle: the pair sweep of ``norms._right_bands`` as one band, rows
+    1..n against columns 0..n-1, with the column sums of C d as one cumsum
+    from a zero row."""
+    n = v.size - 1
+    A, B = _hat_moments(a - 1.0, n)
+    Bt = _lower_toeplitz(B[1:], 0.0)[1:, :n]
+    Ct = _lower_toeplitz((A + B)[1:], 0.0)[1:, :n]
+    dist = _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - a), np.inf)[1:, :n]
+    X = v[None, :n] - v[1:, None]
+    if absolute:
+        X = np.abs(X)
+    P = np.cumsum(np.concatenate((np.zeros((1, n)), Ct * X)), axis=0)
+    S = Bt * X
+    S += P[:-1]
+    S *= scale
+    return X / dist + S
+
+
+class TestFixedRowBands:
+    # band edges at 32-row multiples: one short band, exact multiples, one row over
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 64, 96, 256, 511, 512, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_bitwise_the_one_band_sweep(self, n, alpha):
+        g = fbm.fbm_path(0.75, n, 500 + n).values
+        h = 1.0 / n
+        ref = np.zeros((n + 1, n + 1))
+        ref[1:, :n] = one_band_sweep(g, h, alpha, (1.0 - alpha) * h ** (alpha - 1.0), False)
+        ref[1:, :n] *= 1.0 / math.gamma(alpha)
+        D = norms.right_derivative_pair_matrix(g, h, alpha)
+        assert D.tobytes() == ref.tobytes()
+        holder = max(0.0, float(one_band_sweep(g, h, alpha, h ** (alpha - 1.0), True).max()))
+        assert norms.norm_1malpha_infty0(g, alpha) == holder
+
+    def test_scratch_is_a_few_bands_at_n256(self):
+        # beside D the sweep holds three buffers of at most (rows + 1) n values
+        # and the temporaries of one band: 0.35 MB traced, about 5.2 such
+        # buffers; one band of the whole square traced 1.7 MB
+        n, a = 256, 0.3
+        g = fbm.fbm_path(0.75, n, 11).values
+        norms.right_derivative_pair_matrix(g, 1.0 / n, a)   # fill the weight caches
+        band = (norms._SWEEP_ROWS + 1) * n * 8
+        matrix = (n + 1) ** 2 * 8
+        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 8 * band
+        assert traced_peak(norms.norm_1malpha_infty0, g, a) < 8 * band
 
 
 def pruning_rows(n, seed):
