@@ -17,11 +17,13 @@ finiteness again only for an input that may carry a NaN endpoint: the
 ``GridFunction`` constructor checked every other.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
-of slices.  It sums only the lower triangle of node pairs, in bands of
-about 1 MB read against a strided Toeplitz view of the O(n) weight vector,
-so no (n+1)^2 weight matrix is formed or cached.  The node differences of
-a band are built in place in its buffer: a fill, then a subtraction.  A
-caller may sum only some bands; the slice norm skips those without its max.
+of slices.  It sums only the lower triangle of node pairs, in blocks of
+at most about 1 MB read against a strided Toeplitz view of the O(n)
+weight vector, so no (n+1)^2 weight matrix is formed or cached.  Past one
+block a slice is summed in bands of ``_SWEEP_ROWS`` rows.  The node
+differences of a band are built in place in its buffer: a fill, then a
+subtraction.  A caller may sum only some bands; the slice norm skips those
+without its max.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -51,6 +53,9 @@ __all__ = [
 _MIN_BETA_ORDER = 1e-6
 # pairs per block of the Hoelder-tail kernel: 2^17 float64 values, about 1 MB
 _BLOCK_ELEMENTS = 1 << 17
+# rows per band of the pair sweep (``norms._right_bands``), whose buffers
+# stay small at every n, and, past one block, of the Hoelder tail
+_SWEEP_ROWS = 32
 # cells from which the Stieltjes sweep and the Weyl convolution run by rfft:
 # the measured crossover of the sweep's contraction.  The Weyl convolution's
 # own crossover is about 768 cells; one value serves both until a workload
@@ -170,10 +175,14 @@ def _tail_weights(n: int, alpha: float) -> np.ndarray:
 
 
 def _tail_bands(n: int) -> range:
-    """First rows of the bands of about ``_BLOCK_ELEMENTS`` pairs in which the
-    Hoelder tail of one slice is summed: rows 2..n, as rows 0 and 1 pair
-    with column 0 alone."""
-    return range(2, n + 1, max(1, min(n - 1, _BLOCK_ELEMENTS // (n + 1))))
+    """First rows of the bands in which the Hoelder tail of one slice is
+    summed: rows 2..n, as rows 0 and 1 pair with column 0 alone.  One band
+    while the square fits one block of ``_BLOCK_ELEMENTS`` pairs (n <= 362),
+    else bands of ``_SWEEP_ROWS`` rows, fewer where that many rows exceed a
+    block (n >= 4096), so that a slice norm can skip most of them."""
+    rows = _BLOCK_ELEMENTS // (n + 1)
+    step = n - 1 if n - 1 <= rows else min(rows, _SWEEP_ROWS)
+    return range(2, n + 1, max(1, step))
 
 
 def _difference_kernel(n: int, alpha: float) -> tuple:
@@ -206,10 +215,11 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=No
     result for that row.  Only the pairs j < i carry weight.  Column 0 gets
     the boundary weight B[i] and is added as one vector term; columns
     1..i-1 get the Toeplitz weights C[i-j] (``_tail_weights``), reduced row
-    by row in blocks of about ``_BLOCK_ELEMENTS`` pairs, so no (n+1)^2
-    array is formed.  A block holds whole slices when they fit, and
-    otherwise a band of rows of one slice.  Its differences are built in
-    place: each row is filled with f(x_i), then f(x_j) is subtracted.
+    by row in blocks of at most about ``_BLOCK_ELEMENTS`` pairs, so no
+    (n+1)^2 array is formed.  A block holds whole slices when they fit,
+    and otherwise a band of rows of one slice (``_tail_bands``).  Its
+    differences are built in place: each row is filled with f(x_i), then
+    f(x_j) is subtracted.
 
     ``bands`` lists the first rows (from ``_tail_bands(n)``) of the bands to
     sum, each bitwise as in the full call, ``None`` all; the rows of the

@@ -24,8 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frac_calc import (_BLOCK_ELEMENTS, _difference_weights, _hat_moments, _lower_toeplitz,
-                        _tail_bands, left_power_integral, marchaud_difference_abs)
+from .frac_calc import (_BLOCK_ELEMENTS, _SWEEP_ROWS, _difference_weights, _hat_moments,
+                        _lower_toeplitz, _tail_bands, left_power_integral,
+                        marchaud_difference_abs)
 from .grids import GridError, GridFunction, SpaceTimeField, order_value
 
 __all__ = [
@@ -146,12 +147,6 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     tail = marchaud_difference_abs(f.values, f.h, a)
     second = f.h * (tail.sum() - 0.5 * (tail[0] + tail[-1]))
     return float(first + second)
-
-
-# rows per band of the pair sweep (``_right_bands``): its three buffers stay
-# small at every n, and only the pairs left of each band's last row are
-# computed
-_SWEEP_ROWS = 32
 
 
 def _row_bands(n: int) -> list:

@@ -415,16 +415,22 @@ def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
 
 
 def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
-                      driver: DrivingField, constants: ProofConstants) -> dict:
-    """Measured Lipschitz ratio of F on a field pair against the b5*T ceiling."""
+                      driver: DrivingField, constants: ProofConstants, *,
+                      field_norms: tuple | None = None) -> dict:
+    """Measured Lipschitz ratio of F on a field pair against the b5*T ceiling.
+
+    ``field_norms`` are the norms of Y1 and Y2 when the caller has them (a
+    field scaled by s > 0 has s times the norm); without them they are
+    computed.  Either way a field outside the ball of radius R1 is refused.
+    """
     a = cfg.alpha
     if Y1.values.shape != Y2.values.shape or abs(Y1.T - Y2.T) > 1e-12:
         raise GridError("probe fields must share one grid")
     if np.array_equal(Y1.values, Y2.values):
         raise GridError("probe fields must differ (zero denominator)")
-    n1 = norms.norm_alpha_infty(Y1, a)
-    n2 = norms.norm_alpha_infty(Y2, a)
-    if max(n1, n2) > constants.r1 * (1.0 + 1e-9):
+    if field_norms is None:
+        field_norms = (norms.norm_alpha_infty(Y1, a), norms.norm_alpha_infty(Y2, a))
+    if max(field_norms) > constants.r1 * (1.0 + 1e-9):
         raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
     F1 = apply_F(Y1, cfg.phi, cfg.coeff, driver, a)
     F2 = apply_F(Y2, cfg.phi, cfg.coeff, driver, a)
@@ -443,12 +449,15 @@ def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
     each field scaled to 0.8 R1, summarized as one verdict."""
     probes = []
     for _ in range(trials):
-        pair = []
+        pair, scaled_norms = [], []
         for _ in range(2):
             Y = random_smooth_field(PROBE_TIME_CELLS, cfg.n, t_w, rng)
-            s = 0.8 * constants.r1 / max(norms.norm_alpha_infty(Y, cfg.alpha), 1e-12)
+            nrm = norms.norm_alpha_infty(Y, cfg.alpha)
+            s = 0.8 * constants.r1 / max(nrm, 1e-12)
             pair.append(SpaceTimeField(t_w, Y.values * s))
-        probes.append(contraction_probe(*pair, cfg, driver, constants))
+            scaled_norms.append(s * nrm)
+        probes.append(contraction_probe(*pair, cfg, driver, constants,
+                                        field_norms=tuple(scaled_norms)))
     return {
         "passed": all(p["passed"] for p in probes),
         "max_ratio": max((p["ratio"] for p in probes), default=0.0),

@@ -286,6 +286,25 @@ class TestEnsembleCommand:
             assert row[5] == "1"
             assert float(row[4]) >= 0.0
 
+    def test_executor_imported_only_by_ensembles(self):
+        # concurrent.futures pulls in logging, 5-8 ms of every CLI start
+        r = subprocess.run([sys.executable, "-c", "import sys, fracpath.cli; "
+                            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+    def test_failed_gronwall_exit_1(self, tmp_path):
+        # A = 1 moves Y = t xi off phi = 0, above the envelope ||phi|| exp(K t) = 0:
+        # every member converges and fails the Gronwall verdict, as in solve
+        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5},
+                     A={"kind": "const", "params": {"c": 1.0}}, phi={"kind": "zero"})
+        rc = cli.main(["--out", str(tmp_path), "ensemble", str(tmp_path / "cfg.json"),
+                       "--count", "2", "--seed", "1"])
+        stats = json.loads((tmp_path / "ensemble_stats.json").read_text())
+        assert stats["converged"] == 2 and not stats["all_gronwall_passed"]
+        assert rc == 1
+
     @pytest.mark.parametrize("flags", [("--count", "2", "--seed", "-1"),
                                        ("--count", "-1", "--seed", "1"),
                                        ("--count", "0", "--seed", "1")],

@@ -9,6 +9,7 @@ from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
     _BLOCK_ELEMENTS,
     _FFT_MIN_N,
+    _SWEEP_ROWS,
     _convolve,
     _difference_kernel,
     _difference_weights,
@@ -330,16 +331,23 @@ def holder_tail_double_loop(v, h, alpha):
     return out * h ** (-alpha)
 
 
-def holder_tail_out_of_place(values, h, alpha):
+def block_band_rows(n):
+    """Rows per band of the Hoelder tail when every band filled one block of
+    ``_BLOCK_ELEMENTS`` pairs, before bands of ``_SWEEP_ROWS`` rows."""
+    return min(n - 1, max(1, _BLOCK_ELEMENTS // (n + 1)))
+
+
+def holder_tail_out_of_place(values, h, alpha, step=None):
     """Reference: the blocked Hoelder tail with each block of differences
-    formed by one out-of-place broadcast subtraction."""
+    formed by one out-of-place broadcast subtraction, in bands of ``step``
+    rows (default the kernel's own, ``_tail_bands``)."""
     rows = np.asarray(values, dtype=float).reshape(-1, np.shape(values)[-1])
     k, n = rows.shape[0], rows.shape[1] - 1
     _, B = _hat_moments(-alpha, n)
     out = np.abs(rows - rows[:, :1]) * B
     if n >= 2:
         toeplitz = _tail_weights(n, alpha)
-        step = min(n - 1, max(1, _BLOCK_ELEMENTS // (n + 1)))
+        step = _tail_bands(n).step if step is None else step
         group = max(1, min(k, _BLOCK_ELEMENTS // (n * n)))
         for s0 in range(0, k, group):
             s1 = min(s0 + group, k)
@@ -403,6 +411,24 @@ class TestHolderTailKernel:
         rows = [r for r0 in starts for r in range(r0, min(r0 + starts.step, n + 1))]
         assert rows == list(range(2, n + 1))
         assert starts.step * (n + 1) <= max(_BLOCK_ELEMENTS, n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 256, 361, 362, 4095, 4096, 8192])
+    def test_layout_kept_where_a_band_fills_a_block(self, n):
+        # one band up to n = 362, and block-sized bands of <= 32 rows from 4095 on
+        assert _tail_bands(n) == range(2, n + 1, max(1, block_band_rows(n)))
+
+    @pytest.mark.parametrize("n", [363, 1024, 2048])
+    def test_bands_of_sweep_rows_in_between(self, n):
+        assert _tail_bands(n).step == _SWEEP_ROWS < block_band_rows(n)
+
+    @pytest.mark.parametrize("n", [400, 512, 700, 1024, 1500, 2049])
+    def test_sweep_row_bands_agree_with_block_bands(self, n):
+        # only the einsum's summation order changes with the band height
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n + 1).cumsum()
+        new = marchaud_difference_abs(v, 1.0 / n, 0.37)
+        old = holder_tail_out_of_place(v, 1.0 / n, 0.37, step=block_band_rows(n))
+        assert (np.abs(new - old) <= 4 * np.spacing(old)).all()
 
     @pytest.mark.parametrize("n, k", [(363, 1), (1024, 1), (1024, 3), (4096, 1)])
     def test_band_selection_is_bitwise_the_full_call(self, n, k):

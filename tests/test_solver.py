@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from fracpath.grids import GridError, GridFunction, SpaceTimeField
-from fracpath import coefficients as co, fbm, norms, solver
+from fracpath import cli, coefficients as co, fbm, norms, solver
 from fracpath.sampling import random_smooth_field
+
+# the solve config of the README
+README_CONFIG = {
+    "hurst": 0.75, "alpha": 0.3,
+    "grid": {"m": 200, "n": 256, "T": 0.5},
+    "driver": {"model": "frozen", "seed": 7},
+    "phi": {"kind": "sine", "params": {"k": 1, "amplitude": 0.5}},
+    "A": {"kind": "tanh", "params": {"scale": 1.0}},
+    "picard": {"tol": 1e-9, "max_iter": 60},
+    "window_policy": "paper-constants",
+}
 
 
 def ramp_phi(n):
@@ -384,6 +395,62 @@ class TestContractionProbe:
         assert sweep["ceiling"] == probes[0]["ceiling"]
         assert sweep["passed"] == all(p["passed"] for p in probes)
         assert sweep["trials"] == 25
+
+    @staticmethod
+    def swept_probes(name, monkeypatch):
+        """Every ``contraction_probe`` call of a contraction sweep on the README
+        config or on the ``verify contraction`` config: (args, kwargs, result)."""
+        if name == "readme":
+            cfg, build = cli._read_config(README_CONFIG)
+            drv = build()
+        else:
+            cfg, drv = cli._probe_config(96)
+        cons = constants_for(cfg, drv)
+        calls = []
+        probe = solver.contraction_probe
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, probe(*args, **kwargs)))
+            return calls[-1][2]
+        monkeypatch.setattr(solver, "contraction_probe", spy)
+        solver.contraction_sweep(cfg, drv, cons, min(cons.t2, cfg.T), 5,
+                                 np.random.default_rng(1))
+        monkeypatch.undo()
+        assert len(calls) == 5
+        return calls
+
+    @pytest.mark.parametrize("name", ["readme", "probe96"])
+    def test_known_field_norms_give_the_same_probe(self, name, monkeypatch):
+        for args, kwargs, result in self.swept_probes(name, monkeypatch):
+            assert set(kwargs) == {"field_norms"}
+            assert solver.contraction_probe(*args) == result
+
+    @pytest.mark.parametrize("name", ["readme", "probe96"])
+    def test_known_field_norms_match_the_scaled_fields(self, name, monkeypatch):
+        # s ||Y|| against ||s Y||: the norm is positively homogeneous
+        for args, kwargs, _ in self.swept_probes(name, monkeypatch):
+            cfg = args[2]
+            for Y, known in zip(args[:2], kwargs["field_norms"]):
+                measured = norms.norm_alpha_infty(Y, cfg.alpha)
+                assert known == pytest.approx(measured, rel=1e-14, abs=0.0)
+
+    def test_known_field_norms_above_r1_refused(self):
+        cfg, drv = cli._probe_config(96)
+        cons = constants_for(cfg, drv)
+        rng = np.random.default_rng(3)
+        Y1, Y2 = (random_smooth_field(4, 96, 0.01, rng) for _ in range(2))
+        n1, n2 = (norms.norm_alpha_infty(Y, cfg.alpha) for Y in (Y1, Y2))
+        inside = [SpaceTimeField(0.01, Y.values * (0.5 * cons.r1 / nrm))
+                  for Y, nrm in ((Y1, n1), (Y2, n2))]
+        outside = [SpaceTimeField(0.01, Y.values * (1.5 * cons.r1 / nrm))
+                   for Y, nrm in ((Y1, n1), (Y2, n2))]
+        with pytest.raises(GridError, match="leave the ball"):
+            solver.contraction_probe(*inside, cfg, drv, cons,
+                                     field_norms=(0.5 * cons.r1, 1.5 * cons.r1))
+        with pytest.raises(GridError, match="leave the ball"):
+            solver.contraction_probe(*outside, cfg, drv, cons)
+        solver.contraction_probe(*inside, cfg, drv, cons,
+                                 field_norms=(0.5 * cons.r1, 0.5 * cons.r1))
 
     def test_ratio_scales_linearly_in_window_length(self):
         cfg = make_cfg(n=64)
