@@ -121,10 +121,17 @@ def _difference_weights(n: int, alpha: float):
 @lru_cache(maxsize=16)
 def _fft_length(n: int) -> int:
     """Smallest 5-smooth integer >= 2n + 1: a causal convolution of n + 1
-    values at that length does not wrap."""
-    e = range((2 * n).bit_length() + 1)
-    return min(m for m in (2 ** i * 3 ** j * 5 ** k for i in e for j in e for k in e)
-               if m > 2 * n)
+    values at that length does not wrap: over the odd parts 3^j 5^k below
+    2(2n + 1), the least power of two times each that reaches 2n + 1."""
+    target = 2 * n + 1
+    best, p5 = 2 * target, 1
+    while p5 < 2 * target:
+        p35 = p5
+        while p35 < 2 * target:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @lru_cache(maxsize=64)
@@ -192,15 +199,15 @@ def _difference_kernel(n: int, alpha: float) -> tuple:
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node.
 
-    The rfft path takes the row centered at its mid-range: only differences
+    Both paths take the row centered at its mid-range: only differences
     enter, so the shift is exact and keeps an offset from cancelling."""
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     C, A, rowsum = _difference_weights(n, alpha)
+    v = v - 0.5 * (v.max() + v.min())
     if n < _FFT_MIN_N:
         conv = np.convolve(C, v)[: n + 1]
     else:
-        v = v - 0.5 * (v.max() + v.min())
         conv = _convolve(v, _difference_kernel, alpha)[0]
     out = (v * rowsum - (conv - A * v[0])) * h ** (-alpha)
     out[0] = 0.0

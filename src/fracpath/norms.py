@@ -12,9 +12,12 @@ left of its last row, with buffers sized to one band; its values are
 bitwise the same for any band height.
 
 The slice norm is the max over nodes of |f| plus the Hoelder tail.  Over
-several kernel bands, an O(n^1.5) upper bound at every node picks the bands
-to sum: the one with the largest bound, then each whose bound reaches the
-max so far.  The rest cannot hold the max: the norm is the full kernel's.
+several kernel bands, an O(n^1.5) upper bound at every node, taken for a
+whole stack of slices in one call, picks the bands to sum: the one with the
+largest bound, then each whose bound reaches the max so far.  The rest
+cannot hold the max: the norm is the full kernel's.  A caller that needs
+only the largest norm of a stack (``max_slice_norm``) carries one such
+floor across all its slices and skips every slice whose bound stays below.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "lambda_from_pair_matrix",
     "slice_norm_alpha_infty",
     "slice_norms_alpha_infty",
+    "max_slice_norm",
     "right_derivative_pair_matrix",
 ]
 
@@ -56,9 +60,33 @@ def slice_norms_alpha_infty(rows: np.ndarray, h: float, alpha) -> np.ndarray:
     """
     a = order_value(alpha)
     v = np.asarray(rows, dtype=float)
-    if len(_tail_bands(v.shape[-1] - 1)) < 2 or not np.isfinite(v).all():
+    top = _band_tops(v, h, a)
+    if top is None:
         return _node_totals(v, h, a, None).max(axis=1)
-    return np.array([_slice_max(stack, h, a) for stack in v[:, None, :]])
+    return np.array([_band_max(v[i:i + 1], t, h, a, -np.inf) for i, t in enumerate(top)])
+
+
+def max_slice_norm(rows: np.ndarray, h: float, alpha) -> float:
+    """The largest slice norm of the rows of a (k, n+1) stack, bitwise
+    ``slice_norms_alpha_infty(rows, h, alpha).max()`` (NaN for a stack with
+    a non-finite entry).
+
+    Rows are visited in order of their largest band bound with one floor
+    for the whole stack: a row sums only the bands whose bound reaches it,
+    and the first row whose largest bound is below it ends the search.
+    """
+    a = order_value(alpha)
+    v = np.asarray(rows, dtype=float)
+    top = _band_tops(v, h, a)
+    if top is None:
+        return float(_node_totals(v, h, a, None).max())
+    largest = top.max(axis=1)
+    floor = -np.inf
+    for i in np.argsort(-largest, kind="stable"):
+        if largest[i] < floor:
+            break
+        floor = _band_max(v[i:i + 1], top[i], h, a, floor)
+    return float(floor)
 
 
 def _node_totals(rows: np.ndarray, h: float, a: float, bands) -> np.ndarray:
@@ -68,21 +96,35 @@ def _node_totals(rows: np.ndarray, h: float, a: float, bands) -> np.ndarray:
     return total
 
 
-def _slice_max(stack: np.ndarray, h: float, a: float) -> float:
-    """The max of ``_node_totals`` of one finite slice (1, n+1), with the bands
-    whose bound stays below a floor skipped.  A partial sum is at most the
-    full one at every node, so the max of any partial sum is a floor."""
-    starts = _tail_bands(stack.shape[1] - 1)
-    top = np.maximum.reduceat(_tail_bound(stack[0], h, a), starts)
+def _band_tops(v: np.ndarray, h: float, a: float):
+    """The largest node bound in each tail band of every row (k, bands), or
+    None where the stack goes through one full kernel call: a tail of one
+    band (n <= 362) or a non-finite entry."""
+    starts = _tail_bands(v.shape[-1] - 1)
+    if len(starts) < 2 or not np.isfinite(v).all():
+        return None
+    return np.maximum.reduceat(_tail_bound(v, h, a), starts, axis=1)
+
+
+def _band_max(row: np.ndarray, top: np.ndarray, h: float, a: float, floor: float) -> float:
+    """The larger of ``floor`` and the max of ``_node_totals`` of one finite
+    row (1, n+1) with band bounds ``top``: the band with the largest bound
+    is summed first, then each other whose bound reaches the floor.  A
+    partial sum is at most the full one at every node, so the max of any
+    partial sum is a floor, and a band below it cannot hold the max."""
+    starts = _tail_bands(row.shape[1] - 1)
     first = starts[int(np.argmax(top))]
-    floor = _node_totals(stack, h, a, (first,)).max()
+    floor = max(floor, _node_totals(row, h, a, (first,)).max())
     rest = [r0 for r0, u in zip(starts, top) if r0 != first and not u < floor]
     if rest:
-        floor = max(floor, _node_totals(stack, h, a, rest).max())
+        floor = max(floor, _node_totals(row, h, a, rest).max())
     return floor
 
 
 _NEAR = 16   # distances summed exactly in the bound; farther ones by blocks
+# the window positions _NEAR - d of node i < d + 1, which stand for no column
+_NEAR_MASK = np.add.outer(np.arange(_NEAR), np.arange(_NEAR)) >= _NEAR
+_NEAR_MASK.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
@@ -98,31 +140,49 @@ def _far_weights(n: int, alpha: float):
 
 
 def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
-    """An upper bound of |f| plus the Hoelder tail at every node of a finite
-    slice, in O(n (_NEAR + n/s)).  Column 0 and distances <= _NEAR are exact;
-    for column j in far block k, |f_i - f_j| <= |f_i - mid_k| + rad_k, with
-    mid_k the centre of the block's range and rad_k its farther end.  Block
-    k weights only the nodes i >= s k + _NEAR + 2, so each chunk of nodes
-    sums only the blocks left of its last node."""
-    n = v.size - 1
+    """An upper bound of |f| plus the Hoelder tail at every node of each
+    finite slice of a stack (k, n+1), n > _NEAR, in O(n (_NEAR + n/s)) per
+    slice.  Column 0 and distances <= _NEAR are exact, the latter as one
+    strided pass; for column j in far block k, |f_i - f_j| <= |f_i - mid_k|
+    + rad_k, with mid_k the centre of the block's range and rad_k its
+    farther end.  Block k weights only the nodes i >= s k + _NEAR + 2, so
+    each chunk of nodes sums only the blocks left of its last node.  Rows
+    go in groups and nodes in chunks, so scratch stays near one
+    ``_BLOCK_ELEMENTS`` block."""
+    k, n = v.shape[0], v.shape[1] - 1
     C, _, _ = _difference_weights(n, a)
-    tail = _hat_moments(-a, n)[1] * np.abs(v - v[0])
-    for d in range(1, min(_NEAR, n - 1) + 1):
-        tail[d + 1:] += C[d] * np.abs(v[d + 1:] - v[1:n + 1 - d])
+    tail = np.abs(v - v[:, :1])
+    tail *= _hat_moments(-a, n)[1]
+    # node i sees v[i - d] at window position _NEAR - d; the zero pad stands
+    # for the columns j < 1, and _NEAR_MASK drops them
+    near = C[_NEAR:0:-1]
     s, W = _far_weights(n, a)
-    lo, hi = (f.reduceat(v[1:n], np.arange(0, n - 1, s)) for f in (np.minimum, np.maximum))
+    lo, hi = (f.reduceat(v[:, 1:n], np.arange(0, n - 1, s), axis=1)
+              for f in (np.minimum, np.maximum))
     mid = 0.5 * (lo + hi)
     rad = np.maximum(hi - mid, mid - lo)
-    # nodes per chunk: a multiple of s, about 1/4 MB at full height
-    step = max(s, _BLOCK_ELEMENTS // 4 // mid.size // s * s)
-    buf = np.empty(mid.size * step)
-    for c0 in range(_NEAR + 2, n + 1, step):
-        c1 = min(c0 + step, n + 1)
-        k = min(mid.size, (c1 - _NEAR - 3) // s + 1)   # blocks that weight a node < c1
-        D = buf[:k * (c1 - c0)].reshape(k, c1 - c0)
-        np.abs(np.subtract(v[c0:c1], mid[:k, None], out=D), out=D)
-        D += rad[:k, None]
-        tail[c0:c1] += np.einsum("ki,ki->i", W[:k, c0:c1], D)
+    blocks = mid.shape[1]
+    step = 8 * s   # nodes per chunk: about n/4, the measured best at n = 1024 and 4096
+    group = min(k, max(1, _BLOCK_ELEMENTS // max(blocks * step, _NEAR * n)))   # rows per group
+    buf = np.empty(group * max(blocks * step, _NEAR * n))
+    padded = np.zeros((group, _NEAR + n))
+    for g0 in range(0, k, group):
+        g1 = min(g0 + group, k)
+        r = g1 - g0
+        padded[:r, _NEAR:] = v[g0:g1, 1:]
+        win = np.ndarray((r, n, _NEAR + 1), buffer=padded,
+                         strides=padded.strides + padded.strides[1:])
+        N = buf[:r * n * _NEAR].reshape(r, n, _NEAR)
+        np.abs(np.subtract(win[:, :, _NEAR:], win[:, :, :_NEAR], out=N), out=N)
+        N[:, :_NEAR] *= _NEAR_MASK
+        tail[g0:g1, 1:] += N @ near   # a BLAS matvec; the slack below covers its rounding
+        for c0 in range(_NEAR + 2, n + 1, step):
+            c1 = min(c0 + step, n + 1)
+            kb = min(blocks, (c1 - _NEAR - 3) // s + 1)   # blocks that weight a node < c1
+            D = buf[:r * kb * (c1 - c0)].reshape(r, kb, c1 - c0)
+            np.abs(np.subtract(v[g0:g1, None, c0:c1], mid[g0:g1, :kb, None], out=D), out=D)
+            D += rad[g0:g1, :kb, None]
+            tail[g0:g1, c0:c1] += np.einsum("bi,rbi->ri", W[:kb, c0:c1], D)
     # a slack of 1 + 1e-9, far above the rounding of either sum of nonnegative
     # terms (about n * eps <= 1e-12 at n <= 4096); 1e-300 covers underflow
     return (tail * h ** (-a) + np.abs(v)) * (1.0 + 1e-9) + 1e-300
@@ -130,7 +190,7 @@ def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
 
 def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
     """sup over t and xi of |f| plus the singular Hoelder tail in xi."""
-    return float(slice_norms_alpha_infty(f.values, f.h, alpha).max())
+    return max_slice_norm(f.values, f.h, alpha)
 
 
 def norm_alpha_1(f: GridFunction, alpha) -> float:

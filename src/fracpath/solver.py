@@ -245,7 +245,7 @@ def _window_norm(diff: np.ndarray, h: float, alpha: float) -> float:
     live = diff[diff.any(axis=1)]
     if live.shape[0] == 0:
         return 0.0
-    return float(norms.slice_norms_alpha_infty(live, h, alpha).max())
+    return norms.max_slice_norm(live, h, alpha)
 
 
 @dataclass
@@ -493,10 +493,10 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
         target = rng.uniform(0.2, 1.0) * constants.r1
         Yr = SpaceTimeField(t_w, Yr.values * (target / max(nrm, 1e-12)))
         images.append(apply_F(Yr, cfg.phi, cfg.coeff, driver, a))
-    results = [norms.norm_alpha_infty(F, a) for F in images]
-    passed = all(fn <= constants.r1 * (1.0 + _REL_SLACK) for fn in results)
-    return {"passed": bool(passed), "r1": constants.r1, "t1": t_w,
-            "worst_excess": float(max(results) - constants.r1), "trials": len(results)}
+    # the verdict and the excess need only the largest image norm
+    worst = norms.max_slice_norm(np.concatenate([F.values for F in images]), images[0].h, a)
+    return {"passed": bool(worst <= constants.r1 * (1.0 + _REL_SLACK)), "r1": constants.r1,
+            "t1": t_w, "worst_excess": float(worst - constants.r1), "trials": len(images)}
 
 
 def quadruple_inequality_check(coeff: CoefficientFunction, radius: float,

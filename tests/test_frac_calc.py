@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from fracpath.frac_calc import (
     _convolve,
     _difference_kernel,
     _difference_weights,
+    _fft_length,
     _hat_moments,
     _tail_bands,
     _tail_weights,
@@ -307,6 +309,21 @@ class TestWeylConvolution:
             ref, scale = direct_difference(v, 1.0 / n, alpha)
             got = marchaud_difference(v, 1.0 / n, alpha)
             assert np.abs(got - ref).max() <= 16 * eps * scale.max()
+
+    @pytest.mark.parametrize("n", [256, 511])
+    def test_direct_difference_ignores_an_offset(self, n):
+        # below _FFT_MIN_N an uncentered row cancelled: 3.4e-12 at n = 256
+        x = np.linspace(0.0, 1.0, n + 1)
+        base = marchaud_difference(np.sin(3.0 * x), 1.0 / n, 0.7)
+        shifted = marchaud_difference(np.sin(3.0 * x) + 100.0, 1.0 / n, 0.7)
+        assert np.abs(shifted - base).max() <= 1e-12 * np.abs(base).max()
+
+    def test_fft_length_is_the_smallest_5_smooth_above_2n(self):
+        # reference: the exhaustive search over every exponent triple
+        e = range(19)
+        smooth = sorted({2 ** i * 3 ** j * 5 ** k for i in e for j in e for k in e})
+        for n in [*range(2, 5001), 2 ** 14, 2 ** 16]:
+            assert _fft_length.__wrapped__(n) == smooth[bisect.bisect_right(smooth, 2 * n)], n
 
     def test_stacked_rows_equal_one_row_calls(self):
         n = 1024

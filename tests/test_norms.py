@@ -263,12 +263,31 @@ class TestPrunedSliceNorm:
         got = norms.slice_norms_alpha_infty(stack, 1.0 / n, alpha)
         assert got.tobytes() == full_kernel_max(stack, 1.0 / n, alpha).tobytes()
 
+    @pytest.mark.parametrize("n", [64] + SIZES)
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_stacked_max_is_bitwise_the_max_of_slice_norms(self, n, alpha):
+        rows = pruning_rows(n, n)
+        walk = rows["walk"]
+        stacks = [np.stack(list(rows.values())),
+                  np.stack([rows[k] for k in ("smooth", "step", "walk", "spike")]),
+                  np.stack([c * walk for c in (0.5, 2.0, 1.0, -2.0)]),   # ties in the max
+                  rows["spike"][None, :]]
+        for stack in stacks:
+            got = norms.max_slice_norm(stack, 1.0 / n, alpha)
+            want = norms.slice_norms_alpha_infty(stack, 1.0 / n, alpha).max()
+            assert np.float64(got).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [363, 1024, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_bound_dominates_every_node(self, n, alpha):
-        for name, row in pruning_rows(n, n + 1).items():
-            exact = marchaud_difference_abs(row, 1.0 / n, alpha) + np.abs(row)
-            assert (norms._tail_bound(row, 1.0 / n, alpha) >= exact).all(), name
+        rows = list(pruning_rows(n, n + 1).values())
+        # each row again at 2 and 3 times its size once the ten are used up
+        rows = np.stack([rows[i % 10] * (1 + i // 10) for i in range(25)])
+        exact = marchaud_difference_abs(rows, 1.0 / n, alpha) + np.abs(rows)
+        for k in (1, 5, 25):
+            for i in range(0, 25, k):
+                bound = norms._tail_bound(rows[i:i + k], 1.0 / n, alpha)
+                assert (bound >= exact[i:i + k]).all(), (k, i)
 
     @pytest.mark.parametrize("n", [256, 1024])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -278,6 +297,7 @@ class TestPrunedSliceNorm:
         with np.errstate(invalid="ignore"):   # inf - inf in the kernel
             got = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
             assert got.tobytes() == full_kernel_max(stack, 1.0 / n, 0.3).tobytes()
+            assert np.isnan(norms.max_slice_norm(stack, 1.0 / n, 0.3))
         assert np.isnan(got[1]) and np.isfinite(got[0])
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -312,7 +332,20 @@ class TestPrunedSliceNorm:
         monkeypatch.setattr(norms, "_tail_bound", None)   # a call would raise
         stack = np.stack([pruning_rows(n, 1)["walk"]] * 3)
         norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
-        assert summed == [1]
+        norms.max_slice_norm(stack, 1.0 / n, 0.3)
+        assert summed == [1, 1]
+
+    def test_stacked_max_skips_rows_below_the_floor(self, monkeypatch):
+        n = 1024
+        summed = self.band_spy(monkeypatch)
+        walk = pruning_rows(n, 2)["walk"]
+        stack = np.stack([c * walk for c in (0.25, 1.0, 0.5)])
+        norms.max_slice_norm(stack, 1.0 / n, 0.3)
+        one_row = list(summed)
+        summed.clear()
+        norms.slice_norm_alpha_infty(walk, 1.0 / n, 0.3)
+        # only the row of the largest norm is summed; the others end below its floor
+        assert one_row == summed
 
 
 class TestSharedProperties:
