@@ -296,22 +296,38 @@ def cmd_solve(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+# (name, f, g) of the classical Stieltjes integrals int f dg on [0, 1]
+_CLASSICAL_PAIRS = (
+    ("sin_x--x^2", np.sin, lambda t: t ** 2),
+    ("cos+2--cubic", lambda t: np.cos(math.pi * t) + 2.0, lambda t: t ** 3 / 3 + t),
+    ("exp--sin3", lambda t: np.exp(-t), lambda t: np.sin(3.0 * t)),
+    ("poly--cos", lambda t: t ** 2 + 1.0, lambda t: np.cos(t)),
+    ("rational--mixed", lambda t: 1.0 / (1.0 + t ** 2),
+     lambda t: t + 0.3 * np.sin(math.pi * t)),
+)
+# cells per chunk of a midpoint Stieltjes sum: its temporaries stay at 64 KB
+_REFERENCE_CHUNK = 1 << 13
+
+
+def _midpoint_stieltjes_sum(ffn, gfn, xs: np.ndarray, prod: np.ndarray) -> float:
+    """sum over the cells of the nodes ``xs`` of f(midpoint) times the
+    increment of g.  The products go into ``prod`` (one per cell) chunk by
+    chunk; each is bitwise the whole-array expression's, and so is the sum."""
+    for c0 in range(0, prod.size, _REFERENCE_CHUNK):
+        c1 = min(c0 + _REFERENCE_CHUNK, prod.size)
+        lo, hi = xs[c0:c1], xs[c0 + 1:c1 + 1]
+        np.multiply(ffn(0.5 * (lo + hi)), gfn(hi) - gfn(lo), out=prod[c0:c1])
+    return float(np.sum(prod))
+
+
 def _suite_stieltjes(seed: int) -> list:
     checks = []
     n = 2048
     x = np.linspace(0.0, 1.0, n + 1)
-    pairs = [
-        ("sin_x--x^2", np.sin, lambda t: t ** 2),
-        ("cos+2--cubic", lambda t: np.cos(math.pi * t) + 2.0, lambda t: t ** 3 / 3 + t),
-        ("exp--sin3", lambda t: np.exp(-t), lambda t: np.sin(3.0 * t)),
-        ("poly--cos", lambda t: t ** 2 + 1.0, lambda t: np.cos(t)),
-        ("rational--mixed", lambda t: 1.0 / (1.0 + t ** 2),
-         lambda t: t + 0.3 * np.sin(math.pi * t)),
-    ]
     xs = np.linspace(0.0, 1.0, 10 ** 5 + 1)
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    for name, ffn, gfn in pairs:
-        ref = float(np.sum(ffn(mid) * (gfn(xs[1:]) - gfn(xs[:-1]))))
+    prod = np.empty(xs.size - 1)
+    for name, ffn, gfn in _CLASSICAL_PAIRS:
+        ref = _midpoint_stieltjes_sum(ffn, gfn, xs, prod)
         val = stieltjes.stieltjes_integral(GridFunction(0, 1, ffn(x)),
                                            GridFunction(0, 1, gfn(x)), 0.3)
         rel = abs(val - ref) / abs(ref)

@@ -17,13 +17,15 @@ finiteness again only for an input that may carry a NaN endpoint: the
 ``GridFunction`` constructor checked every other.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
-of slices.  It sums only the lower triangle of node pairs, in blocks of
-at most about 1 MB read against a strided Toeplitz view of the O(n)
-weight vector, so no (n+1)^2 weight matrix is formed or cached.  Past one
-block a slice is summed in bands of ``_SWEEP_ROWS`` rows.  The node
-differences of a band are built in place in its buffer: a fill, then a
-subtraction.  A caller may sum only some bands; the slice norm skips those
-without its max.
+of slices.  It sums only the lower triangle of node pairs, in bands of rows
+read against a strided Toeplitz view of the O(n) weight vector, so no
+(n+1)^2 weight matrix is formed or cached.  Up to n = 182 a block holds
+whole slices (at most about 1 MB); up to n = 362 a slice is cut into the
+fewest equal bands of at most 2^15 pairs (256 KB); from there on into bands
+of ``_SWEEP_ROWS`` rows (at most about 1 MB).  The node differences of a
+band are built in place in its buffer: a fill, then a subtraction.  A
+caller may sum only some bands; from 363 cells on the slice norm skips
+those without its max.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -56,6 +58,9 @@ _BLOCK_ELEMENTS = 1 << 17
 # rows per band of the pair sweep (``norms._right_bands``), whose buffers
 # stay small at every n, and, past one block, of the Hoelder tail
 _SWEEP_ROWS = 32
+# pairs per band of the Hoelder tail of a slice whose square fits one block:
+# 2^15 float64 values, 256 KB
+_BAND_PAIRS = 1 << 15
 # cells from which the Stieltjes sweep and the Weyl convolution run by rfft:
 # the measured crossover of the sweep's contraction.  The Weyl convolution's
 # own crossover is about 768 cells; one value serves both until a workload
@@ -181,14 +186,27 @@ def _tail_weights(n: int, alpha: float) -> np.ndarray:
     return _lower_toeplitz(C[1:], 0.0)[:, :n]
 
 
+def _square_fits_block(n: int) -> bool:
+    """Whether the (n - 1)^2 node pairs of one slice fit one block of
+    ``_BLOCK_ELEMENTS`` pairs: n <= 362."""
+    return n - 1 <= _BLOCK_ELEMENTS // (n + 1)
+
+
 def _tail_bands(n: int) -> range:
     """First rows of the bands in which the Hoelder tail of one slice is
-    summed: rows 2..n, as rows 0 and 1 pair with column 0 alone.  One band
-    while the square fits one block of ``_BLOCK_ELEMENTS`` pairs (n <= 362),
-    else bands of ``_SWEEP_ROWS`` rows, fewer where that many rows exceed a
-    block (n >= 4096), so that a slice norm can skip most of them."""
-    rows = _BLOCK_ELEMENTS // (n + 1)
-    step = n - 1 if n - 1 <= rows else min(rows, _SWEEP_ROWS)
+    summed: rows 2..n, as rows 0 and 1 pair with column 0 alone.  While the
+    square fits one block (n <= 362), the fewest bands of equal height whose
+    rows against all n - 1 columns span at most ``_BAND_PAIRS`` pairs: one
+    band up to n = 182, two at n = 256, five at n = 362.  A band reads only
+    the columns left of its last row, so the bands cover the lower triangle.
+    From there on, bands of ``_SWEEP_ROWS`` rows, fewer where that many rows
+    exceed a block (n >= 4096), so that a slice norm can skip most of them."""
+    if _square_fits_block(n):
+        width = max(1, n - 1)
+        bands = -(-width // (_BAND_PAIRS // width))
+        step = -(-width // bands)
+    else:
+        step = min(_BLOCK_ELEMENTS // (n + 1), _SWEEP_ROWS)
     return range(2, n + 1, max(1, step))
 
 
@@ -222,11 +240,12 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=No
     result for that row.  Only the pairs j < i carry weight.  Column 0 gets
     the boundary weight B[i] and is added as one vector term; columns
     1..i-1 get the Toeplitz weights C[i-j] (``_tail_weights``), reduced row
-    by row in blocks of at most about ``_BLOCK_ELEMENTS`` pairs, so no
-    (n+1)^2 array is formed.  A block holds whole slices when they fit,
-    and otherwise a band of rows of one slice (``_tail_bands``).  Its
-    differences are built in place: each row is filled with f(x_i), then
-    f(x_j) is subtracted.
+    by row in blocks, so no (n+1)^2 array is formed.  A block holds whole
+    slices, up to ``_BLOCK_ELEMENTS`` pairs, while one band covers a slice
+    (n <= 182), and otherwise one band of rows of one slice
+    (``_tail_bands``: at most ``_BAND_PAIRS`` pairs up to n = 362, at most
+    ``_BLOCK_ELEMENTS`` from there on).  Its differences are built in
+    place: each row is filled with f(x_i), then f(x_j) is subtracted.
 
     ``bands`` lists the first rows (from ``_tail_bands(n)``) of the bands to
     sum, each bitwise as in the full call, ``None`` all; the rows of the
@@ -243,7 +262,8 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=No
         toeplitz = _tail_weights(n, alpha)
         starts = _tail_bands(n)
         step = starts.step                                      # rows per block
-        group = max(1, min(k, _BLOCK_ELEMENTS // (n * n)))      # slices per block
+        # slices per block: whole slices while one band holds a slice
+        group = max(1, min(k, _BLOCK_ELEMENTS // (n * n))) if len(starts) == 1 else 1
         buf = np.empty(group * step * (n - 1))
         for s0 in range(0, k, group):
             s1 = min(s0 + group, k)

@@ -11,13 +11,14 @@ node pairs in bands of ``_SWEEP_ROWS`` rows, each against only the columns
 left of its last row, with buffers sized to one band; its values are
 bitwise the same for any band height.
 
-The slice norm is the max over nodes of |f| plus the Hoelder tail.  Over
-several kernel bands, an O(n^1.5) upper bound at every node, taken for a
-whole stack of slices in one call, picks the bands to sum: the one with the
-largest bound, then each whose bound reaches the max so far.  The rest
-cannot hold the max: the norm is the full kernel's.  A caller that needs
-only the largest norm of a stack (``max_slice_norm``) carries one such
-floor across all its slices and skips every slice whose bound stays below.
+The slice norm is the max over nodes of |f| plus the Hoelder tail.  Up to
+n = 362 it is one full kernel call.  From 363 cells on, an O(n^1.5) upper
+bound at every node, taken for a whole stack of slices in one call, picks
+the kernel bands to sum: the one with the largest bound, then each whose
+bound reaches the max so far.  The rest cannot hold the max: the norm is
+the full kernel's.  A caller that needs only the largest norm of a stack
+(``max_slice_norm``) carries one such floor across all its slices and
+skips every slice whose bound stays below.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .frac_calc import (_BLOCK_ELEMENTS, _SWEEP_ROWS, _difference_weights, _hat_moments,
-                        _lower_toeplitz, _tail_bands, left_power_integral,
-                        marchaud_difference_abs)
+                        _lower_toeplitz, _square_fits_block, _tail_bands,
+                        left_power_integral, marchaud_difference_abs)
 from .grids import GridError, GridFunction, SpaceTimeField, order_value
 
 __all__ = [
@@ -55,8 +56,8 @@ def slice_norms_alpha_infty(rows: np.ndarray, h: float, alpha) -> np.ndarray:
     """The slice norm of every row of a (k, n+1) stack.
 
     Entry i is bitwise ``slice_norm_alpha_infty(rows[i], h, alpha)`` and the
-    max of the full Hoelder tail plus |f|.  A stack whose tail has one band
-    (nothing to skip) or a non-finite entry goes through one full kernel call.
+    max of the full Hoelder tail plus |f|.  A stack of n <= 362 cells or
+    with a non-finite entry goes through one full kernel call.
     """
     a = order_value(alpha)
     v = np.asarray(rows, dtype=float)
@@ -98,12 +99,13 @@ def _node_totals(rows: np.ndarray, h: float, a: float, bands) -> np.ndarray:
 
 def _band_tops(v: np.ndarray, h: float, a: float):
     """The largest node bound in each tail band of every row (k, bands), or
-    None where the stack goes through one full kernel call: a tail of one
-    band (n <= 362) or a non-finite entry."""
-    starts = _tail_bands(v.shape[-1] - 1)
-    if len(starts) < 2 or not np.isfinite(v).all():
+    None where the stack goes through one full kernel call: a slice whose
+    square fits one kernel block (n <= 362; pruning its few bands was
+    measured slower than summing them) or a non-finite entry."""
+    n = v.shape[-1] - 1
+    if _square_fits_block(n) or not np.isfinite(v).all():
         return None
-    return np.maximum.reduceat(_tail_bound(v, h, a), starts, axis=1)
+    return np.maximum.reduceat(_tail_bound(v, h, a), _tail_bands(n), axis=1)
 
 
 def _band_max(row: np.ndarray, top: np.ndarray, h: float, a: float, floor: float) -> float:

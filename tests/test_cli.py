@@ -246,6 +246,23 @@ class TestVerifyCommand:
             assert abs(c["worst_margin"] - margin) <= 1e-12 * max(1.0, abs(margin)), \
                 (suite, name)
 
+    def test_classical_references_are_the_one_shot_midpoint_sums(self, monkeypatch):
+        # the chunked references of the stieltjes suite, bitwise the sums of
+        # whole 10^5-point arrays
+        xs = np.linspace(0.0, 1.0, 10 ** 5 + 1)
+        mid = 0.5 * (xs[:-1] + xs[1:])
+        one_shot = {f"classical:{name}": float(np.sum(ffn(mid) * (gfn(xs[1:]) - gfn(xs[:-1]))))
+                    for name, ffn, gfn in cli._CLASSICAL_PAIRS}
+        got = {c["name"]: c["details"]["reference"] for c in cli._suite_stieltjes(7)
+               if c["name"].startswith("classical:")}
+        assert got == one_shot and len(got) == 5
+        prod = np.empty(xs.size - 1)
+        for chunk in (4096, 12345, 16384, xs.size):
+            monkeypatch.setattr(cli, "_REFERENCE_CHUNK", chunk)
+            for name, ffn, gfn in cli._CLASSICAL_PAIRS:
+                ref = cli._midpoint_stieltjes_sum(ffn, gfn, xs, prod)
+                assert ref == one_shot[f"classical:{name}"], (chunk, name)
+
 
 class TestEnsembleCommand:
     def test_single_run_matches_solve_with_split_seed(self, tmp_path):

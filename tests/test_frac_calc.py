@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracpath.grids import GridError, GridFunction
 from fracpath.frac_calc import (
+    _BAND_PAIRS,
     _BLOCK_ELEMENTS,
     _FFT_MIN_N,
     _SWEEP_ROWS,
@@ -407,9 +408,9 @@ class TestHolderTailKernel:
         np.testing.assert_allclose(out[1:], abs(c) * x[1:] ** (1 - alpha) / (1 - alpha),
                                    rtol=1e-13, atol=0.0)
 
-    # k = 40 slices of n = 64 span two blocks of whole slices; n >= 1024
+    # k = 40 slices of n = 64 span two blocks of whole slices; n >= 183
     # splits each slice into bands of rows
-    @pytest.mark.parametrize("n, k", [(2, 4), (7, 4), (64, 40), (256, 4),
+    @pytest.mark.parametrize("n, k", [(2, 4), (7, 4), (64, 40), (256, 4), (362, 3),
                                       (1024, 3), (4096, 2)])
     def test_stacked_rows_equal_one_slice_calls(self, n, k):
         rng = np.random.default_rng(n)
@@ -429,10 +430,25 @@ class TestHolderTailKernel:
         assert rows == list(range(2, n + 1))
         assert starts.step * (n + 1) <= max(_BLOCK_ELEMENTS, n + 1)
 
+    # rows per band: the whole square up to n = 182, the fewest equal bands
+    # of <= 2^15 pairs up to n = 362, block-sized bands of <= 32 rows from 4095 on
+    LAYOUT = {1: 1, 2: 1, 3: 2, 64: 63, 256: 128, 361: 90, 362: 73,
+              4095: 32, 4096: 31, 8192: 15}
+
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 256, 361, 362, 4095, 4096, 8192])
     def test_layout_kept_where_a_band_fills_a_block(self, n):
-        # one band up to n = 362, and block-sized bands of <= 32 rows from 4095 on
-        assert _tail_bands(n) == range(2, n + 1, max(1, block_band_rows(n)))
+        assert _tail_bands(n) == range(2, n + 1, self.LAYOUT[n])
+        if n >= 4095:
+            assert self.LAYOUT[n] == block_band_rows(n)
+
+    def test_bands_below_363_cells_are_the_fewest_of_at_most_2_15_pairs(self):
+        for n in range(2, 363):
+            starts = _tail_bands(n)
+            width, count = n - 1, len(starts)
+            assert starts.step * width <= _BAND_PAIRS, n
+            assert starts.step == -(-width // count), n            # equal heights
+            assert count == 1 or -(-width // (count - 1)) * width > _BAND_PAIRS, n
+            assert (count == 1) == (width * width <= _BAND_PAIRS), n
 
     @pytest.mark.parametrize("n", [363, 1024, 2048])
     def test_bands_of_sweep_rows_in_between(self, n):
@@ -447,7 +463,18 @@ class TestHolderTailKernel:
         old = holder_tail_out_of_place(v, 1.0 / n, 0.37, step=block_band_rows(n))
         assert (np.abs(new - old) <= 4 * np.spacing(old)).all()
 
-    @pytest.mark.parametrize("n, k", [(363, 1), (1024, 1), (1024, 3), (4096, 1)])
+    @pytest.mark.parametrize("n", [183, 256, 300, 362])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_banded_triangle_agrees_with_the_whole_square(self, n, alpha):
+        # only the einsum's summation order changes with the band layout
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n + 1).cumsum()
+        new = marchaud_difference_abs(v, 1.0 / n, alpha)
+        old = holder_tail_out_of_place(v, 1.0 / n, alpha, step=n - 1)
+        assert (np.abs(new - old) <= 4 * np.spacing(old)).all()
+
+    @pytest.mark.parametrize("n, k", [(256, 1), (256, 3), (362, 1), (362, 4),
+                                      (363, 1), (1024, 1), (1024, 3), (4096, 1)])
     def test_band_selection_is_bitwise_the_full_call(self, n, k):
         rng = np.random.default_rng(n + k)
         stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
@@ -465,6 +492,22 @@ class TestHolderTailKernel:
         assert (column0 <= full).all()
         every = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=starts)
         assert np.array_equal(every, full)
+
+    @pytest.mark.parametrize("n, k", [(256, 1), (362, 1), (256, 25)])
+    def test_scratch_of_one_band_below_363_cells(self, n, k):
+        # the whole square of a slice, or two of a stack, was 0.52 MB at
+        # n = 256; one band holds at most 2^15 pairs.  The broadcast
+        # subtraction adds numpy's ufunc buffer of getbufsize() values.
+        stack = np.random.default_rng(n).standard_normal((k, n + 1)).cumsum(axis=1)
+        values = stack[0] if k == 1 else stack
+        marchaud_difference_abs(values, 1.0 / n, 0.37)      # fills the weight caches
+        tracemalloc.start()
+        try:
+            marchaud_difference_abs(values, 1.0 / n, 0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (_BAND_PAIRS + stack.size + np.getbufsize()) + 8192
 
     def test_memory_ceiling_at_n4096(self):
         # a dense kernel would hold (n+1)^2 float64 arrays of 134 MB each

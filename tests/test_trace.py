@@ -2,9 +2,10 @@
 
 ``perfbench/run.py --trace 1`` fails a workload on which a span of
 ``EXPECTED_SPANS`` records no call.  These tests run ``perfbench/child.py``
-with a trace file, as the benchmark does, on a small frozen n = 1024 solve
-and on ``verify all``, and check the trace with the benchmark's own
-``layer_metrics`` and ``check_trace``; the perfbench files are only read.
+with a trace file, as the benchmark does, on small README-config (n = 256)
+and frozen n = 1024 solves and on ``verify all``, and check the trace with
+the benchmark's own ``layer_metrics`` and ``check_trace``; the perfbench
+files are only read.
 """
 
 import importlib.util
@@ -53,6 +54,16 @@ def test_frozen_n1024_solve_reaches_every_span(bench, tmp_path):
     path.write_text(json.dumps(cfg))
     layers = traced_run(bench, "solve-frozen-n1024", ["solve", str(path)], tmp_path)
     for name in bench.EXPECTED_SPANS["solve-frozen-n1024"]:
+        assert layers[f"{name}.calls"] > 0, name
+
+
+def test_readme_solve_reaches_every_span(bench, tmp_path):
+    cfg = bench.solve_config("solve-readme", bench.REFERENCE_SEED)
+    cfg["grid"].update(m=8, T=0.02)   # the workload's n = 256 and time step, fewer cells
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    layers = traced_run(bench, "solve-readme", ["solve", str(path)], tmp_path)
+    for name in bench.EXPECTED_SPANS["solve-readme"]:
         assert layers[f"{name}.calls"] > 0, name
 
 
