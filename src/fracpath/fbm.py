@@ -16,8 +16,9 @@ deterministic stubs are first-class drivers for oracle tests.
 
 A ``DrivingField`` is built once, with the integration operator
 (``stieltjes.SliceOperator``) of every distinct slice, and is read as it
-is: a time-constant driver has one slice and serves any time grid over its
-spatial grid.
+is: a time-constant driver holds its one slice once (its field is a
+read-only broadcast view of it) and serves any time grid over its spatial
+grid.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class DrivingField:
     iterations never re-quadrature: one for a time-constant driver, one per
     time node otherwise.  The operators are built one slice at a time, and
     from ``frac_calc._FFT_MIN_N`` cells on each keeps O(n) data, not its
-    pair matrix.
+    pair matrix.  A time-constant driver's ``field`` is a read-only
+    broadcast of its one slice to every time node.
     """
 
     field: SpaceTimeField
@@ -190,11 +192,9 @@ class DrivingField:
         return self.slices[0 if self.time_constant else t_index]
 
 
-def _finish_field(values2d: np.ndarray, T: float, alpha: float,
-                  time_constant: bool) -> DrivingField:
-    if not np.all(values2d[:, 0] == 0.0):
+def _finish_field(f: SpaceTimeField, alpha: float, time_constant: bool) -> DrivingField:
+    if not np.all(f.values[:, 0] == 0.0):
         raise GridError("driving field must satisfy g(t, 0) = 0")
-    f = SpaceTimeField(T, values2d)
     rows = f.values[:1] if time_constant else f.values
     ops = tuple(slice_operator(row, alpha) for row in rows)
     lam = max(op.lam for op in ops)
@@ -220,13 +220,15 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     vals = np.zeros((cfg.m + 1, cfg.n + 1))
     # einsum calls no BLAS, so the bits do not depend on the BLAS thread count
     vals[1:] = np.einsum("tk,kj->tj", L, paths)
-    return _finish_field(vals, cfg.T, a, False)
+    return _finish_field(SpaceTimeField(cfg.T, vals), a, False)
 
 
 def field_from_path(path: GridFunction, m: int, T: float, alpha) -> DrivingField:
-    """Frozen driver built from an explicit spatial path with g(0) = 0."""
-    vals = np.tile(path.values, (m + 1, 1))
-    return _finish_field(vals, T, order_value(alpha), True)
+    """Frozen driver built from an explicit spatial path with g(0) = 0.  Its
+    field is a read-only broadcast of the path's values to the m + 1 time
+    nodes, so the driver holds the path once."""
+    vals = np.broadcast_to(path.values, (m + 1, path.n + 1))
+    return _finish_field(SpaceTimeField._adopt(T, vals), order_value(alpha), True)
 
 
 def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
@@ -253,6 +255,11 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
 
 @dataclass
 class CovarianceReport:
+    """The Monte-Carlo check of the fBm law (fbm_validation.json): ``samples``
+    paths of n cells at Hurst parameter ``hurst``; one entry per checked
+    statistic with its kind, nodes, expected and observed value and z-score;
+    the largest |z|, and ``passed`` when it is at most 4."""
+
     hurst: float
     n: int
     samples: int

@@ -103,14 +103,28 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
+        self._hold(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, T: float, values: np.ndarray) -> "SpaceTimeField":
+        """A field over ``values`` itself, not a copy, for an array that
+        nothing else writes: a finished result, or a read-only broadcast of
+        one slice.  The array is made read-only and validated as the public
+        constructor validates its copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "T", T)
+        f._hold(np.asarray(values, dtype=float))
+        return f
+
+    def _hold(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "T", float(self.T))
-        arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if arr.ndim != 2:
             raise GridError("field values must be a 2-D array")
         check_grid(arr.shape[0] - 1, arr.shape[1] - 1, self.T)
-        if not np.isfinite(arr).all():
+        # a broadcast of one slice (row stride 0) is checked through that slice
+        if not np.isfinite(arr[:1] if arr.strides[0] == 0 else arr).all():
             raise GridError("non-finite field values")
 
     @property
@@ -143,5 +157,9 @@ class SpaceTimeField:
 
     @staticmethod
     def constant_in_time(values, m: int, T: float) -> "SpaceTimeField":
-        row = np.asarray(values, dtype=float)
-        return SpaceTimeField(T, np.tile(row, (m + 1, 1)))
+        """The slice ``values`` at every time node t_0..t_m: a read-only
+        broadcast view of one copy of the slice, shaped (m+1, n+1)."""
+        row = np.array(values, dtype=float)
+        if row.ndim != 1:
+            raise GridError("a time-constant field needs one 1-D slice")
+        return SpaceTimeField._adopt(T, np.broadcast_to(row, (m + 1, row.size)))

@@ -219,7 +219,18 @@ def _row_bands(n: int) -> list:
     return [(i0, min(i0 + step, n + 1)) for i0 in range(1, n + 1, step)]
 
 
-def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool):
+@lru_cache(maxsize=64)
+def _right_weights(n: int, h: float, alpha: float):
+    """Read-only (n+1, n+1) Toeplitz views of the pair sweep's weights, with
+    no weight on the pairs j >= i: B[i-j] and (A + B)[i-j] of the hat moments
+    of u^(alpha-2), and the distances (xi_i - eta_j)^(1-alpha), inf above."""
+    A, B = _hat_moments(alpha - 1.0, n)
+    return (_lower_toeplitz(B[1:], 0.0), _lower_toeplitz((A + B)[1:], 0.0),
+            _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - alpha), np.inf))
+
+
+def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool,
+                 out: np.ndarray | None = None):
     """Yield (i0, i1, X) for bands of ``_SWEEP_ROWS`` rows i0 <= i < i1 (the
     last may be shorter), with X[i - i0, j] = d/dist + scale * S for every
     column j < i1 - 1: d is v[j] - v[i] (or its modulus), dist is
@@ -227,40 +238,39 @@ def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool
     is the product-integrated singular tail of d on [eta_j, xi_i].  Entries
     with j >= i are 0.
 
-    The weights are Toeplitz views of O(n) vectors, padded so that the pairs
-    j >= i carry none, and the running column sums of C d are one cumsum
-    per band whose last row carries into the next band, so the sweep over
-    all bands costs O(n^2), touches only the lower triangle up to each
-    band's last column, and every value is bitwise the same for any band
-    height.  X is a reused buffer of the band's size, valid until the next
-    band.
+    The weights are the Toeplitz views of ``_right_weights``, and the
+    running column sums of C d are one cumsum per band whose last row
+    carries into the next band, so the sweep over all bands costs O(n^2),
+    touches only the lower triangle up to each band's last column, and
+    every value is bitwise the same for any band height.  X is a reused
+    buffer of the band's size, valid until the next band.  d/dist is held
+    in the band's view ``out[i0:i1, :i1 - 1]`` of an (n+1, n+1) ``out``
+    until X is summed, or else in a third such buffer.
     """
     n = v.size - 1
-    A, B = _hat_moments(a - 1.0, n)
-    Bt = _lower_toeplitz(B[1:], 0.0)
-    Ct = _lower_toeplitz((A + B)[1:], 0.0)
-    dist = _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - a), np.inf)
+    Bt, Ct, dist = _right_weights(n, h, a)
     step = _SWEEP_ROWS
     carry = np.zeros(n)   # column sums of C d over the rows above the band
-    xbuf, sbuf, pbuf = np.empty(step * n), np.empty(step * n), np.empty((step + 1) * n)
+    xbuf, pbuf = np.empty(step * n), np.empty((step + 1) * n)
+    qbuf = np.empty(step * n) if out is None else None
     for i0 in range(1, n + 1, step):
         i1 = min(i0 + step, n + 1)
         r, c = i1 - i0, i1 - 1
         X = xbuf[:r * c].reshape(r, c)
-        S = sbuf[:r * c].reshape(r, c)
         P = pbuf[:(r + 1) * c].reshape(r + 1, c)
-        np.subtract(v[None, :c], v[i0:i1, None], out=X)
+        Q = qbuf[:r * c].reshape(r, c) if out is None else out[i0:i1, :c]
+        np.subtract(v[None, :c], v[i0:i1, None], out=X)   # d, until the tail
         if absolute:
             np.abs(X, out=X)
         P[0] = carry[:c]
         np.multiply(Ct[i0:i1, :c], X, out=P[1:])
         np.cumsum(P, axis=0, out=P)   # P[k] sums the rows above row i0 + k
         carry[:c] = P[-1]
-        np.multiply(Bt[i0:i1, :c], X, out=S)
-        S += P[:-1]
-        S *= scale
-        X /= dist[i0:i1, :c]
-        X += S
+        np.divide(X, dist[i0:i1, :c], out=Q)
+        X *= Bt[i0:i1, :c]
+        X += P[:-1]
+        X *= scale
+        X += Q
         yield i0, i1, X
 
 
@@ -268,16 +278,16 @@ def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndar
     """D[i, j] = right Weyl derivative of order 1-alpha of g - g(xi_i) on
     [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
 
-    Written band by band from ``_right_bands``, so the full matrix costs
-    O(n^2) and the sweep needs three band buffers of at most
-    (``_SWEEP_ROWS`` + 1) n values beside it.
+    Written band by band from ``_right_bands``, which keeps its d/dist term
+    in D's own band, so the full matrix costs O(n^2) and the sweep needs
+    two band buffers of at most (``_SWEEP_ROWS`` + 1) n values beside it.
     """
     a = order_value(alpha)
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     inv_gamma = 1.0 / math.gamma(a)
     D = np.zeros((n + 1, n + 1))
-    for i0, i1, X in _right_bands(v, h, a, (1.0 - a) * h ** (a - 1.0), False):
+    for i0, i1, X in _right_bands(v, h, a, (1.0 - a) * h ** (a - 1.0), False, out=D):
         np.multiply(X, inv_gamma, out=D[i0:i1, :i1 - 1])
     return D
 

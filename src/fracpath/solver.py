@@ -25,7 +25,7 @@ import numpy as np
 from . import grids, norms
 from .coefficients import CoefficientFunction
 from .fbm import DrivingField
-from .frac_calc import beta_b1
+from .frac_calc import _SWEEP_ROWS, beta_b1
 from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order, order_value
 from .sampling import random_smooth_field
 from .stieltjes import SliceOperator, stieltjes_all_upper_limits
@@ -58,6 +58,13 @@ VERIFICATION_SEED = 0
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One solve: the order ``alpha`` and Hurst parameter in the window
+    1 - H < alpha < 1/2, the grid of m time cells of [0, T] and n space
+    cells of [0, 1], the initial slice ``phi`` on that spatial grid, the
+    coefficient A, the Picard tolerance and iteration cap per window, and
+    the window policy ("paper-constants" sizes every window from T0,
+    "adaptive" resizes from the last window's contraction ratio)."""
+
     alpha: float
     hurst: float
     m: int
@@ -175,7 +182,7 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
     window for a time-constant driver, one row per call otherwise.
     """
     w = y_window.shape[0] - 1
-    V = np.empty_like(y_window)
+    V = np.empty(y_window.shape)
     l0 = 0
     if v0 is not None:
         V[0] = v0
@@ -250,6 +257,13 @@ def _window_norm(diff: np.ndarray, h: float, alpha: float) -> float:
 
 @dataclass
 class WindowRecord:
+    """One Picard window of a solve, an entry of ``windows`` in report.json:
+    its time span [t_start, t_end] of ``cells`` time cells, the iterations
+    run and whether the residual reached the tolerance, the residual (the
+    max slice norm of the change of an iterate) after each iteration, the
+    largest ratio of successive residuals, whether the window fits the
+    proof's T0 (``guarantee_ok``), and the constants that sized it."""
+
     index: int
     t_start: float
     t_end: float
@@ -265,6 +279,12 @@ class WindowRecord:
 
 @dataclass
 class SolverReport:
+    """The outcome of ``solve``: the solution field (solution.csv) and, in
+    report.json, whether every window converged and the first that did not,
+    the driver's Lambda_alpha, the constants of window 0 (the global set),
+    the window records, and the verdicts of the proof's checks, each with
+    its ``passed``."""
+
     solution: SpaceTimeField
     converged: bool
     windows: list
@@ -365,7 +385,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         phi_w = Y[j1]
         j0 = j1
 
-    solution = SpaceTimeField(cfg.T, Y)
+    # nothing else holds Y, so the solution takes it over instead of a copy
+    solution = SpaceTimeField._adopt(cfg.T, Y)
     # window 0 starts from phi itself, so its constants are the global set
     constants = windows[0].constants
     verdicts = {
@@ -388,8 +409,9 @@ def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
     """Envelope ||phi|| exp(K t) against the running slice norm at every node.
 
     ``known_norms`` maps rows of ``sol`` to slice norms already taken (the
-    window starts of ``solve``); the other rows are computed in one stacked
-    call, and each of its entries is bitwise the one-slice norm.
+    window starts of ``solve``); the other rows are computed in stacked
+    calls of ``_SWEEP_ROWS`` rows, so that no copy of the field is formed,
+    and each entry is bitwise the one-slice norm.
     """
     a = cfg.alpha
     phi_norm = constants.phi_norm
@@ -398,7 +420,9 @@ def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
     env = phi_norm * np.exp(k * t)
     rest = [j for j in range(len(t)) if j not in known_norms]
     running = np.empty(len(t))
-    running[rest] = norms.slice_norms_alpha_infty(sol.values[rest], sol.h, a)
+    for c in range(0, len(rest), _SWEEP_ROWS):
+        rows = rest[c:c + _SWEEP_ROWS]
+        running[rows] = norms.slice_norms_alpha_infty(sol.values[rows], sol.h, a)
     running[list(known_norms)] = list(known_norms.values())
     ok = running <= env * (1.0 + _REL_SLACK)
     violations = [

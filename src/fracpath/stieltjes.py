@@ -234,6 +234,10 @@ def _contract(Du: np.ndarray, rows: np.ndarray, op: SliceOperator) -> np.ndarray
 
 @dataclass
 class IndicatorReport:
+    """int_c^d f dg taken directly (``direct``) and as the integral over the
+    whole grid of f times the node indicator of [c, d] (``embedded``), and
+    their absolute difference (``gap``)."""
+
     direct: float
     embedded: float
     gap: float
@@ -257,6 +261,10 @@ def stieltjes_indicator_consistency(f: GridFunction, g: GridFunction, alpha,
 
 @dataclass
 class BoundReport:
+    """The integral bound max_xi |int_0^xi f dg| (``lhs``) <= Lambda_alpha(g)
+    ||f||_{alpha,1} (``rhs``, from ``lam`` and ``f_norm``): whether it
+    ``holds`` within a relative slack of 1e-6, and rhs - lhs (``margin``)."""
+
     lhs: float
     rhs: float
     holds: bool

@@ -260,7 +260,7 @@ class TestVerifyCommand:
         for chunk in (4096, 12345, 16384, xs.size):
             monkeypatch.setattr(cli, "_REFERENCE_CHUNK", chunk)
             for name, ffn, gfn in cli._CLASSICAL_PAIRS:
-                ref = cli._midpoint_stieltjes_sum(ffn, gfn, xs, prod)
+                ref = cli._midpoint_stieltjes_sum(ffn, gfn, prod)
                 assert ref == one_shot[f"classical:{name}"], (chunk, name)
 
 

@@ -62,7 +62,7 @@ CACHED_TABLES = {
         "_tail_weights": (16, 0.3),
         "_node_powers": (0.25, 0.75, 16, 0.3),
     },
-    "fracpath.norms": {"_far_weights": (64, 0.3)},
+    "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 1.0 / 16, 0.3)},
     "fracpath.fbm": {"_fgn_root": (0.75, 16)},
 }
 

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracpath.grids import GridError
+from fracpath.grids import GridError, GridFunction
 from fracpath import fbm, norms
 
 
@@ -92,6 +93,35 @@ class TestDrivingField:
         df = fbm.driving_field(cfg, 0.3)
         for j in range(1, 7):
             assert np.array_equal(df.field.values[0], df.field.values[j])
+
+    def test_frozen_field_is_a_read_only_view_of_the_path(self):
+        path = fbm.fbm_path(0.75, 64, 3)
+        values = fbm.field_from_path(path, 6, 0.5, 0.3).field.values
+        assert values.shape == (7, 65) and not values.flags.writeable
+        assert np.array_equal(values, np.tile(path.values, (7, 1)))
+        # one slice at every time node: the path's own values, not a tile
+        assert values.strides[0] == 0 and np.shares_memory(values, path.values)
+
+    def test_frozen_driver_refuses_a_non_finite_slice(self):
+        path = GridFunction(0.0, 1.0, [0.0, 0.5, np.nan], endpoint_nan_ok=True)
+        with pytest.raises(GridError, match="non-finite"):
+            fbm.field_from_path(path, 3, 1.0, 0.3)
+
+    def test_frozen_driver_holds_its_path_once(self):
+        # beside its O(n) operator, a frozen driver of m = 1000 time cells
+        # holds no more than one of a single cell: tiles of the path would
+        # be 8.2 MB per copy
+        path = fbm.fbm_path(0.75, 1024, 7)
+        fbm.field_from_path(path, 1, 2.0, 0.3)   # fill the weight caches
+        peaks = {}
+        for m in (1, 1000):
+            tracemalloc.start()
+            try:
+                fbm.field_from_path(path, m, 2.0, 0.3)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] - peaks[1] < 2 ** 16
 
     def test_linear_stub_lambda_closed_form(self):
         st = fbm.stub_driving_field("linear", 128, 4, 1.0, 0.3)

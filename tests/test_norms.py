@@ -218,9 +218,10 @@ class TestFixedRowBands:
         assert norms.norm_1malpha_infty0(g, alpha) == holder
 
     def test_scratch_is_a_few_bands_at_n256(self):
-        # beside D the sweep holds three buffers of at most (rows + 1) n values
-        # and the temporaries of one band: 0.35 MB traced, about 5.2 such
-        # buffers; one band of the whole square traced 1.7 MB
+        # beside D the sweep holds two buffers of at most (rows + 1) n values
+        # (the Hoelder norm three) and the temporaries of one band: 0.27 MB
+        # traced, about 4.0 such buffers (5.2 with three); one band of the
+        # whole square traced 1.7 MB
         n, a = 256, 0.3
         g = fbm.fbm_path(0.75, n, 11).values
         norms.right_derivative_pair_matrix(g, 1.0 / n, a)   # fill the weight caches
@@ -228,6 +229,17 @@ class TestFixedRowBands:
         matrix = (n + 1) ** 2 * 8
         assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 8 * band
         assert traced_peak(norms.norm_1malpha_infty0, g, a) < 8 * band
+
+    def test_pair_matrix_bands_are_built_in_place_at_n1024(self):
+        # the d/dist term waits in D's own band, so beside D the build holds
+        # two band buffers and numpy's ufunc buffers (64 KB per strided
+        # operand): 2.5 bands traced; with a third band buffer it was 3.7
+        n, a = 1024, 0.3
+        g = fbm.fbm_path(0.75, n, 11).values
+        norms.right_derivative_pair_matrix(g, 1.0 / n, a)   # fill the weight caches
+        band = (norms._SWEEP_ROWS + 1) * n * 8
+        matrix = (n + 1) ** 2 * 8
+        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 3 * band
 
 
 def pruning_rows(n, seed):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -621,3 +622,31 @@ class TestWindowNorm:
 
     def test_all_zero_rows(self):
         assert solver._window_norm(np.zeros((3, 17)), 1.0 / 16, 0.3) == 0.0
+
+
+class TestSolveMemory:
+    @staticmethod
+    def traced_solve(m, T):
+        """Traced peak of building a frozen driver of n = 128 and solving."""
+        cfg = make_cfg(n=128, m=m, T=T)
+        tracemalloc.start()
+        try:
+            drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=m, T=T, seed=7), 0.3)
+            rep = solver.solve(cfg, drv, verify=False)
+            assert rep.converged
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_one_field_per_field(self):
+        # one time step and windows of about 18 cells over m = 500 and 2000
+        # cells: the driver holds one slice, the solution is the solve's own
+        # Y, and the Gronwall norms go 32 rows at a time, so the peak grows
+        # by the field's size (1.1 times it measured) plus the window records;
+        # a tiled driver, a copied solution and one stacked Gronwall call
+        # made it 5.6 times
+        self.traced_solve(10, 0.01)   # fill the weight caches
+        peaks = {m: self.traced_solve(m, m * 2.25e-4) for m in (500, 2000)}
+        field = (2000 - 500) * 129 * 8
+        assert peaks[2000] - peaks[500] < 1.3 * field
+
