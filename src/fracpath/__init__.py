@@ -6,13 +6,10 @@ inequalities computed and checked numerically."""
 from .grids import GridError, GridFunction, SpaceTimeField
 from .frac_calc import (
     beta_b1,
-    rl_integral_left,
-    rl_integral_right,
     weyl_derivative_left,
     weyl_derivative_right,
 )
 from .norms import (
-    lambda_alpha,
     norm_1malpha_infty0,
     norm_alpha_1,
     norm_alpha_infty,
@@ -32,7 +29,6 @@ from .stieltjes import (
     BoundReport,
     IndicatorReport,
     bound_357_check,
-    calibrate_pairing_sign,
     pathwise_integral_bound_check,
     stieltjes_indicator_consistency,
     stieltjes_integral,
@@ -63,14 +59,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridError", "GridFunction", "SpaceTimeField",
-    "beta_b1", "rl_integral_left", "rl_integral_right",
-    "weyl_derivative_left", "weyl_derivative_right",
-    "lambda_alpha", "norm_1malpha_infty0", "norm_alpha_1", "norm_alpha_infty",
+    "beta_b1", "weyl_derivative_left", "weyl_derivative_right",
+    "norm_1malpha_infty0", "norm_alpha_1", "norm_alpha_infty",
     "CovarianceReport", "DrivingField", "FbmConfig", "covariance_validator",
     "driving_field", "fbm_path", "field_from_path", "stub_driving_field",
     "PAIRING_SIGN", "BoundReport", "IndicatorReport", "bound_357_check",
-    "calibrate_pairing_sign", "pathwise_integral_bound_check",
-    "stieltjes_indicator_consistency", "stieltjes_integral",
+    "pathwise_integral_bound_check", "stieltjes_indicator_consistency",
+    "stieltjes_integral",
     "CoefficientFunction", "coefficient_from_kind", "constant_coefficient",
     "gaussian_bump", "smoothed_biot_savart", "tanh_coefficient",
     "zero_coefficient",

@@ -104,11 +104,6 @@ def _fgn_sample(root: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarra
     return math.sqrt(2 * n) * np.fft.ifft(root * z).real[:n]
 
 
-def _fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
-    """n variates with autocovariance c[0..n] by circulant embedding."""
-    return _fgn_sample(_circulant_root(c), n, rng)
-
-
 def fractional_gaussian_noise(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n unit-spacing fGn variates by circulant embedding, with the spectrum
     cached per (hurst, n)."""

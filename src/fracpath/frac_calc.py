@@ -1,4 +1,4 @@
-"""Riemann-Liouville fractional integrals and Marchaud-form Weyl derivatives.
+"""Marchaud-form Weyl derivatives and the Hoelder tail of the slice norm.
 
 All operators are discretized by product integration on uniform grids: the
 singular kernel is integrated exactly against the piecewise-linear
@@ -10,11 +10,10 @@ plain ``lru_cache`` and therefore safe for concurrent readers.
 The causal convolution of the Weyl derivative runs by ``np.convolve``
 below ``_FFT_MIN_N`` cells and from there on by rfft against spectra
 cached per (n, order) (``_convolve``, which the Stieltjes sweep shares),
-with the largest weights summed directly.  The left integral always runs
-by ``np.convolve``.  The Weyl derivative reads its node powers
-(x_i - a)^alpha from a read-only cache per (a, b, n, order), and checks
-finiteness again only for an input that may carry a NaN endpoint: the
-``GridFunction`` constructor checked every other.
+with the largest weights summed directly.  The Weyl derivative reads its
+node powers (x_i - a)^alpha from a read-only cache per (a, b, n, order),
+and checks finiteness again only for an input that may carry a NaN
+endpoint: the ``GridFunction`` constructor checked every other.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of rows
@@ -42,8 +41,6 @@ import numpy as np
 from .grids import GridError, GridFunction, order_value
 
 __all__ = [
-    "rl_integral_left",
-    "rl_integral_right",
     "weyl_derivative_left",
     "weyl_derivative_right",
     "beta_b1",
@@ -97,16 +94,6 @@ def _hat_moments(mu: float, kmax: int):
     A.setflags(write=False)
     B.setflags(write=False)
     return A, B
-
-
-@lru_cache(maxsize=64)
-def _integral_weights(n: int, alpha: float):
-    """Convolution kernel C and boundary correction A for the left integral."""
-    A, B = _hat_moments(alpha, n)
-    C = A + B
-    C[0] = A[0]
-    C.setflags(write=False)
-    return C, A
 
 
 @lru_cache(maxsize=64)
@@ -289,28 +276,6 @@ def left_power_integral(values: np.ndarray, h: float, alpha: float) -> float:
     w[0] = A[0]
     w[n] = B[n]
     return float(np.dot(w, v)) * h ** (1.0 - alpha)
-
-
-def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
-    """Left-sided fractional integral of order alpha.
-
-    Node i receives (1/Gamma(alpha)) int_a^{x_i} f(y) (x_i - y)^(alpha-1) dy,
-    with the integrable singularity handled by piecewise-linear product
-    integration; the result is exact whenever f is piecewise linear.
-    """
-    a = order_value(alpha)
-    v = _finite_values(f)
-    n = f.n
-    C, A = _integral_weights(n, a)
-    conv = np.convolve(C, v)[: n + 1]
-    out = (f.h ** a / math.gamma(a)) * (conv - A * v[0])
-    out[0] = 0.0
-    return f.with_values(out)
-
-
-def rl_integral_right(f: GridFunction, alpha) -> GridFunction:
-    """Right-sided fractional integral (real convention, phase dropped)."""
-    return rl_integral_left(f.reflected(), alpha).reflected()
 
 
 def weyl_derivative_left(f: GridFunction, alpha, subtract_base: bool = False) -> GridFunction:

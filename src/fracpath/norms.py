@@ -37,7 +37,6 @@ __all__ = [
     "norm_alpha_infty",
     "norm_1malpha_infty0",
     "norm_alpha_1",
-    "lambda_alpha",
     "lambda_from_pair_matrix",
     "slice_norm_alpha_infty",
     "slice_norms_alpha_infty",
@@ -67,22 +66,23 @@ def slice_norms_alpha_infty(rows: np.ndarray, h: float, alpha) -> np.ndarray:
     return np.array([_band_max(v[i:i + 1], t, h, a, -np.inf) for i, t in enumerate(top)])
 
 
-def max_slice_norm(rows: np.ndarray, h: float, alpha) -> float:
-    """The largest slice norm of the rows of a (k, n+1) stack, bitwise
-    ``slice_norms_alpha_infty(rows, h, alpha).max()`` (NaN for a stack with
-    a non-finite entry).
+def max_slice_norm(rows: np.ndarray, h: float, alpha, floor: float = -np.inf) -> float:
+    """The larger of ``floor`` and the largest slice norm of the rows of a
+    (k, n+1) stack, bitwise ``max(floor, slice_norms_alpha_infty(rows, h,
+    alpha).max())``, and NaN where ``floor`` is NaN or the stack has a
+    non-finite entry.
 
     Rows are visited in order of their largest band bound with one floor
-    for the whole stack: a row sums only the bands whose bound reaches it,
-    and the first row whose largest bound is below it ends the search.
+    for the whole stack, starting at ``floor``: a row sums only the bands
+    whose bound reaches it, and the first row whose largest bound is below
+    it ends the search.
     """
     a = order_value(alpha)
     v = np.asarray(rows, dtype=float)
     top = _band_tops(v, h, a)
     if top is None:
-        return float(_node_totals(v, h, a, None).max())
+        return float(np.maximum(floor, _node_totals(v, h, a, None).max()))
     largest = top.max(axis=1)
-    floor = -np.inf
     for i in np.argsort(-largest, kind="stable"):
         if largest[i] < floor:
             break
@@ -297,14 +297,6 @@ def lambda_from_pair_matrix(D: np.ndarray, alpha: float) -> float:
     with max |D| taken as max(max D, -min D) so that no second matrix is
     formed."""
     return float(max(D.max(), -D.min())) / math.gamma(1.0 - alpha)
-
-
-def lambda_alpha(g: SpaceTimeField, alpha) -> float:
-    """sup over times and pairs eta < xi of |D^{1-alpha}_{xi-} g_{xi-}(eta)|,
-    divided by Gamma(1-alpha)."""
-    a = order_value(alpha)
-    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, g.h, a), a)
-               for row in g.values)
 
 
 def norm_1malpha_infty0(g: SpaceTimeField | np.ndarray, alpha) -> float:

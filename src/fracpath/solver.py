@@ -178,8 +178,9 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
 
     ``v0`` is the inner integral of row 0 when the caller already has it
     (row 0 is phi_w in every Picard iteration of a window).  The rows that
-    share one driver slice go through one stacked kernel call: the whole
-    window for a time-constant driver, one row per call otherwise.
+    share one driver slice go through stacked kernel calls: the window of a
+    time-constant driver in bands of ``_SWEEP_ROWS`` rows, so a long
+    window's scratch stays a band's, and one row per call otherwise.
     """
     w = y_window.shape[0] - 1
     V = np.empty(y_window.shape)
@@ -188,7 +189,9 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
         V[0] = v0
         l0 = 1
     if driver.time_constant:
-        V[l0:] = _inner_integrals(y_window[l0:], coeff, driver.time_slice(j_start))
+        op = driver.time_slice(j_start)
+        for r0 in range(l0, w + 1, _SWEEP_ROWS):
+            V[r0:r0 + _SWEEP_ROWS] = _inner_integrals(y_window[r0:r0 + _SWEEP_ROWS], coeff, op)
     else:
         for l in range(l0, w + 1):
             V[l] = _inner_integrals(y_window[l], coeff, driver.time_slice(j_start + l))
@@ -215,9 +218,10 @@ def _time_integral(V: np.ndarray, phi_values: np.ndarray, j_start: int,
     whose row l is at time node j_start + l."""
     out = np.empty(V.shape)
     out[0] = phi_values
-    if V.shape[0] > 1:
-        steps = 0.5 * dt * (V[1:] + V[:-1])
-        out[1:] = phi_values[None, :] + np.cumsum(steps, axis=0)
+    steps = np.add(V[1:], V[:-1], out=out[1:])   # the sums run in place in out
+    steps *= 0.5 * dt
+    np.cumsum(steps, axis=0, out=steps)
+    steps += phi_values
     if not np.isfinite(out).all():
         t_i, x_i = np.argwhere(~np.isfinite(out))[0]
         raise GridError(f"non-finite iterate at time node {j_start + int(t_i)}, "
@@ -246,13 +250,18 @@ def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff: CoefficientFunction,
 
 
 def _window_norm(diff: np.ndarray, h: float, alpha: float) -> float:
-    """max of the slice norms of the rows of ``diff``; rows that are exactly
-    zero (row 0 of a Picard difference, both rows being phi) have norm 0.0
-    and are skipped."""
-    live = diff[diff.any(axis=1)]
-    if live.shape[0] == 0:
-        return 0.0
-    return norms.max_slice_norm(live, h, alpha)
+    """max of the slice norms of the rows of ``diff``, taken in bands of
+    ``_SWEEP_ROWS`` rows from the last, which in a Picard difference mostly
+    holds the max, with one floor carried across the bands (a NaN norm
+    stays NaN); rows that are exactly zero (row 0 of a Picard difference,
+    both rows being phi) have norm 0.0 and are skipped."""
+    best = 0.0
+    for r1 in range(diff.shape[0], 0, -_SWEEP_ROWS):
+        band = diff[max(0, r1 - _SWEEP_ROWS):r1]
+        live = band[band.any(axis=1)]
+        if live.shape[0]:
+            best = norms.max_slice_norm(live, h, alpha, best)
+    return best
 
 
 @dataclass

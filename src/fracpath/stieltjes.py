@@ -5,8 +5,8 @@ the left Weyl derivative of f - f(c) with the right Weyl derivative of
 g - g(d), plus the boundary term f(c) (g(d) - g(c)).  With the complex
 phases of the one-sided operators dropped, a single global sign remains;
 it is fixed by requiring that f(x) = x, g(x) = x on (0, 1) integrates to
-+1/2 (``calibrate_pairing_sign`` recomputes it from scratch, the test
-suite asserts it matches ``PAIRING_SIGN``).
++1/2 (the test suite recomputes it from scratch and asserts that it
+matches ``PAIRING_SIGN``).
 
 The pairing integral uses the trapezoid rule on interior nodes; the two
 endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
@@ -25,7 +25,7 @@ the build: two Toeplitz kernels against differences of the slice values
 prefix sum.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the near
 field's dot products have at most five terms, so the bits do not depend on
 the BLAS thread count; no (n+1)^2 temporary is formed.  The solver stacks
-a whole window of a time-constant driver into one call, computes the
+the window of a time-constant driver 32 rows per call, computes the
 window's fixed row 0 once, and builds each window's first iterate from
 that row alone.
 """
@@ -46,7 +46,6 @@ __all__ = [
     "PAIRING_SIGN",
     "SliceOperator",
     "slice_operator",
-    "calibrate_pairing_sign",
     "stieltjes_integral",
     "stieltjes_all_upper_limits",
     "stieltjes_indicator_consistency",
@@ -109,15 +108,6 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
     gv = g.values[ic:i_d + 1]
     pairing = _pairing_value(fv, gv, c, d, a)
     return PAIRING_SIGN * pairing + float(fv[0]) * float(gv[-1] - gv[0])
-
-
-def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:
-    """Recompute the global pairing sign from the f = g = x smooth case."""
-    x = np.linspace(0.0, 1.0, n + 1)
-    raw = _pairing_value(x, x, 0.0, 1.0, alpha)
-    if abs(abs(raw) - 0.5) > 0.05:
-        raise RuntimeError(f"pairing calibration off: raw value {raw}")
-    return float(np.sign(0.5 / raw))
 
 
 @dataclass(frozen=True, eq=False)

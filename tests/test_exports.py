@@ -55,7 +55,6 @@ def test_only_frac_calc_reads_the_tail_weights():
 CACHED_TABLES = {
     "fracpath.frac_calc": {
         "_hat_moments": (-0.7, 16),
-        "_integral_weights": (16, 0.3),
         "_difference_weights": (16, 0.3),
         "_fft_length": (16,),
         "_split_kernels": ("_difference_kernel", 16, 0.3),

@@ -22,11 +22,10 @@ from fracpath.frac_calc import (
     beta_b1,
     marchaud_difference,
     marchaud_difference_abs,
-    rl_integral_left,
-    rl_integral_right,
     weyl_derivative_left,
     weyl_derivative_right,
 )
+from oracles import rl_integral_left, rl_integral_right
 
 
 def power_grid(n, beta, a=0.0, b=1.0):

@@ -19,12 +19,6 @@ SRC = pathlib.Path(cli.__file__).resolve().parent
 
 # module.qualname -> why the function stays although no command calls it
 UNREACHED = {
-    "frac_calc.rl_integral_left": "Abel-inverse oracle of the Weyl derivative in the acceptance tests",
-    "frac_calc.rl_integral_right": "mirror of rl_integral_left, a public operator",
-    "frac_calc._integral_weights": "weights of rl_integral_left",
-    "stieltjes.calibrate_pairing_sign": "recomputes PAIRING_SIGN from scratch for the sign test",
-    "norms.lambda_alpha": "field form of Lambda_alpha; drivers take it per slice from the pair matrix",
-    "fbm._fgn_davies_harte": "uncached Davies-Harte sampler the cached fGn root is tested against",
     "coefficients.spot_check_constants": "checks M1, M2 and M_N on a lattice; no verify suite runs it yet",
     "coefficients.gaussian_bump.<locals>.deriv": "A' is read only by spot_check_constants",
     "coefficients.smoothed_biot_savart.<locals>.deriv": "A' is read only by spot_check_constants",

@@ -209,6 +209,25 @@ class TestSolve:
         e2 = np.abs(fields[1] - fields[2][:, ::2]).max()
         assert e2 < e1
 
+    def test_grid_convergence_on_one_fbm_sample(self):
+        # one seed-7 path at n = 2048, restricted by stride, so every grid
+        # sees the same sample; sup errors against the n = 2048 solve were
+        # 1.85e-5, 8.95e-6 and 4.08e-6 at n = 256, 512 and 1024, while the
+        # grid Lambda_alpha rose 1.92, 2.36, 2.58 (3.03 at n = 2048)
+        path = fbm.fbm_path(0.75, 2048, 7).values
+        solutions, lams = {}, {}
+        for n in (256, 512, 1024, 2048):
+            drv = fbm.field_from_path(GridFunction(0, 1, path[::2048 // n]), 8, 0.02, 0.3)
+            phi = GridFunction(0, 1, 0.5 * np.sin(math.pi * np.linspace(0, 1, n + 1)))
+            cfg = make_cfg(n=n, m=8, T=0.02, phi=phi, coeff=co.tanh_coefficient(1.0))
+            rep = solver.solve(cfg, drv, verify=False)
+            assert rep.converged
+            solutions[n], lams[n] = rep.solution.values, drv.lambda_value
+        errors = [np.abs(solutions[n] - solutions[2048][:, ::2048 // n]).max()
+                  for n in (256, 512, 1024)]
+        for e0, e1 in zip(errors, errors[1:]):
+            assert e0 >= 1.5 * e1, f"errors {errors}, Lambda_alpha(n) {lams}"
+
     def test_window_continuation_covers_horizon(self):
         n, m = 32, 160
         cfg = make_cfg(n=n, m=m, T=1.0, alpha=0.25, hurst=0.8,
@@ -542,8 +561,8 @@ class TestStackedMaxInProbes:
         else:
             cfg, drv = cli._probe_config(int(name[5:]))
         got = self.probe_dicts(cfg, drv)
-        monkeypatch.setattr(norms, "max_slice_norm", lambda rows, h, alpha: float(
-            norms.slice_norms_alpha_infty(rows, h, alpha).max()))
+        monkeypatch.setattr(norms, "max_slice_norm", lambda rows, h, alpha, floor=-np.inf: float(
+            np.max([floor, norms.slice_norms_alpha_infty(rows, h, alpha).max()])))
         assert got == self.probe_dicts(cfg, drv)
 
 
@@ -623,6 +642,36 @@ class TestWindowNorm:
     def test_all_zero_rows(self):
         assert solver._window_norm(np.zeros((3, 17)), 1.0 / 16, 0.3) == 0.0
 
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_bands_give_the_stacked_max(self, n):
+        # 100 rows go in bands of _SWEEP_ROWS from the last, with one floor
+        diff = 1e-3 * np.random.default_rng(n).standard_normal((100, n + 1)).cumsum(axis=0)
+        diff[0] = 0.0
+        want = norms.slice_norms_alpha_infty(diff[1:], 1.0 / n, 0.3).max()
+        assert np.float64(solver._window_norm(diff, 1.0 / n, 0.3)).tobytes() == want.tobytes()
+        for row in (99, 40, 1):   # a NaN stays NaN in the first, a middle and the last band
+            bad = diff.copy()
+            bad[row, n // 2] = np.nan
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(solver._window_norm(bad, 1.0 / n, 0.3)), row
+
+
+class TestLongWindow:
+    def test_banded_sweep_is_bitwise_one_stacked_call(self):
+        # a time-constant driver's window goes _SWEEP_ROWS rows per sweep, and
+        # the time integral runs in its output: bitwise the out-of-place one
+        n, w = 64, 70
+        cfg = make_cfg(n=n, m=w, T=0.01)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=w, T=0.01, seed=7), 0.3)
+        rng = np.random.default_rng(5)
+        Yw = cfg.phi.values + 0.1 * rng.standard_normal((w + 1, n + 1)).cumsum(axis=0)
+        got = solver._apply_window(Yw, cfg.phi.values, cfg.coeff, drv, 0, cfg.dt)
+        V = stieltjes.stieltjes_all_upper_limits(cfg.coeff(Yw), drv.time_slice(0))
+        want = np.empty_like(V)
+        want[0] = cfg.phi.values
+        want[1:] = cfg.phi.values + np.cumsum(0.5 * cfg.dt * (V[1:] + V[:-1]), axis=0)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSolveMemory:
     @staticmethod
@@ -649,4 +698,13 @@ class TestSolveMemory:
         peaks = {m: self.traced_solve(m, m * 2.25e-4) for m in (500, 2000)}
         field = (2000 - 500) * 129 * 8
         assert peaks[2000] - peaks[500] < 1.3 * field
+
+    def test_long_window_scratch_is_bounded(self):
+        # one window of all 2000 cells (T = 0.0018 is below T0): the sweep and
+        # the residual norm go _SWEEP_ROWS rows at a time and the time
+        # integral runs in its output, so the peak is the solution, three
+        # window-sized arrays and a band's scratch (9.6 MB measured); one
+        # stacked sweep and norm over the window peaked at 22.9 MB
+        self.traced_solve(10, 0.01)
+        assert self.traced_solve(2000, 0.0018) < 15e6
 

@@ -13,6 +13,7 @@ from fracpath.frac_calc import _FFT_MIN_N, weyl_derivative_left
 from fracpath.grids import GridError, GridFunction
 from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.sampling import random_trig_grid
+from oracles import calibrate_pairing_sign
 
 
 def grid(fn, n=1024):
@@ -29,8 +30,8 @@ def rs_midpoint(ffn, gfn, subdivisions=10 ** 5, a=0.0, b=1.0):
 
 class TestPairingSign:
     def test_calibration_matches_module_constant(self):
-        assert stieltjes.calibrate_pairing_sign() == stieltjes.PAIRING_SIGN
-        assert stieltjes.calibrate_pairing_sign(n=512, alpha=0.25) == stieltjes.PAIRING_SIGN
+        assert calibrate_pairing_sign() == stieltjes.PAIRING_SIGN
+        assert calibrate_pairing_sign(n=512, alpha=0.25) == stieltjes.PAIRING_SIGN
 
 
 class TestStieltjesIntegral:
