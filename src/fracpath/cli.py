@@ -537,6 +537,9 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"bad resolution list {args.resolutions!r}") from exc
     if len(res) < 2:
         raise ConfigError("need at least two resolutions")
+    for n, n_next in zip(res, res[1:]):
+        if n == n_next:
+            raise ConfigError(f"resolution {n} is listed more than once")
     _check_at_least("every resolution", res[0], 2)
     n_ref = res[-1]
     for n in res:

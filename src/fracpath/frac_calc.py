@@ -13,7 +13,10 @@ cached per (n, order) (``_convolve``, which the Stieltjes sweep shares),
 with the largest weights summed directly.  The Weyl derivative reads its
 node powers (x_i - a)^alpha from a read-only cache per (a, b, n, order),
 and checks finiteness again only for an input that may carry a NaN
-endpoint: the ``GridFunction`` constructor checked every other.
+endpoint: the ``GridFunction`` constructor checked every other.  It and
+``marchaud_difference`` also take a (k, n+1) stack of slices (a
+``GridFunction._adopt`` input, as the Stieltjes sweep passes its rows),
+each row bitwise its one-slice call.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of rows
@@ -197,6 +200,12 @@ def _tail_bands(n: int) -> range:
     return range(2, n + 1, max(1, step))
 
 
+def _by_row(s):
+    """The values s (k,) of the k rows of a stack as a (k, 1) column, which
+    broadcasts along the rows; the value of one slice, a scalar, as it is."""
+    return s[:, None] if s.ndim else s
+
+
 def _difference_kernel(n: int, alpha: float) -> tuple:
     return _difference_weights(n, alpha)[:1]
 
@@ -204,18 +213,26 @@ def _difference_kernel(n: int, alpha: float) -> tuple:
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node.
 
-    Both paths take the row centered at its mid-range: only differences
+    ``values`` is one slice (n+1,) or a stack of slices (k, n+1); the result
+    has the same shape, and each row of a stack is bitwise the one-slice
+    result for that row: below ``_FFT_MIN_N`` cells each row is convolved
+    by ``np.convolve``, from there on the stack in one ``_convolve`` call.
+    Both paths take each row centered at its mid-range: only differences
     enter, so the shift is exact and keeps an offset from cancelling."""
     v = np.asarray(values, dtype=float)
-    n = v.size - 1
+    n = v.shape[-1] - 1
     C, A, rowsum = _difference_weights(n, alpha)
-    v = v - 0.5 * (v.max() + v.min())
-    if n < _FFT_MIN_N:
+    v = v - _by_row(0.5 * (v.max(axis=-1) + v.min(axis=-1)))
+    if n >= _FFT_MIN_N:
+        conv = _convolve(v, _difference_kernel, alpha)[0]
+    elif v.ndim == 1:
         conv = np.convolve(C, v)[: n + 1]
     else:
-        conv = _convolve(v, _difference_kernel, alpha)[0]
-    out = (v * rowsum - (conv - A * v[0])) * h ** (-alpha)
-    out[0] = 0.0
+        conv = np.empty(v.shape)
+        for r, row in enumerate(v):
+            conv[r] = np.convolve(C, row)[: n + 1]
+    out = (v * rowsum - (conv - A * _by_row(v[..., 0]))) * h ** (-alpha)
+    out[..., 0] = 0.0
     return out
 
 
@@ -288,18 +305,28 @@ def weyl_derivative_left(f: GridFunction, alpha, subtract_base: bool = False) ->
     variant) and the output at x = a is 0.  Without it the node at x = a
     is singular unless f(a) = 0 and is returned as NaN with the
     ``endpoint_nan_ok`` flag set.
+
+    ``f`` may hold a stack of slices (``GridFunction._adopt``, as the
+    Stieltjes sweep passes its rows); the output is then the stack of the
+    derivatives, each row bitwise the one-slice call for that row, NaN at
+    x = a in exactly the rows that call would flag, and flagged if any row
+    is.  The output holds its array without a copy.
     """
     a = order_value(alpha)
     v = _finite_values(f)
-    n = f.n
     diff = marchaud_difference(v, f.h, a)
-    x = _node_powers(f.a, f.b, n, a)
-    base = v[0] if subtract_base else 0.0
-    out = np.empty(n + 1)
-    out[1:] = ((v[1:] - base) / x + a * diff[1:]) / math.gamma(1.0 - a)
-    flagged = not (subtract_base or v[0] == 0.0)
-    out[0] = np.nan if flagged else 0.0
-    return GridFunction(f.a, f.b, out, endpoint_nan_ok=flagged)
+    x = _node_powers(f.a, f.b, f.n, a)
+    base = _by_row(v[..., 0]) if subtract_base else 0.0
+    out = np.empty(v.shape)
+    out[..., 1:] = ((v[..., 1:] - base) / x + a * diff[..., 1:]) / math.gamma(1.0 - a)
+    out[..., 0] = 0.0
+    flagged = False
+    if not subtract_base:
+        singular = v[..., 0] != 0.0   # the rows with f(a) != 0
+        flagged = bool(singular.any())
+        if flagged:
+            out[..., 0][singular] = np.nan
+    return GridFunction._adopt(f.a, f.b, out, endpoint_nan_ok=flagged)
 
 
 def weyl_derivative_right(f: GridFunction, alpha, subtract_base: bool = False) -> GridFunction:

@@ -21,7 +21,9 @@ class GridFunction:
     Node values must be finite.  The Weyl derivative routines may mark an
     endpoint node as unusable (NaN) when the operator is singular there;
     such outputs are built with ``endpoint_nan_ok`` and downstream code
-    must not read the flagged node.
+    must not read the flagged node.  The public constructor copies one
+    slice; ``_adopt`` holds an operator's own array, one slice or a
+    (k, n+1) stack of slices on one grid, without a copy.
     """
 
     a: float
@@ -30,22 +32,42 @@ class GridFunction:
     endpoint_nan_ok: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise GridError("grid values must be one 1-D slice")
+        self._hold(arr)
+
+    @classmethod
+    def _adopt(cls, a: float, b: float, values: np.ndarray,
+               endpoint_nan_ok: bool = False) -> "GridFunction":
+        """Samples over ``values`` itself, not a copy: one slice (n+1,) or a
+        stack of slices (k, n+1) on one grid, for an array that nothing else
+        writes (an operator's input rows or its finished output).  The array
+        is made read-only and validated as the public constructor validates
+        its copy; ``endpoint_nan_ok`` covers the end nodes of every row."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "a", a)
+        object.__setattr__(f, "b", b)
+        object.__setattr__(f, "endpoint_nan_ok", endpoint_nan_ok)
+        f._hold(np.asarray(values, dtype=float))
+        return f
+
+    def _hold(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if not self.b > self.a:
             raise GridError(f"need b > a, got a={self.a}, b={self.b}")
-        if arr.ndim != 1 or arr.size < 3:
+        if arr.ndim not in (1, 2) or arr.shape[-1] < 3:
             raise GridError("grid needs at least n = 2 cells (3 nodes)")
-        interior = arr[1:-1] if self.endpoint_nan_ok else arr
+        interior = arr[..., 1:-1] if self.endpoint_nan_ok else arr
         if not np.isfinite(interior).all():
             raise GridError("non-finite node values")
 
     @property
     def n(self) -> int:
-        return self.values.size - 1
+        return self.values.shape[-1] - 1
 
     @property
     def h(self) -> float:

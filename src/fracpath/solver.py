@@ -249,15 +249,18 @@ def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff: CoefficientFunction,
     return SpaceTimeField(Y.T, out)
 
 
-def _window_norm(diff: np.ndarray, h: float, alpha: float) -> float:
-    """max of the slice norms of the rows of ``diff``, taken in bands of
+def _window_norm(F: np.ndarray, Y: np.ndarray, h: float, alpha: float) -> float:
+    """max of the slice norms of the rows of F - Y, taken in bands of
     ``_SWEEP_ROWS`` rows from the last, which in a Picard difference mostly
     holds the max, with one floor carried across the bands (a NaN norm
-    stays NaN); rows that are exactly zero (row 0 of a Picard difference,
-    both rows being phi) have norm 0.0 and are skipped."""
+    stays NaN).  Each band's difference is formed in its step, so no
+    window-sized difference is held; rows that are exactly zero (row 0 of
+    a Picard difference, both rows being phi) have norm 0.0 and are
+    skipped."""
     best = 0.0
-    for r1 in range(diff.shape[0], 0, -_SWEEP_ROWS):
-        band = diff[max(0, r1 - _SWEEP_ROWS):r1]
+    for r1 in range(F.shape[0], 0, -_SWEEP_ROWS):
+        r0 = max(0, r1 - _SWEEP_ROWS)
+        band = F[r0:r1] - Y[r0:r1]
         live = band[band.any(axis=1)]
         if live.shape[0]:
             best = norms.max_slice_norm(live, h, alpha, best)
@@ -365,7 +368,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
             iterations = it
             sweep = _first_iterate if it == 1 else _apply_window
             Fw = sweep(Yw, phi_w, cfg.coeff, driver, j0, dt, v0)
-            res = _window_norm(Fw - Yw, h, a)
+            res = _window_norm(Fw, Yw, h, a)
             history.append(res)
             Yw = Fw
             if res <= cfg.picard_tol:
@@ -467,8 +470,8 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
         raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
     F1 = apply_F(Y1, cfg.phi, cfg.coeff, driver, a)
     F2 = apply_F(Y2, cfg.phi, cfg.coeff, driver, a)
-    num = _window_norm(F1.values - F2.values, Y1.h, a)
-    den = _window_norm(Y1.values - Y2.values, Y1.h, a)
+    num = _window_norm(F1.values, F2.values, Y1.h, a)
+    den = _window_norm(Y1.values, Y2.values, Y1.h, a)
     ratio = num / den
     ceiling = constants.b5 * Y1.T
     return {"ratio": float(ratio), "ceiling": float(ceiling), "b5": constants.b5,

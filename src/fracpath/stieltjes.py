@@ -15,11 +15,12 @@ endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 Against one integrator slice the integral up to every node is a linear
 operator, a ``SliceOperator`` built once; its pair matrix D is read only
 here.  ``stieltjes_all_upper_limits`` applies it to one integrand slice or
-a stack.  Below ``frac_calc._FFT_MIN_N`` cells each row's left derivative
-is contracted with D by ``np.einsum``, band by band over the lower triangle
-(the bands of about 2^17 pairs of ``norms._row_bands``: the einsum's bits
-depend on the band height, so it does not share the 32-row bands in which
-``norms._right_bands`` builds D).  From there on D is dropped after
+a stack, whose left derivatives it takes in one ``weyl_derivative_left``
+call on the whole stack.  Below ``frac_calc._FFT_MIN_N`` cells each row's
+left derivative is contracted with D by ``np.einsum``, band by band over
+the lower triangle (the bands of about 2^17 pairs of ``norms._row_bands``:
+the einsum's bits depend on the band height, so it does not share the
+32-row bands in which ``norms._right_bands`` builds D).  From there on D is dropped after
 the build: two Toeplitz kernels against differences of the slice values
 (``_pair_kernels``) make the contraction four causal convolutions and one
 prefix sum.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the near
@@ -175,12 +176,13 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
 
 
 def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
-    """Left Weyl derivative of each row minus its base value, on [0, 1]."""
+    """Left Weyl derivative of each row minus its base value, on [0, 1]:
+    one call on the whole stack, whose rows are bitwise one-row calls; a
+    single row goes as one slice, which skips the stack's per-row loop."""
     if rows.shape[1] != op.values.size:
         raise GridError("the integrand must live on the operator's grid")
-    return np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, row), op.alpha,
-                                          subtract_base=True).values
-                     for row in rows])
+    f = GridFunction._adopt(0.0, 1.0, rows[0] if rows.shape[0] == 1 else rows)
+    return weyl_derivative_left(f, op.alpha, subtract_base=True).values.reshape(rows.shape)
 
 
 def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:

@@ -385,6 +385,17 @@ class TestConvergenceCommand:
                     "--resolutions", "0,32")
         assert_usage_error(r)
 
+    @pytest.mark.parametrize("resolutions", ["8,8,16", "16,16"])
+    def test_repeated_resolution_exit_2(self, tmp_path, resolutions):
+        # a repeated coarse n wrote its row twice; a repeated reference
+        # compared the reference with itself and wrote a zero error
+        write_config(tmp_path / "cfg.json")
+        r = run_cli("--out", str(tmp_path), "convergence", str(tmp_path / "cfg.json"),
+                    "--resolutions", resolutions)
+        assert_usage_error(r)
+        assert "more than once" in r.stderr
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestReproducibility:
     def test_solve_byte_identical(self, tmp_path):

@@ -334,6 +334,44 @@ class TestWeylConvolution:
             assert np.array_equal(stacked[:, i, j], one)
 
 
+def stack_rows(n):
+    """The rows of ``difference_rows``, with f(a) != 0, and two with
+    f(a) = 0: the walk less its first value and sin(5x)."""
+    walk, offset, noise = difference_rows(n)
+    x = np.linspace(0.0, 1.0, n + 1)
+    return np.stack([walk, walk - walk[0], offset, np.sin(5.0 * x), noise])
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("n", [2, 3, 64, 511, 512, 1024, 2049])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_rows_are_bitwise_one_row_calls(self, n, alpha):
+        rows = stack_rows(n)
+        assert [row[0] == 0.0 for row in rows] == [False, True, False, True, False]
+        h = 1.0 / n
+        diffs = marchaud_difference(rows, h, alpha)
+        assert diffs.shape == rows.shape
+        for row, got in zip(rows, diffs):
+            assert got.tobytes() == marchaud_difference(row, h, alpha).tobytes()
+        for subtract_base in (True, False):
+            out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), alpha,
+                                       subtract_base)
+            ones = [weyl_derivative_left(GridFunction(0.0, 1.0, row), alpha, subtract_base)
+                    for row in rows]
+            assert out.values.shape == rows.shape and not out.values.flags.writeable
+            # NaN at x = a in exactly the rows a one-row call flags
+            for got, one in zip(out.values, ones):
+                assert got.tobytes() == one.values.tobytes()
+            assert out.endpoint_nan_ok == any(one.endpoint_nan_ok for one in ones)
+            assert out.endpoint_nan_ok == (not subtract_base)
+
+    def test_a_stack_of_rows_with_f_a_zero_is_not_flagged(self):
+        x = np.linspace(0.0, 1.0, 65)
+        rows = np.stack([np.sin(3.0 * x), x ** 2])
+        out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), 0.3)
+        assert not out.endpoint_nan_ok and (out.values[:, 0] == 0.0).all()
+
+
 def holder_tail_double_loop(v, h, alpha):
     """Reference Hoelder tail: for every pair j < i the weight from the hat
     moments of u^(-alpha-1) (B[i] on column 0, A[i-j] + B[i-j] elsewhere)

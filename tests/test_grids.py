@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracpath.grids import GridError, SpaceTimeField
+from fracpath.grids import GridError, GridFunction, SpaceTimeField
 
 
 class TestConstantInTime:
@@ -33,3 +33,36 @@ class TestConstantInTime:
         f = SpaceTimeField(1.0, vals)
         vals[1, 1] = 1.0
         assert f.values[1, 1] == 0.0 and not f.values.flags.writeable
+
+
+class TestGridFunction:
+    @pytest.mark.parametrize("shape", [(2, 9), (1, 9), (2, 3, 9), ()])
+    def test_public_constructor_takes_one_slice(self, shape):
+        with pytest.raises(GridError):
+            GridFunction(0.0, 1.0, np.zeros(shape))
+
+    def test_public_constructor_copies(self):
+        vals = np.zeros(9)
+        f = GridFunction(0.0, 1.0, vals)
+        vals[1] = 1.0
+        assert f.values[1] == 0.0 and not f.values.flags.writeable
+
+    def test_adopt_holds_a_stack_without_a_copy(self):
+        rows = np.random.default_rng(1).standard_normal((3, 9))
+        f = GridFunction._adopt(0.0, 2.0, rows)
+        assert f.values is rows and not rows.flags.writeable
+        assert (f.a, f.b, f.n, f.h) == (0.0, 2.0, 8, 0.25)
+        assert np.array_equal(f.nodes, np.linspace(0.0, 2.0, 9))
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 3, 9)), np.zeros((3, 2)),
+                                        np.full((2, 9), np.inf)])
+    def test_adopt_validates_as_the_constructor_does(self, values):
+        with pytest.raises(GridError):
+            GridFunction._adopt(0.0, 1.0, values)
+
+    def test_adopt_lets_flagged_end_nodes_be_nan(self):
+        rows = np.ones((2, 9))
+        rows[1, 0] = np.nan
+        assert GridFunction._adopt(0.0, 1.0, rows, endpoint_nan_ok=True).endpoint_nan_ok
+        with pytest.raises(GridError, match="non-finite"):
+            GridFunction._adopt(0.0, 1.0, rows.copy())

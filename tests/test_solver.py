@@ -637,23 +637,27 @@ class TestWindowNorm:
         diff = np.random.default_rng(3).standard_normal((5, n + 1)).cumsum(axis=1)
         diff[list(zero_rows)] = 0.0
         expected = max(norms.slice_norm_alpha_infty(row, 1.0 / n, 0.3) for row in diff)
-        assert solver._window_norm(diff, 1.0 / n, 0.3) == expected
+        assert solver._window_norm(diff, np.zeros_like(diff), 1.0 / n, 0.3) == expected
 
     def test_all_zero_rows(self):
-        assert solver._window_norm(np.zeros((3, 17)), 1.0 / 16, 0.3) == 0.0
+        Y = np.random.default_rng(2).standard_normal((3, 17))
+        assert solver._window_norm(Y, Y.copy(), 1.0 / 16, 0.3) == 0.0
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_bands_give_the_stacked_max(self, n):
-        # 100 rows go in bands of _SWEEP_ROWS from the last, with one floor
-        diff = 1e-3 * np.random.default_rng(n).standard_normal((100, n + 1)).cumsum(axis=0)
-        diff[0] = 0.0
-        want = norms.slice_norms_alpha_infty(diff[1:], 1.0 / n, 0.3).max()
-        assert np.float64(solver._window_norm(diff, 1.0 / n, 0.3)).tobytes() == want.tobytes()
+        # 100 rows go in bands of _SWEEP_ROWS from the last, with one floor,
+        # each band's difference F - Y formed in its step
+        rng = np.random.default_rng(n)
+        Y = rng.standard_normal((100, n + 1)).cumsum(axis=1)
+        F = Y + 1e-3 * rng.standard_normal((100, n + 1)).cumsum(axis=0)
+        F[0] = Y[0]
+        want = norms.slice_norms_alpha_infty((F - Y)[1:], 1.0 / n, 0.3).max()
+        assert np.float64(solver._window_norm(F, Y, 1.0 / n, 0.3)).tobytes() == want.tobytes()
         for row in (99, 40, 1):   # a NaN stays NaN in the first, a middle and the last band
-            bad = diff.copy()
+            bad = F.copy()
             bad[row, n // 2] = np.nan
             with np.errstate(invalid="ignore"):
-                assert np.isnan(solver._window_norm(bad, 1.0 / n, 0.3)), row
+                assert np.isnan(solver._window_norm(bad, Y, 1.0 / n, 0.3)), row
 
 
 class TestLongWindow:
@@ -701,10 +705,11 @@ class TestSolveMemory:
 
     def test_long_window_scratch_is_bounded(self):
         # one window of all 2000 cells (T = 0.0018 is below T0): the sweep and
-        # the residual norm go _SWEEP_ROWS rows at a time and the time
-        # integral runs in its output, so the peak is the solution, three
-        # window-sized arrays and a band's scratch (9.6 MB measured); one
-        # stacked sweep and norm over the window peaked at 22.9 MB
+        # the residual norm go _SWEEP_ROWS rows at a time, the norm forms each
+        # band's difference in its step and the time integral runs in its
+        # output, so the peak is the solution, two window-sized arrays and a
+        # band's scratch (8.67 MB measured); a whole-window difference made
+        # it 9.57 MB, and one stacked sweep and norm over the window 22.9 MB
         self.traced_solve(10, 0.01)
-        assert self.traced_solve(2000, 0.0018) < 15e6
+        assert self.traced_solve(2000, 0.0018) < 9.1e6
 

@@ -346,6 +346,25 @@ class TestAllUpperLimits:
             assert one.shape == row.shape
             assert np.array_equal(one, out)
 
+    @pytest.mark.parametrize("n, k", [(64, 1), (64, 9), (1024, 5)])
+    def test_one_left_derivative_call_per_sweep(self, n, k, monkeypatch):
+        U, g, _ = sweep_inputs(n, 0.3, k, seed=k)
+        op = stieltjes.slice_operator(g, 0.3)
+        want = [stieltjes.stieltjes_all_upper_limits(row, op) for row in U]
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            calls.append(f.values.shape)
+            return weyl_derivative_left(f, *args, **kwargs)
+
+        monkeypatch.setattr(stieltjes, "weyl_derivative_left", counted)
+        got = stieltjes.stieltjes_all_upper_limits(U, op)
+        # the whole stack in one call (one row goes as one slice)
+        assert calls == [U.shape if k > 1 else (n + 1,)]
+        assert all(out.tobytes() == one.tobytes() for out, one in zip(got, want))
+        # the stack is held without a copy, but the caller's array stays writable
+        assert U.flags.writeable
+
     def test_no_square_temporary(self):
         n = 2048
         U, g, P = sweep_inputs(n, 0.3, 3)

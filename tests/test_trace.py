@@ -5,7 +5,8 @@
 with a trace file, as the benchmark does, on small README-config (n = 256)
 and frozen n = 1024 solves and on ``verify all``, and check the trace with
 the benchmark's own ``layer_metrics`` and ``check_trace``; the perfbench
-files are only read.
+files are only read.  On the solves they also check that each Stieltjes
+sweep takes its left Weyl derivative in one call.
 """
 
 import importlib.util
@@ -47,6 +48,12 @@ def traced_run(bench, workload, args, tmp_path):
     return layers
 
 
+def assert_one_left_derivative_per_sweep(layers):
+    """A solve's only Weyl derivatives are its sweeps' left fields, one call
+    on each sweep's whole stack."""
+    assert layers["frac_calc.weyl.calls"] == layers["stieltjes.sweep.calls"]
+
+
 def test_frozen_n1024_solve_reaches_every_span(bench, tmp_path):
     cfg = bench.solve_config("solve-frozen-n1024", bench.REFERENCE_SEED)
     cfg["grid"].update(m=8, T=0.016)   # the workload's time step, fewer cells
@@ -55,6 +62,7 @@ def test_frozen_n1024_solve_reaches_every_span(bench, tmp_path):
     layers = traced_run(bench, "solve-frozen-n1024", ["solve", str(path)], tmp_path)
     for name in bench.EXPECTED_SPANS["solve-frozen-n1024"]:
         assert layers[f"{name}.calls"] > 0, name
+    assert_one_left_derivative_per_sweep(layers)
 
 
 def test_readme_solve_reaches_every_span(bench, tmp_path):
@@ -65,6 +73,7 @@ def test_readme_solve_reaches_every_span(bench, tmp_path):
     layers = traced_run(bench, "solve-readme", ["solve", str(path)], tmp_path)
     for name in bench.EXPECTED_SPANS["solve-readme"]:
         assert layers[f"{name}.calls"] > 0, name
+    assert_one_left_derivative_per_sweep(layers)
 
 
 def test_verify_all_reaches_every_span(bench, tmp_path):
