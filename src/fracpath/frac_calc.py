@@ -12,9 +12,8 @@ below ``_FFT_MIN_N`` cells and from there on by rfft against spectra
 cached per (n, order) (``_convolve``, which the Stieltjes sweep shares),
 with the largest weights summed directly.  The Weyl derivative reads its
 node powers (x_i - a)^alpha from a read-only cache per (a, b, n, order),
-and checks finiteness again only for an input that may carry a NaN
-endpoint: the ``GridFunction`` constructor checked every other.  It and
-``marchaud_difference`` also take a (k, n+1) stack of slices (a
+and relies on the ``GridFunction`` constructor's finiteness check.  It
+and ``marchaud_difference`` also take a (k, n+1) stack of slices (a
 ``GridFunction._adopt`` input, as the Stieltjes sweep passes its rows),
 each row bitwise its one-slice call.
 
@@ -295,48 +294,34 @@ def left_power_integral(values: np.ndarray, h: float, alpha: float) -> float:
     return float(np.dot(w, v)) * h ** (1.0 - alpha)
 
 
-def weyl_derivative_left(f: GridFunction, alpha, subtract_base: bool = False) -> GridFunction:
-    """Marchaud-form left Weyl derivative of order alpha.
+def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
+    """Marchaud-form left Weyl derivative of order alpha of f - f(a), the
+    f_{a+} of the Stieltjes pairing, 0 at x = a:
 
-    D f(x) = (1/Gamma(1-alpha)) [ f(x)/(x-a)^alpha
+    D f(x) = (1/Gamma(1-alpha)) [ (f(x)-f(a))/(x-a)^alpha
              + alpha int_a^x (f(x)-f(y))/(x-y)^(alpha+1) dy ].
-
-    With ``subtract_base`` the operator acts on f - f(a) (the f_{a+}
-    variant) and the output at x = a is 0.  Without it the node at x = a
-    is singular unless f(a) = 0 and is returned as NaN with the
-    ``endpoint_nan_ok`` flag set.
 
     ``f`` may hold a stack of slices (``GridFunction._adopt``, as the
     Stieltjes sweep passes its rows); the output is then the stack of the
-    derivatives, each row bitwise the one-slice call for that row, NaN at
-    x = a in exactly the rows that call would flag, and flagged if any row
-    is.  The output holds its array without a copy.
+    derivatives, each row bitwise the one-slice call for that row.  The
+    output holds its array without a copy.
     """
     a = order_value(alpha)
-    v = _finite_values(f)
+    v = f.values
     diff = marchaud_difference(v, f.h, a)
     x = _node_powers(f.a, f.b, f.n, a)
-    base = _by_row(v[..., 0]) if subtract_base else 0.0
+    base = _by_row(v[..., 0])
     out = np.empty(v.shape)
     out[..., 1:] = ((v[..., 1:] - base) / x + a * diff[..., 1:]) / math.gamma(1.0 - a)
     out[..., 0] = 0.0
-    flagged = False
-    if not subtract_base:
-        singular = v[..., 0] != 0.0   # the rows with f(a) != 0
-        flagged = bool(singular.any())
-        if flagged:
-            out[..., 0][singular] = np.nan
-    return GridFunction._adopt(f.a, f.b, out, endpoint_nan_ok=flagged)
+    return GridFunction._adopt(f.a, f.b, out)
 
 
-def weyl_derivative_right(f: GridFunction, alpha, subtract_base: bool = False) -> GridFunction:
-    """Marchaud-form right Weyl derivative (real convention, phase dropped).
-
-    Mirror of :func:`weyl_derivative_left`; with ``subtract_base`` the
-    operator acts on f - f(b) and the output at x = b is 0.
+def weyl_derivative_right(f: GridFunction, alpha) -> GridFunction:
+    """Marchaud-form right Weyl derivative of f - f(b) (real convention,
+    phase dropped): the mirror of :func:`weyl_derivative_left`, 0 at x = b.
     """
-    d = weyl_derivative_left(f.reflected(), alpha, subtract_base=subtract_base)
-    return d.reflected()
+    return weyl_derivative_left(f.reflected(), alpha).reflected()
 
 
 def beta_b1(alpha) -> float:
@@ -363,10 +348,3 @@ def _node_powers(a: float, b: float, n: int, alpha: float) -> np.ndarray:
     x.setflags(write=False)
     return x
 
-
-def _finite_values(f: GridFunction) -> np.ndarray:
-    """The values of f, all finite: the constructor checked them unless f
-    may carry a NaN endpoint."""
-    if f.endpoint_nan_ok and not np.isfinite(f.values).all():
-        raise GridError("operator input carries non-finite nodes")
-    return f.values

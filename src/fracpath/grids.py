@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,18 +19,14 @@ class GridError(ValueError):
 class GridFunction:
     """Real samples at the uniform nodes x_i = a + i*(b-a)/n, i = 0..n.
 
-    Node values must be finite.  The Weyl derivative routines may mark an
-    endpoint node as unusable (NaN) when the operator is singular there;
-    such outputs are built with ``endpoint_nan_ok`` and downstream code
-    must not read the flagged node.  The public constructor copies one
-    slice; ``_adopt`` holds an operator's own array, one slice or a
-    (k, n+1) stack of slices on one grid, without a copy.
+    Node values must be finite.  The public constructor copies one slice;
+    ``_adopt`` holds an operator's own array, one slice or a (k, n+1)
+    stack of slices on one grid, without a copy.
     """
 
     a: float
     b: float
     values: np.ndarray
-    endpoint_nan_ok: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -38,17 +35,15 @@ class GridFunction:
         self._hold(arr)
 
     @classmethod
-    def _adopt(cls, a: float, b: float, values: np.ndarray,
-               endpoint_nan_ok: bool = False) -> "GridFunction":
+    def _adopt(cls, a: float, b: float, values: np.ndarray) -> "GridFunction":
         """Samples over ``values`` itself, not a copy: one slice (n+1,) or a
         stack of slices (k, n+1) on one grid, for an array that nothing else
         writes (an operator's input rows or its finished output).  The array
         is made read-only and validated as the public constructor validates
-        its copy; ``endpoint_nan_ok`` covers the end nodes of every row."""
+        its copy."""
         f = object.__new__(cls)
         object.__setattr__(f, "a", a)
         object.__setattr__(f, "b", b)
-        object.__setattr__(f, "endpoint_nan_ok", endpoint_nan_ok)
         f._hold(np.asarray(values, dtype=float))
         return f
 
@@ -61,8 +56,7 @@ class GridFunction:
             raise GridError(f"need b > a, got a={self.a}, b={self.b}")
         if arr.ndim not in (1, 2) or arr.shape[-1] < 3:
             raise GridError("grid needs at least n = 2 cells (3 nodes)")
-        interior = arr[..., 1:-1] if self.endpoint_nan_ok else arr
-        if not np.isfinite(interior).all():
+        if not np.isfinite(arr).all():
             raise GridError("non-finite node values")
 
     @property
@@ -79,13 +73,12 @@ class GridFunction:
         x.setflags(write=False)
         return x
 
-    def with_values(self, values, **kw) -> "GridFunction":
-        return GridFunction(self.a, self.b, values, **kw)
+    def with_values(self, values) -> "GridFunction":
+        return GridFunction(self.a, self.b, values)
 
     def reflected(self) -> "GridFunction":
         """Samples of x -> f(a + b - x) on the same grid."""
-        return GridFunction(self.a, self.b, self.values[::-1],
-                            endpoint_nan_ok=self.endpoint_nan_ok)
+        return GridFunction(self.a, self.b, self.values[::-1])
 
 
 def order_value(alpha) -> float:
@@ -108,9 +101,12 @@ def check_solver_order(alpha: float, hurst: float) -> None:
 
 
 def check_grid(m: int, n: int, T: float) -> None:
-    """Reject fewer than 1 time cell or 2 space cells, or a horizon T <= 0."""
-    if m < 1 or n < 2 or not T > 0:
-        raise GridError(f"need m >= 1, n >= 2 and T > 0, got m={m}, n={n}, T={T}")
+    """Reject fewer than 1 time cell or 2 space cells, or a horizon T that
+    is not finite and positive with a normal time step T/m (the reciprocal
+    of a subnormal step overflows)."""
+    if m < 1 or n < 2 or not 0 < T <= sys.float_info.max or T / m < sys.float_info.min:
+        raise GridError(f"need m >= 1, n >= 2 and a finite T > 0 with T/m a normal float, "
+                        f"got m={m}, n={n}, T={T}")
 
 
 @dataclass(frozen=True)

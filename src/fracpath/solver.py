@@ -83,8 +83,8 @@ class SolverConfig:
         if self.phi.n != self.n or abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
             raise GridError("phi must live on the solver's spatial grid over [0, 1]")
         grids.check_grid(self.m, self.n, self.T)
-        if self.max_iterations < 1 or not self.picard_tol > 0:
-            raise GridError("need max_iterations >= 1 and picard_tol > 0")
+        if self.max_iterations < 1 or not 0 < self.picard_tol < math.inf:
+            raise GridError("need max_iterations >= 1 and a finite picard_tol > 0")
 
     @property
     def dt(self) -> float:

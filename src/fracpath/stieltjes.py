@@ -87,8 +87,8 @@ def _pairing_value(fv: np.ndarray, gv: np.ndarray, a: float, b: float,
         return 0.0
     fsub = GridFunction(a, b, fv)
     gsub = GridFunction(a, b, gv)
-    Du = weyl_derivative_left(fsub, alpha, subtract_base=True).values
-    Dg = weyl_derivative_right(gsub, 1.0 - alpha, subtract_base=True).values
+    Du = weyl_derivative_left(fsub, alpha).values
+    Dg = weyl_derivative_right(gsub, 1.0 - alpha).values
     return _pairing_quadrature(Du * Dg, fsub.h, alpha)
 
 
@@ -97,8 +97,6 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
     """int_c^d f dg for grid-aligned [c, d] inside the common grid of f, g."""
     a = order_value(alpha)
     _check_compatible(f, g)
-    if not (np.isfinite(f.values).all() and np.isfinite(g.values).all()):
-        raise GridError("non-finite node values")
     c = f.a if c is None else float(c)
     d = f.b if d is None else float(d)
     ic = _aligned_index(f, c, "c")
@@ -182,7 +180,7 @@ def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
     if rows.shape[1] != op.values.size:
         raise GridError("the integrand must live on the operator's grid")
     f = GridFunction._adopt(0.0, 1.0, rows[0] if rows.shape[0] == 1 else rows)
-    return weyl_derivative_left(f, op.alpha, subtract_base=True).values.reshape(rows.shape)
+    return weyl_derivative_left(f, op.alpha).values.reshape(rows.shape)
 
 
 def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from fracpath.fbm import _circulant_root, _fgn_sample
-from fracpath.frac_calc import _finite_values, _hat_moments
+from fracpath.frac_calc import _hat_moments
 from fracpath.grids import GridFunction, SpaceTimeField, order_value
 from fracpath.norms import lambda_from_pair_matrix, right_derivative_pair_matrix
 from fracpath.stieltjes import _pairing_value
@@ -36,7 +36,7 @@ def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
     integration; the result is exact whenever f is piecewise linear.
     """
     a = order_value(alpha)
-    v = _finite_values(f)
+    v = f.values
     n = f.n
     C, A = _integral_weights(n, a)
     conv = np.convolve(C, v)[: n + 1]

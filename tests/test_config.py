@@ -60,7 +60,8 @@ BAD = [
                    ("alpha", 0.0), ("alpha", 0.5), ("alpha", -0.1),
                    ("grid.m", 0), ("grid.m", -1), ("grid.n", 1), ("grid.n", 0),
                    ("grid.n", -5), ("grid.T", 0), ("grid.T", -0.1),
-                   ("picard.tol", 0), ("picard.tol", -1e-9),
+                   ("grid.T", 1e-320), ("grid.T", float("inf")),
+                   ("picard.tol", 0), ("picard.tol", -1e-9), ("picard.tol", float("inf")),
                    ("picard.max_iter", 0), ("picard.max_iter", -3))],
     *[(f"bound-hurst_t={v}", {"driver": SHEET, "driver.hurst_t": v})
       for v in (0.89, 1.0, 1.5)],

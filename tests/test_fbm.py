@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpath.grids import GridError, GridFunction
+from fracpath.grids import GridError, SpaceTimeField
 from fracpath import fbm, norms
 from oracles import fgn_davies_harte, lambda_alpha
 
@@ -104,9 +104,9 @@ class TestDrivingField:
         assert values.strides[0] == 0 and np.shares_memory(values, path.values)
 
     def test_frozen_driver_refuses_a_non_finite_slice(self):
-        path = GridFunction(0.0, 1.0, [0.0, 0.5, np.nan], endpoint_nan_ok=True)
+        # the time-constant broadcast (row stride 0) is checked through its slice
         with pytest.raises(GridError, match="non-finite"):
-            fbm.field_from_path(path, 3, 1.0, 0.3)
+            SpaceTimeField.constant_in_time([0.0, 0.5, np.nan], 3, 1.0)
 
     def test_frozen_driver_holds_its_path_once(self):
         # beside its O(n) operator, a frozen driver of m = 1000 time cells

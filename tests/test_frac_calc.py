@@ -117,27 +117,25 @@ class TestRiemannLiouvilleRight:
 
 class TestWeylLeft:
     def test_constant_input_is_pure_boundary_term(self):
-        c = -1.7
-        f = GridFunction(0, 1, np.full(129, c))
+        # f - f(a) of a constant is 0: both the boundary term and the
+        # Marchaud term vanish, exactly, at every node
+        f = GridFunction(0, 1, np.full(129, -1.7))
         out = weyl_derivative_left(f, 0.3)
-        x = f.nodes[1:]
-        np.testing.assert_allclose(
-            out.values[1:], c * x ** (-0.3) / math.gamma(0.7), rtol=1e-12)
-        assert out.endpoint_nan_ok and np.isnan(out.values[0])
+        assert np.array_equal(out.values, np.zeros(129))
 
     def test_linear_closed_form(self):
         # D^0.5 (x-a) = 2 sqrt(x-a)/sqrt(pi); exact for piecewise-linear data
         f = power_grid(128, 1)
-        out = weyl_derivative_left(f, 0.5, subtract_base=True)
+        out = weyl_derivative_left(f, 0.5)
         np.testing.assert_allclose(
             out.values, 2.0 * np.sqrt(f.nodes) / math.sqrt(math.pi), atol=1e-12)
-        assert out.values[0] == 0.0 and not out.endpoint_nan_ok
+        assert out.values[0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("beta", [1, 2])
     def test_power_oracle(self, alpha, beta):
         f = power_grid(512, beta)
-        out = weyl_derivative_left(f, alpha, subtract_base=True).values
+        out = weyl_derivative_left(f, alpha).values
         exact = gamma_ratio_derivative(alpha, beta, f.nodes)
         assert rel_err_interior(out, exact, f.nodes) < 1e-2
 
@@ -147,47 +145,43 @@ class TestWeylLeft:
             x = np.linspace(0, 1, n + 1)
             f = np.sin(2 * x) + 1.0
             I = rl_integral_left(GridFunction(0, 1, f), 0.3)
-            D = weyl_derivative_left(I, 0.3, subtract_base=True).values
+            D = weyl_derivative_left(I, 0.3).values
             sel = (x >= 0.05) & (x <= 0.95)
             errs.append(np.max(np.abs(D[sel] - f[sel])))
         assert errs[0] > errs[1] > errs[2]
 
     @pytest.mark.parametrize("n, c, d", [(2048, 0.25, 0.75), (48, 0.1, 0.7),
                                          (257, -1.5, 2.0), (64, 0.0, 1.0)])
-    @pytest.mark.parametrize("subtract_base", [True, False])
-    def test_bitwise_the_node_formula_on_any_interval(self, n, c, d, subtract_base):
+    @pytest.mark.parametrize("offset", [True, False])
+    def test_bitwise_the_node_formula_on_any_interval(self, n, c, d, offset):
         # the node powers (x - c)^alpha come from a cache; they must be the
         # bits of f.nodes - f.a, on a sub-interval [c, d] as the Stieltjes
-        # integral builds it
+        # integral builds it; the data start at f(a) != 0 with ``offset``
+        # and at f(a) = 0 without it
         alpha = 0.3
         x = np.linspace(c, d, n + 1)
-        f = GridFunction(c, d, np.sin(3.0 * x) + x)
-        base = f.values[0] if subtract_base else 0.0
+        v = np.sin(3.0 * x) + x
+        f = GridFunction(c, d, v + 1.0 if offset else v - v[0])
+        assert (f.values[0] != 0.0) == offset
         diff = marchaud_difference(f.values, f.h, alpha)
-        ref = ((f.values[1:] - base) / (f.nodes - f.a)[1:] ** alpha
+        ref = ((f.values[1:] - f.values[0]) / (f.nodes - f.a)[1:] ** alpha
                + alpha * diff[1:]) / math.gamma(1.0 - alpha)
         for _ in range(2):   # the second call reads the cached powers
-            out = weyl_derivative_left(GridFunction(c, d, f.values), alpha, subtract_base)
+            out = weyl_derivative_left(GridFunction(c, d, f.values), alpha)
             assert out.values[1:].tobytes() == ref.tobytes()
-
-    def test_rejects_a_nan_endpoint_input(self):
-        flagged = weyl_derivative_left(GridFunction(0, 1, np.full(33, 1.0)), 0.3)
-        assert flagged.endpoint_nan_ok
-        with pytest.raises(GridError):
-            weyl_derivative_left(flagged, 0.3)
 
 
 class TestWeylRight:
     def test_zero_input(self):
         f = GridFunction(0, 1, np.zeros(65))
-        out = weyl_derivative_right(f, 0.25, subtract_base=True).values
+        out = weyl_derivative_right(f, 0.25).values
         assert np.array_equal(out, np.zeros(65))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.4])
     def test_linear_integrator_closed_form(self, alpha):
         # order 1-alpha applied to x - x(end): magnitude (b-x)^alpha/Gamma(1+alpha)
         f = power_grid(128, 1)
-        out = weyl_derivative_right(f, 1 - alpha, subtract_base=True).values
+        out = weyl_derivative_right(f, 1 - alpha).values
         exact = -(1.0 - f.nodes) ** alpha / math.gamma(1 + alpha)
         np.testing.assert_allclose(out, exact, atol=1e-11)
 
@@ -195,8 +189,8 @@ class TestWeylRight:
         rng = np.random.default_rng(3)
         v = rng.standard_normal(65)
         f = GridFunction(0, 1, v)
-        left = weyl_derivative_left(f, 0.3, subtract_base=True).values
-        right = weyl_derivative_right(f.reflected(), 0.3, subtract_base=True).values
+        left = weyl_derivative_left(f, 0.3).values
+        right = weyl_derivative_right(f.reflected(), 0.3).values
         np.testing.assert_allclose(right, left[::-1], atol=1e-13)
 
 
@@ -244,8 +238,8 @@ class TestOperatorProperties:
         combo = GridFunction(0, 1, c1 * v1 + c2 * v2)
         for op in (lambda f: rl_integral_left(f, 0.3).values,
                    lambda f: rl_integral_right(f, 0.3).values,
-                   lambda f: weyl_derivative_left(f, 0.3, subtract_base=True).values,
-                   lambda f: weyl_derivative_right(f, 0.3, subtract_base=True).values):
+                   lambda f: weyl_derivative_left(f, 0.3).values,
+                   lambda f: weyl_derivative_right(f, 0.3).values):
             np.testing.assert_allclose(
                 op(combo), c1 * op(f1) + c2 * op(f2), atol=1e-9)
 
@@ -267,16 +261,10 @@ class TestOperatorProperties:
             x = np.linspace(0, 1, n + 1)
             f = np.abs(x - 1 / math.pi)  # Lipschitz with an off-grid kink
             I = rl_integral_left(GridFunction(0, 1, f), 0.25)
-            D = weyl_derivative_left(I, 0.25, subtract_base=True).values
+            D = weyl_derivative_left(I, 0.25).values
             sel = (x >= 0.05) & (x <= 0.95)
             errs.append(np.max(np.abs(D[sel] - f[sel])))
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-
-    def test_flagged_endpoint_without_subtraction(self):
-        f = GridFunction(0, 1, np.linspace(1.0, 2.0, 65))
-        out = weyl_derivative_left(f, 0.3)
-        assert np.isnan(out.values[0]) and out.endpoint_nan_ok
-        assert np.isfinite(out.values[1:]).all()
 
 
 def difference_rows(n):
@@ -353,23 +341,24 @@ class TestStackedCalls:
         assert diffs.shape == rows.shape
         for row, got in zip(rows, diffs):
             assert got.tobytes() == marchaud_difference(row, h, alpha).tobytes()
-        for subtract_base in (True, False):
-            out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), alpha,
-                                       subtract_base)
-            ones = [weyl_derivative_left(GridFunction(0.0, 1.0, row), alpha, subtract_base)
-                    for row in rows]
-            assert out.values.shape == rows.shape and not out.values.flags.writeable
-            # NaN at x = a in exactly the rows a one-row call flags
-            for got, one in zip(out.values, ones):
-                assert got.tobytes() == one.values.tobytes()
-            assert out.endpoint_nan_ok == any(one.endpoint_nan_ok for one in ones)
-            assert out.endpoint_nan_ok == (not subtract_base)
+        out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), alpha)
+        assert out.values.shape == rows.shape and not out.values.flags.writeable
+        # 0 at x = a in every row, whether f(a) = 0 or not
+        assert (out.values[:, 0] == 0.0).all()
+        for got, row in zip(out.values, rows):
+            one = weyl_derivative_left(GridFunction(0.0, 1.0, row), alpha)
+            assert got.tobytes() == one.values.tobytes()
 
     def test_a_stack_of_rows_with_f_a_zero_is_not_flagged(self):
+        # rows that already start at 0 come out 0 at x = a and finite
+        # everywhere, bit for bit as one-row calls give them
         x = np.linspace(0.0, 1.0, 65)
         rows = np.stack([np.sin(3.0 * x), x ** 2])
         out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), 0.3)
-        assert not out.endpoint_nan_ok and (out.values[:, 0] == 0.0).all()
+        assert (out.values[:, 0] == 0.0).all() and np.isfinite(out.values).all()
+        for got, row in zip(out.values, rows):
+            one = weyl_derivative_left(GridFunction(0.0, 1.0, row), 0.3)
+            assert got.tobytes() == one.values.tobytes()
 
 
 def holder_tail_double_loop(v, h, alpha):

@@ -55,14 +55,8 @@ class TestGridFunction:
         assert np.array_equal(f.nodes, np.linspace(0.0, 2.0, 9))
 
     @pytest.mark.parametrize("values", [np.zeros((2, 3, 9)), np.zeros((3, 2)),
-                                        np.full((2, 9), np.inf)])
+                                        np.full((2, 9), np.inf),
+                                        np.where(np.arange(9) == 0, np.nan, np.ones((2, 9)))])
     def test_adopt_validates_as_the_constructor_does(self, values):
         with pytest.raises(GridError):
             GridFunction._adopt(0.0, 1.0, values)
-
-    def test_adopt_lets_flagged_end_nodes_be_nan(self):
-        rows = np.ones((2, 9))
-        rows[1, 0] = np.nan
-        assert GridFunction._adopt(0.0, 1.0, rows, endpoint_nan_ok=True).endpoint_nan_ok
-        with pytest.raises(GridError, match="non-finite"):
-            GridFunction._adopt(0.0, 1.0, rows.copy())

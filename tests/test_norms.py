@@ -118,7 +118,7 @@ class TestPairMatrix:
         D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
         for i in (2, n // 2, n):
             ref = weyl_derivative_right(GridFunction(0.0, xi[i], g[:i + 1]),
-                                        1.0 - alpha, subtract_base=True).values
+                                        1.0 - alpha).values
             assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
             assert not D[i, i + 1:].any()
 
