@@ -466,7 +466,9 @@ def cmd_verify(args) -> int:
 def _ensemble_run(cfg: dict, base_seed: int, k: int):
     run_cfg = dict(cfg, driver=dict(cfg["driver"], seed=[base_seed, k]))
     try:
-        report = _run_config(run_cfg, verify=False)
+        # numpy keeps its error state per thread: this worker sets main's
+        with np.errstate(over="raise"):
+            report = _run_config(run_cfg, verify=False)
     except (GridError, ConfigError) as exc:
         return {"seed": k, "ok": False, "error": str(exc)}
     g = report.verdicts["gronwall"]
@@ -611,9 +613,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_at_least("--threads", args.threads, 1)
-        return args.fn(args)
+        # an input that overflows float64 is refused, not solved to inf
+        with np.errstate(over="raise"):
+            return args.fn(args)
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FloatingPointError as exc:
+        print(f"error: the inputs overflow float64 ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

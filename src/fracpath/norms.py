@@ -211,12 +211,14 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     return float(first + second)
 
 
-def _row_bands(n: int) -> list:
+@lru_cache(maxsize=64)
+def _row_bands(n: int) -> tuple:
     """The bands [i0, i1) of rows 1..n in which the Stieltjes contraction
-    reads the pair matrix, each of about ``_BLOCK_ELEMENTS`` node pairs; row
-    0 pairs with no column.  The einsum's bits depend on the band height."""
+    reads its weight matrix, each of about ``_BLOCK_ELEMENTS`` node pairs;
+    row 0 pairs with no column.  The einsum's bits depend on the band
+    height."""
     step = max(1, _BLOCK_ELEMENTS // (n + 1))
-    return [(i0, min(i0 + step, n + 1)) for i0 in range(1, n + 1, step)]
+    return tuple((i0, min(i0 + step, n + 1)) for i0 in range(1, n + 1, step))
 
 
 @lru_cache(maxsize=64)

@@ -16,19 +16,25 @@ Against one integrator slice the integral up to every node is a linear
 operator, a ``SliceOperator`` built once; its pair matrix D is read only
 here.  ``stieltjes_all_upper_limits`` applies it to one integrand slice or
 a stack, whose left derivatives it takes in one ``weyl_derivative_left``
-call on the whole stack.  Below ``frac_calc._FFT_MIN_N`` cells each row's
-left derivative is contracted with D by ``np.einsum``, band by band over
-the lower triangle (the bands of about 2^17 pairs of ``norms._row_bands``:
-the einsum's bits depend on the band height, so it does not share the
-32-row bands in which ``norms._right_bands`` builds D).  From there on D is dropped after
+call on the whole stack.  Below ``frac_calc._FFT_MIN_N`` cells the
+operator folds the trapezoid end weights, PAIRING_SIGN and h into D in
+place (``weights``) and keeps g - g(0), so a sweep is one left-derivative
+call and one ``np.einsum`` of each row's field against the weights, band
+by band over the lower triangle (the bands of about 2^17 pairs of
+``norms._row_bands``: the einsum's bits depend on the band height, so it
+does not share the 32-row bands in which ``norms._right_bands`` builds D),
+plus u_0 (g - g(0)).  A one-row sweep took 107 -> 57 us at n = 64 and
+174 -> 113 us at n = 256, and a 4-row one 203 -> 125 us at n = 96 (median
+of 7 interleaved rounds, 2-core VM).  From there on D is dropped after
 the build: two Toeplitz kernels against differences of the slice values
 (``_pair_kernels``) make the contraction four causal convolutions and one
-prefix sum.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the near
-field's dot products have at most five terms, so the bits do not depend on
-the BLAS thread count; no (n+1)^2 temporary is formed.  The solver stacks
-the window of a time-constant driver 32 rows per call, computes the
-window's fixed row 0 once, and builds each window's first iterate from
-that row alone.
+prefix sum, and the trapezoid ends are O(n) terms in column 1 and the
+subdiagonal of D.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the
+near field's dot products have at most five terms, so the bits do not
+depend on the BLAS thread count; no (n+1)^2 temporary is formed.  The
+solver stacks the window of a time-constant driver 32 rows per call,
+computes the window's fixed row 0 once, and builds each window's first
+iterate from that row alone.
 """
 
 from __future__ import annotations
@@ -112,10 +118,13 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
 @dataclass(frozen=True, eq=False)
 class SliceOperator:
     """u -> int_0^xi u dg at every node, for one integrator slice g on the
-    unit grid: read-only copies of g's values, of column 1 and of the
-    subdiagonal of its pair matrix D, the step h, the order alpha and
-    Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps D, read-only;
-    from there on ``pair_matrix`` is None and the sweep convolves."""
+    unit grid: read-only copies of g's values, of g - g(0) (``rise``), of
+    column 1 and of the subdiagonal of its pair matrix D, the step h, the
+    order alpha and Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps
+    ``weights``, read-only: D with the trapezoid end weights and
+    PAIRING_SIGN h folded in (``_fold_trapezoid``), so that the pairing
+    term of the integral up to node i is sum_j weights[i, j] Du_j; from
+    there on ``weights`` is None and the sweep convolves."""
 
     values: np.ndarray
     h: float
@@ -123,21 +132,43 @@ class SliceOperator:
     lam: float
     column: np.ndarray
     subdiagonal: np.ndarray
-    pair_matrix: np.ndarray | None
+    rise: np.ndarray
+    weights: np.ndarray | None
+
+
+def _fold_trapezoid(D: np.ndarray, h: float, a: float) -> np.ndarray:
+    """Fold the pairing quadrature into the pair matrix D, in place: row i
+    integrates the nodes 1..i-1 by the trapezoid rule with the end cells
+    weighted by the local power models (``_pairing_quadrature``), so column
+    1 of rows i >= 3 is scaled by 1/2 + 1/(2-a), D[i, i-1] for i >= 3 by
+    1/2 + 1/(1+a), D[2, 1] by 1/(2-a) + 1/(1+a); rows 0 and 1 integrate
+    over fewer than three nodes and become zero.  Then all of D is scaled
+    by PAIRING_SIGN h."""
+    n = D.shape[0] - 1
+    D[3:, 1] *= 0.5 + 1.0 / (2.0 - a)
+    D.reshape(-1)[3 * (n + 2) - 1::n + 2] *= 0.5 + 1.0 / (1.0 + a)   # D[i, i-1], i >= 3
+    D[2, 1] *= 1.0 / (2.0 - a) + 1.0 / (1.0 + a)
+    D[:2] = 0.0
+    D *= PAIRING_SIGN * h
+    return D
 
 
 def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
-    """Build the operator of one integrator slice on the unit grid; D is
-    built once and, from ``_FFT_MIN_N`` cells on, dropped after use."""
+    """Build the operator of one integrator slice on the unit grid: D is
+    built once, and once Lambda_alpha, column 1 and the subdiagonal are
+    read, folded into ``weights`` below ``_FFT_MIN_N`` cells and dropped
+    from there on."""
     a = order_value(alpha)
     g = np.array(values, dtype=float)
     n = g.size - 1
     D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
+    lam = norms.lambda_from_pair_matrix(D, a)
     column, subdiagonal = D[:, 1].copy(), np.diagonal(D, -1).copy()
-    for arr in (g, column, subdiagonal, D):
+    weights = _fold_trapezoid(D, 1.0 / n, a) if n < _FFT_MIN_N else None
+    rise = g - g[0]
+    for arr in (g, column, subdiagonal, rise, D):
         arr.setflags(write=False)
-    return SliceOperator(g, 1.0 / n, a, norms.lambda_from_pair_matrix(D, a),
-                         column, subdiagonal, D if n < _FFT_MIN_N else None)
+    return SliceOperator(g, 1.0 / n, a, lam, column, subdiagonal, rise, weights)
 
 
 def _pair_kernels(n: int, a: float) -> tuple:
@@ -163,10 +194,10 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     against the integrator slice of ``op``; the result has the same shape,
     and each row of a stack is bitwise the one-slice result for that row.
     The left-derivative field of each row is computed once and contracted
-    with the pair matrix, one band of rows [i0, i1) at a time against the
-    columns j < i1 - 1 only, since D[i, j] = 0 for j >= i, or from
-    ``_FFT_MIN_N`` cells on by convolutions; the trapezoid end corrections
-    are O(n) vector terms.
+    with the operator's weights, one band of rows [i0, i1) at a time
+    against the columns j < i1 - 1 only, since they are 0 for j >= i, or
+    from ``_FFT_MIN_N`` cells on by convolutions and O(n) trapezoid end
+    corrections; then u_0 (g - g(0)) is added.
     """
     u = np.asarray(u, dtype=float)
     rows = u.reshape(-1, u.shape[-1])
@@ -200,22 +231,27 @@ def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:
 def _contract(Du: np.ndarray, rows: np.ndarray, op: SliceOperator) -> np.ndarray:
     """Integrals up to every node of the stacked ``rows`` against the slice
     of ``op``, from their left-derivative fields ``Du``."""
-    D, g, a = op.pair_matrix, op.values, op.alpha
-    if D is None:
+    W = op.weights
+    if W is None:
+        # the row sums of Du against D, then the trapezoid end corrections
+        # of ``_pairing_quadrature`` as O(n) terms in column 1 and the
+        # subdiagonal of D
+        a = op.alpha
         rowsum = _convolved_rowsums(Du, op)
+        first = op.column * Du[:, 1:2]
+        last = np.zeros_like(rowsum)
+        last[:, 1:] = op.subdiagonal * Du[:, :-1]
+        trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
+        trap[:, :2] = 0.0
+        out = PAIRING_SIGN * op.h * trap
     else:
-        # the pair matrix is zero for j >= i, so each band of rows meets
-        # only the columns left of its last row
-        rowsum = np.zeros_like(Du)
+        # the weights are zero for j >= i, so each band of rows meets only
+        # the columns left of its last row; row 0 integrates over one node
+        out = np.empty_like(Du)
+        out[:, 0] = 0.0
         for i0, i1 in norms._row_bands(rows.shape[1] - 1):
-            np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1],
-                      out=rowsum[:, i0:i1])
-    first = op.column * Du[:, 1:2]
-    last = np.zeros_like(rowsum)
-    last[:, 1:] = op.subdiagonal * Du[:, :-1]
-    trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
-    trap[:, :2] = 0.0
-    out = PAIRING_SIGN * op.h * trap + rows[:, :1] * (g - g[0])
+            np.einsum("sj,ij->si", Du[:, :i1 - 1], W[i0:i1, :i1 - 1], out=out[:, i0:i1])
+    out += rows[:, :1] * op.rise
     if not np.isfinite(out).all():
         bad = int(np.argwhere(~np.isfinite(out))[0][-1])
         raise GridError(f"non-finite pathwise integral at node {bad}")

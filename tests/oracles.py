@@ -2,11 +2,14 @@
 
 Each is an independent route to a quantity the package computes another
 way: the Riemann-Liouville integrals (the Abel inverse of the Weyl
-derivative), the pairing sign recomputed from the f = g = x case, Lambda_alpha
-over a whole field, and the Davies-Harte sampler without the cached
-spectrum.  They read the package's private weight tables and helpers, so
-their bits are those the package would give; none of them is run by a
-``fracpath`` command.
+derivative), the Weyl derivative by the mid-range-centred Marchaud
+difference, the Stieltjes sweep with its trapezoid ends applied to the
+unfolded pair matrix and its folded weights as per-pair factors, the
+pairing sign recomputed from the f = g = x case, Lambda_alpha over a whole
+field, and the Davies-Harte sampler without the cached spectrum.  They
+read the package's private weight tables and helpers, so their bits are
+those the package would give; none of them is run by a ``fracpath``
+command.
 """
 
 import math
@@ -14,10 +17,10 @@ import math
 import numpy as np
 
 from fracpath.fbm import _circulant_root, _fgn_sample
-from fracpath.frac_calc import _hat_moments
+from fracpath.frac_calc import _difference_weights, _hat_moments
 from fracpath.grids import GridFunction, SpaceTimeField, order_value
-from fracpath.norms import lambda_from_pair_matrix, right_derivative_pair_matrix
-from fracpath.stieltjes import _pairing_value
+from fracpath.norms import _row_bands, lambda_from_pair_matrix, right_derivative_pair_matrix
+from fracpath.stieltjes import PAIRING_SIGN, _pairing_value
 
 
 def _integral_weights(n: int, alpha: float):
@@ -48,6 +51,68 @@ def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
 def rl_integral_right(f: GridFunction, alpha) -> GridFunction:
     """Right-sided fractional integral (real convention, phase dropped)."""
     return rl_integral_left(f.reflected(), alpha).reflected()
+
+
+def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node of
+    one slice, by the package's difference weights applied by direct
+    ``np.convolve`` at every n to the slice centred at its mid-range: only
+    differences enter, so the shift is exact and keeps an offset from
+    cancelling."""
+    v = np.asarray(values, dtype=float)
+    n = v.size - 1
+    C, A, rowsum = _difference_weights(n, alpha)
+    w = v - 0.5 * (v.max() + v.min())
+    out = (w * rowsum - (np.convolve(C, w)[:n + 1] - A * w[0])) * h ** (-alpha)
+    out[0] = 0.0
+    return out
+
+
+def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
+    """Left Weyl derivative of f - f(a) by its Marchaud form,
+    ((f(x) - f(a)) / (x - a)^alpha + alpha (centred Marchaud difference))
+    / Gamma(1 - alpha), 0 at x = a."""
+    a = order_value(alpha)
+    v = f.values
+    diff = marchaud_difference(v, f.h, a)
+    out = np.zeros(v.shape)
+    out[1:] = ((v[1:] - v[0]) / (f.nodes - f.a)[1:] ** a + a * diff[1:]) / math.gamma(1.0 - a)
+    return f.with_values(out)
+
+
+def trapezoid_sweep(Du: np.ndarray, rows: np.ndarray, g: np.ndarray, D: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """int_0^xi u dg at every node for the stacked ``rows`` (k, n+1) against
+    the slice g with pair matrix D, from the rows' left-derivative fields
+    ``Du``: D contracted band by band (``norms._row_bands``), then the
+    trapezoid end corrections of column 1 and the subdiagonal, the sign and
+    h applied to the sums, as the sweep did before it folded them into its
+    weights."""
+    n = g.size - 1
+    rowsum = np.zeros_like(Du)
+    for i0, i1 in _row_bands(n):
+        np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1], out=rowsum[:, i0:i1])
+    first = D[:, 1] * Du[:, 1:2]
+    last = np.zeros_like(rowsum)
+    last[:, 1:] = np.diagonal(D, -1) * Du[:, :-1]
+    trap = rowsum - 0.5 * (first + last) + first / (2.0 - alpha) + last / (1.0 + alpha)
+    trap[:, :2] = 0.0
+    return PAIRING_SIGN * (1.0 / n) * trap + rows[:, :1] * (g - g[0])
+
+
+def folded_pair_matrix(D: np.ndarray, alpha: float) -> np.ndarray:
+    """The weights of the Stieltjes sweep below the FFT size: the pair
+    matrix D of a slice on the unit grid times PAIRING_SIGN h and the
+    trapezoid weight of each pair, written out as a matrix of weights
+    (equal to the sweep's in-place fold up to the sign of its zeros)."""
+    n = D.shape[0] - 1
+    c = np.ones(D.shape)
+    c[:2] = 0.0
+    c[3:, 1] = 0.5 + 1.0 / (2.0 - alpha)
+    i = np.arange(3, n + 1)
+    c[i, i - 1] = 0.5 + 1.0 / (1.0 + alpha)
+    c[2, 1] = 1.0 / (2.0 - alpha) + 1.0 / (1.0 + alpha)
+    return D * c * (PAIRING_SIGN * (1.0 / n))
 
 
 def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:

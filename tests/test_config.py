@@ -182,6 +182,30 @@ def test_phi_file_may_reach_past_the_unit_interval(tmp_path, capsys):
     assert rc == 0 and err == ""
 
 
+# (id, changes, arguments before the config path, arguments after it)
+OVERFLOW = [
+    ("T-1e308", {"grid.T": 1e308}, ["solve"], []),
+    ("phi-amplitude-1e308", {"phi": {"kind": "sine", "params": {"amplitude": 1e308}}},
+     ["solve"], []),
+    ("ensemble-T-1e308", {"driver": FROZEN, "grid.T": 1e308},
+     ["--threads", "2", "ensemble"], ["--count", "2", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("changes, before, after", [c[1:] for c in OVERFLOW],
+                         ids=[c[0] for c in OVERFLOW])
+def test_overflow_refused_with_one_line(tmp_path, changes, before, after):
+    # a fresh interpreter: the suite's error::RuntimeWarning filter would
+    # turn numpy's overflow warnings into exceptions in this process
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad_config(changes)))
+    r = subprocess.run([sys.executable, "-m", "fracpath", "--out", str(tmp_path),
+                        *before, str(path), *after], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def readme_config() -> dict:
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("A solve config looks like\n\n```json\n", 1)[1]

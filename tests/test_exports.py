@@ -59,9 +59,10 @@ CACHED_TABLES = {
         "_fft_length": (16,),
         "_split_kernels": ("_difference_kernel", 16, 0.3),
         "_tail_weights": (16, 0.3),
-        "_node_powers": (0.25, 0.75, 16, 0.3),
+        "_weyl_coefficients": (0.25, 0.75, 16, 0.3),
     },
-    "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 1.0 / 16, 0.3)},
+    "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 1.0 / 16, 0.3),
+                       "_row_bands": (16,)},
     "fracpath.fbm": {"_fgn_root": (0.75, 16)},
 }
 
@@ -84,5 +85,5 @@ def test_cached_tables_are_read_only(module):
     for name, args in CACHED_TABLES[module].items():
         args = tuple(getattr(mod, a) if isinstance(a, str) else a for a in args)
         arrays = _arrays(getattr(mod, name)(*args))
-        assert name == "_fft_length" or arrays, name
+        assert name in ("_fft_length", "_row_bands") or arrays, name
         assert not any(a.flags.writeable for a in arrays), name

@@ -19,12 +19,13 @@ from fracpath.frac_calc import (
     _hat_moments,
     _tail_bands,
     _tail_weights,
+    _weyl_coefficients,
     beta_b1,
-    marchaud_difference,
     marchaud_difference_abs,
     weyl_derivative_left,
     weyl_derivative_right,
 )
+import oracles
 from oracles import rl_integral_left, rl_integral_right
 
 
@@ -154,21 +155,46 @@ class TestWeylLeft:
                                          (257, -1.5, 2.0), (64, 0.0, 1.0)])
     @pytest.mark.parametrize("offset", [True, False])
     def test_bitwise_the_node_formula_on_any_interval(self, n, c, d, offset):
-        # the node powers (x - c)^alpha come from a cache; they must be the
-        # bits of f.nodes - f.a, on a sub-interval [c, d] as the Stieltjes
-        # integral builds it; the data start at f(a) != 0 with ``offset``
-        # and at f(a) = 0 without it
+        # the node factors d_i come from a cache; they must be the bits of
+        # the formula on f.nodes - f.a, on a sub-interval [c, d] as the
+        # Stieltjes integral builds it, and the derivative the bits of
+        # d w - e (C * w); the data start at f(a) != 0 with ``offset`` and
+        # at f(a) = 0 without it
         alpha = 0.3
         x = np.linspace(c, d, n + 1)
         v = np.sin(3.0 * x) + x
         f = GridFunction(c, d, v + 1.0 if offset else v - v[0])
         assert (f.values[0] != 0.0) == offset
-        diff = marchaud_difference(f.values, f.h, alpha)
-        ref = ((f.values[1:] - f.values[0]) / (f.nodes - f.a)[1:] ** alpha
-               + alpha * diff[1:]) / math.gamma(1.0 - alpha)
-        for _ in range(2):   # the second call reads the cached powers
+        C, _, rowsum = _difference_weights(n, alpha)
+        scale = alpha * f.h ** (-alpha)
+        gamma = math.gamma(1.0 - alpha)
+        node = ((f.nodes - f.a)[1:] ** (-alpha) + scale * rowsum[1:]) / gamma
+        w = f.values - f.values[0]
+        if n >= _FFT_MIN_N:
+            conv = _convolve(w, _difference_kernel, alpha)[0]
+        else:
+            conv = np.convolve(C, w)[:n + 1]
+        ref = node * w[1:] - conv[1:] * (scale / gamma)
+        for _ in range(2):   # the second call reads the cached factors
+            factors, e = _weyl_coefficients(c, d, n, alpha)
+            assert factors[0] == 0.0 and factors[1:].tobytes() == node.tobytes()
+            assert e == scale / gamma
             out = weyl_derivative_left(GridFunction(c, d, f.values), alpha)
-            assert out.values[1:].tobytes() == ref.tobytes()
+            assert out.values[0] == 0.0 and out.values[1:].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 256, 511, 512, 1024, 2048])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49, 0.7])
+    def test_matches_the_centred_oracle(self, n, alpha):
+        # d w - e (C * w) regroups the Marchaud form, and from _FFT_MIN_N
+        # cells on convolves by rfft; against the centred route convolved
+        # directly it is held to a few eps of the row's largest modulus sum
+        eps = np.finfo(float).eps
+        for v in difference_rows(n):
+            f = GridFunction(0.0, 1.0, v)
+            got = weyl_derivative_left(f, alpha).values
+            ref = oracles.weyl_derivative_left(f, alpha).values
+            scale = modulus_sum(v, 1.0 / n, alpha)
+            assert np.abs(got - ref).max() <= 16 * eps * scale.max()
 
 
 class TestWeylRight:
@@ -275,35 +301,38 @@ def difference_rows(n):
             np.sin(3.0 * x) + 100.0, rng.standard_normal(n + 1)]
 
 
-def direct_difference(v, h, alpha):
-    """Reference: the weights of ``marchaud_difference`` applied by direct
-    ``np.convolve`` to the row centered at its mid-range, and the modulus
-    sum h^(-alpha) (|w| rowsum + C * |w|) its rounding acts on."""
+def modulus_sum(v, h, alpha):
+    """h^(-alpha) (|w| rowsum + C * |w|) for w = v - v[0]: the scale the
+    rounding of the Weyl derivative of v acts on."""
     n = v.size - 1
-    C, A, rowsum = _difference_weights(n, alpha)
-    w = v - 0.5 * (v.max() + v.min())
-    out = (w * rowsum - (np.convolve(C, w)[:n + 1] - A * w[0])) * h ** (-alpha)
-    out[0] = 0.0
-    scale = (np.abs(w) * rowsum + np.convolve(C, np.abs(w))[:n + 1]) * h ** (-alpha)
-    return out, scale
+    C, _, rowsum = _difference_weights(n, alpha)
+    w = np.abs(v - v[0])
+    return (w * rowsum + np.convolve(C, w)[:n + 1]) * h ** (-alpha)
 
 
 class TestWeylConvolution:
     @pytest.mark.parametrize("n", [_FFT_MIN_N, 2048, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49, 0.7])
     def test_fft_difference_matches_direct_formula(self, n, alpha):
+        # the convolution C * w of the Weyl derivative, w = v - v[0], by
+        # rfft against np.convolve, within a few eps of C * |w|
         eps = np.finfo(float).eps
+        C = _difference_weights(n, alpha)[0]
         for v in difference_rows(n):
-            ref, scale = direct_difference(v, 1.0 / n, alpha)
-            got = marchaud_difference(v, 1.0 / n, alpha)
-            assert np.abs(got - ref).max() <= 16 * eps * scale.max()
+            w = v - v[0]
+            got = _convolve(w, _difference_kernel, alpha)[0]
+            ref = np.convolve(C, w)[:n + 1]
+            assert np.abs(got - ref).max() <= 16 * eps * np.convolve(C, np.abs(w))[:n + 1].max()
 
-    @pytest.mark.parametrize("n", [256, 511])
-    def test_direct_difference_ignores_an_offset(self, n):
-        # below _FFT_MIN_N an uncentered row cancelled: 3.4e-12 at n = 256
+    @pytest.mark.parametrize("n", [256, 511, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49, 0.7])
+    def test_derivative_ignores_an_offset(self, n, alpha):
+        # the derivative acts on f - f(a), so an offset of 100 enters only
+        # through the rounding of f + 100
         x = np.linspace(0.0, 1.0, n + 1)
-        base = marchaud_difference(np.sin(3.0 * x), 1.0 / n, 0.7)
-        shifted = marchaud_difference(np.sin(3.0 * x) + 100.0, 1.0 / n, 0.7)
+        base = weyl_derivative_left(GridFunction(0.0, 1.0, np.sin(3.0 * x)), alpha).values
+        shifted = weyl_derivative_left(GridFunction(0.0, 1.0, np.sin(3.0 * x) + 100.0),
+                                       alpha).values
         assert np.abs(shifted - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_fft_length_is_the_smallest_5_smooth_above_2n(self):
@@ -336,11 +365,6 @@ class TestStackedCalls:
     def test_rows_are_bitwise_one_row_calls(self, n, alpha):
         rows = stack_rows(n)
         assert [row[0] == 0.0 for row in rows] == [False, True, False, True, False]
-        h = 1.0 / n
-        diffs = marchaud_difference(rows, h, alpha)
-        assert diffs.shape == rows.shape
-        for row, got in zip(rows, diffs):
-            assert got.tobytes() == marchaud_difference(row, h, alpha).tobytes()
         out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), alpha)
         assert out.values.shape == rows.shape and not out.values.flags.writeable
         # 0 at x = a in every row, whether f(a) = 0 or not

@@ -123,6 +123,23 @@ class TestPairMatrix:
             assert not D[i, i + 1:].any()
 
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_lambda_is_the_sup_of_the_interpolant(self, n, alpha):
+        # the engine integrates the piecewise-linear interpolant of the
+        # nodes; nodes inserted on it leave Lambda_alpha where it was (seed
+        # 7: at most 2.5e-15 relative), so the grid Lambda_alpha is the sup
+        # over the continuum for that driver
+        g = fbm.fbm_path(0.75, n, 7).values
+        lam = norms.lambda_from_pair_matrix(norms.right_derivative_pair_matrix(
+            g, 1.0 / n, alpha), alpha)
+        for r in (2, 4):
+            fine = np.interp(np.linspace(0.0, 1.0, r * n + 1), np.linspace(0.0, 1.0, n + 1), g)
+            refined = norms.lambda_from_pair_matrix(norms.right_derivative_pair_matrix(
+                fine, 1.0 / (r * n), alpha), alpha)
+            assert abs(refined - lam) <= 1e-14 * lam
+
+
 def reference_columns(v, h, a, scale, absolute):
     """The per-column sweep the banded kernel replaced: for j = 0..n-1 the
     column c with c[i - j - 1] = d/dist + scale * S for every node i > j."""

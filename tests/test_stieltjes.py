@@ -13,7 +13,7 @@ from fracpath.frac_calc import _FFT_MIN_N, weyl_derivative_left
 from fracpath.grids import GridError, GridFunction
 from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.sampling import random_trig_grid
-from oracles import calibrate_pairing_sign
+from oracles import calibrate_pairing_sign, folded_pair_matrix, trapezoid_sweep
 
 
 def grid(fn, n=1024):
@@ -252,7 +252,7 @@ def assert_fft_sweep_matches_full_square(U, g, P, alpha):
     bound: a few eps of the row's largest modulus sum."""
     n = g.size - 1
     op = stieltjes.slice_operator(g, alpha)
-    assert op.pair_matrix is None
+    assert op.weights is None
     got = stieltjes.stieltjes_all_upper_limits(U, op)
     ref, scale = full_square_sweep(U, g, P, 1.0 / n, alpha)
     eps = np.finfo(float).eps
@@ -288,6 +288,22 @@ class TestAllUpperLimits:
         eps = np.finfo(float).eps
         assert (np.abs(got - ref) <= 2 * eps * (scale + np.abs(ref))).all()
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 511])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
+    def test_folded_sweep_matches_the_unfolded_oracle(self, n, alpha):
+        # the operator's weights fold the trapezoid ends, the sign and h
+        # into D, which rounds each pair once more than scaling the sums
+        U, g, P = sweep_inputs(n, alpha, 9, seed=n)
+        op = stieltjes.slice_operator(g, alpha)
+        got = stieltjes.stieltjes_all_upper_limits(U, op)
+        Du = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, U.copy()), alpha).values
+        ref = trapezoid_sweep(Du, U, g, P, alpha)
+        scale = np.einsum("sj,ij->si", np.abs(Du), np.abs(P)) / n + np.abs(U[:, :1] * (g - g[0]))
+        eps = np.finfo(float).eps
+        assert (np.abs(got - ref).max(axis=1) <= 64 * eps * scale.max(axis=1)).all()
+        for row, out in zip(U, got):
+            assert np.array_equal(stieltjes.stieltjes_all_upper_limits(row, op), out)
+
     @pytest.mark.parametrize("n", [512, 1024, 2049, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     @pytest.mark.parametrize("k", [1, 51])
@@ -320,7 +336,8 @@ class TestAllUpperLimits:
             rowsum[:, i0:i1] = np.einsum("sj,ij->si", Du[:, :i1 - 1], X)
             column[max(i0, 2):i1] = X[max(i0, 2) - i0:, 1]
             subdiagonal[i0 - 1:i1 - 1] = X[np.arange(i1 - i0), np.arange(i0 - 1, i1 - 1)]
-        op = stieltjes.SliceOperator(g, 1.0 / n, alpha, math.nan, column, subdiagonal, None)
+        op = stieltjes.SliceOperator(g, 1.0 / n, alpha, math.nan, column, subdiagonal,
+                                     g - g[0], None)
         first = column * Du[:, 1:2]
         last = np.zeros_like(rowsum)
         last[:, 1:] = subdiagonal * Du[:, :-1]
@@ -419,7 +436,7 @@ class TestSliceOperator:
         g = fbm.fbm_path(0.75, 64, 3).values.copy()
         op = stieltjes.slice_operator(g, 0.3)
         before = op.values.copy()
-        for arr in (op.values, op.column, op.subdiagonal, op.pair_matrix):
+        for arr in (op.values, op.column, op.subdiagonal, op.rise, op.weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0.0
@@ -432,8 +449,9 @@ class TestSliceOperator:
         g = fbm.fbm_path(0.75, n, 100 + n).values
         op = stieltjes.slice_operator(g, alpha)
         D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
-        assert op.pair_matrix.tobytes() == D.tobytes()
         assert op.lam.hex() == norms.lambda_from_pair_matrix(D, alpha).hex()
+        assert np.array_equal(op.weights, folded_pair_matrix(D, alpha))
+        assert op.rise.tobytes() == (g - g[0]).tobytes()
         assert (op.h, op.alpha) == (1.0 / n, alpha)
 
     @pytest.mark.parametrize("n", [_FFT_MIN_N - 1, _FFT_MIN_N, 2048])
@@ -445,9 +463,9 @@ class TestSliceOperator:
         assert np.array_equal(op.subdiagonal, np.diagonal(D, -1))
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         if n < _FFT_MIN_N:
-            assert np.array_equal(op.pair_matrix, D)
+            assert np.array_equal(op.weights, folded_pair_matrix(D, 0.3))
         else:
-            assert op.pair_matrix is None
+            assert op.weights is None
             assert max(arr.size for arr in arrays) == n + 1
 
     @pytest.mark.parametrize("n_u", [32, 128])
