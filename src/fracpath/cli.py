@@ -84,15 +84,16 @@ def write_json(path: str, payload: dict, chash: str):
         fh.write("\n")
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "an object", list: "an array"}
 
 
 class _Section:
     """A solve-config object.  ``get`` reads a key (required unless given a
-    default) and checks its type (float: any number, int: an integer, a
-    bool neither; an object comes as a _Section) or that it is one of some
-    strings; ``done`` refuses unread keys.  Constructors check the ranges."""
+    default) and checks its type (float: any finite number, returned as a
+    float; int: an integer; a bool neither; an object comes as a _Section)
+    or that it is one of some strings; ``done`` refuses unread keys.
+    Constructors check the ranges."""
 
     def __init__(self, obj: dict, name: str = ""):
         self.obj, self.name, self.unread = obj, name, set(obj)
@@ -104,12 +105,16 @@ class _Section:
         self.unread.discard(key)
         if isinstance(kind, type):
             ok = isinstance(value, (int, float) if kind is float else kind)
+            if ok and kind is float:   # NaN, +-inf and ints past float64 too
+                ok = abs(value) <= sys.float_info.max
             want = _TYPE_NAMES[kind]
         else:
             ok, want = value in tuple(kind), "one of " + ", ".join(kind)
         if not ok or isinstance(value, bool):
             raise ConfigError(f"{self.name}{key} must be {want}, "
                               f"got {json.dumps(value)}")
+        if kind is float:
+            return float(value)
         return _Section(value, f"{self.name}{key}.") if kind is dict else value
 
     def numbers(self, keys=None) -> dict:
@@ -184,8 +189,9 @@ def _phi_from_config(spec: _Section, n: int) -> GridFunction:
     elif kind == "ramp":
         v = x.copy()
     elif kind == "sine":
+        # k pi as a numpy product, so that its overflow raises
         v = (params.get("amplitude", float, 1.0)
-             * np.sin(params.get("k", float, 1) * math.pi * x))
+             * np.sin(np.multiply(params.get("k", float, 1), math.pi) * x))
     else:
         data = _load_xy_csv(params.get("path", str))
         v = np.interp(x, data[:, 0], data[:, 1])
@@ -619,7 +625,7 @@ def main(argv=None) -> int:
     except (ConfigError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:   # numpy's FloatingPointError or Python's own
         print(f"error: the inputs overflow float64 ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 

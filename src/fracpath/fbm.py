@@ -18,7 +18,8 @@ A ``DrivingField`` is built once, with the integration operator
 (``stieltjes.SliceOperator``) of every distinct slice, and is read as it
 is: a time-constant driver holds its one slice once (its field is a
 read-only broadcast view of it) and serves any time grid over its spatial
-grid.
+grid.  A sheet builds its m+1 operators one slice at a time, so beside
+them it holds one transient pair matrix at most.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
         row = params.get("scale", 0.5) * xi ** 2
     elif kind == "sine":
         k = params.get("k", 1)
-        row = params.get("amplitude", 1.0) * np.sin(k * math.pi * xi)
+        row = params.get("amplitude", 1.0) * np.sin(np.multiply(k, math.pi) * xi)
     else:
         raise GridError(f"unknown stub kind {kind!r}; choose from {tuple(STUB_KINDS)}")
     return field_from_path(GridFunction(0.0, 1.0, row), m, T, alpha)
@@ -299,8 +300,6 @@ def covariance_validator(hurst: float, samples: int, seed: int,
     offsets = [0, n // 2]
     for lag in lags:
         for off in offsets:
-            if off + lag > n:
-                continue
             d = paths[:, off + lag] - paths[:, off]
             sigma2 = (lag / n) ** (2.0 * hurst)
             var = float(d.var(ddof=1))

@@ -4,36 +4,35 @@ All operators are discretized by product integration on uniform grids: the
 singular kernel is integrated exactly against the piecewise-linear
 interpolant of the data, so every operator is a linear map of the nodal
 values with nonnegative weights.  Weight tables depend only on the exact
-pair (n, order) and are memoized; every table is O(n), and the caches are
-plain ``lru_cache`` and therefore safe for concurrent readers.
+pair (n, order), are O(n), and are memoized read-only in plain
+``lru_cache``s, so concurrent readers are safe.
 
-The left Weyl derivative of w = f - f(a) is Du = d w - e (C * w): the
-node factors d_i = ((x_i - a)^(-alpha) + alpha h^(-alpha) rowsum_i) /
-Gamma(1-alpha) come from a read-only cache per (a, b, n, order), the
-scalar e = alpha h^(-alpha) / Gamma(1-alpha) with them, and C and rowsum
-are the difference weights.  As w(a) = 0 an offset of f does not enter,
-and column 0's boundary weight drops out.  The causal convolution C * w
-runs by ``np.convolve`` below ``_FFT_MIN_N`` cells and from there on by
-rfft against spectra cached per (n, order) (``_convolve``, which the
-Stieltjes sweep shares), with the largest weights summed directly.  The
-derivative relies on the ``GridFunction`` constructor's finiteness check
-and also takes a (k, n+1) stack of slices (a ``GridFunction._adopt``
-input, as the Stieltjes sweep passes its rows), each row bitwise its
-one-slice call.  A one-slice call took 43 -> 24 us at n = 64 and
-67 -> 46 us at n = 256, a 4-row stack 107 -> 72 us at n = 96, against the
-mid-range-centred Marchaud route it replaced (median of 7 interleaved
-rounds, 2-core VM).
+The left Weyl derivative of w = f - f(a) is Du = d w - e (C * w)
+(``weyl_derivative_left``): the node factors d and the scalar e come from
+a read-only cache per (a, b, n, order) (``_weyl_coefficients``), and C * w
+is the causal convolution with the difference weights.  As w(a) = 0 an
+offset of f does not enter, and column 0's boundary weight drops out.  The
+convolution runs by ``np.convolve`` below ``_FFT_MIN_N`` cells, one call
+per row of a stack, and from there on by rfft against spectra cached per
+(n, order) (``_convolve``, which the Stieltjes sweep shares), with the
+largest weights, which set the transform's rounding, summed directly.  The
+transform length is the smallest 5-smooth integer >= 2n + 1, so nothing
+wraps.  The derivative relies on the ``GridFunction`` constructor's
+finiteness check and also takes a (k, n+1) stack of slices (a
+``GridFunction._adopt`` input, as the Stieltjes sweep passes its rows),
+each row bitwise its one-slice call.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of rows
 read against a strided Toeplitz view of the O(n) weight vector, so no
-(n+1)^2 weight matrix is formed or cached.  Up to n = 182 a block holds
-whole slices (at most about 1 MB); up to n = 362 a slice is cut into the
-fewest equal bands of at most 2^15 pairs (256 KB); from there on into bands
-of ``_SWEEP_ROWS`` rows (at most about 1 MB).  The node differences of a
-band are built in place in its buffer: a fill, then a subtraction.  A
-caller may sum only some bands; from 363 cells on the slice norm skips
-those without its max.
+(n+1)^2 weight matrix is formed or cached (a call at n = 4096 peaks below
+16 MB).  One rule, ``_tail_bands``, cuts rows 2..n into bands: up to
+n = 182 a block holds whole slices (at most 2^17 pairs, about 1 MB); up to
+n = 362 a slice is cut into the fewest equal bands of at most 2^15 pairs
+(256 KB); from there on into bands of ``_SWEEP_ROWS`` rows, fewer where
+that many rows exceed a block, so that the slice norm can skip the bands
+without its max.  The node differences of a band are built in place in
+its buffer: a fill, then a subtraction.
 
 Sign conventions are real throughout: the complex phases carried by the
 right-sided operators are dropped, and the Stieltjes pairing fixes the one
@@ -205,12 +204,6 @@ def _tail_bands(n: int) -> range:
     return range(2, n + 1, max(1, step))
 
 
-def _by_row(s):
-    """The values s (k,) of the k rows of a stack as a (k, 1) column, which
-    broadcasts along the rows; the value of one slice, a scalar, as it is."""
-    return s[:, None] if s.ndim else s
-
-
 def _difference_kernel(n: int, alpha: float) -> tuple:
     return _difference_weights(n, alpha)[:1]
 
@@ -297,7 +290,7 @@ def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
     n = f.n
     d, e = _weyl_coefficients(f.a, f.b, n, a)
     C = _difference_weights(n, a)[0]
-    w = v - _by_row(v[..., 0])
+    w = v - v[..., :1]
     if n >= _FFT_MIN_N:
         conv = _convolve(w, _difference_kernel, a)[0]
     elif w.ndim == 1:

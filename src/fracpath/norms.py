@@ -6,19 +6,29 @@ from ``frac_calc``, so constants and linear data are reproduced exactly.
 Near-diagonal behaviour is handled by the piecewise-linear model, whose
 sub-cell Hoelder quotient is maximized at the adjacent-node pair.
 
-The pair matrix and the driver's Hoelder norm come from one sweep over
-node pairs in bands of ``_SWEEP_ROWS`` rows, each against only the columns
-left of its last row, with buffers sized to one band; its values are
-bitwise the same for any band height.
+The pair matrix D of the right Weyl derivative and the driver's Hoelder
+norm come from one sweep over node pairs (``_right_bands``) in bands of
+``_SWEEP_ROWS`` rows, each against only the columns left of its last row,
+with buffers sized to one band and weights read through Toeplitz views of
+O(n) vectors; its values are bitwise the same for any band height.  D is
+built in place, band by band, beside two band buffers; the Hoelder norm
+keeps only each band's max.  Lambda_alpha is max |D| / Gamma(1 - alpha)
+(``lambda_from_pair_matrix``, with no second matrix).  On the grid it is
+the exact sup for the driver the engine integrates, the piecewise-linear
+interpolant of the nodes: refining the interpolant moves it by at most
+2.5e-15 relative (``test_lambda_is_the_sup_of_the_interpolant``).  It is
+not the sup for the fBm sample itself, which is rougher at every finer n.
 
 The slice norm is the max over nodes of |f| plus the Hoelder tail.  Up to
-n = 362 it is one full kernel call.  From 363 cells on, an O(n^1.5) upper
-bound at every node, taken for a whole stack of slices in one call, picks
+n = 362, or for a stack with a non-finite value, it is one full kernel
+call.  From 363 cells on, an O(n^1.5) upper bound at every node
+(``_tail_bound``), taken for a whole stack of slices in one call, picks
 the kernel bands to sum: the one with the largest bound, then each whose
 bound reaches the max so far.  The rest cannot hold the max: the norm is
-the full kernel's.  A caller that needs only the largest norm of a stack
-(``max_slice_norm``) carries one such floor across all its slices and
-skips every slice whose bound stays below.
+the full kernel's.  Most callers need only the largest norm of a stack
+(field norms, Picard residuals, the ball check): ``max_slice_norm``
+carries one such floor across all its slices and skips every slice whose
+bound stays below it.
 """
 
 from __future__ import annotations

@@ -13,28 +13,29 @@ endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 (d-x)^alpha, contribute through those local power models.
 
 Against one integrator slice the integral up to every node is a linear
-operator, a ``SliceOperator`` built once; its pair matrix D is read only
-here.  ``stieltjes_all_upper_limits`` applies it to one integrand slice or
-a stack, whose left derivatives it takes in one ``weyl_derivative_left``
-call on the whole stack.  Below ``frac_calc._FFT_MIN_N`` cells the
+operator, a ``SliceOperator`` built once per slice with the driver, and
+the one form in which a slice is passed around; its pair matrix D is read
+only here.  ``stieltjes_all_upper_limits`` applies it to one integrand
+slice or a stack, whose left derivatives it takes in one
+``weyl_derivative_left`` call on the whole stack; each row of a stack is
+bitwise its one-slice result.  Below ``frac_calc._FFT_MIN_N`` cells the
 operator folds the trapezoid end weights, PAIRING_SIGN and h into D in
-place (``weights``) and keeps g - g(0), so a sweep is one left-derivative
-call and one ``np.einsum`` of each row's field against the weights, band
-by band over the lower triangle (the bands of about 2^17 pairs of
-``norms._row_bands``: the einsum's bits depend on the band height, so it
-does not share the 32-row bands in which ``norms._right_bands`` builds D),
-plus u_0 (g - g(0)).  A one-row sweep took 107 -> 57 us at n = 64 and
-174 -> 113 us at n = 256, and a 4-row one 203 -> 125 us at n = 96 (median
-of 7 interleaved rounds, 2-core VM).  From there on D is dropped after
-the build: two Toeplitz kernels against differences of the slice values
-(``_pair_kernels``) make the contraction four causal convolutions and one
-prefix sum, and the trapezoid ends are O(n) terms in column 1 and the
-subdiagonal of D.  ``np.einsum`` and ``numpy.fft`` call no BLAS and the
-near field's dot products have at most five terms, so the bits do not
-depend on the BLAS thread count; no (n+1)^2 temporary is formed.  The
-solver stacks the window of a time-constant driver 32 rows per call,
-computes the window's fixed row 0 once, and builds each window's first
-iterate from that row alone.
+place (``weights``, at most 2.1 MB at n = 511), so a sweep is one
+left-derivative call and one ``np.einsum`` of each row's field against the
+weights, band by band over the lower triangle, plus u_0 (g - g(0)).  The
+einsum's bands are those of about 2^17 pairs of ``norms._row_bands``, not
+the 32-row bands in which ``norms._right_bands`` builds D, since the
+einsum's bits depend on the band height.  From ``_FFT_MIN_N`` cells on the
+contraction is cheaper as convolutions: D is dropped after the build, so
+the operator holds O(n) data, and two Toeplitz kernels against
+differences of the slice values (``_pair_kernels``) make it four causal
+convolutions and one prefix sum, with the trapezoid ends as O(n) terms in
+column 1 and the subdiagonal of D.  Batching rows cannot move that
+crossover down: the README solve's windows are one cell, so most of its
+sweeps are one row.
+``np.einsum`` and ``numpy.fft`` call no BLAS and the near field's dot
+products have at most five terms, so the bits do not depend on the BLAS
+thread count; no (n+1)^2 temporary is formed.
 """
 
 from __future__ import annotations

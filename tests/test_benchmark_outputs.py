@@ -3,10 +3,10 @@
 ``perfbench/run.py`` checks every timed invocation against the outputs in
 ``perfbench/reference``: each solution within 1e-12 of the reference's sup
 norm and each ``verify all`` margin within 1e-12 of max(1, |reference|),
-with every verdict passed.  These tests run the three gated workloads at
-the reference seed through ``cli.main`` and apply the benchmark's own
-``check_outputs``, so a numerical drift fails here before the benchmark
-runs; the perfbench files are only read.
+with every verdict passed.  These tests run the three gated workloads and
+the ungated sheet solve at the reference seed through ``cli.main`` and
+apply the benchmark's own ``check_outputs``, so a numerical drift fails
+here before the benchmark runs; the perfbench files are only read.
 """
 
 import importlib.util
@@ -33,7 +33,8 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", ["solve-readme", "solve-frozen-n1024", "verify-all"])
+@pytest.mark.parametrize("workload", ["solve-readme", "solve-frozen-n1024",
+                                      "solve-sheet-n1024", "verify-all"])
 def test_reference_outputs_reproduced(bench, workload, tmp_path):
     out = tmp_path / "out"
     args = bench.cli_args(workload, bench.REFERENCE_SEED, str(tmp_path))

@@ -1,13 +1,20 @@
 """Solve-config reading: every bad config exits 2 with one ``error:`` line,
-before any solve starts."""
+before any solve starts, and a config mutated at random exits cleanly."""
 
+import contextlib
 import copy
+import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fracpath import cli
 
@@ -77,8 +84,8 @@ BAD = [
 NOT_OBJECT = [[], 3, "config", None, [BASE]]
 
 
-def bad_config(changes: dict) -> dict:
-    cfg = copy.deepcopy(BASE)
+def bad_config(changes: dict, base: dict = BASE) -> dict:
+    cfg = copy.deepcopy(base)
     for key, value in changes.items():
         *parents, last = key.split(".")
         obj = cfg
@@ -204,6 +211,161 @@ def test_overflow_refused_with_one_line(tmp_path, changes, before, after):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
     assert not any(tmp_path.glob("*.csv"))
+
+
+# (number key, changes that give the config that key)
+NUMBER_KEYS = [
+    ("phi.params.amplitude", {"phi": {"kind": "sine", "params": {}}}),
+    ("A.params.scale", {}),
+    ("driver.params.scale", {"driver.params": {}}),
+    ("A.params.c", {"A": {"kind": "const", "params": {}}}),
+    ("grid.T", {}),
+    ("picard.tol", {}),
+    ("hurst", {}),
+    ("alpha", {}),
+]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=json.dumps)
+@pytest.mark.parametrize("key, setup", NUMBER_KEYS, ids=[k for k, _ in NUMBER_KEYS])
+def test_non_finite_number_refused_naming_its_key(tmp_path, capsys, key, setup, value):
+    # refused as it is read: no numpy warning first, and the line names the key
+    cfg = bad_config({**setup, key: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = solve_exit(tmp_path, capsys, cfg)
+    assert not caught, [str(w.message) for w in caught]
+    assert_refused(tmp_path, rc, err)
+    assert err == f"error: {key} must be a finite number, got {json.dumps(value)}\n"
+
+
+@pytest.mark.parametrize("T", [100, 1000])
+def test_long_horizon_keeps_its_solution(tmp_path, T):
+    # exp(K T) overflows past t = 87.5 here: the Gronwall envelope is +inf
+    # from there on and the report says so, where the run used to exit 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad_config({"grid.T": T})))
+    r = subprocess.run([sys.executable, "-m", "fracpath", "--out", str(tmp_path),
+                        "solve", str(path)], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert (tmp_path / "solution.csv").exists()
+    gronwall = json.loads((tmp_path / "report.json").read_text())["verdicts"]["gronwall"]
+    assert 0 < gronwall["unbounded_from"] <= T
+    assert math.isfinite(gronwall["min_margin"])
+
+
+# small configs (n = 32, m = 8) that hold between them every number key the
+# readers take: each coefficient and driver kind with all its parameters
+_FUZZ_GRID = {"m": 8, "n": 32, "T": 0.1}
+_SINE_PHI = {"kind": "sine", "params": {"k": 1, "amplitude": 0.5}}
+FUZZ_BASES = [
+    {"hurst": 0.75, "alpha": 0.3, "grid": _FUZZ_GRID,
+     "driver": {"model": "stub", "kind": "linear", "params": {"scale": 1.0}},
+     "phi": _SINE_PHI, "A": {"kind": "tanh", "params": {"scale": 1.0}},
+     "picard": {"tol": 1e-9, "max_iter": 40}, "window_policy": "paper-constants"},
+    {"hurst": 0.75, "alpha": 0.3, "grid": _FUZZ_GRID,
+     "driver": {"model": "stub", "kind": "sine", "params": {"k": 1, "amplitude": 1.0}},
+     "phi": {"kind": "ramp"},
+     "A": {"kind": "gaussian-bump", "params": {"center": 0.0, "width": 1.0, "amplitude": 1.0}},
+     "picard": {"tol": 1e-9, "max_iter": 40}},
+    {"hurst": 0.75, "alpha": 0.3, "grid": _FUZZ_GRID,
+     "driver": {"model": "stub", "kind": "quadratic", "params": {"scale": 0.5}},
+     "phi": _SINE_PHI,
+     "A": {"kind": "smoothed-biot-savart", "params": {"epsilon": 0.5, "strength": 1.0}}},
+    {"hurst": 0.75, "alpha": 0.3, "grid": _FUZZ_GRID, "driver": {"model": "frozen", "seed": 7},
+     "phi": _SINE_PHI, "A": {"kind": "const", "params": {"c": 0.5}},
+     "window_policy": "adaptive"},
+    {"hurst": 0.75, "alpha": 0.3, "grid": _FUZZ_GRID,
+     "driver": {"model": "sheet", "seed": [7, 1], "hurst_t": 0.95},
+     "phi": {"kind": "zero"}, "A": {"kind": "tanh", "params": {"scale": 0.5}}},
+]
+# values any key may take besides the NON_FINITE ones, which are drawn as
+# often as all these together: a deletion, wrong types, subnormal, huge and
+# boundary numbers
+ANY_VALUE = [DELETE, None, True, "0.5", [], {}, [0.5],
+             5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, sys.float_info.max,
+             -0.0, 0.0, 1e-12, 0.5, 1.0, -1, 0, 1, 2]
+# integers past float64 and int64, for every key but the sizes below
+HUGE_INTS = [10 ** 400, 2 ** 63, 10 ** 20]
+# the keys that size the work: only their own small boundary values, so
+# that no example asks for a large grid or a long Picard loop
+SIZE_VALUES = {"grid.m": [16], "grid.n": [3, 64], "picard.max_iter": [60]}
+KEY_VALUES = {
+    "hurst": [0.5, 1.0, 0.7000000000000001],
+    "alpha": [0.25, 0.49999999999999994],
+    "grid.T": [100.0, 1e6],
+    "driver.model": ["frozen", "sheet", "stub"],
+    "driver.kind": ["zero", "linear", "quadratic", "sine"],
+    "driver.hurst_t": [0.9, 0.99999],
+    "phi.kind": ["zero", "sine", "ramp", "file"],
+    "A.kind": ["zero", "const", "tanh", "gaussian-bump", "smoothed-biot-savart"],
+    "picard.tol": [1e-300, 1e300],
+    "window_policy": ["paper-constants", "adaptive"],
+}
+
+
+def _leaves(obj: dict, prefix: str = "") -> list:
+    """The dotted keys of the values of ``obj`` that are not objects."""
+    return [key for k, v in obj.items()
+            for key in (_leaves(v, f"{prefix}{k}.") if isinstance(v, dict) and v
+                        else [prefix + k])]
+
+
+def _values(key: str) -> list:
+    if key in SIZE_VALUES:
+        return ANY_VALUE + SIZE_VALUES[key]
+    return ANY_VALUE + HUGE_INTS + KEY_VALUES.get(key, [])
+
+
+def _mutations(base: dict):
+    """One or two leaves of ``base``, each with a value from its pool."""
+    keys = st.lists(st.sampled_from(_leaves(base)), min_size=1, max_size=2, unique=True)
+    return keys.flatmap(lambda ks: st.tuples(
+        st.just(base),
+        st.tuples(*[st.tuples(st.just(k), st.sampled_from(NON_FINITE)
+                              | st.sampled_from(_values(k))) for k in ks])))
+
+
+MUTATED = st.sampled_from(FUZZ_BASES).flatmap(_mutations)
+
+
+def solve_in_process(cfg: dict):
+    """Exit code, stderr, the warnings raised and the solution values of
+    ``fracpath solve`` on ``cfg`` in this process (None unless exit 0)."""
+    with tempfile.TemporaryDirectory() as out, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        path = pathlib.Path(out) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["--out", out, "solve", str(path)])
+        solution = None
+        if rc == 0:
+            solution = np.loadtxt(pathlib.Path(out) / "solution.csv", delimiter=",",
+                                  skiprows=2)
+    return rc, err.getvalue(), caught, solution
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(MUTATED)
+# the inputs that once printed numpy warnings before their error line, and
+# an integer horizon past int64 that once made an object array
+@example((FUZZ_BASES[0], (("phi.params.amplitude", math.inf),)))
+@example((FUZZ_BASES[0], (("A.params.scale", math.inf),)))
+@example((FUZZ_BASES[0], (("driver.params.scale", math.inf),)))
+@example((FUZZ_BASES[3], (("grid.T", 10 ** 20),)))
+def test_mutated_config_exits_cleanly(mutated):
+    base, mutation = mutated
+    rc, err, caught, solution = solve_in_process(bad_config(dict(mutation), base))
+    assert rc in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    if rc == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""
+    if rc == 0:
+        assert np.isfinite(solution).all()
 
 
 def readme_config() -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -629,6 +630,28 @@ class TestGronwall:
         bad = solver.gronwall_check(rep.solution, cfg, rep.constants, {3: 1e9})
         assert not bad["passed"] and bad["violations"][0]["running_norm"] == 1e9
 
+    @pytest.mark.parametrize("k, phi_norm, first", [(1e4, None, 8), (1e4, 0.0, None),
+                                                     (math.inf, None, 1)])
+    def test_overflowing_envelope_is_unbounded_not_an_error(self, k, phi_norm, first):
+        # exp(K t) overflows for t > 0.071 at K = 1e4, and for every t > 0
+        # at K = inf: the envelope is +inf there (0 while ||phi|| = 0, never
+        # NaN), min_margin stays finite, and unbounded_from names the first
+        # such node
+        cfg = make_cfg(n=32, m=20, T=0.2)
+        drv = fbm.stub_driving_field("linear", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        rep = solver.solve(cfg, drv, verify=False)
+        cons = dataclasses.replace(rep.constants, gronwall_k=k)
+        if phi_norm is not None:
+            cons = dataclasses.replace(cons, phi_norm=phi_norm)
+        with np.errstate(over="raise", invalid="raise"):
+            g = solver.gronwall_check(rep.solution, cfg, cons, {})
+        assert math.isfinite(g["min_margin"])
+        if first is None:
+            assert g["unbounded_from"] is None and not g["passed"]
+        else:
+            assert g["unbounded_from"] == rep.solution.t_nodes[first] and g["passed"]
+        assert rep.verdicts["gronwall"]["unbounded_from"] is None
+
 
 class TestWindowNorm:
     @pytest.mark.parametrize("zero_rows", [(), (0,), (0, 3)])
@@ -661,16 +684,23 @@ class TestWindowNorm:
 
 
 class TestLongWindow:
-    def test_banded_sweep_is_bitwise_one_stacked_call(self):
-        # a time-constant driver's window goes _SWEEP_ROWS rows per sweep, and
-        # the time integral runs in its output: bitwise the out-of-place one
-        n, w = 64, 70
+    @pytest.mark.parametrize("model, w", [("frozen", 70), ("sheet", 40)], ids=["frozen", "sheet"])
+    def test_banded_sweep_is_bitwise_one_stacked_call(self, model, w):
+        # a time-constant driver's window goes _SWEEP_ROWS rows per sweep, a
+        # sheet's one row per slice, and the time integral runs in its
+        # output: bitwise one stacked call per slice and the out-of-place sum
+        n = 64
         cfg = make_cfg(n=n, m=w, T=0.01)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=w, T=0.01, seed=7), 0.3)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=w, T=0.01, seed=7,
+                                              time_model=model), 0.3)
         rng = np.random.default_rng(5)
         Yw = cfg.phi.values + 0.1 * rng.standard_normal((w + 1, n + 1)).cumsum(axis=0)
         got = solver._apply_window(Yw, cfg.phi.values, cfg.coeff, drv, 0, cfg.dt)
-        V = stieltjes.stieltjes_all_upper_limits(cfg.coeff(Yw), drv.time_slice(0))
+        if model == "frozen":
+            V = stieltjes.stieltjes_all_upper_limits(cfg.coeff(Yw), drv.time_slice(0))
+        else:
+            V = np.array([stieltjes.stieltjes_all_upper_limits(cfg.coeff(y), drv.time_slice(j))
+                          for j, y in enumerate(Yw)])
         want = np.empty_like(V)
         want[0] = cfg.phi.values
         want[1:] = cfg.phi.values + np.cumsum(0.5 * cfg.dt * (V[1:] + V[:-1]), axis=0)
