@@ -46,7 +46,6 @@ from .solver import (
     ProofConstants,
     SolverConfig,
     SolverReport,
-    apply_F,
     ball_invariance_check,
     compute_constants,
     contraction_probe,
@@ -70,7 +69,7 @@ __all__ = [
     "gaussian_bump", "smoothed_biot_savart", "tanh_coefficient",
     "zero_coefficient",
     "ProofConstants", "SolverConfig", "SolverReport",
-    "apply_F", "ball_invariance_check", "compute_constants",
+    "ball_invariance_check", "compute_constants",
     "contraction_probe", "gronwall_check", "quadruple_inequality_check",
     "solve",
 ]

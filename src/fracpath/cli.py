@@ -272,16 +272,18 @@ def cmd_fbm(args) -> int:
            "field_m": args.field_m, "field_T": args.field_T}
     chash = config_hash(cfg)
     path = fbm.fbm_path(args.hurst, args.n, args.seed)
+    # the field's grid and the validator's sample count are checked, and the
+    # validator run, before the first file is written
+    field = (SpaceTimeField.constant_in_time(path.values, args.field_m, args.field_T)
+             if args.field_m else None)
+    rep = (fbm.covariance_validator(args.hurst, args.samples, args.seed, n=min(args.n, 64))
+           if args.validate else None)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
               ("%.17g,%.17g\n" % xv for xv in zip(path.nodes, path.values)), chash)
-    if args.field_m:
-        field = SpaceTimeField.constant_in_time(path.values, args.field_m,
-                                                args.field_T)
+    if field is not None:
         write_csv(os.path.join(out, "fbm_field.csv"), ("t", "xi", "g"),
                   _solution_rows(field), chash)
-    if args.validate:
-        rep = fbm.covariance_validator(args.hurst, args.samples, args.seed,
-                                       n=min(args.n, 64))
+    if rep is not None:
         write_json(os.path.join(out, "fbm_validation.json"), _fields(rep), chash)
         if args.strict and not rep.passed:
             return EXIT_CHECK_FAILED
@@ -318,9 +320,9 @@ _REFERENCE_CHUNK = 1 << 13
 def _midpoint_stieltjes_sum(ffn, gfn, prod: np.ndarray) -> float:
     """sum over the ``prod.size`` equal cells of [0, 1] of f(midpoint) times
     the increment of g.  The nodes, bitwise those of ``np.linspace(0, 1,
-    prod.size + 1)``, and the products (one per cell, into ``prod``) are made
-    chunk by chunk; each product is bitwise the whole-array expression's, and
-    so is the sum."""
+    prod.size + 1)``, g at each node once, and the products (one per cell,
+    into ``prod``) are made chunk by chunk; each product is bitwise the
+    whole-array expression's, and so is the sum."""
     cells = prod.size
     step = 1.0 / cells
     for c0 in range(0, cells, _REFERENCE_CHUNK):
@@ -329,8 +331,8 @@ def _midpoint_stieltjes_sum(ffn, gfn, prod: np.ndarray) -> float:
         x *= step
         if c1 == cells:
             x[-1] = 1.0
-        lo, hi = x[:-1], x[1:]
-        np.multiply(ffn(0.5 * (lo + hi)), gfn(hi) - gfn(lo), out=prod[c0:c1])
+        gx = gfn(x)
+        np.multiply(ffn(0.5 * (x[:-1] + x[1:])), gx[1:] - gx[:-1], out=prod[c0:c1])
     return float(np.sum(prod))
 
 

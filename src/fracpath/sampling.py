@@ -18,8 +18,8 @@ def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
     x = np.linspace(0.0, 1.0, n + 1)
     k = np.arange(1, _GRID_MODES + 1)
     amps = rng.standard_normal(_GRID_MODES) / k ** 1.5
-    v = sum(amps[i] * np.sin(k[i] * np.pi * x) for i in range(_GRID_MODES))
-    return GridFunction(0.0, 1.0, v + rng.standard_normal())
+    modes = amps[:, None] * np.sin(k[:, None] * np.pi * x)
+    return GridFunction(0.0, 1.0, np.add.reduce(modes, axis=0) + rng.standard_normal())
 
 
 def random_smooth_field(m: int, n: int, T: float,
@@ -32,7 +32,5 @@ def random_smooth_field(m: int, n: int, T: float,
     b = rng.standard_normal(_FIELD_MODES) / k ** 2
     c0 = rng.standard_normal()
     tt = t / T if T > 0 else t
-    vals = c0 + sum((a[i] + b[i] * tt) * np.sin(k[i] * np.pi * xi)
-                    for i in range(_FIELD_MODES))
-    vals = np.broadcast_to(vals, (m + 1, n + 1)).copy()
-    return SpaceTimeField(T, vals)
+    modes = (a[:, None, None] + b[:, None, None] * tt) * np.sin(k[:, None, None] * np.pi * xi)
+    return SpaceTimeField(T, c0 + np.add.reduce(modes, axis=0))

@@ -4,12 +4,13 @@ The fixed-point operator F evaluates the inner pathwise integral with the
 integration operator of each driver slice (``stieltjes.SliceOperator``,
 built once with the driver) and the outer time integral with the trapezoid
 rule, in its output array.  One loop (``_apply_window``) serves both
-driver kinds: rows that share a slice are swept as one stack, so a
-time-constant driver's window goes in bands and a sheet's rows one by
-one.  Row 0 of every window iterate is the window's start slice, so its
-inner integral is taken once per window; on a time-constant driver it is
-also every row of the first iterate's inner integral, and that iterate
-needs no sweep.  A window's residual norm goes in the same bands, from
+driver kinds, on one field or a stack of fields: rows that share a slice
+(every row on a time-constant driver, one time row of each field on a
+sheet) are swept in stacks of at most ``_SWEEP_ROWS`` rows, so a sweep's
+scratch stays one band.  Row 0 of every window iterate is the window's
+start slice, so its inner integral is taken once per window; on a
+time-constant driver it is also every row of the first iterate's inner
+integral, and that iterate needs no sweep.  A window's residual norm goes in the same bands, from
 the last, carrying one pruning floor across them
 (``norms.max_slice_norm``).
 
@@ -22,9 +23,11 @@ analysis asserts is re-checked numerically and reported.  Every entry
 point checks that the driver was prepared for its order alpha; a
 time-constant driver serves any time grid over its spatial grid, so the
 probes apply the solve's own driver to their short probe windows, and a
-sheet serves only its own grid.  ``contraction_sweep`` is the one loop of
-random contraction probes, for the solve's spot check and ``verify
-contraction``; it hands each probe the norms of its scaled fields.
+sheet serves only its own grid.  The probes apply F through the same
+window sweep, to all their trials as one field stack.  ``contraction_sweep``
+is the one loop of random contraction probes, for the solve's spot check
+and ``verify contraction``; it hands each probe the norms of its scaled
+fields.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
 and the report adopts it); the driver's slices and their operators (from
@@ -51,7 +54,7 @@ from . import grids, norms
 from .coefficients import CoefficientFunction
 from .fbm import DrivingField
 from .frac_calc import _SWEEP_ROWS, beta_b1
-from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order, order_value
+from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order
 from .sampling import random_smooth_field
 from .stieltjes import SliceOperator, stieltjes_all_upper_limits
 
@@ -61,7 +64,6 @@ __all__ = [
     "WindowRecord",
     "SolverReport",
     "compute_constants",
-    "apply_F",
     "solve",
     "contraction_probe",
     "contraction_sweep",
@@ -156,7 +158,8 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     T1 makes the ball of radius R1 invariant; T2 scales the contraction
     factor to ``CONTRACTION_TARGET`` < 1.  Degenerate coefficients
     (A identically 0) make both windows unbounded, in which case the
-    configured horizon is returned.
+    configured horizon is returned.  A constant past float64 (M1, M2,
+    M_N(R1), b2, b4 or b5) raises OverflowError naming the coefficient.
     """
     a = float(alpha)
     if not 0.0 < a < 0.5:
@@ -175,6 +178,11 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     b4 = (m1 + mn) * (1.0 + 2.0 * r1)
     rho = (2.0 - 3.0 * a) / ((1.0 - 2.0 * a) * (1.0 - a))
     b5 = lam * b3 * b4 * rho
+    for name, value in (("M1", m1), ("M2", m2), ("M_N(R1)", mn), ("b2", b2),
+                        ("b4", b4), ("b5", b5)):
+        if not math.isfinite(value):
+            raise OverflowError(f"coefficient {coeff.name} gives the proof constant "
+                                f"{name} = {value} at R1 = {r1:g}")
     t1 = (r1 - phi_norm) / (b2 * (1.0 + r1)) if b2 > 0 else horizon
     t2 = CONTRACTION_TARGET / b5 if b5 > 0 else horizon
     t0 = min(t1, t2)
@@ -201,21 +209,24 @@ def _apply_window(y_window: np.ndarray, phi_values: np.ndarray,
                   j_start: int, dt: float, v0: np.ndarray | None = None) -> np.ndarray:
     """F restricted to a window: row l maps time node j_start + l.
 
+    ``y_window`` is one field (rows, n+1) or k fields (rows, k, n+1).
     ``v0`` is the inner integral of row 0 when the caller already has it
     (row 0 is phi_w in every Picard iteration of a window).  The rows that
-    share one driver slice go through stacked kernel calls: the window of a
-    time-constant driver in bands of ``_SWEEP_ROWS`` rows, so a long
-    window's scratch stays a band's, and one row per call otherwise.
+    share one driver slice go through stacked kernel calls of at most
+    ``_SWEEP_ROWS`` rows.
     """
     V = np.empty(y_window.shape)
     l0 = 0
     if v0 is not None:
         V[0] = v0
         l0 = 1
-    step = _SWEEP_ROWS if driver.time_constant else 1
+    step = y_window.shape[0] if driver.time_constant else 1
     for r0 in range(l0, y_window.shape[0], step):
-        V[r0:r0 + step] = _inner_integrals(y_window[r0:r0 + step], coeff,
-                                           driver.time_slice(j_start + r0))
+        op = driver.time_slice(j_start + r0)
+        rows = y_window[r0:r0 + step].reshape(-1, y_window.shape[-1])
+        out = V[r0:r0 + step].reshape(rows.shape)   # a view: V is contiguous
+        for s0 in range(0, len(rows), _SWEEP_ROWS):
+            out[s0:s0 + _SWEEP_ROWS] = _inner_integrals(rows[s0:s0 + _SWEEP_ROWS], coeff, op)
     return _time_integral(V, phi_values, j_start, dt)
 
 
@@ -235,8 +246,9 @@ def _first_iterate(y_window: np.ndarray, phi_values: np.ndarray,
 
 def _time_integral(V: np.ndarray, phi_values: np.ndarray, j_start: int,
                    dt: float) -> np.ndarray:
-    """phi plus the trapezoid integral in time of the inner integrals ``V``,
-    whose row l is at time node j_start + l."""
+    """phi plus the trapezoid integral along axis 0 of the inner integrals
+    ``V`` of one field or a field stack, whose row l is at time node
+    j_start + l."""
     out = np.empty(V.shape)
     out[0] = phi_values
     steps = np.add(V[1:], V[:-1], out=out[1:])   # the sums run in place in out
@@ -244,9 +256,9 @@ def _time_integral(V: np.ndarray, phi_values: np.ndarray, j_start: int,
     np.cumsum(steps, axis=0, out=steps)
     steps += phi_values
     if not np.isfinite(out).all():
-        t_i, x_i = np.argwhere(~np.isfinite(out))[0]
-        raise GridError(f"non-finite iterate at time node {j_start + int(t_i)}, "
-                        f"space node {int(x_i)}")
+        bad = np.argwhere(~np.isfinite(out))[0]
+        raise GridError(f"non-finite iterate at time node {j_start + int(bad[0])}, "
+                        f"space node {int(bad[-1])}")
     return out
 
 
@@ -258,16 +270,6 @@ def _check_driver(driver: DrivingField, alpha: float, m: int, n: int, T: float):
     f = driver.field
     if f.n != n or not driver.time_constant and (f.m != m or abs(f.T - T) > 1e-12):
         raise GridError("field and driver grids must match")
-
-
-def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff: CoefficientFunction,
-            driver: DrivingField, alpha) -> SpaceTimeField:
-    """One application of the fixed-point operator over the full field."""
-    _check_driver(driver, order_value(alpha), Y.m, Y.n, Y.T)
-    if phi.n != Y.n:
-        raise GridError("phi must live on the field's spatial grid")
-    out = _apply_window(Y.values, phi.values, coeff, driver, 0, Y.dt)
-    return SpaceTimeField(Y.T, out)
 
 
 def _window_norm(F: np.ndarray, Y: np.ndarray, h: float, alpha: float) -> float:
@@ -489,19 +491,21 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
     ``field_norms`` are the norms of Y1 and Y2 when the caller has them (a
     field scaled by s > 0 has s times the norm); without them they are
     computed.  Either way a field outside the ball of radius R1 is refused.
+    F maps the pair as one two-field stack.
     """
     a = cfg.alpha
-    if Y1.values.shape != Y2.values.shape or abs(Y1.T - Y2.T) > 1e-12:
-        raise GridError("probe fields must share one grid")
+    if Y1.values.shape != Y2.values.shape or abs(Y1.T - Y2.T) > 1e-12 or Y1.n != cfg.n:
+        raise GridError("probe fields must share one grid with phi")
     if np.array_equal(Y1.values, Y2.values):
         raise GridError("probe fields must differ (zero denominator)")
     if field_norms is None:
         field_norms = (norms.norm_alpha_infty(Y1, a), norms.norm_alpha_infty(Y2, a))
     if max(field_norms) > constants.r1 * (1.0 + 1e-9):
         raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
-    F1 = apply_F(Y1, cfg.phi, cfg.coeff, driver, a)
-    F2 = apply_F(Y2, cfg.phi, cfg.coeff, driver, a)
-    num = _window_norm(F1.values, F2.values, Y1.h, a)
+    _check_driver(driver, a, Y1.m, Y1.n, Y1.T)
+    F = _apply_window(np.stack((Y1.values, Y2.values), axis=1), cfg.phi.values,
+                      cfg.coeff, driver, 0, Y1.dt)
+    num = _window_norm(F[:, 0], F[:, 1], Y1.h, a)
     den = _window_norm(Y1.values, Y2.values, Y1.h, a)
     ratio = num / den
     ceiling = constants.b5 * Y1.T
@@ -533,37 +537,31 @@ def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
     }
 
 
-def _flat_image(cfg: SolverConfig, driver: DrivingField, t_w: float) -> SpaceTimeField:
-    """F of the flat extension of phi over PROBE_TIME_CELLS cells of [0, t_w],
-    the iteration's own starting point: a first iterate, built from phi's
-    row-0 inner integral, and bitwise ``apply_F`` of that field."""
-    _check_driver(driver, cfg.alpha, PROBE_TIME_CELLS, cfg.n, t_w)
-    phi = cfg.phi.values
-    flat = np.tile(phi, (PROBE_TIME_CELLS + 1, 1))
-    v0 = _inner_integrals(phi, cfg.coeff, driver.time_slice(0))
-    F = _first_iterate(flat, phi, cfg.coeff, driver, 0, t_w / PROBE_TIME_CELLS, v0)
-    return SpaceTimeField(t_w, F)
-
-
 def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
                           constants: ProofConstants, trials: int = 100,
                           seed: int = 0) -> dict:
-    """Sample fields with norm <= R1 and verify ||F(Y)|| <= R1 on [0, T1]."""
-    a = cfg.alpha
+    """Sample fields with norm <= R1 and verify ||F(Y)|| <= R1 on [0, T1].
+
+    Trial 0 is the flat extension of phi, the iteration's own starting
+    point; F maps all trials as one field stack.
+    """
+    a, n = cfg.alpha, cfg.n
     t_w = constants.t1 if math.isfinite(constants.t1) else cfg.T
+    _check_driver(driver, a, PROBE_TIME_CELLS, n, t_w)
     rng = np.random.default_rng(seed)
-    # trial 0: the flat extension of phi, the iteration's own starting point
-    images = [_flat_image(cfg, driver, t_w)]
-    for _ in range(max(0, trials - 1)):
-        Yr = random_smooth_field(PROBE_TIME_CELLS, cfg.n, t_w, rng)
+    fields = np.empty((PROBE_TIME_CELLS + 1, max(1, trials), n + 1))
+    fields[:, 0] = cfg.phi.values
+    for i in range(1, fields.shape[1]):
+        Yr = random_smooth_field(PROBE_TIME_CELLS, n, t_w, rng)
         nrm = norms.norm_alpha_infty(Yr, a)
         target = rng.uniform(0.2, 1.0) * constants.r1
-        Yr = SpaceTimeField(t_w, Yr.values * (target / max(nrm, 1e-12)))
-        images.append(apply_F(Yr, cfg.phi, cfg.coeff, driver, a))
+        fields[:, i] = Yr.values * (target / max(nrm, 1e-12))
+    images = _apply_window(fields, cfg.phi.values, cfg.coeff, driver, 0,
+                           t_w / PROBE_TIME_CELLS)
     # the verdict and the excess need only the largest image norm
-    worst = norms.max_slice_norm(np.concatenate([F.values for F in images]), images[0].h, a)
+    worst = norms.max_slice_norm(images.reshape(-1, n + 1), 1.0 / n, a)
     return {"passed": bool(worst <= constants.r1 * (1.0 + _REL_SLACK)), "r1": constants.r1,
-            "t1": t_w, "worst_excess": float(worst - constants.r1), "trials": len(images)}
+            "t1": t_w, "worst_excess": float(worst - constants.r1), "trials": fields.shape[1]}
 
 
 def quadruple_inequality_check(coeff: CoefficientFunction, radius: float,

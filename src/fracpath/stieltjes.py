@@ -119,9 +119,10 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
 @dataclass(frozen=True, eq=False)
 class SliceOperator:
     """u -> int_0^xi u dg at every node, for one integrator slice g on the
-    unit grid: read-only copies of g's values, of g - g(0) (``rise``), of
-    column 1 and of the subdiagonal of its pair matrix D, the step h, the
-    order alpha and Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps
+    unit grid: read-only copies of g's values, of g - g(0) (``rise``), of g
+    centred at its mid-range (``centred``), of column 1 and of the
+    subdiagonal of its pair matrix D, the step h, the order alpha and
+    Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps
     ``weights``, read-only: D with the trapezoid end weights and
     PAIRING_SIGN h folded in (``_fold_trapezoid``), so that the pairing
     term of the integral up to node i is sum_j weights[i, j] Du_j; from
@@ -134,6 +135,7 @@ class SliceOperator:
     column: np.ndarray
     subdiagonal: np.ndarray
     rise: np.ndarray
+    centred: np.ndarray
     weights: np.ndarray | None
 
 
@@ -167,9 +169,10 @@ def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
     column, subdiagonal = D[:, 1].copy(), np.diagonal(D, -1).copy()
     weights = _fold_trapezoid(D, 1.0 / n, a) if n < _FFT_MIN_N else None
     rise = g - g[0]
-    for arr in (g, column, subdiagonal, rise, D):
+    centred = g - 0.5 * (g.max() + g.min())
+    for arr in (g, column, subdiagonal, rise, centred, D):
         arr.setflags(write=False)
-    return SliceOperator(g, 1.0 / n, a, lam, column, subdiagonal, rise, weights)
+    return SliceOperator(g, 1.0 / n, a, lam, column, subdiagonal, rise, centred, weights)
 
 
 def _pair_kernels(n: int, a: float) -> tuple:
@@ -218,10 +221,9 @@ def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
 def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:
     """sum_{j<i} Du_j D[i, j] at every node i, by the causal convolutions of
     ``_pair_kernels``: (Du w * K)_i - w_i (Du * K)_i plus the prefix sum over
-    p < i of (Du w * sC)_p - w_p (Du * sC)_p, with w the slice centered at
-    its mid-range, as D holds differences of values only."""
-    g = op.values
-    w = g - 0.5 * (g.max() + g.min())
+    p < i of (Du w * sC)_p - w_p (Du * sC)_p, with w the slice centred at
+    its mid-range (``op.centred``), as D holds differences of values only."""
+    w = op.centred
     y = _convolve(np.stack((Du * w, Du), axis=1), _pair_kernels, op.alpha)
     y = y[:, :, 0] - w * y[:, :, 1]
     rowsum = y[0]

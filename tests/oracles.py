@@ -6,10 +6,11 @@ derivative), the Weyl derivative by the mid-range-centred Marchaud
 difference, the Stieltjes sweep with its trapezoid ends applied to the
 unfolded pair matrix and its folded weights as per-pair factors, the
 pairing sign recomputed from the f = g = x case, Lambda_alpha over a whole
-field, and the Davies-Harte sampler without the cached spectrum.  They
-read the package's private weight tables and helpers, so their bits are
-those the package would give; none of them is run by a ``fracpath``
-command.
+field, the Davies-Harte sampler without the cached spectrum, the
+fixed-point operator F one field and one row at a time, and the random
+probe data as sums of one mode at a time.  They read the package's
+private weight tables and helpers, so their bits are those the package
+would give; none of them is run by a ``fracpath`` command.
 """
 
 import math
@@ -18,9 +19,11 @@ import numpy as np
 
 from fracpath.fbm import _circulant_root, _fgn_sample
 from fracpath.frac_calc import _difference_weights, _hat_moments
-from fracpath.grids import GridFunction, SpaceTimeField, order_value
+from fracpath.grids import GridError, GridFunction, SpaceTimeField, order_value
 from fracpath.norms import _row_bands, lambda_from_pair_matrix, right_derivative_pair_matrix
-from fracpath.stieltjes import PAIRING_SIGN, _pairing_value
+from fracpath.sampling import _FIELD_MODES, _GRID_MODES
+from fracpath.solver import _check_driver
+from fracpath.stieltjes import PAIRING_SIGN, _pairing_value, stieltjes_all_upper_limits
 
 
 def _integral_weights(n: int, alpha: float):
@@ -135,3 +138,42 @@ def lambda_alpha(g: SpaceTimeField, alpha) -> float:
 def fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
     """n variates with autocovariance c[0..n] by circulant embedding."""
     return _fgn_sample(_circulant_root(c), n, rng)
+
+
+def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff, driver, alpha) -> SpaceTimeField:
+    """One application of the fixed-point operator to one field: the inner
+    integral int_0^xi A(Y) dg of each row against its own driver slice, one
+    row per sweep, then phi plus the trapezoid integral in time."""
+    _check_driver(driver, order_value(alpha), Y.m, Y.n, Y.T)
+    if phi.n != Y.n:
+        raise GridError("phi must live on the field's spatial grid")
+    V = np.array([stieltjes_all_upper_limits(coeff(y), driver.time_slice(j))
+                  for j, y in enumerate(Y.values)])
+    out = np.empty_like(V)
+    out[0] = phi.values
+    out[1:] = phi.values + np.cumsum(0.5 * Y.dt * (V[1:] + V[:-1]), axis=0)
+    return SpaceTimeField(Y.T, out)
+
+
+def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
+    """``sampling.random_trig_grid`` as a sum of one mode at a time."""
+    x = np.linspace(0.0, 1.0, n + 1)
+    k = np.arange(1, _GRID_MODES + 1)
+    amps = rng.standard_normal(_GRID_MODES) / k ** 1.5
+    v = sum(amps[i] * np.sin(k[i] * np.pi * x) for i in range(_GRID_MODES))
+    return GridFunction(0.0, 1.0, v + rng.standard_normal())
+
+
+def random_smooth_field(m: int, n: int, T: float,
+                        rng: np.random.Generator) -> SpaceTimeField:
+    """``sampling.random_smooth_field`` as a sum of one mode at a time."""
+    t = np.linspace(0.0, T, m + 1)[:, None]
+    xi = np.linspace(0.0, 1.0, n + 1)[None, :]
+    k = np.arange(1, _FIELD_MODES + 1)
+    a = rng.standard_normal(_FIELD_MODES) / k ** 2
+    b = rng.standard_normal(_FIELD_MODES) / k ** 2
+    c0 = rng.standard_normal()
+    tt = t / T if T > 0 else t
+    vals = c0 + sum((a[i] + b[i] * tt) * np.sin(k[i] * np.pi * xi)
+                    for i in range(_FIELD_MODES))
+    return SpaceTimeField(T, np.broadcast_to(vals, (m + 1, n + 1)).copy())

@@ -17,7 +17,7 @@ from fracpath.grids import GridFunction, SpaceTimeField
 from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.frac_calc import weyl_derivative_left
 from fracpath.sampling import random_smooth_field, random_trig_grid
-from oracles import rl_integral_left
+from oracles import apply_F, rl_integral_left
 
 
 def report(criterion, passed, detail):
@@ -254,7 +254,7 @@ def test_criterion_6_solver_correctness():
     Y = SpaceTimeField(0.1, np.tile(cfg3.phi.values, (17, 1))
                        + scale * bump.values * np.linspace(0, 1, 17)[:, None])
     for _ in range(cfg3.max_iterations):
-        F = solver.apply_F(Y, cfg3.phi, cfg3.coeff, drv3, cfg3.alpha)
+        F = apply_F(Y, cfg3.phi, cfg3.coeff, drv3, cfg3.alpha)
         res = max(norms.slice_norm_alpha_infty(r, cfg3.phi.h, cfg3.alpha)
                   for r in F.values - Y.values)
         Y = F

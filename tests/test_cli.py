@@ -104,6 +104,17 @@ class TestFbmCommand:
                     "--n", "64", "--seed", "1", "--field-m", "-2")
         assert_usage_error(r)
 
+    @pytest.mark.parametrize("flags", [
+        ["--field-m", "2", "--field-T", "0"],
+        ["--field-m", "2", "--validate", "--samples", "999"],
+    ], ids=["field-T-0", "samples-999"])
+    def test_bad_flag_writes_nothing(self, tmp_path, flags):
+        # the flags are checked before the path is written
+        r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.7", "--n", "8",
+                    "--seed", "1", *flags)
+        assert_usage_error(r)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolveCommand:
     def test_zero_coefficient_replicates_phi(self, tmp_path):

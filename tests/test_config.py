@@ -213,6 +213,32 @@ def test_overflow_refused_with_one_line(tmp_path, changes, before, after):
     assert not any(tmp_path.glob("*.csv"))
 
 
+# (id, coefficient, the name and the proof constant the error line gives;
+# R1 is twice the norm of the ramp phi)
+OVERFLOWING_COEFFICIENTS = [
+    ("tanh-1e200", {"kind": "tanh", "params": {"scale": 1e200}}, "tanh(1e+200)", "M_N(R1)"),
+    ("tanh-1e308", {"kind": "tanh", "params": {"scale": 1e308}}, "tanh(1e+308)", "M_N(R1)"),
+    ("biot-savart-1e-80", {"kind": "smoothed-biot-savart", "params": {"epsilon": 1e-80}},
+     "smoothed-biot-savart(1e-80,1.0)", "M_N(R1)"),
+]
+
+
+@pytest.mark.parametrize("A, name, constant", [c[1:] for c in OVERFLOWING_COEFFICIENTS],
+                         ids=[c[0] for c in OVERFLOWING_COEFFICIENTS])
+def test_overflowing_coefficient_constant_names_the_coefficient(tmp_path, A, name, constant):
+    # a proof constant past float64 is refused where it is computed, not
+    # turned into a probe grid over [0, 0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad_config({"grid": {"m": 8, "n": 32, "T": 0.1},
+                                           "driver": FROZEN, "A": A})))
+    r = subprocess.run([sys.executable, "-m", "fracpath", "--out", str(tmp_path),
+                        "solve", str(path)], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == (f"error: the inputs overflow float64 (coefficient {name} gives "
+                        f"the proof constant {constant} = inf at R1 = 4.85714)\n"), r.stderr
+    assert not any(tmp_path.glob("*.csv"))
+
+
 # (number key, changes that give the config that key)
 NUMBER_KEYS = [
     ("phi.params.amplitude", {"phi": {"kind": "sine", "params": {}}}),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fracpath.grids import GridError, GridFunction, SpaceTimeField
-from fracpath import cli, coefficients as co, fbm, norms, solver, stieltjes
+from fracpath import cli, coefficients as co, fbm, norms, sampling, solver, stieltjes
 from fracpath.sampling import random_smooth_field
+import oracles
 
 # the solve config of the README
 README_CONFIG = {
@@ -90,7 +91,7 @@ class TestApplyF:
         phi = ramp_phi(n)
         drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
         Y = SpaceTimeField(1.0, np.random.default_rng(0).standard_normal((m + 1, n + 1)))
-        F = solver.apply_F(Y, phi, co.zero_coefficient(), drv, 0.3)
+        F = oracles.apply_F(Y, phi, co.zero_coefficient(), drv, 0.3)
         np.testing.assert_array_equal(F.values, np.tile(phi.values, (m + 1, 1)))
 
     def test_constant_coefficient_closed_form(self):
@@ -100,7 +101,7 @@ class TestApplyF:
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=0.5,
                                               seed=2), 0.3)
         Y = SpaceTimeField.constant_in_time(np.zeros(n + 1), m, 0.5)
-        F = solver.apply_F(Y, phi, co.constant_coefficient(2.0), drv, 0.3)
+        F = oracles.apply_F(Y, phi, co.constant_coefficient(2.0), drv, 0.3)
         t = np.linspace(0, 0.5, m + 1)[:, None]
         g = drv.field.values[0]
         exact = phi.values[None, :] + 2.0 * t * (g - g[0])[None, :]
@@ -112,14 +113,14 @@ class TestApplyF:
         phi = GridFunction(0, 1, np.zeros(n + 1))
         drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
         Y = SpaceTimeField.constant_in_time(np.zeros(n + 1), m, 1.0)
-        F = solver.apply_F(Y, phi, co.tanh_coefficient(), drv, 0.3)
+        F = oracles.apply_F(Y, phi, co.tanh_coefficient(), drv, 0.3)
         np.testing.assert_allclose(F.values, 0.0, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
         drv = fbm.stub_driving_field("linear", 32, 5, 1.0, 0.3)
         Y = SpaceTimeField.constant_in_time(np.zeros(49), 5, 1.0)
         with pytest.raises(GridError):
-            solver.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
+            oracles.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
 
     def test_frozen_driver_serves_any_time_grid(self):
         # a frozen driver built on one time grid, applied on a probe grid,
@@ -130,8 +131,8 @@ class TestApplyF:
                                               seed=11), 0.3)
         probe = fbm.field_from_path(path, 4, 0.25, 0.3)
         Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
-        F = solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
-        F_probe = solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
+        F = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+        F_probe = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
         assert np.array_equal(F.values, F_probe.values)
 
     def test_sheet_driver_rejects_other_time_grid(self):
@@ -140,7 +141,7 @@ class TestApplyF:
                                               seed=11, time_model="sheet"), 0.3)
         Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
         with pytest.raises(GridError):
-            solver.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+            oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
 
 
 class TestSolve:
@@ -187,7 +188,7 @@ class TestSolve:
         Y = SpaceTimeField(T, np.tile(cfg.phi.values, (m + 1, 1))
                            + scale * bump.values * np.linspace(0, 1, m + 1)[:, None])
         for _ in range(cfg.max_iterations):
-            F = solver.apply_F(Y, cfg.phi, cfg.coeff, drv, cfg.alpha)
+            F = oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, cfg.alpha)
             res = max(norms.slice_norm_alpha_infty(r, cfg.phi.h, cfg.alpha)
                       for r in F.values - Y.values)
             Y = F
@@ -326,7 +327,7 @@ class TestDriverOrder:
         drv = fbm.stub_driving_field("sine", 64, 4, 1.0, 0.3)
         Y = SpaceTimeField.constant_in_time(ramp_phi(64).values, 4, 1.0)
         with pytest.raises(GridError, match="different alpha"):
-            solver.apply_F(Y, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
+            oracles.apply_F(Y, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
 
     def test_solve(self):
         cfg, drv, _ = self.mismatched()
@@ -364,6 +365,68 @@ class TestConstantsFlow:
         t2 = cons.t2 if math.isfinite(cons.t2) else cfg.T
         assert rep.verdicts["contraction"]["ceiling"] == cons.b5 * t2
         assert rep.verdicts["ball_invariance"]["r1"] == cons.r1
+
+
+def probe_case(name):
+    """(cfg, driver, constants, t_w) of a probe test: the README config, the
+    ``verify contraction`` config, or a sheet driver built on the probe grid
+    [0, t_w] (its constants' T1 and T2 set to t_w, so both probes use it)."""
+    if name == "readme":
+        cfg, build = cli._read_config(README_CONFIG)
+        drv = build()
+    elif name == "probe96":
+        cfg, drv = cli._probe_config(96)
+    else:
+        n, t_w = 48, 0.05
+        cfg = make_cfg(n=n, m=solver.PROBE_TIME_CELLS, T=t_w, phi=GridFunction(
+            0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7,
+                                              time_model="sheet"), cfg.alpha)
+        cons = dataclasses.replace(constants_for(cfg, drv), t1=t_w, t2=t_w)
+        return cfg, drv, cons, t_w
+    cons = constants_for(cfg, drv)
+    return cfg, drv, cons, min(cons.t2, cfg.T)
+
+
+PROBE_CASES = [("readme", 5), ("readme", 60), ("probe96", 5), ("probe96", 60), ("sheet", 40)]
+
+
+def hand_rolled_ball(cfg, drv, cons, trials, seed):
+    """``ball_invariance_check`` as a loop over its trials, each scaled and
+    mapped by F on its own."""
+    a = cfg.alpha
+    t_w = cons.t1 if math.isfinite(cons.t1) else cfg.T
+    rng = np.random.default_rng(seed)
+    fields = [SpaceTimeField.constant_in_time(cfg.phi.values, solver.PROBE_TIME_CELLS, t_w)]
+    for _ in range(trials - 1):
+        Y = random_smooth_field(solver.PROBE_TIME_CELLS, cfg.n, t_w, rng)
+        nrm = norms.norm_alpha_infty(Y, a)
+        target = rng.uniform(0.2, 1.0) * cons.r1
+        fields.append(SpaceTimeField(t_w, Y.values * (target / max(nrm, 1e-12))))
+    images = [oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, a).values for Y in fields]
+    worst = max(norms.slice_norms_alpha_infty(F, 1.0 / cfg.n, a).max() for F in images)
+    return {"passed": bool(worst <= cons.r1 * (1.0 + solver._REL_SLACK)), "r1": cons.r1,
+            "t1": t_w, "worst_excess": float(worst - cons.r1), "trials": trials}
+
+
+def hand_rolled_contraction(cfg, drv, cons, t_w, trials, rng):
+    """``contraction_sweep`` as a loop over its probes, each field mapped
+    by F on its own and each norm the max of the slice norms."""
+    a, h = cfg.alpha, 1.0 / cfg.n
+    ceiling = cons.b5 * t_w
+    ratios = []
+    for _ in range(trials):
+        pair = []
+        for _ in range(2):
+            Y = random_smooth_field(solver.PROBE_TIME_CELLS, cfg.n, t_w, rng)
+            s = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y, a), 1e-12)
+            pair.append(SpaceTimeField(t_w, Y.values * s))
+        F1, F2 = (oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, a) for Y in pair)
+        num = norms.slice_norms_alpha_infty(F1.values - F2.values, h, a).max()
+        den = norms.slice_norms_alpha_infty(pair[0].values - pair[1].values, h, a).max()
+        ratios.append(float(num / den))
+    return {"passed": all(r <= ceiling * 1.1 or ceiling == 0.0 for r in ratios),
+            "max_ratio": max(ratios), "ceiling": float(ceiling), "trials": trials}
 
 
 class TestContractionProbe:
@@ -416,6 +479,14 @@ class TestContractionProbe:
         assert sweep["ceiling"] == probes[0]["ceiling"]
         assert sweep["passed"] == all(p["passed"] for p in probes)
         assert sweep["trials"] == 25
+        # each probe maps its pair as one two-field stack: the same verdict,
+        # bit for bit, as mapping each field on its own
+        for name, trials in PROBE_CASES:
+            cfg, drv, cons, t_w = probe_case(name)
+            sweep = solver.contraction_sweep(cfg, drv, cons, t_w, trials,
+                                             np.random.default_rng(2))
+            assert sweep == hand_rolled_contraction(cfg, drv, cons, t_w, trials,
+                                                    np.random.default_rng(2)), (name, trials)
 
     @staticmethod
     def swept_probes(name, monkeypatch):
@@ -510,6 +581,31 @@ class TestBallInvariance:
                                            trials=100, seed=3)
         assert rep["passed"]
 
+    @pytest.mark.parametrize("name, trials", PROBE_CASES,
+                             ids=[f"{n}-{k}" for n, k in PROBE_CASES])
+    def test_matches_hand_rolled_trials(self, name, trials):
+        # all trials are mapped as one field stack, trial 0 the flat
+        # extension of phi: the same dict, bit for bit, as mapping each
+        # trial on its own
+        cfg, drv, cons, _ = probe_case(name)
+        assert solver.ball_invariance_check(cfg, drv, cons, trials=trials, seed=4) \
+            == hand_rolled_ball(cfg, drv, cons, trials, seed=4)
+
+    def test_sweeps_stay_one_band(self, monkeypatch):
+        # 100 trials of 5 rows at n = 1024 go through the inner integrals in
+        # stacks of at most _SWEEP_ROWS rows
+        cfg, drv = cli._probe_config(1024)
+        rows = []
+        inner = solver._inner_integrals
+
+        def spy(y_rows, *args):
+            rows.append(y_rows.shape[0])
+            return inner(y_rows, *args)
+        monkeypatch.setattr(solver, "_inner_integrals", spy)
+        solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv), trials=100, seed=0)
+        assert max(rows) <= solver._SWEEP_ROWS
+        assert sum(rows) == 100 * (solver.PROBE_TIME_CELLS + 1)
+
 
 def test_time_step_is_second_order_against_rk4():
     # on a time-constant driver the equation is y' = G(y), G(y) = int_0^xi
@@ -565,29 +661,6 @@ class TestStackedMaxInProbes:
         monkeypatch.setattr(norms, "max_slice_norm", lambda rows, h, alpha, floor=-np.inf: float(
             np.max([floor, norms.slice_norms_alpha_infty(rows, h, alpha).max()])))
         assert got == self.probe_dicts(cfg, drv)
-
-
-class TestFlatImage:
-    # trial 0 of the ball check is built from phi's row-0 inner integral;
-    # it must be bitwise F of the flat extension of phi
-    @pytest.mark.parametrize("model", ["frozen", "sheet"])
-    def test_bitwise_apply_F(self, model):
-        n, t_w = 48, 0.05
-        cfg = make_cfg(n=n, m=solver.PROBE_TIME_CELLS, T=t_w, phi=GridFunction(
-            0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7,
-                                              time_model=model), cfg.alpha)
-        flat = SpaceTimeField.constant_in_time(cfg.phi.values, solver.PROBE_TIME_CELLS, t_w)
-        F = solver.apply_F(flat, cfg.phi, cfg.coeff, drv, cfg.alpha)
-        image = solver._flat_image(cfg, drv, t_w)
-        assert image.T == F.T
-        assert image.values.tobytes() == F.values.tobytes()
-
-    def test_checks_the_driver_first(self):
-        cfg = make_cfg(n=64, alpha=0.35)
-        drv = fbm.stub_driving_field("sine", 64, 4, 0.01, 0.3)
-        with pytest.raises(GridError, match="different alpha"):
-            solver._flat_image(cfg, drv, 0.01)
 
 
 class TestGronwall:
@@ -705,6 +778,53 @@ class TestLongWindow:
         want[0] = cfg.phi.values
         want[1:] = cfg.phi.values + np.cumsum(0.5 * cfg.dt * (V[1:] + V[:-1]), axis=0)
         assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("model", ["frozen", "sheet"])
+    @pytest.mark.parametrize("n", [64, 600])
+    @pytest.mark.parametrize("k", [2, 40])
+    @pytest.mark.parametrize("with_v0", [False, True], ids=["sweep-row-0", "v0"])
+    def test_field_stack_is_bitwise_one_field_at_a_time(self, model, n, k, with_v0):
+        # k fields on one window, (rows, k, n+1): more rows than _SWEEP_ROWS
+        # share a slice on both drivers at k = 40; n = 600 contracts by FFT
+        m, T = 4, 0.01
+        cfg = make_cfg(n=n, m=m, T=T)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7,
+                                              time_model=model), 0.3)
+        rng = np.random.default_rng(k)
+        Ys = cfg.phi.values + 0.1 * rng.standard_normal((m + 1, k, n + 1)).cumsum(axis=0)
+        v0 = solver._inner_integrals(Ys[0], cfg.coeff, drv.time_slice(0)) if with_v0 else None
+        got = solver._apply_window(Ys, cfg.phi.values, cfg.coeff, drv, 0, cfg.dt, v0)
+        assert got.shape == Ys.shape
+        for f in range(k):
+            want = oracles.apply_F(SpaceTimeField(T, Ys[:, f]), cfg.phi, cfg.coeff, drv, 0.3)
+            assert got[:, f].tobytes() == want.values.tobytes(), f
+
+    def test_time_integral_names_the_node_of_a_field_stack(self):
+        V = np.zeros((6, 4, 17))
+        V[3, 0, 2] = np.nan   # a later time node in the first field
+        V[2, 3, 7] = np.inf   # the first time node hit, in the last field
+        with pytest.raises(GridError, match=r"^non-finite iterate at time node 7, space node 7$"):
+            solver._time_integral(V, np.zeros(17), 5, 0.1)
+        V[2, 3, 7] = 0.0
+        with pytest.raises(GridError, match=r"^non-finite iterate at time node 8, space node 2$"):
+            solver._time_integral(V, np.zeros(17), 5, 0.1)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("n", [2, 3, 64, 96, 257, 1024])
+    def test_whole_array_samplers_are_the_mode_sums(self, n):
+        # one broadcast product summed over its modes, bitwise the sum of one
+        # mode at a time, and the generator left in the same state
+        for seed in range(50):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = sampling.random_trig_grid(n, got)
+            assert g.values.tobytes() == oracles.random_trig_grid(n, want).values.tobytes()
+            for m, T in ((4, 0.01), (1, 1.0), (16, 0.3)):
+                Y = sampling.random_smooth_field(m, n, T, got)
+                ref = oracles.random_smooth_field(m, n, T, want)
+                assert Y.T == ref.T and Y.values.tobytes() == ref.values.tobytes(), (seed, m)
+            assert got.standard_normal() == want.standard_normal()
 
 
 class TestSolveMemory:

@@ -337,7 +337,7 @@ class TestAllUpperLimits:
             column[max(i0, 2):i1] = X[max(i0, 2) - i0:, 1]
             subdiagonal[i0 - 1:i1 - 1] = X[np.arange(i1 - i0), np.arange(i0 - 1, i1 - 1)]
         op = stieltjes.SliceOperator(g, 1.0 / n, alpha, math.nan, column, subdiagonal,
-                                     g - g[0], None)
+                                     g - g[0], g - 0.5 * (g.max() + g.min()), None)
         first = column * Du[:, 1:2]
         last = np.zeros_like(rowsum)
         last[:, 1:] = subdiagonal * Du[:, :-1]
@@ -436,12 +436,13 @@ class TestSliceOperator:
         g = fbm.fbm_path(0.75, 64, 3).values.copy()
         op = stieltjes.slice_operator(g, 0.3)
         before = op.values.copy()
-        for arr in (op.values, op.column, op.subdiagonal, op.rise, op.weights):
+        for arr in (op.values, op.column, op.subdiagonal, op.rise, op.centred, op.weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0.0
         g[1:] = 7.0   # the caller's array, mutated after the build
         assert np.array_equal(op.values, before)
+        assert op.centred.tobytes() == (before - 0.5 * (before.max() + before.min())).tobytes()
 
     @pytest.mark.parametrize("n", [2, 64, 257])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
