@@ -14,13 +14,13 @@ is the causal convolution with the difference weights.  As w(a) = 0 an
 offset of f does not enter, and column 0's boundary weight drops out.  The
 convolution runs by ``np.convolve`` below ``_FFT_MIN_N`` cells, one call
 per row of a stack, and from there on by rfft against spectra cached per
-(n, order) (``_convolve``, which the Stieltjes sweep shares), with the
-largest weights, which set the transform's rounding, summed directly.  The
-transform length is the smallest 5-smooth integer >= 2n + 1, so nothing
-wraps.  The derivative relies on the ``GridFunction`` constructor's
-finiteness check and also takes a (k, n+1) stack of slices (a
-``GridFunction._adopt`` input, as the Stieltjes sweep passes its rows),
-each row bitwise its one-slice call.
+(n, order) (``_convolve``, which the Stieltjes sweep shares, ``_FFT_ROWS``
+rows per transform call), with the largest weights, which set the
+transform's rounding, summed directly.  The transform length is the
+smallest 5-smooth integer >= 2n + 1, so nothing wraps.  The derivative
+relies on the ``GridFunction`` constructor's finiteness check and also
+takes a (k, n+1) stack of slices (a ``GridFunction._adopt`` input, as the
+Stieltjes sweep passes its rows), each row bitwise its one-slice call.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of rows
@@ -72,6 +72,8 @@ _BAND_PAIRS = 1 << 15
 _FFT_MIN_N = 512
 # kernel distances 0.._NEAR_FIELD of an rfft convolution summed directly
 _NEAR_FIELD = 4
+# rows per rfft/irfft call of ``_convolve``, which bounds its transform scratch
+_FFT_ROWS = 8
 
 
 @lru_cache(maxsize=128)
@@ -150,12 +152,17 @@ def _convolve(x: np.ndarray, kernels, alpha: float) -> np.ndarray:
     """y[q, ..., i] = sum_{j <= i} w_q[i - j] x[..., j] at i <= n for a stack
     x (..., n+1) and each kernel w_q of ``kernels(n, alpha)``.  The largest
     weights, at distances <= _NEAR_FIELD, set the rounding of the transform,
-    so they are summed directly.  Each row is bitwise its one-row call."""
+    so they are summed directly.  The rows are transformed ``_FFT_ROWS`` at
+    a time into one output, so the transforms' scratch does not grow with
+    the stack.  Each row is bitwise its one-row call."""
     n = x.shape[-1] - 1
     near, spectra = _split_kernels(kernels, n, alpha)
     L = _fft_length(n)
     rows = x.reshape(-1, n + 1)
-    y = np.fft.irfft(np.fft.rfft(rows, L) * spectra[:, None], L)[:, :, :n + 1]
+    y = np.empty((len(near), len(rows), n + 1))
+    for r0 in range(0, len(rows), _FFT_ROWS):
+        chunk = np.fft.rfft(rows[r0:r0 + _FFT_ROWS], L) * spectra[:, None]
+        y[:, r0:r0 + _FFT_ROWS] = np.fft.irfft(chunk, L)[:, :, :n + 1]
     for r, row in enumerate(rows):
         for q, w in enumerate(near):
             y[q, r] += np.convolve(row, w)[:n + 1]

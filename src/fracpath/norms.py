@@ -224,7 +224,7 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
 @lru_cache(maxsize=64)
 def _row_bands(n: int) -> tuple:
     """The bands [i0, i1) of rows 1..n in which the Stieltjes contraction
-    reads its weight matrix, each of about ``_BLOCK_ELEMENTS`` node pairs;
+    reads the pair matrix, each of about ``_BLOCK_ELEMENTS`` node pairs;
     row 0 pairs with no column.  The einsum's bits depend on the band
     height."""
     step = max(1, _BLOCK_ELEMENTS // (n + 1))

@@ -31,7 +31,7 @@ fields.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
 and the report adopts it); the driver's slices and their operators (from
-512 cells on O(n) data, below it the (n+1)^2 folded weights); at most
+512 cells on O(n) data, below it also the (n+1)^2 pair matrix); at most
 three window-sized arrays (the iterate, its inner integrals and its image
 during a sweep; the iterate and its image during the residual norm, which
 forms each band's difference in its step), plus one band of scratch of
@@ -353,7 +353,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
 
     Never returns an unconverged field silently: on failure the report has
     ``converged = False``, the failing window index, and its residual
-    history.
+    history, and the solution and its Gronwall check end at that window's
+    t_end, with the window's last iterate as its rows.
     """
     a = cfg.alpha
     _check_driver(driver, a, cfg.m, cfg.n, cfg.T)
@@ -407,6 +408,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         if not w_converged:
             converged = False
             failed_window = len(windows) - 1
+            Y = Y[:j1 + 1]   # the solution ends with the failed window's last iterate
             break
         if cfg.window_policy == "adaptive":
             ratio = windows[-1].contraction_ratio
@@ -421,7 +423,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         j0 = j1
 
     # nothing else holds Y, so the solution takes it over instead of a copy
-    solution = SpaceTimeField._adopt(cfg.T, Y)
+    solution = SpaceTimeField._adopt(cfg.T if converged else windows[-1].t_end, Y)
     # window 0 starts from phi itself, so its constants are the global set
     constants = windows[0].constants
     verdicts = {

@@ -18,21 +18,23 @@ the one form in which a slice is passed around; its pair matrix D is read
 only here.  ``stieltjes_all_upper_limits`` applies it to one integrand
 slice or a stack, whose left derivatives it takes in one
 ``weyl_derivative_left`` call on the whole stack; each row of a stack is
-bitwise its one-slice result.  Below ``frac_calc._FFT_MIN_N`` cells the
-operator folds the trapezoid end weights, PAIRING_SIGN and h into D in
-place (``weights``, at most 2.1 MB at n = 511), so a sweep is one
-left-derivative call and one ``np.einsum`` of each row's field against the
-weights, band by band over the lower triangle, plus u_0 (g - g(0)).  The
-einsum's bands are those of about 2^17 pairs of ``norms._row_bands``, not
-the 32-row bands in which ``norms._right_bands`` builds D, since the
-einsum's bits depend on the band height.  From ``_FFT_MIN_N`` cells on the
-contraction is cheaper as convolutions: D is dropped after the build, so
-the operator holds O(n) data, and two Toeplitz kernels against
-differences of the slice values (``_pair_kernels``) make it four causal
-convolutions and one prefix sum, with the trapezoid ends as O(n) terms in
-column 1 and the subdiagonal of D.  Batching rows cannot move that
-crossover down: the README solve's windows are one cell, so most of its
-sweeps are one row.
+bitwise its one-slice result.  The two regimes differ only in how they
+form the plain row sums sum_{j<i} D[i, j] Du_j.  Below
+``frac_calc._FFT_MIN_N`` cells the operator keeps D (``pair_matrix``, at
+most 2.1 MB at n = 511) and the sweep is one ``np.einsum`` of each row's
+field against it, band by band over the lower triangle.  The einsum's
+bands are those of about 2^17 pairs of ``norms._row_bands``, not the
+32-row bands in which ``norms._right_bands`` builds D, since the einsum's
+bits depend on the band height.  From ``_FFT_MIN_N`` cells on the row sums
+are cheaper as convolutions: D is dropped after the build, so the operator
+holds O(n) data, and two Toeplitz kernels against differences of the slice
+values (``_pair_kernels``) make them four causal convolutions and one
+prefix sum.  Batching rows cannot move that crossover down: the README
+solve's windows are one cell, so most of its sweeps are one row.  The
+quadrature is then applied once, in the same order in both regimes: the
+trapezoid end corrections as O(n) terms (``first`` and ``last``, from
+column 1 and the subdiagonal of D), then the scale PAIRING_SIGN h, then
+the boundary term u_0 (g - g(0)).
 ``np.einsum`` and ``numpy.fft`` call no BLAS and the near field's dot
 products have at most five terms, so the bits do not depend on the BLAS
 thread count; no (n+1)^2 temporary is formed.
@@ -119,60 +121,42 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
 @dataclass(frozen=True, eq=False)
 class SliceOperator:
     """u -> int_0^xi u dg at every node, for one integrator slice g on the
-    unit grid: read-only copies of g's values, of g - g(0) (``rise``), of g
-    centred at its mid-range (``centred``), of column 1 and of the
-    subdiagonal of its pair matrix D, the step h, the order alpha and
-    Lambda_alpha(g).  Below ``_FFT_MIN_N`` cells it keeps
-    ``weights``, read-only: D with the trapezoid end weights and
-    PAIRING_SIGN h folded in (``_fold_trapezoid``), so that the pairing
-    term of the integral up to node i is sum_j weights[i, j] Du_j; from
-    there on ``weights`` is None and the sweep convolves."""
+    unit grid, whose pair matrix D is built once: the order alpha,
+    Lambda_alpha(g) and read-only copies of g - g(0) (``rise``), of g
+    centred at its mid-range (``centred``) and of the trapezoid end
+    corrections of the pairing quadrature, column 1 of D times
+    1/(2-alpha) - 1/2 (``first``) and the subdiagonal of D times
+    1/(1+alpha) - 1/2 (``last``).  Below ``_FFT_MIN_N`` cells it keeps D
+    itself, read-only, as ``pair_matrix``; from there on ``pair_matrix`` is
+    None and the sweep convolves.  The two regimes differ only in how they
+    form the row sums sum_{j<i} D[i, j] Du_j; the end corrections, the sign
+    and h are applied to them once, in ``stieltjes_all_upper_limits``."""
 
-    values: np.ndarray
-    h: float
     alpha: float
     lam: float
-    column: np.ndarray
-    subdiagonal: np.ndarray
     rise: np.ndarray
     centred: np.ndarray
-    weights: np.ndarray | None
-
-
-def _fold_trapezoid(D: np.ndarray, h: float, a: float) -> np.ndarray:
-    """Fold the pairing quadrature into the pair matrix D, in place: row i
-    integrates the nodes 1..i-1 by the trapezoid rule with the end cells
-    weighted by the local power models (``_pairing_quadrature``), so column
-    1 of rows i >= 3 is scaled by 1/2 + 1/(2-a), D[i, i-1] for i >= 3 by
-    1/2 + 1/(1+a), D[2, 1] by 1/(2-a) + 1/(1+a); rows 0 and 1 integrate
-    over fewer than three nodes and become zero.  Then all of D is scaled
-    by PAIRING_SIGN h."""
-    n = D.shape[0] - 1
-    D[3:, 1] *= 0.5 + 1.0 / (2.0 - a)
-    D.reshape(-1)[3 * (n + 2) - 1::n + 2] *= 0.5 + 1.0 / (1.0 + a)   # D[i, i-1], i >= 3
-    D[2, 1] *= 1.0 / (2.0 - a) + 1.0 / (1.0 + a)
-    D[:2] = 0.0
-    D *= PAIRING_SIGN * h
-    return D
+    first: np.ndarray
+    last: np.ndarray
+    pair_matrix: np.ndarray | None
 
 
 def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
     """Build the operator of one integrator slice on the unit grid: D is
-    built once, and once Lambda_alpha, column 1 and the subdiagonal are
-    read, folded into ``weights`` below ``_FFT_MIN_N`` cells and dropped
-    from there on."""
+    built once and, once Lambda_alpha and the end corrections are read,
+    kept below ``_FFT_MIN_N`` cells and dropped from there on."""
     a = order_value(alpha)
-    g = np.array(values, dtype=float)
+    g = np.asarray(values, dtype=float)
     n = g.size - 1
     D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
     lam = norms.lambda_from_pair_matrix(D, a)
-    column, subdiagonal = D[:, 1].copy(), np.diagonal(D, -1).copy()
-    weights = _fold_trapezoid(D, 1.0 / n, a) if n < _FFT_MIN_N else None
+    first = (1.0 / (2.0 - a) - 0.5) * D[:, 1]
+    last = (1.0 / (1.0 + a) - 0.5) * np.diagonal(D, -1)
     rise = g - g[0]
     centred = g - 0.5 * (g.max() + g.min())
-    for arr in (g, column, subdiagonal, rise, centred, D):
+    for arr in (rise, centred, first, last, D):
         arr.setflags(write=False)
-    return SliceOperator(g, 1.0 / n, a, lam, column, subdiagonal, rise, centred, weights)
+    return SliceOperator(a, lam, rise, centred, first, last, D if n < _FFT_MIN_N else None)
 
 
 def _pair_kernels(n: int, a: float) -> tuple:
@@ -197,25 +181,39 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     ``u`` is one integrand slice (n+1,) or a stack (k, n+1) integrated
     against the integrator slice of ``op``; the result has the same shape,
     and each row of a stack is bitwise the one-slice result for that row.
-    The left-derivative field of each row is computed once and contracted
-    with the operator's weights, one band of rows [i0, i1) at a time
-    against the columns j < i1 - 1 only, since they are 0 for j >= i, or
-    from ``_FFT_MIN_N`` cells on by convolutions and O(n) trapezoid end
-    corrections; then u_0 (g - g(0)) is added.
+    The left derivative Du of each row is taken once, in one call on the
+    whole stack (a single row goes as one slice, which skips the stack's
+    per-row loop).  The row sums sum_{j<i} D[i, j] Du_j are formed with the
+    pair matrix one band of rows [i0, i1) at a time, against the columns
+    j < i1 - 1 only, since D is 0 for j >= i, or from ``_FFT_MIN_N`` cells
+    on by convolutions.  Then, in both regimes, the quadrature of
+    ``_pairing_quadrature``: nodes 0 and 1 integrate over fewer than three
+    nodes and are 0, the end corrections ``first`` and ``last`` are added,
+    the sums are scaled by PAIRING_SIGN h, and u_0 (g - g(0)) is added.
     """
     u = np.asarray(u, dtype=float)
     rows = u.reshape(-1, u.shape[-1])
-    return _contract(_left_fields(rows, op), rows, op).reshape(u.shape)
-
-
-def _left_fields(rows: np.ndarray, op: SliceOperator) -> np.ndarray:
-    """Left Weyl derivative of each row minus its base value, on [0, 1]:
-    one call on the whole stack, whose rows are bitwise one-row calls; a
-    single row goes as one slice, which skips the stack's per-row loop."""
-    if rows.shape[1] != op.values.size:
+    n = rows.shape[1] - 1
+    if rows.shape[1] != op.rise.size:
         raise GridError("the integrand must live on the operator's grid")
     f = GridFunction._adopt(0.0, 1.0, rows[0] if rows.shape[0] == 1 else rows)
-    return weyl_derivative_left(f, op.alpha).values.reshape(rows.shape)
+    Du = weyl_derivative_left(f, op.alpha).values.reshape(rows.shape)
+    D = op.pair_matrix
+    if D is None:
+        out = _convolved_rowsums(Du, op)
+    else:
+        out = np.empty_like(Du)
+        for i0, i1 in norms._row_bands(n):
+            np.einsum("sj,ij->si", Du[:, :i1 - 1], D[i0:i1, :i1 - 1], out=out[:, i0:i1])
+    out[:, :2] = 0.0
+    out[:, 2:] += op.first[2:] * Du[:, 1:2]
+    out[:, 2:] += op.last[1:] * Du[:, 1:-1]
+    out *= PAIRING_SIGN / n
+    out += rows[:, :1] * op.rise
+    if not np.isfinite(out).all():
+        bad = int(np.argwhere(~np.isfinite(out))[0][-1])
+        raise GridError(f"non-finite pathwise integral at node {bad}")
+    return out.reshape(u.shape)
 
 
 def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:
@@ -229,36 +227,6 @@ def _convolved_rowsums(Du: np.ndarray, op: SliceOperator) -> np.ndarray:
     rowsum = y[0]
     rowsum[:, 1:] += np.cumsum(y[1, :, :-1], axis=1)
     return rowsum
-
-
-def _contract(Du: np.ndarray, rows: np.ndarray, op: SliceOperator) -> np.ndarray:
-    """Integrals up to every node of the stacked ``rows`` against the slice
-    of ``op``, from their left-derivative fields ``Du``."""
-    W = op.weights
-    if W is None:
-        # the row sums of Du against D, then the trapezoid end corrections
-        # of ``_pairing_quadrature`` as O(n) terms in column 1 and the
-        # subdiagonal of D
-        a = op.alpha
-        rowsum = _convolved_rowsums(Du, op)
-        first = op.column * Du[:, 1:2]
-        last = np.zeros_like(rowsum)
-        last[:, 1:] = op.subdiagonal * Du[:, :-1]
-        trap = rowsum - 0.5 * (first + last) + first / (2.0 - a) + last / (1.0 + a)
-        trap[:, :2] = 0.0
-        out = PAIRING_SIGN * op.h * trap
-    else:
-        # the weights are zero for j >= i, so each band of rows meets only
-        # the columns left of its last row; row 0 integrates over one node
-        out = np.empty_like(Du)
-        out[:, 0] = 0.0
-        for i0, i1 in norms._row_bands(rows.shape[1] - 1):
-            np.einsum("sj,ij->si", Du[:, :i1 - 1], W[i0:i1, :i1 - 1], out=out[:, i0:i1])
-    out += rows[:, :1] * op.rise
-    if not np.isfinite(out).all():
-        bad = int(np.argwhere(~np.isfinite(out))[0][-1])
-        raise GridError(f"non-finite pathwise integral at node {bad}")
-    return out
 
 
 @dataclass
@@ -310,14 +278,12 @@ _BOUND_SLACK = 1e-6
 
 
 def _bound_report(u: GridFunction, ops, lam: float) -> BoundReport:
-    """max over the slices of ``ops`` and over xi of |int_0^xi u dg| against
-    lam ||u||_{alpha,1}; the left derivative of u is computed once."""
+    """max over the slices of ``ops`` and over xi of |int_0^xi u dg|, one
+    sweep per slice, against lam ||u||_{alpha,1}."""
     if abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
         raise GridError("the bound is checked for u on the unit grid")
-    rows = u.values[None, :]
-    Du = _left_fields(rows, ops[0])
-    lhs = max(float(np.abs(_contract(Du, rows, op)).max()) for op in ops)
-    f_norm = norms.norm_alpha_1(GridFunction(0.0, 1.0, u.values), ops[0].alpha)
+    lhs = max(float(np.abs(stieltjes_all_upper_limits(u.values, op)).max()) for op in ops)
+    f_norm = norms.norm_alpha_1(u, ops[0].alpha)
     rhs = lam * f_norm
     return BoundReport(lhs, rhs, lhs <= rhs * (1.0 + _BOUND_SLACK),
                        rhs - lhs, lam, f_norm)

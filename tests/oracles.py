@@ -89,8 +89,7 @@ def trapezoid_sweep(Du: np.ndarray, rows: np.ndarray, g: np.ndarray, D: np.ndarr
     the slice g with pair matrix D, from the rows' left-derivative fields
     ``Du``: D contracted band by band (``norms._row_bands``), then the
     trapezoid end corrections of column 1 and the subdiagonal, the sign and
-    h applied to the sums, as the sweep did before it folded them into its
-    weights."""
+    h applied to the sums in one expression."""
     n = g.size - 1
     rowsum = np.zeros_like(Du)
     for i0, i1 in _row_bands(n):
@@ -101,21 +100,6 @@ def trapezoid_sweep(Du: np.ndarray, rows: np.ndarray, g: np.ndarray, D: np.ndarr
     trap = rowsum - 0.5 * (first + last) + first / (2.0 - alpha) + last / (1.0 + alpha)
     trap[:, :2] = 0.0
     return PAIRING_SIGN * (1.0 / n) * trap + rows[:, :1] * (g - g[0])
-
-
-def folded_pair_matrix(D: np.ndarray, alpha: float) -> np.ndarray:
-    """The weights of the Stieltjes sweep below the FFT size: the pair
-    matrix D of a slice on the unit grid times PAIRING_SIGN h and the
-    trapezoid weight of each pair, written out as a matrix of weights
-    (equal to the sweep's in-place fold up to the sign of its zeros)."""
-    n = D.shape[0] - 1
-    c = np.ones(D.shape)
-    c[:2] = 0.0
-    c[3:, 1] = 0.5 + 1.0 / (2.0 - alpha)
-    i = np.arange(3, n + 1)
-    c[i, i - 1] = 0.5 + 1.0 / (1.0 + alpha)
-    c[2, 1] = 1.0 / (2.0 - alpha) + 1.0 / (1.0 + alpha)
-    return D * c * (PAIRING_SIGN * (1.0 / n))
 
 
 def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:

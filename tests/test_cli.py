@@ -196,6 +196,39 @@ class TestSolveCommand:
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
         assert r.returncode == 3
 
+    def test_nonconverged_solve_writes_only_the_rows_it_computed(self, tmp_path, monkeypatch):
+        # README coefficient and phi on a frozen driver: two Picard iterations
+        # leave window 0 above the tolerance
+        write_config(tmp_path / "cfg.json", grid={"m": 8, "n": 32, "T": 0.1},
+                     driver={"model": "frozen", "seed": 7},
+                     phi={"kind": "sine", "params": {"k": 1, "amplitude": 0.5}},
+                     A={"kind": "tanh", "params": {"scale": 1.0}},
+                     picard={"tol": 1e-9, "max_iter": 2})
+        checked = []
+        gronwall_check = cli.solver.gronwall_check
+
+        def recorded(sol, *args):
+            checked.append(sol.t_nodes.copy())
+            return gronwall_check(sol, *args)
+
+        monkeypatch.setattr(cli.solver, "gronwall_check", recorded)
+        assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 3
+        rep = json.loads((tmp_path / "report.json").read_text())
+        window = rep["windows"][rep["failed_window"]]
+        assert not rep["converged"] and not window["converged"]
+        cells = window["cells"]
+        t_full = np.linspace(0.0, 0.1, 9)[:cells + 1]
+        _, rows = read_csv(tmp_path / "solution.csv")
+        t = np.array([float(r[0]) for r in rows[::33]])
+        assert len(rows) == (cells + 1) * 33 and t[-1] == window["t_end"]
+        np.testing.assert_allclose(t, t_full, rtol=1e-15)
+        # the last row is the failed window's last iterate, not phi
+        phi = 0.5 * np.sin(np.pi * np.linspace(0.0, 1.0, 33))
+        assert np.abs(np.array([float(r[2]) for r in rows[-33:]]) - phi).max() > 1e-6
+        # the Gronwall verdict covers those rows only
+        assert len(checked) == 1 and checked[0].tobytes() == t.tobytes()
+        assert rep["verdicts"]["gronwall"]["passed"]
+
     @pytest.mark.parametrize("verdict", ["gronwall", "ball_invariance", "contraction", "prop2"])
     def test_failed_verdict_exit_1(self, tmp_path, monkeypatch, verdict):
         # a converged solve whose report carries one failed verdict
@@ -429,7 +462,10 @@ class TestReproducibility:
             r = run_cli("--out", str(tmp_path / threads), "solve",
                         str(tmp_path / "cfg.json"), env=env)
             assert r.returncode == 0, r.stderr
-        for name in ("solution.csv", "report.json"):
+            r = run_cli("--out", str(tmp_path / threads), "verify", "all",
+                        "--seed", "7", env=env)
+            assert r.returncode == 0, r.stderr
+        for name in ("solution.csv", "report.json", "verify_all.json"):
             assert (tmp_path / "1" / name).read_bytes() \
                 == (tmp_path / "2" / name).read_bytes()
 

@@ -10,7 +10,7 @@ import pytest
 
 from fracpath.grids import GridError, SpaceTimeField
 from fracpath import fbm, norms
-from oracles import fgn_davies_harte, folded_pair_matrix, lambda_alpha
+from oracles import fgn_davies_harte, lambda_alpha
 
 
 class TestPathGeneration:
@@ -184,11 +184,10 @@ class TestDrivingField:
         for drv in (frozen, sheet):
             for j in range(6):
                 op = drv.time_slice(j)
-                g, W = op.values, op.weights
-                assert np.array_equal(g, drv.field.values[j])
-                assert not W.flags.writeable
-                assert np.array_equal(W, folded_pair_matrix(norms.right_derivative_pair_matrix(
-                    g, drv.field.h, 0.3), 0.3))
+                g, D = drv.field.values[j], op.pair_matrix
+                assert op.rise.tobytes() == (g - g[0]).tobytes()
+                assert not D.flags.writeable
+                assert np.array_equal(D, norms.right_derivative_pair_matrix(g, drv.field.h, 0.3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             frozen.lambda_value = 0.0
 
