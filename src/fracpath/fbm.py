@@ -223,8 +223,8 @@ def field_from_path(path: GridFunction, m: int, T: float, alpha) -> DrivingField
     """Frozen driver built from an explicit spatial path with g(0) = 0.  Its
     field is a read-only broadcast of the path's values to the m + 1 time
     nodes, so the driver holds the path once."""
-    vals = np.broadcast_to(path.values, (m + 1, path.n + 1))
-    return _finish_field(SpaceTimeField._adopt(T, vals), order_value(alpha), True)
+    field = SpaceTimeField.constant_in_time(path.values, m, T)
+    return _finish_field(field, order_value(alpha), True)
 
 
 def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,

@@ -17,10 +17,12 @@ per row of a stack, and from there on by rfft against spectra cached per
 (n, order) (``_convolve``, which the Stieltjes sweep shares, ``_FFT_ROWS``
 rows per transform call), with the largest weights, which set the
 transform's rounding, summed directly.  The transform length is the
-smallest 5-smooth integer >= 2n + 1, so nothing wraps.  The derivative
-relies on the ``GridFunction`` constructor's finiteness check and also
-takes a (k, n+1) stack of slices (a ``GridFunction._adopt`` input, as the
-Stieltjes sweep passes its rows), each row bitwise its one-slice call.
+smallest 5-smooth integer >= 2n + 1, so nothing wraps.  The derivatives
+are array kernels: they take one slice (n+1,) or a (k, n+1) stack of
+slices on the uniform grid of [a, b] (the Stieltjes sweep passes its rows
+as they are), refuse a non-finite value in one check, and return a
+read-only array of the input's shape, each row bitwise its one-slice call;
+a slice is a one-row stack.
 
 The Hoelder tail (``marchaud_difference_abs``) accepts one slice or a stack
 of slices.  It sums only the lower triangle of node pairs, in bands of rows
@@ -46,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import GridError, GridFunction, order_value
+from .grids import GridError, order_value
 
 __all__ = [
     "weyl_derivative_left",
@@ -274,7 +276,7 @@ def left_power_integral(values: np.ndarray, h: float, alpha: float) -> float:
     return float(np.dot(w, v)) * h ** (1.0 - alpha)
 
 
-def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
+def weyl_derivative_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Marchaud-form left Weyl derivative of order alpha of w = f - f(a), the
     f_{a+} of the Stieltjes pairing, 0 at x = a:
 
@@ -287,37 +289,41 @@ def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
     cells and by ``_convolve`` from there on.  As w(a) = 0, the boundary
     weight of column 0 drops out.
 
-    ``f`` may hold a stack of slices (``GridFunction._adopt``, as the
-    Stieltjes sweep passes its rows); the output is then the stack of the
-    derivatives, each row bitwise the one-slice call for that row.  The
-    output holds its array without a copy.
+    ``values`` is one slice (n+1,) or a stack of slices (k, n+1) on the
+    uniform grid of [a, b]; the result is a read-only array of the same
+    shape, each row bitwise the one-slice call for that row.  A non-finite
+    node value is refused.
     """
-    a = order_value(alpha)
-    v = f.values
-    n = f.n
-    d, e = _weyl_coefficients(f.a, f.b, n, a)
-    C = _difference_weights(n, a)[0]
-    w = v - v[..., :1]
+    order = order_value(alpha)
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise GridError("non-finite node values")
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1] - 1
+    d, e = _weyl_coefficients(float(a), float(b), n, order)
+    w = rows - rows[:, :1]
     if n >= _FFT_MIN_N:
-        conv = _convolve(w, _difference_kernel, a)[0]
-    elif w.ndim == 1:
-        conv = np.convolve(C, w)[:n + 1]
+        conv = _convolve(w, _difference_kernel, order)[0]
     else:
+        C = _difference_weights(n, order)[0]
         conv = np.empty(w.shape)
         for r, row in enumerate(w):
             conv[r] = np.convolve(C, row)[:n + 1]
     conv *= e
     out = d * w
     out -= conv
-    out[..., 0] = 0.0
-    return GridFunction._adopt(f.a, f.b, out)
+    out[:, 0] = 0.0
+    out.setflags(write=False)
+    return out.reshape(v.shape)
 
 
-def weyl_derivative_right(f: GridFunction, alpha) -> GridFunction:
+def weyl_derivative_right(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Marchaud-form right Weyl derivative of f - f(b) (real convention,
-    phase dropped): the mirror of :func:`weyl_derivative_left`, 0 at x = b.
+    phase dropped): the mirror of :func:`weyl_derivative_left`, 0 at x = b,
+    for one slice or a stack, as a read-only view of the mirrored output.
     """
-    return weyl_derivative_left(f.reflected(), alpha).reflected()
+    mirrored = np.asarray(values, dtype=float)[..., ::-1]
+    return weyl_derivative_left(mirrored, alpha, a, b)[..., ::-1]
 
 
 def beta_b1(alpha) -> float:
@@ -342,8 +348,8 @@ def _weyl_coefficients(a: float, b: float, n: int, alpha: float):
     derivative Du = d w - e (C * w) on the grid of n cells on [a, b]:
     d_i = ((x_i - a)^(-alpha) + alpha h^(-alpha) rowsum_i) / Gamma(1-alpha)
     for i >= 1, with x_i - a bitwise ``(f.nodes - f.a)[i]`` of a
-    GridFunction and rowsum from ``_difference_weights``, d_0 = 0, and
-    e = alpha h^(-alpha) / Gamma(1-alpha)."""
+    ``GridFunction`` f on that grid and rowsum from ``_difference_weights``,
+    d_0 = 0, and e = alpha h^(-alpha) / Gamma(1-alpha)."""
     _, _, rowsum = _difference_weights(n, alpha)
     scale = alpha * ((b - a) / n) ** (-alpha)
     gamma = math.gamma(1.0 - alpha)

@@ -1,4 +1,11 @@
-"""Uniform-grid containers shared by every kernel in the package."""
+"""Uniform-grid containers and the grid and order checks.
+
+``GridFunction`` is one slice on [a, b], held as a read-only copy;
+``SpaceTimeField`` is m+1 slices over [0, T] x [0, 1], which the solver
+and a time-constant driver also hold without a copy (``_adopt``).  Both
+refuse non-finite values.  The kernels of ``frac_calc`` take plain arrays,
+one slice or a stack of slices, and check what they read themselves.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +26,7 @@ class GridError(ValueError):
 class GridFunction:
     """Real samples at the uniform nodes x_i = a + i*(b-a)/n, i = 0..n.
 
-    Node values must be finite.  The public constructor copies one slice;
-    ``_adopt`` holds an operator's own array, one slice or a (k, n+1)
-    stack of slices on one grid, without a copy.
+    One 1-D slice of finite node values, held as a read-only copy.
     """
 
     a: float
@@ -32,36 +37,20 @@ class GridFunction:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise GridError("grid values must be one 1-D slice")
-        self._hold(arr)
-
-    @classmethod
-    def _adopt(cls, a: float, b: float, values: np.ndarray) -> "GridFunction":
-        """Samples over ``values`` itself, not a copy: one slice (n+1,) or a
-        stack of slices (k, n+1) on one grid, for an array that nothing else
-        writes (an operator's input rows or its finished output).  The array
-        is made read-only and validated as the public constructor validates
-        its copy."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "a", a)
-        object.__setattr__(f, "b", b)
-        f._hold(np.asarray(values, dtype=float))
-        return f
-
-    def _hold(self, arr: np.ndarray) -> None:
+        arr.setflags(write=False)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if not self.b > self.a:
             raise GridError(f"need b > a, got a={self.a}, b={self.b}")
-        if arr.ndim not in (1, 2) or arr.shape[-1] < 3:
+        if arr.size < 3:
             raise GridError("grid needs at least n = 2 cells (3 nodes)")
         if not np.isfinite(arr).all():
             raise GridError("non-finite node values")
 
     @property
     def n(self) -> int:
-        return self.values.shape[-1] - 1
+        return self.values.size - 1
 
     @property
     def h(self) -> float:
@@ -75,10 +64,6 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.a, self.b, values)
-
-    def reflected(self) -> "GridFunction":
-        """Samples of x -> f(a + b - x) on the same grid."""
-        return GridFunction(self.a, self.b, self.values[::-1])
 
 
 def order_value(alpha) -> float:
@@ -176,8 +161,11 @@ class SpaceTimeField:
     @staticmethod
     def constant_in_time(values, m: int, T: float) -> "SpaceTimeField":
         """The slice ``values`` at every time node t_0..t_m: a read-only
-        broadcast view of one copy of the slice, shaped (m+1, n+1)."""
-        row = np.array(values, dtype=float)
+        broadcast view, shaped (m+1, n+1), of the slice itself if it is a
+        read-only float array (a ``GridFunction``'s values), else of a copy."""
+        row = np.asarray(values, dtype=float)
+        if row.flags.writeable:
+            row = row.copy()
         if row.ndim != 1:
             raise GridError("a time-constant field needs one 1-D slice")
         return SpaceTimeField._adopt(T, np.broadcast_to(row, (m + 1, row.size)))

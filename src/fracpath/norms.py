@@ -311,18 +311,16 @@ def lambda_from_pair_matrix(D: np.ndarray, alpha: float) -> float:
     return float(max(D.max(), -D.min())) / math.gamma(1.0 - alpha)
 
 
-def norm_1malpha_infty0(g: SpaceTimeField | np.ndarray, alpha) -> float:
-    """sup over t and node pairs eta < xi of the (1-alpha)-Hoelder quotient
-    plus the left-anchored singular tail integral.
-
-    ``g`` is a field or one slice (n+1,) on the unit grid.
-    """
+def norm_1malpha_infty0(values: np.ndarray, alpha) -> float:
+    """max over node pairs eta < xi of the (1-alpha)-Hoelder quotient plus
+    the left-anchored singular tail integral, for one slice (n+1,) on the
+    unit grid."""
     a = order_value(alpha)
-    rows = g.values if isinstance(g, SpaceTimeField) else np.asarray(g, dtype=float)[None, :]
-    h = 1.0 / (rows.shape[1] - 1)
-    scale = h ** (a - 1.0)
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1:
+        raise GridError("norm_1malpha_infty0 takes one 1-D slice")
+    h = 1.0 / (row.size - 1)
     best = 0.0
-    for row in rows:
-        for _, _, X in _right_bands(row, h, a, scale, True):
-            best = max(best, float(X.max()))
+    for _, _, X in _right_bands(row, h, a, h ** (a - 1.0), True):
+        best = max(best, float(X.max()))
     return best

@@ -17,15 +17,16 @@ operator, a ``SliceOperator`` built once per slice with the driver, and
 the one form in which a slice is passed around; its pair matrix D is read
 only here.  ``stieltjes_all_upper_limits`` applies it to one integrand
 slice or a stack, whose left derivatives it takes in one
-``weyl_derivative_left`` call on the whole stack; each row of a stack is
-bitwise its one-slice result.  The two regimes differ only in how they
-form the plain row sums sum_{j<i} D[i, j] Du_j.  Below
-``frac_calc._FFT_MIN_N`` cells the operator keeps D (``pair_matrix``, at
-most 2.1 MB at n = 511) and the sweep is one ``np.einsum`` of each row's
-field against it, band by band over the lower triangle.  The einsum's
-bands are those of about 2^17 pairs of ``norms._row_bands``, not the
-32-row bands in which ``norms._right_bands`` builds D, since the einsum's
-bits depend on the band height.  From ``_FFT_MIN_N`` cells on the row sums
+``weyl_derivative_left`` call on the rows as they are (a slice is a
+one-row stack); each row of a stack is bitwise its one-slice result.
+The two regimes differ only in how they form the plain row sums
+sum_{j<i} D[i, j] Du_j.  Below ``frac_calc._FFT_MIN_N`` cells the
+operator keeps D (``pair_matrix``, at most 2.1 MB at n = 511) and the
+sweep is one ``np.einsum`` of each row's field against it, band by band
+over the lower triangle.  The einsum's bands are those of about 2^17
+pairs of ``norms._row_bands``, not the 32-row bands in which
+``norms._right_bands`` builds D, since the einsum's bits depend on the
+band height.  From ``_FFT_MIN_N`` cells on the row sums
 are cheaper as convolutions: D is dropped after the build, so the operator
 holds O(n) data, and two Toeplitz kernels against differences of the slice
 values (``_pair_kernels``) make them four causal convolutions and one
@@ -94,11 +95,9 @@ def _pairing_value(fv: np.ndarray, gv: np.ndarray, a: float, b: float,
                    alpha: float) -> float:
     if fv.size < 3:
         return 0.0
-    fsub = GridFunction(a, b, fv)
-    gsub = GridFunction(a, b, gv)
-    Du = weyl_derivative_left(fsub, alpha).values
-    Dg = weyl_derivative_right(gsub, 1.0 - alpha).values
-    return _pairing_quadrature(Du * Dg, fsub.h, alpha)
+    Du = weyl_derivative_left(fv, alpha, a, b)
+    Dg = weyl_derivative_right(gv, 1.0 - alpha, a, b)
+    return _pairing_quadrature(Du * Dg, (b - a) / (fv.size - 1), alpha)
 
 
 def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
@@ -115,7 +114,10 @@ def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
     fv = f.values[ic:i_d + 1]
     gv = g.values[ic:i_d + 1]
     pairing = _pairing_value(fv, gv, c, d, a)
-    return PAIRING_SIGN * pairing + float(fv[0]) * float(gv[-1] - gv[0])
+    value = PAIRING_SIGN * pairing + float(fv[0]) * float(gv[-1] - gv[0])
+    if not math.isfinite(value):
+        raise GridError(f"non-finite Stieltjes integral on [{c}, {d}]")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +184,8 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     against the integrator slice of ``op``; the result has the same shape,
     and each row of a stack is bitwise the one-slice result for that row.
     The left derivative Du of each row is taken once, in one call on the
-    whole stack (a single row goes as one slice, which skips the stack's
-    per-row loop).  The row sums sum_{j<i} D[i, j] Du_j are formed with the
-    pair matrix one band of rows [i0, i1) at a time, against the columns
+    rows as they are.  The row sums sum_{j<i} D[i, j] Du_j are formed with
+    the pair matrix one band of rows [i0, i1) at a time, against the columns
     j < i1 - 1 only, since D is 0 for j >= i, or from ``_FFT_MIN_N`` cells
     on by convolutions.  Then, in both regimes, the quadrature of
     ``_pairing_quadrature``: nodes 0 and 1 integrate over fewer than three
@@ -196,8 +197,7 @@ def stieltjes_all_upper_limits(u: np.ndarray, op: SliceOperator) -> np.ndarray:
     n = rows.shape[1] - 1
     if rows.shape[1] != op.rise.size:
         raise GridError("the integrand must live on the operator's grid")
-    f = GridFunction._adopt(0.0, 1.0, rows[0] if rows.shape[0] == 1 else rows)
-    Du = weyl_derivative_left(f, op.alpha).values.reshape(rows.shape)
+    Du = weyl_derivative_left(rows, op.alpha)
     D = op.pair_matrix
     if D is None:
         out = _convolved_rowsums(Du, op)

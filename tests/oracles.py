@@ -10,7 +10,9 @@ field, the Davies-Harte sampler without the cached spectrum, the
 fixed-point operator F one field and one row at a time, and the random
 probe data as sums of one mode at a time.  They read the package's
 private weight tables and helpers, so their bits are those the package
-would give; none of them is run by a ``fracpath`` command.
+would give; none of them is run by a ``fracpath`` command.  The one
+exception is the chain-rule solution of the equation on a frozen driver
+(``chain_rule_solution``): an exact reference in numpy alone.
 """
 
 import math
@@ -53,7 +55,8 @@ def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
 
 def rl_integral_right(f: GridFunction, alpha) -> GridFunction:
     """Right-sided fractional integral (real convention, phase dropped)."""
-    return rl_integral_left(f.reflected(), alpha).reflected()
+    out = rl_integral_left(GridFunction(f.a, f.b, f.values[::-1]), alpha)
+    return GridFunction(f.a, f.b, out.values[::-1])
 
 
 def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -137,6 +140,43 @@ def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff, driver, alpha) -> Space
     out[0] = phi.values
     out[1:] = phi.values + np.cumsum(0.5 * Y.dt * (V[1:] + V[:-1]), axis=0)
     return SpaceTimeField(Y.T, out)
+
+
+def chain_rule_solution(g: np.ndarray, psi, A, m: int, T: float,
+                        dx: float = 2.0 ** -14, tol: float = 1e-15) -> np.ndarray:
+    """Y(t_j, xi_i) of Y = psi(g) + int_0^t int_0^xi A(Y) dg ds against one
+    frozen driver slice g with g(0) = 0, at the m + 1 time nodes of [0, T].
+
+    For the piecewise-linear interpolant of g the chain rule is exact:
+    int_0^xi F(g) dg = int_0^{g(xi)} F(y) dy.  So Y(t, xi) = f(t, g(xi))
+    with f(t, x) = psi(x) + int_0^t int_0^x A(f(s, y)) dy ds, which is
+    solved on a grid of step ``dx`` over the range of g, with 0 a node:
+    the inner integral by the cumulative trapezoid rule and time by the
+    implicit trapezoid rule, each step by Picard iteration to ``tol``.
+    f is then interpolated linearly at g(xi_i).  Uses numpy only.
+    """
+    lo = math.floor(g.min() / dx) - 1
+    x = dx * np.arange(lo, math.ceil(g.max() / dx) + 2)
+    dt = T / m
+
+    def inner(F):
+        c = np.concatenate(([0.0], np.cumsum(0.5 * dx * (F[1:] + F[:-1]))))
+        return c - c[-lo]
+
+    f = psi(x)
+    out = [np.interp(g, x, f)]
+    for _ in range(m):
+        known = f + 0.5 * dt * inner(A(f))
+        new = f
+        for _ in range(100):
+            prev, new = new, known + 0.5 * dt * inner(A(new))
+            if np.abs(new - prev).max() <= tol:
+                break
+        else:
+            raise RuntimeError("chain-rule Picard iteration did not converge")
+        f = new
+        out.append(np.interp(g, x, f))
+    return np.array(out)
 
 
 def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:

@@ -121,22 +121,22 @@ class TestWeylLeft:
         # f - f(a) of a constant is 0: both the boundary term and the
         # Marchaud term vanish, exactly, at every node
         f = GridFunction(0, 1, np.full(129, -1.7))
-        out = weyl_derivative_left(f, 0.3)
-        assert np.array_equal(out.values, np.zeros(129))
+        out = weyl_derivative_left(f.values, 0.3)
+        assert np.array_equal(out, np.zeros(129))
 
     def test_linear_closed_form(self):
         # D^0.5 (x-a) = 2 sqrt(x-a)/sqrt(pi); exact for piecewise-linear data
         f = power_grid(128, 1)
-        out = weyl_derivative_left(f, 0.5)
+        out = weyl_derivative_left(f.values, 0.5)
         np.testing.assert_allclose(
-            out.values, 2.0 * np.sqrt(f.nodes) / math.sqrt(math.pi), atol=1e-12)
-        assert out.values[0] == 0.0
+            out, 2.0 * np.sqrt(f.nodes) / math.sqrt(math.pi), atol=1e-12)
+        assert out[0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
     @pytest.mark.parametrize("beta", [1, 2])
     def test_power_oracle(self, alpha, beta):
         f = power_grid(512, beta)
-        out = weyl_derivative_left(f, alpha).values
+        out = weyl_derivative_left(f.values, alpha)
         exact = gamma_ratio_derivative(alpha, beta, f.nodes)
         assert rel_err_interior(out, exact, f.nodes) < 1e-2
 
@@ -146,7 +146,7 @@ class TestWeylLeft:
             x = np.linspace(0, 1, n + 1)
             f = np.sin(2 * x) + 1.0
             I = rl_integral_left(GridFunction(0, 1, f), 0.3)
-            D = weyl_derivative_left(I, 0.3).values
+            D = weyl_derivative_left(I.values, 0.3)
             sel = (x >= 0.05) & (x <= 0.95)
             errs.append(np.max(np.abs(D[sel] - f[sel])))
         assert errs[0] > errs[1] > errs[2]
@@ -179,8 +179,8 @@ class TestWeylLeft:
             factors, e = _weyl_coefficients(c, d, n, alpha)
             assert factors[0] == 0.0 and factors[1:].tobytes() == node.tobytes()
             assert e == scale / gamma
-            out = weyl_derivative_left(GridFunction(c, d, f.values), alpha)
-            assert out.values[0] == 0.0 and out.values[1:].tobytes() == ref.tobytes()
+            out = weyl_derivative_left(f.values, alpha, c, d)
+            assert out[0] == 0.0 and out[1:].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 64, 256, 511, 512, 1024, 2048])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49, 0.7])
@@ -191,7 +191,7 @@ class TestWeylLeft:
         eps = np.finfo(float).eps
         for v in difference_rows(n):
             f = GridFunction(0.0, 1.0, v)
-            got = weyl_derivative_left(f, alpha).values
+            got = weyl_derivative_left(v, alpha)
             ref = oracles.weyl_derivative_left(f, alpha).values
             scale = modulus_sum(v, 1.0 / n, alpha)
             assert np.abs(got - ref).max() <= 16 * eps * scale.max()
@@ -200,23 +200,22 @@ class TestWeylLeft:
 class TestWeylRight:
     def test_zero_input(self):
         f = GridFunction(0, 1, np.zeros(65))
-        out = weyl_derivative_right(f, 0.25).values
+        out = weyl_derivative_right(f.values, 0.25)
         assert np.array_equal(out, np.zeros(65))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.4])
     def test_linear_integrator_closed_form(self, alpha):
         # order 1-alpha applied to x - x(end): magnitude (b-x)^alpha/Gamma(1+alpha)
         f = power_grid(128, 1)
-        out = weyl_derivative_right(f, 1 - alpha).values
+        out = weyl_derivative_right(f.values, 1 - alpha)
         exact = -(1.0 - f.nodes) ** alpha / math.gamma(1 + alpha)
         np.testing.assert_allclose(out, exact, atol=1e-11)
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(65)
-        f = GridFunction(0, 1, v)
-        left = weyl_derivative_left(f, 0.3).values
-        right = weyl_derivative_right(f.reflected(), 0.3).values
+        left = weyl_derivative_left(v, 0.3)
+        right = weyl_derivative_right(v[::-1], 0.3)
         np.testing.assert_allclose(right, left[::-1], atol=1e-13)
 
 
@@ -264,8 +263,8 @@ class TestOperatorProperties:
         combo = GridFunction(0, 1, c1 * v1 + c2 * v2)
         for op in (lambda f: rl_integral_left(f, 0.3).values,
                    lambda f: rl_integral_right(f, 0.3).values,
-                   lambda f: weyl_derivative_left(f, 0.3).values,
-                   lambda f: weyl_derivative_right(f, 0.3).values):
+                   lambda f: weyl_derivative_left(f.values, 0.3),
+                   lambda f: weyl_derivative_right(f.values, 0.3)):
             np.testing.assert_allclose(
                 op(combo), c1 * op(f1) + c2 * op(f2), atol=1e-9)
 
@@ -287,7 +286,7 @@ class TestOperatorProperties:
             x = np.linspace(0, 1, n + 1)
             f = np.abs(x - 1 / math.pi)  # Lipschitz with an off-grid kink
             I = rl_integral_left(GridFunction(0, 1, f), 0.25)
-            D = weyl_derivative_left(I, 0.25).values
+            D = weyl_derivative_left(I.values, 0.25)
             sel = (x >= 0.05) & (x <= 0.95)
             errs.append(np.max(np.abs(D[sel] - f[sel])))
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
@@ -330,9 +329,8 @@ class TestWeylConvolution:
         # the derivative acts on f - f(a), so an offset of 100 enters only
         # through the rounding of f + 100
         x = np.linspace(0.0, 1.0, n + 1)
-        base = weyl_derivative_left(GridFunction(0.0, 1.0, np.sin(3.0 * x)), alpha).values
-        shifted = weyl_derivative_left(GridFunction(0.0, 1.0, np.sin(3.0 * x) + 100.0),
-                                       alpha).values
+        base = weyl_derivative_left(np.sin(3.0 * x), alpha)
+        shifted = weyl_derivative_left(np.sin(3.0 * x) + 100.0, alpha)
         assert np.abs(shifted - base).max() <= 1e-12 * np.abs(base).max()
 
     def test_fft_length_is_the_smallest_5_smooth_above_2n(self):
@@ -365,24 +363,43 @@ class TestStackedCalls:
     def test_rows_are_bitwise_one_row_calls(self, n, alpha):
         rows = stack_rows(n)
         assert [row[0] == 0.0 for row in rows] == [False, True, False, True, False]
-        out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), alpha)
-        assert out.values.shape == rows.shape and not out.values.flags.writeable
+        out = weyl_derivative_left(rows, alpha)
+        assert out.shape == rows.shape and not out.flags.writeable
         # 0 at x = a in every row, whether f(a) = 0 or not
-        assert (out.values[:, 0] == 0.0).all()
-        for got, row in zip(out.values, rows):
-            one = weyl_derivative_left(GridFunction(0.0, 1.0, row), alpha)
-            assert got.tobytes() == one.values.tobytes()
+        assert (out[:, 0] == 0.0).all()
+        for got, row in zip(out, rows):
+            one = weyl_derivative_left(row, alpha)
+            assert got.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 64, 512])
+    def test_right_rows_are_bitwise_one_row_calls(self, n):
+        rows = stack_rows(n)
+        out = weyl_derivative_right(rows, 0.3)
+        assert out.shape == rows.shape and not out.flags.writeable
+        # 0 at x = b in every row
+        assert (out[:, -1] == 0.0).all()
+        for got, row in zip(out, rows):
+            assert got.tobytes() == weyl_derivative_right(row, 0.3).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(65,), (3, 65)])
+    def test_refuses_a_non_finite_value(self, bad, shape):
+        v = np.zeros(shape)
+        v.flat[-7] = bad
+        for derivative in (weyl_derivative_left, weyl_derivative_right):
+            with pytest.raises(GridError, match="non-finite"):
+                derivative(v, 0.3)
 
     def test_a_stack_of_rows_with_f_a_zero_is_not_flagged(self):
         # rows that already start at 0 come out 0 at x = a and finite
         # everywhere, bit for bit as one-row calls give them
         x = np.linspace(0.0, 1.0, 65)
         rows = np.stack([np.sin(3.0 * x), x ** 2])
-        out = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, rows), 0.3)
-        assert (out.values[:, 0] == 0.0).all() and np.isfinite(out.values).all()
-        for got, row in zip(out.values, rows):
-            one = weyl_derivative_left(GridFunction(0.0, 1.0, row), 0.3)
-            assert got.tobytes() == one.values.tobytes()
+        out = weyl_derivative_left(rows, 0.3)
+        assert (out[:, 0] == 0.0).all() and np.isfinite(out).all()
+        for got, row in zip(out, rows):
+            one = weyl_derivative_left(row, 0.3)
+            assert got.tobytes() == one.tobytes()
 
 
 def holder_tail_double_loop(v, h, alpha):

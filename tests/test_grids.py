@@ -46,17 +46,3 @@ class TestGridFunction:
         f = GridFunction(0.0, 1.0, vals)
         vals[1] = 1.0
         assert f.values[1] == 0.0 and not f.values.flags.writeable
-
-    def test_adopt_holds_a_stack_without_a_copy(self):
-        rows = np.random.default_rng(1).standard_normal((3, 9))
-        f = GridFunction._adopt(0.0, 2.0, rows)
-        assert f.values is rows and not rows.flags.writeable
-        assert (f.a, f.b, f.n, f.h) == (0.0, 2.0, 8, 0.25)
-        assert np.array_equal(f.nodes, np.linspace(0.0, 2.0, 9))
-
-    @pytest.mark.parametrize("values", [np.zeros((2, 3, 9)), np.zeros((3, 2)),
-                                        np.full((2, 9), np.inf),
-                                        np.where(np.arange(9) == 0, np.nan, np.ones((2, 9)))])
-    def test_adopt_validates_as_the_constructor_does(self, values):
-        with pytest.raises(GridError):
-            GridFunction._adopt(0.0, 1.0, values)

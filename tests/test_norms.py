@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracpath.frac_calc import (_hat_moments, _lower_toeplitz, _tail_bands,
                                 marchaud_difference_abs, weyl_derivative_right)
-from fracpath.grids import GridFunction, SpaceTimeField
+from fracpath.grids import GridError, GridFunction, SpaceTimeField
 from fracpath import fbm, norms
 from oracles import lambda_alpha
 
@@ -29,6 +29,11 @@ def random_field(seed, m=3, n=48):
     return SpaceTimeField(1.0, vals + rng.standard_normal())
 
 
+def field_holder_norm(f, alpha):
+    """``norm_1malpha_infty0`` of a field: the max over its slices."""
+    return max(norms.norm_1malpha_infty0(row, alpha) for row in f.values)
+
+
 class TestNormAlphaInfty:
     def test_zero(self):
         assert norms.norm_alpha_infty(constant_field(0.0), 0.3) == 0.0
@@ -44,11 +49,11 @@ class TestNormAlphaInfty:
 
 class TestNorm1mAlphaInfty0:
     def test_constant_vanishes(self):
-        assert norms.norm_1malpha_infty0(constant_field(4.0), 0.25) == 0.0
+        assert field_holder_norm(constant_field(4.0), 0.25) == 0.0
 
     def test_ramp_closed_form(self):
         # Hoelder quotient sup = 1, tail sup = 1/alpha = 4; attained together
-        val = norms.norm_1malpha_infty0(ramp_field(), 0.25)
+        val = field_holder_norm(ramp_field(), 0.25)
         assert val == pytest.approx(5.0, rel=1e-12)
 
     @given(c=st.floats(-8, 8))
@@ -56,17 +61,19 @@ class TestNorm1mAlphaInfty0:
     def test_homogeneity(self, c):
         f = random_field(5)
         scaled = SpaceTimeField(f.T, c * f.values)
-        assert norms.norm_1malpha_infty0(scaled, 0.3) == pytest.approx(
-            abs(c) * norms.norm_1malpha_infty0(f, 0.3), rel=1e-12, abs=1e-12)
+        assert field_holder_norm(scaled, 0.3) == pytest.approx(
+            abs(c) * field_holder_norm(f, 0.3), rel=1e-12, abs=1e-12)
 
     def test_slice_equals_field_form(self):
         f = random_field(8)
         for row in f.values:
             one_row = SpaceTimeField.constant_in_time(row, 1, 1.0)
-            assert norms.norm_1malpha_infty0(row, 0.3) == \
-                norms.norm_1malpha_infty0(one_row, 0.3)
-        assert norms.norm_1malpha_infty0(f, 0.3) == max(
+            assert norms.norm_1malpha_infty0(row, 0.3) == field_holder_norm(one_row, 0.3)
+        assert field_holder_norm(f, 0.3) == max(
             norms.norm_1malpha_infty0(row, 0.3) for row in f.values)
+        # the norm takes one slice; a field's rows are maxed by the caller
+        with pytest.raises(GridError):
+            norms.norm_1malpha_infty0(f.values, 0.3)
 
 
 class TestNormAlpha1:
@@ -103,7 +110,7 @@ class TestLambdaAlpha:
         f = random_field(seed)
         a = 0.3
         lam = lambda_alpha(f, a)
-        bound = norms.norm_1malpha_infty0(f, a) / (math.gamma(1 - a) * math.gamma(a))
+        bound = field_holder_norm(f, a) / (math.gamma(1 - a) * math.gamma(a))
         assert lam <= bound * (1 + 1e-6)
 
 
@@ -117,8 +124,7 @@ class TestPairMatrix:
         xi = np.linspace(0, 1, n + 1)
         D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
         for i in (2, n // 2, n):
-            ref = weyl_derivative_right(GridFunction(0.0, xi[i], g[:i + 1]),
-                                        1.0 - alpha).values
+            ref = weyl_derivative_right(g[:i + 1], 1.0 - alpha, 0.0, xi[i])
             assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
             assert not D[i, i + 1:].any()
 
@@ -408,7 +414,7 @@ class TestSharedProperties:
     def test_triangle_inequality(self, seed):
         f, g = random_field(seed), random_field(seed + 100)
         fg = SpaceTimeField(1.0, f.values + g.values)
-        for norm in (norms.norm_alpha_infty, norms.norm_1malpha_infty0):
+        for norm in (norms.norm_alpha_infty, field_holder_norm):
             assert norm(fg, 0.3) <= norm(f, 0.3) + norm(g, 0.3) + 1e-12
 
     def test_refinement_stability_for_holder_function(self):

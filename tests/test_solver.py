@@ -230,6 +230,30 @@ class TestSolve:
         for e0, e1 in zip(errors, errors[1:]):
             assert e0 >= 1.5 * e1, f"errors {errors}, Lambda_alpha(n) {lams}"
 
+    def test_solve_against_the_chain_rule_on_one_fbm_sample(self):
+        # one seed-7 path at n = 16384, restricted by stride; on a frozen
+        # driver with phi = psi(g) the exact solution is Y(t, xi) = f(t, g(xi))
+        # (``oracles.chain_rule_solution``, on the solver's time grid).  Sup
+        # errors were 2.85e-3 and 1.65e-3 at n = 256 and 1024, far above the
+        # self-convergence errors of the test above (1.85e-5 and below)
+        path = fbm.fbm_path(0.75, 16384, 7).values
+        psi = lambda x: 0.5 * np.sin(math.pi * x)
+        errors = []
+        for n in (256, 1024):
+            g = path[::16384 // n]
+            drv = fbm.field_from_path(GridFunction(0, 1, g), 40, 0.2, 0.3)
+            cfg = make_cfg(n=n, m=40, T=0.2, phi=GridFunction(0, 1, psi(g)),
+                           coeff=co.tanh_coefficient(1.0))
+            rep = solver.solve(cfg, drv, verify=False)
+            assert rep.converged
+            exact = oracles.chain_rule_solution(g, psi, np.tanh, 40, 0.2)
+            # the oracle's own space step is far below the errors it measures
+            coarse = oracles.chain_rule_solution(g, psi, np.tanh, 40, 0.2, dx=2.0 ** -12)
+            assert np.abs(exact - coarse).max() < 1e-6
+            errors.append(float(np.abs(rep.solution.values - exact).max()))
+        assert errors[1] < errors[0], errors
+        assert errors[0] <= 2 * 2.85e-3 and errors[1] <= 2 * 1.65e-3, errors
+
     def test_window_continuation_covers_horizon(self):
         n, m = 32, 160
         cfg = make_cfg(n=n, m=m, T=1.0, alpha=0.25, hurst=0.8,

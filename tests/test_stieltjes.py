@@ -98,6 +98,15 @@ class TestStieltjesIntegral:
         with pytest.raises(GridError, match="non-finite"):
             GridFunction(0, 1, np.where(np.arange(65) == 0, np.nan, 1.0))
 
+    def test_rejects_an_overflowing_integral(self):
+        # finite node values whose derivative overflows are refused, not
+        # returned as NaN
+        x = np.linspace(0.0, 1.0, 65)
+        f = GridFunction(0, 1, 1.7e308 * np.sin(7.0 * x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GridError, match="non-finite Stieltjes integral"):
+                stieltjes.stieltjes_integral(f, grid(lambda x: x ** 2, 64), 0.3)
+
 
 class TestIndicatorConsistency:
     def test_full_interval_gap_exactly_zero(self):
@@ -197,7 +206,7 @@ class TestPathwiseBound:
         assert rep.lam == drv.lambda_value == max(r.lam for r in per_slice)
         assert rep.holds
 
-    def test_sheet_driver_left_derivative_computed_once(self):
+    def test_sheet_bound_is_the_largest_one_slice_sweep(self):
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=8, T=0.5, seed=4,
                                               time_model="sheet"), 0.3)
         u = random_trig_grid(64, np.random.default_rng(5))
@@ -213,7 +222,7 @@ class TestPathwiseBound:
 def dense_sweep(u, g_values, pair_matrix, h, alpha):
     """Reference: the dense (n+1)^2 product of the pair matrix with the
     left-derivative row, its row sums and the trapezoid end corrections."""
-    Du = weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha).values
+    Du = weyl_derivative_left(u, alpha)
     P = pair_matrix * Du[None, :]
     first = P[:, 1]
     last = np.concatenate([[0.0], np.diagonal(P, offset=-1)])
@@ -226,7 +235,7 @@ def dense_sweep(u, g_values, pair_matrix, h, alpha):
 def full_square_sweep(U, g_values, pair_matrix, h, alpha):
     """Reference: the stacked sweep with one ``np.einsum`` over the whole
     (n+1)^2 pair matrix, zeros above the diagonal included."""
-    Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha).values for u in U])
+    Du = np.stack([weyl_derivative_left(u, alpha) for u in U])
     rowsum = np.einsum("sj,ij->si", Du, pair_matrix)
     first = pair_matrix[:, 1] * Du[:, 1:2]
     last = np.zeros_like(rowsum)
@@ -289,7 +298,7 @@ class TestAllUpperLimits:
         U, g, P = sweep_inputs(n, alpha, 9, seed=n)
         op = stieltjes.slice_operator(g, alpha)
         got = stieltjes.stieltjes_all_upper_limits(U, op)
-        Du = weyl_derivative_left(GridFunction._adopt(0.0, 1.0, U.copy()), alpha).values
+        Du = weyl_derivative_left(U, alpha)
         ref = trapezoid_sweep(Du, U, g, P, alpha)
         scale = np.einsum("sj,ij->si", np.abs(Du), np.abs(P)) / n + np.abs(U[:, :1] * (g - g[0]))
         eps = np.finfo(float).eps
@@ -319,7 +328,7 @@ class TestAllUpperLimits:
         # matrix streamed band by band, so no (n+1)^2 array is held
         n, alpha = 16384, 0.3
         U, g, _ = sweep_inputs(n, alpha, 2)
-        Du = np.stack([weyl_derivative_left(GridFunction(0.0, 1.0, u), alpha).values for u in U])
+        Du = np.stack([weyl_derivative_left(u, alpha) for u in U])
         rowsum = np.zeros_like(Du)
         column, subdiagonal = np.zeros(n + 1), np.zeros(n)
         inv_gamma = 1.0 / math.gamma(alpha)
@@ -359,16 +368,16 @@ class TestAllUpperLimits:
         want = [stieltjes.stieltjes_all_upper_limits(row, op) for row in U]
         calls = []
 
-        def counted(f, *args, **kwargs):
-            calls.append(f.values.shape)
-            return weyl_derivative_left(f, *args, **kwargs)
+        def counted(values, *args, **kwargs):
+            calls.append(values.shape)
+            return weyl_derivative_left(values, *args, **kwargs)
 
         monkeypatch.setattr(stieltjes, "weyl_derivative_left", counted)
         got = stieltjes.stieltjes_all_upper_limits(U, op)
-        # the whole stack in one call (one row goes as one slice)
-        assert calls == [U.shape if k > 1 else (n + 1,)]
+        # the rows in one call, as they are
+        assert calls == [U.shape]
         assert all(out.tobytes() == one.tobytes() for out, one in zip(got, want))
-        # the stack is held without a copy, but the caller's array stays writable
+        # the caller's rows are passed as they are and stay writable
         assert U.flags.writeable
 
     def test_no_square_temporary(self):
