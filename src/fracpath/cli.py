@@ -239,7 +239,7 @@ def _read_config(cfg) -> tuple:
     picard.done()
     scfg = solver.SolverConfig(
         alpha=top.get("alpha", float), hurst=top.get("hurst", float),
-        m=m, n=n, T=T, phi=_phi_from_config(top.get("phi", dict), n), coeff=coeff,
+        m=m, T=T, phi=_phi_from_config(top.get("phi", dict), n), coeff=coeff,
         picard_tol=tol, max_iterations=max_iter,
         window_policy=top.get("window_policy", str, "paper-constants"))
     build_driver = _driver_from_config(top.get("driver", dict), scfg)
@@ -386,7 +386,7 @@ def _suite_bounds(seed: int) -> list:
 def _probe_config(n: int):
     x = np.linspace(0.0, 1.0, n + 1)
     phi = GridFunction(0, 1, x)
-    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, n=n, T=0.2, phi=phi,
+    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.5))
     drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
     return cfg, drv
@@ -414,7 +414,7 @@ def _suite_gronwall(seed: int) -> list:
     n, m = 64, 120
     x = np.linspace(0.0, 1.0, n + 1)
     phi = GridFunction(0, 1, x)
-    cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, n=n, T=0.6, phi=phi,
+    cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=0.6, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.3))
     drv = fbm.stub_driving_field("linear", n, m, 0.6, 0.25)
     rep = solver.solve(cfg, drv, verify=False)
@@ -425,7 +425,7 @@ def _suite_gronwall(seed: int) -> list:
     for s in range(5):
         cfgf = fbm.FbmConfig(hurst=0.75, n=n, m=80, T=0.08, seed=seed, stream=(s,))
         drvf = fbm.driving_field(cfgf, 0.3)
-        cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=80, n=n, T=0.08,
+        cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=80, T=0.08,
                                    phi=phi, coeff=coefficient_from_kind("tanh", scale=0.5))
         rep2 = solver.solve(cfg2, drvf, verify=False)
         g2 = rep2.verdicts["gronwall"]

@@ -5,7 +5,8 @@ singular kernel is integrated exactly against the piecewise-linear
 interpolant of the data, so every operator is a linear map of the nodal
 values with nonnegative weights.  Weight tables depend only on the exact
 pair (n, order), are O(n), and are memoized read-only in plain
-``lru_cache``s, so concurrent readers are safe.
+``lru_cache``s, so concurrent readers are safe.  The Weyl derivatives take
+their grid's [a, b]; the other kernels work on [0, 1], with step 1/n.
 
 The left Weyl derivative of w = f - f(a) is Du = d w - e (C * w)
 (``weyl_derivative_left``): the node factors d and the scalar e come from
@@ -217,7 +218,7 @@ def _difference_kernel(n: int, alpha: float) -> tuple:
     return _difference_weights(n, alpha)[:1]
 
 
-def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=None) -> np.ndarray:
+def marchaud_difference_abs(values: np.ndarray, alpha: float, bands=None) -> np.ndarray:
     """Same integral with |f(x_i) - f(y)|; this is the Hoelder-tail of a slice.
 
     ``values`` is one slice (n+1,) or a stack of slices (k, n+1); the result
@@ -261,19 +262,19 @@ def marchaud_difference_abs(values: np.ndarray, h: float, alpha: float, bands=No
                 np.abs(D, out=D)
                 out[s0:s1, r0:r1] += np.einsum("sij,ij->si", D,
                                                toeplitz[r0 - 1:r1 - 1, :r1 - 2])
-    out *= h ** (-alpha)
+    out *= (1.0 / n) ** (-alpha)
     return out.reshape(v.shape)
 
 
-def left_power_integral(values: np.ndarray, h: float, alpha: float) -> float:
-    """int over the whole grid of f(y) (y - a)^(-alpha) dy, product-integrated."""
+def left_power_integral(values: np.ndarray, alpha: float) -> float:
+    """int_0^1 f(y) y^(-alpha) dy, product-integrated."""
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     A, B = _hat_moments(1.0 - alpha, n)
     w = A + B
     w[0] = A[0]
     w[n] = B[n]
-    return float(np.dot(w, v)) * h ** (1.0 - alpha)
+    return float(np.dot(w, v)) * (1.0 / n) ** (1.0 - alpha)
 
 
 def weyl_derivative_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:

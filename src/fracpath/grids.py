@@ -142,10 +142,6 @@ class SpaceTimeField:
     def dt(self) -> float:
         return self.T / self.m
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
     @cached_property
     def t_nodes(self) -> np.ndarray:
         t = np.linspace(0.0, self.T, self.m + 1)

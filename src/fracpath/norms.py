@@ -4,7 +4,8 @@ Suprema over the continuum are replaced by maxima over grid nodes and node
 pairs; the singular inner integrals reuse the product-integration weights
 from ``frac_calc``, so constants and linear data are reproduced exactly.
 Near-diagonal behaviour is handled by the piecewise-linear model, whose
-sub-cell Hoelder quotient is maximized at the adjacent-node pair.
+sub-cell Hoelder quotient is maximized at the adjacent-node pair.  Every
+norm is over xi in [0, 1]: a slice of n + 1 nodes has step 1/n.
 
 The pair matrix D of the right Weyl derivative and the driver's Hoelder
 norm come from one sweep over node pairs (``_right_bands``) in bands of
@@ -55,30 +56,30 @@ __all__ = [
 ]
 
 
-def slice_norm_alpha_infty(values: np.ndarray, h: float, alpha) -> float:
+def slice_norm_alpha_infty(values: np.ndarray, alpha) -> float:
     """max over xi of |f| plus the singular Hoelder tail, for one slice."""
     row = np.asarray(values, dtype=float)[None, :]
-    return float(slice_norms_alpha_infty(row, h, alpha)[0])
+    return float(slice_norms_alpha_infty(row, alpha)[0])
 
 
-def slice_norms_alpha_infty(rows: np.ndarray, h: float, alpha) -> np.ndarray:
+def slice_norms_alpha_infty(rows: np.ndarray, alpha) -> np.ndarray:
     """The slice norm of every row of a (k, n+1) stack.
 
-    Entry i is bitwise ``slice_norm_alpha_infty(rows[i], h, alpha)`` and the
+    Entry i is bitwise ``slice_norm_alpha_infty(rows[i], alpha)`` and the
     max of the full Hoelder tail plus |f|.  A stack of n <= 362 cells or
     with a non-finite entry goes through one full kernel call.
     """
     a = order_value(alpha)
     v = np.asarray(rows, dtype=float)
-    top = _band_tops(v, h, a)
+    top = _band_tops(v, a)
     if top is None:
-        return _node_totals(v, h, a, None).max(axis=1)
-    return np.array([_band_max(v[i:i + 1], t, h, a, -np.inf) for i, t in enumerate(top)])
+        return _node_totals(v, a, None).max(axis=1)
+    return np.array([_band_max(v[i:i + 1], t, a, -np.inf) for i, t in enumerate(top)])
 
 
-def max_slice_norm(rows: np.ndarray, h: float, alpha, floor: float = -np.inf) -> float:
+def max_slice_norm(rows: np.ndarray, alpha, floor: float = -np.inf) -> float:
     """The larger of ``floor`` and the largest slice norm of the rows of a
-    (k, n+1) stack, bitwise ``max(floor, slice_norms_alpha_infty(rows, h,
+    (k, n+1) stack, bitwise ``max(floor, slice_norms_alpha_infty(rows,
     alpha).max())``, and NaN where ``floor`` is NaN or the stack has a
     non-finite entry.
 
@@ -89,25 +90,25 @@ def max_slice_norm(rows: np.ndarray, h: float, alpha, floor: float = -np.inf) ->
     """
     a = order_value(alpha)
     v = np.asarray(rows, dtype=float)
-    top = _band_tops(v, h, a)
+    top = _band_tops(v, a)
     if top is None:
-        return float(np.maximum(floor, _node_totals(v, h, a, None).max()))
+        return float(np.maximum(floor, _node_totals(v, a, None).max()))
     largest = top.max(axis=1)
     for i in np.argsort(-largest, kind="stable"):
         if largest[i] < floor:
             break
-        floor = _band_max(v[i:i + 1], top[i], h, a, floor)
+        floor = _band_max(v[i:i + 1], top[i], a, floor)
     return float(floor)
 
 
-def _node_totals(rows: np.ndarray, h: float, a: float, bands) -> np.ndarray:
+def _node_totals(rows: np.ndarray, a: float, bands) -> np.ndarray:
     """|f| plus the Hoelder tail of a stack, summed over ``bands`` only."""
-    total = marchaud_difference_abs(rows, h, a, bands=bands)
+    total = marchaud_difference_abs(rows, a, bands=bands)
     total += np.abs(rows)
     return total
 
 
-def _band_tops(v: np.ndarray, h: float, a: float):
+def _band_tops(v: np.ndarray, a: float):
     """The largest node bound in each tail band of every row (k, bands), or
     None where the stack goes through one full kernel call: a slice whose
     square fits one kernel block (n <= 362; pruning its few bands was
@@ -115,10 +116,10 @@ def _band_tops(v: np.ndarray, h: float, a: float):
     n = v.shape[-1] - 1
     if _square_fits_block(n) or not np.isfinite(v).all():
         return None
-    return np.maximum.reduceat(_tail_bound(v, h, a), _tail_bands(n), axis=1)
+    return np.maximum.reduceat(_tail_bound(v, a), _tail_bands(n), axis=1)
 
 
-def _band_max(row: np.ndarray, top: np.ndarray, h: float, a: float, floor: float) -> float:
+def _band_max(row: np.ndarray, top: np.ndarray, a: float, floor: float) -> float:
     """The larger of ``floor`` and the max of ``_node_totals`` of one finite
     row (1, n+1) with band bounds ``top``: the band with the largest bound
     is summed first, then each other whose bound reaches the floor.  A
@@ -126,10 +127,10 @@ def _band_max(row: np.ndarray, top: np.ndarray, h: float, a: float, floor: float
     partial sum is a floor, and a band below it cannot hold the max."""
     starts = _tail_bands(row.shape[1] - 1)
     first = starts[int(np.argmax(top))]
-    floor = max(floor, _node_totals(row, h, a, (first,)).max())
+    floor = max(floor, _node_totals(row, a, (first,)).max())
     rest = [r0 for r0, u in zip(starts, top) if r0 != first and not u < floor]
     if rest:
-        floor = max(floor, _node_totals(row, h, a, rest).max())
+        floor = max(floor, _node_totals(row, a, rest).max())
     return floor
 
 
@@ -151,7 +152,7 @@ def _far_weights(n: int, alpha: float):
     return s, np.lib.stride_tricks.sliding_window_view(G, n + 1)[::s][::-1]
 
 
-def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
+def _tail_bound(v: np.ndarray, a: float) -> np.ndarray:
     """An upper bound of |f| plus the Hoelder tail at every node of each
     finite slice of a stack (k, n+1), n > _NEAR, in O(n (_NEAR + n/s)) per
     slice.  Column 0 and distances <= _NEAR are exact, the latter as one
@@ -197,12 +198,12 @@ def _tail_bound(v: np.ndarray, h: float, a: float) -> np.ndarray:
             tail[g0:g1, c0:c1] += np.einsum("bi,rbi->ri", W[:kb, c0:c1], D)
     # a slack of 1 + 1e-9, far above the rounding of either sum of nonnegative
     # terms (about n * eps <= 1e-12 at n <= 4096); 1e-300 covers underflow
-    return (tail * h ** (-a) + np.abs(v)) * (1.0 + 1e-9) + 1e-300
+    return (tail * (1.0 / n) ** (-a) + np.abs(v)) * (1.0 + 1e-9) + 1e-300
 
 
 def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
     """sup over t and xi of |f| plus the singular Hoelder tail in xi."""
-    return max_slice_norm(f.values, f.h, alpha)
+    return max_slice_norm(f.values, alpha)
 
 
 def norm_alpha_1(f: GridFunction, alpha) -> float:
@@ -215,8 +216,8 @@ def norm_alpha_1(f: GridFunction, alpha) -> float:
     if abs(f.a) > 1e-12 or abs(f.b - 1.0) > 1e-12:
         raise GridError("norm_alpha_1 is defined for grids on [0, 1]")
     v = np.abs(f.values)
-    first = left_power_integral(v, f.h, a)
-    tail = marchaud_difference_abs(f.values, f.h, a)
+    first = left_power_integral(v, a)
+    tail = marchaud_difference_abs(f.values, a)
     second = f.h * (tail.sum() - 0.5 * (tail[0] + tail[-1]))
     return float(first + second)
 
@@ -232,16 +233,16 @@ def _row_bands(n: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _right_weights(n: int, h: float, alpha: float):
+def _right_weights(n: int, alpha: float):
     """Read-only (n+1, n+1) Toeplitz views of the pair sweep's weights, with
     no weight on the pairs j >= i: B[i-j] and (A + B)[i-j] of the hat moments
     of u^(alpha-2), and the distances (xi_i - eta_j)^(1-alpha), inf above."""
     A, B = _hat_moments(alpha - 1.0, n)
     return (_lower_toeplitz(B[1:], 0.0), _lower_toeplitz((A + B)[1:], 0.0),
-            _lower_toeplitz((np.arange(1, n + 1) * h) ** (1.0 - alpha), np.inf))
+            _lower_toeplitz((np.arange(1, n + 1) * (1.0 / n)) ** (1.0 - alpha), np.inf))
 
 
-def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool,
+def _right_bands(v: np.ndarray, a: float, scale: float, absolute: bool,
                  out: np.ndarray | None = None):
     """Yield (i0, i1, X) for bands of ``_SWEEP_ROWS`` rows i0 <= i < i1 (the
     last may be shorter), with X[i - i0, j] = d/dist + scale * S for every
@@ -260,7 +261,7 @@ def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool
     until X is summed, or else in a third such buffer.
     """
     n = v.size - 1
-    Bt, Ct, dist = _right_weights(n, h, a)
+    Bt, Ct, dist = _right_weights(n, a)
     step = _SWEEP_ROWS
     carry = np.zeros(n)   # column sums of C d over the rows above the band
     xbuf, pbuf = np.empty(step * n), np.empty((step + 1) * n)
@@ -286,7 +287,7 @@ def _right_bands(v: np.ndarray, h: float, a: float, scale: float, absolute: bool
         yield i0, i1, X
 
 
-def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndarray:
+def right_derivative_pair_matrix(values: np.ndarray, alpha) -> np.ndarray:
     """D[i, j] = right Weyl derivative of order 1-alpha of g - g(xi_i) on
     [0, xi_i], evaluated at eta_j, for every pair j < i (zero elsewhere).
 
@@ -299,7 +300,7 @@ def right_derivative_pair_matrix(values: np.ndarray, h: float, alpha) -> np.ndar
     n = v.size - 1
     inv_gamma = 1.0 / math.gamma(a)
     D = np.zeros((n + 1, n + 1))
-    for i0, i1, X in _right_bands(v, h, a, (1.0 - a) * h ** (a - 1.0), False, out=D):
+    for i0, i1, X in _right_bands(v, a, (1.0 - a) * (1.0 / n) ** (a - 1.0), False, out=D):
         np.multiply(X, inv_gamma, out=D[i0:i1, :i1 - 1])
     return D
 
@@ -319,8 +320,7 @@ def norm_1malpha_infty0(values: np.ndarray, alpha) -> float:
     row = np.asarray(values, dtype=float)
     if row.ndim != 1:
         raise GridError("norm_1malpha_infty0 takes one 1-D slice")
-    h = 1.0 / (row.size - 1)
     best = 0.0
-    for _, _, X in _right_bands(row, h, a, h ** (a - 1.0), True):
+    for _, _, X in _right_bands(row, a, (1.0 / (row.size - 1)) ** (a - 1.0), True):
         best = max(best, float(X.max()))
     return best

@@ -15,7 +15,7 @@ the last, carrying one pruning floor across them
 (``norms.max_slice_norm``).
 
 Local existence windows are sized from the explicitly computed proof
-constants (b1..b5, T1, T2, T0), computed once per window; continuation
+constants (b1..b5, R1, T1, T2, T0), computed once per window; continuation
 re-anchors the initial slice and refreshes them window by window, and the
 window-0 set is the report's global ``constants``, which the Gronwall
 envelope and the probes take as an argument.  Every inequality the
@@ -86,8 +86,8 @@ VERIFICATION_SEED = 0
 @dataclass(frozen=True)
 class SolverConfig:
     """One solve: the order ``alpha`` and Hurst parameter in the window
-    1 - H < alpha < 1/2, the grid of m time cells of [0, T] and n space
-    cells of [0, 1], the initial slice ``phi`` on that spatial grid, the
+    1 - H < alpha < 1/2, the grid of m time cells of [0, T], the initial
+    slice ``phi`` on [0, 1], whose n cells are the spatial grid, the
     coefficient A, the Picard tolerance and iteration cap per window, and
     the window policy ("paper-constants" sizes every window from T0,
     "adaptive" resizes from the last window's contraction ratio)."""
@@ -95,7 +95,6 @@ class SolverConfig:
     alpha: float
     hurst: float
     m: int
-    n: int
     T: float
     phi: GridFunction
     coeff: CoefficientFunction
@@ -107,18 +106,22 @@ class SolverConfig:
         check_solver_order(self.alpha, self.hurst)
         if self.window_policy not in WINDOW_POLICIES:
             raise GridError(f"unknown window policy {self.window_policy!r}")
-        if self.phi.n != self.n or abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
-            raise GridError("phi must live on the solver's spatial grid over [0, 1]")
+        if abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
+            raise GridError("phi must live on [0, 1]")
         grids.check_grid(self.m, self.n, self.T)
         if self.max_iterations < 1 or not 0 < self.picard_tol < math.inf:
             raise GridError("need max_iterations >= 1 and a finite picard_tol > 0")
+
+    @property
+    def n(self) -> int:
+        return self.phi.n
 
     @property
     def dt(self) -> float:
         return self.T / self.m
 
     def phi_norm(self) -> float:
-        return norms.slice_norm_alpha_infty(self.phi.values, self.phi.h, self.alpha)
+        return norms.slice_norm_alpha_infty(self.phi.values, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,12 @@ class ProofConstants:
 
 
 def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
-                      phi_norm: float, r1: float | None = None,
-                      horizon: float = math.inf) -> ProofConstants:
+                      phi_norm: float, horizon: float = math.inf) -> ProofConstants:
     """Evaluate b1..b5, the window lengths T1, T2, T0 and the Gronwall rate.
 
-    T1 makes the ball of radius R1 invariant; T2 scales the contraction
-    factor to ``CONTRACTION_TARGET`` < 1.  Degenerate coefficients
+    T1 makes the ball of radius R1 = 2 max(1, ||phi||) invariant (a
+    non-finite ||phi|| is refused); T2 scales the contraction factor to
+    ``CONTRACTION_TARGET`` < 1.  Degenerate coefficients
     (A identically 0) make both windows unbounded, in which case the
     configured horizon is returned.  A constant past float64 (M1, M2,
     M_N(R1), b2, b4 or b5) raises OverflowError naming the coefficient.
@@ -164,10 +167,9 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     a = float(alpha)
     if not 0.0 < a < 0.5:
         raise GridError(f"constants need alpha in (0, 1/2), got {a}")
-    if r1 is None:
-        r1 = 2.0 * max(1.0, phi_norm)
-    if r1 <= phi_norm:
-        raise GridError(f"R1 = {r1} must exceed ||phi|| = {phi_norm}")
+    if not math.isfinite(phi_norm):
+        raise GridError(f"constants need a finite ||phi||, got {phi_norm}")
+    r1 = 2.0 * max(1.0, phi_norm)
     m1, m2 = coeff.lipschitz, coeff.bound
     b1 = beta_b1(a)
     b3 = max(1.0, b1)
@@ -188,7 +190,7 @@ def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
     t0 = min(t1, t2)
     if not math.isfinite(t0):
         t0 = horizon
-    return ProofConstants(a, lam, m1, m2, mn, phi_norm, float(r1),
+    return ProofConstants(a, lam, m1, m2, mn, phi_norm, r1,
                           b1, b2, b3, b4, b5, t1, t2, t0, b2,
                           CONTRACTION_TARGET)
 
@@ -272,7 +274,7 @@ def _check_driver(driver: DrivingField, alpha: float, m: int, n: int, T: float):
         raise GridError("field and driver grids must match")
 
 
-def _window_norm(F: np.ndarray, Y: np.ndarray, h: float, alpha: float) -> float:
+def _window_norm(F: np.ndarray, Y: np.ndarray, alpha: float) -> float:
     """max of the slice norms of the rows of F - Y, taken in bands of
     ``_SWEEP_ROWS`` rows from the last, which in a Picard difference mostly
     holds the max, with one floor carried across the bands (a NaN norm
@@ -286,7 +288,7 @@ def _window_norm(F: np.ndarray, Y: np.ndarray, h: float, alpha: float) -> float:
         band = F[r0:r1] - Y[r0:r1]
         live = band[band.any(axis=1)]
         if live.shape[0]:
-            best = norms.max_slice_norm(live, h, alpha, best)
+            best = norms.max_slice_norm(live, alpha, best)
     return best
 
 
@@ -358,7 +360,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     """
     a = cfg.alpha
     _check_driver(driver, a, cfg.m, cfg.n, cfg.T)
-    m, n, dt, h = cfg.m, cfg.n, cfg.dt, cfg.phi.h
+    m, dt = cfg.m, cfg.dt
     lam = driver.lambda_value
     phi0 = cfg.phi.values
     Y = np.tile(phi0, (m + 1, 1))
@@ -370,7 +372,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     adaptive_cells = None
     start_norms = {}   # row of each window start -> its slice norm
     while j0 < m:
-        pn = norms.slice_norm_alpha_infty(phi_w, h, a)
+        pn = norms.slice_norm_alpha_infty(phi_w, a)
         start_norms[j0] = pn
         cons = compute_constants(a, cfg.coeff, lam, pn, horizon=cfg.T)
         paper_cells = max(1, int(cons.t0 / dt + 1e-12))
@@ -392,7 +394,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
             iterations = it
             sweep = _first_iterate if it == 1 else _apply_window
             Fw = sweep(Yw, phi_w, cfg.coeff, driver, j0, dt, v0)
-            res = _window_norm(Fw, Yw, h, a)
+            res = _window_norm(Fw, Yw, a)
             history.append(res)
             Yw = Fw
             if res <= cfg.picard_tol:
@@ -468,7 +470,7 @@ def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
     running = np.empty(len(t))
     for c in range(0, len(rest), _SWEEP_ROWS):
         rows = rest[c:c + _SWEEP_ROWS]
-        running[rows] = norms.slice_norms_alpha_infty(sol.values[rows], sol.h, a)
+        running[rows] = norms.slice_norms_alpha_infty(sol.values[rows], a)
     running[list(known_norms)] = list(known_norms.values())
     ok = running <= ceiling
     violations = [
@@ -507,8 +509,8 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
     _check_driver(driver, a, Y1.m, Y1.n, Y1.T)
     F = _apply_window(np.stack((Y1.values, Y2.values), axis=1), cfg.phi.values,
                       cfg.coeff, driver, 0, Y1.dt)
-    num = _window_norm(F[:, 0], F[:, 1], Y1.h, a)
-    den = _window_norm(Y1.values, Y2.values, Y1.h, a)
+    num = _window_norm(F[:, 0], F[:, 1], a)
+    den = _window_norm(Y1.values, Y2.values, a)
     ratio = num / den
     ceiling = constants.b5 * Y1.T
     return {"ratio": float(ratio), "ceiling": float(ceiling), "b5": constants.b5,
@@ -561,7 +563,7 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
     images = _apply_window(fields, cfg.phi.values, cfg.coeff, driver, 0,
                            t_w / PROBE_TIME_CELLS)
     # the verdict and the excess need only the largest image norm
-    worst = norms.max_slice_norm(images.reshape(-1, n + 1), 1.0 / n, a)
+    worst = norms.max_slice_norm(images.reshape(-1, n + 1), a)
     return {"passed": bool(worst <= constants.r1 * (1.0 + _REL_SLACK)), "r1": constants.r1,
             "t1": t_w, "worst_excess": float(worst - constants.r1), "trials": fields.shape[1]}
 

@@ -150,7 +150,7 @@ def slice_operator(values: np.ndarray, alpha) -> SliceOperator:
     a = order_value(alpha)
     g = np.asarray(values, dtype=float)
     n = g.size - 1
-    D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
+    D = norms.right_derivative_pair_matrix(g, a)
     lam = norms.lambda_from_pair_matrix(D, a)
     first = (1.0 / (2.0 - a) - 0.5) * D[:, 1]
     last = (1.0 / (1.0 + a) - 0.5) * np.diagonal(D, -1)

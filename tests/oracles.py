@@ -118,7 +118,7 @@ def lambda_alpha(g: SpaceTimeField, alpha) -> float:
     """sup over times and pairs eta < xi of |D^{1-alpha}_{xi-} g_{xi-}(eta)|,
     divided by Gamma(1-alpha)."""
     a = order_value(alpha)
-    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, g.h, a), a)
+    return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, a), a)
                for row in g.values)
 
 

@@ -145,7 +145,7 @@ def test_criterion_5_ball_invariance_and_contraction():
 
     # the constant calculator against an independent Beta/Gamma evaluation
     c = solver.compute_constants(0.25, co.tanh_coefficient(1.0), lam=1.0,
-                                 phi_norm=1.0, r1=2.0)
+                                 phi_norm=1.0)
     b1_ref = float(mpmath.beta(0.5, 0.75))
     b2_ref = (1 / 0.75 + b1_ref / 0.5) + (1 + 1 / (0.25 * 0.75))
     t1_ref = 1.0 / (3.0 * b2_ref)
@@ -155,7 +155,7 @@ def test_criterion_5_ball_invariance_and_contraction():
 
     n = 96
     phi = GridFunction(0, 1, np.linspace(0, 1, n + 1))
-    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, n=n, T=0.2, phi=phi,
+    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=co.tanh_coefficient(0.5))
     drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
     cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
@@ -211,13 +211,13 @@ def test_criterion_6_solver_correctness():
     n, m = 48, 40
     phi0 = GridFunction(0, 1, np.zeros(n + 1))
     drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
-    cfg0 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, n=n, T=1.0,
+    cfg0 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=1.0,
                                phi=GridFunction(0, 1, np.linspace(0, 1, n + 1)),
                                coeff=co.zero_coefficient())
     rep0 = solver.solve(cfg0, drv, verify=False)
     dev0 = float(np.abs(rep0.solution.values - cfg0.phi.values[None, :]).max())
 
-    cfg1 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, n=n, T=1.0, phi=phi0,
+    cfg1 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=1.0, phi=phi0,
                                coeff=co.constant_coefficient(1.0))
     rep1 = solver.solve(cfg1, drv, verify=False)
     t = np.linspace(0, 1, m + 1)[:, None]
@@ -231,7 +231,7 @@ def test_criterion_6_solver_correctness():
     ref = classical_picard_reference(phi_fn, np.tanh, lambda x: x,
                                      4 * ns, 4 * ms, T)
     xs = np.linspace(0, 1, ns + 1)
-    cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=ms, n=ns, T=T,
+    cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=ms, T=T,
                                phi=GridFunction(0, 1, phi_fn(xs)),
                                coeff=co.tanh_coefficient(1.0))
     drv2 = fbm.stub_driving_field("quadratic", ns, ms, T, 0.3, scale=0.5)
@@ -241,7 +241,7 @@ def test_criterion_6_solver_correctness():
 
     # two distinct Picard initializations agree within 10x tolerance
     tol = 1e-11
-    cfg3 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=16, n=48, T=0.1,
+    cfg3 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=16, T=0.1,
                                phi=GridFunction(0, 1, np.linspace(0, 1, 49)),
                                coeff=co.tanh_coefficient(0.5), picard_tol=tol)
     drv3 = fbm.stub_driving_field("quadratic", 48, 16, 0.1, 0.3)
@@ -255,12 +255,12 @@ def test_criterion_6_solver_correctness():
                        + scale * bump.values * np.linspace(0, 1, 17)[:, None])
     for _ in range(cfg3.max_iterations):
         F = apply_F(Y, cfg3.phi, cfg3.coeff, drv3, cfg3.alpha)
-        res = max(norms.slice_norm_alpha_infty(r, cfg3.phi.h, cfg3.alpha)
+        res = max(norms.slice_norm_alpha_infty(r, cfg3.alpha)
                   for r in F.values - Y.values)
         Y = F
         if res <= tol:
             break
-    dev3 = max(norms.slice_norm_alpha_infty(r, cfg3.phi.h, cfg3.alpha)
+    dev3 = max(norms.slice_norm_alpha_infty(r, cfg3.alpha)
                for r in Y.values - rep3.solution.values)
     unique_ok = dev3 <= 10 * tol
     report("criterion 6 (solver correctness)",
@@ -274,7 +274,7 @@ def test_criterion_7_global_behavior():
     # window continuation over T = 1.0 with T0 on the 1e-2 scale
     n, m = 96, 400
     phi = GridFunction(0, 1, np.linspace(0, 1, n + 1))
-    cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, n=n, T=1.0, phi=phi,
+    cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=1.0, phi=phi,
                               coeff=co.tanh_coefficient(0.2))
     drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.25)
     rep = solver.solve(cfg, drv, verify=False)
@@ -290,7 +290,7 @@ def test_criterion_7_global_behavior():
     worst_margin = math.inf
     for seed in range(20):
         nf, mf, Tf = 48, 60, 0.05
-        cfgf = solver.SolverConfig(alpha=0.3, hurst=0.75, m=mf, n=nf, T=Tf,
+        cfgf = solver.SolverConfig(alpha=0.3, hurst=0.75, m=mf, T=Tf,
                                    phi=GridFunction(0, 1, np.linspace(0, 1, nf + 1)),
                                    coeff=co.tanh_coefficient(0.5))
         drvf = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=nf, m=mf, T=Tf,

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import numpy as np
@@ -51,6 +53,19 @@ def test_only_frac_calc_reads_the_tail_weights():
     assert reading == ["frac_calc.py"]
 
 
+def test_the_unit_grid_is_not_an_argument():
+    # the norms and kernels work on [0, 1], where a slice of n + 1 nodes has
+    # step 1/n, and a solve's n is the number of cells of its phi
+    taking_h = []
+    for module in ("fracpath.norms", "fracpath.frac_calc"):
+        mod = importlib.import_module(module)
+        taking_h += [f"{module}.{name}" for name in mod.__all__
+                     if "h" in inspect.signature(getattr(mod, name)).parameters]
+    assert taking_h == []
+    from fracpath.solver import SolverConfig
+    assert "n" not in {f.name for f in dataclasses.fields(SolverConfig)}
+
+
 # sample arguments of every lru_cache'd table; a new cache must be listed here
 CACHED_TABLES = {
     "fracpath.frac_calc": {
@@ -61,7 +76,7 @@ CACHED_TABLES = {
         "_tail_weights": (16, 0.3),
         "_weyl_coefficients": (0.25, 0.75, 16, 0.3),
     },
-    "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 1.0 / 16, 0.3),
+    "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 0.3),
                        "_row_bands": (16,)},
     "fracpath.fbm": {"_fgn_root": (0.75, 16)},
 }

@@ -187,7 +187,7 @@ class TestDrivingField:
                 g, D = drv.field.values[j], op.pair_matrix
                 assert op.rise.tobytes() == (g - g[0]).tobytes()
                 assert not D.flags.writeable
-                assert np.array_equal(D, norms.right_derivative_pair_matrix(g, drv.field.h, 0.3))
+                assert np.array_equal(D, norms.right_derivative_pair_matrix(g, 0.3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             frozen.lambda_value = 0.0
 

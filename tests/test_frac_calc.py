@@ -451,7 +451,7 @@ class TestHolderTailKernel:
     def test_matches_double_loop_oracle(self, n, alpha):
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n + 1).cumsum()
-        out = marchaud_difference_abs(v, 1.0 / n, alpha)
+        out = marchaud_difference_abs(v, alpha)
         np.testing.assert_allclose(out, holder_tail_double_loop(v, 1.0 / n, alpha),
                                    rtol=1e-13, atol=0.0)
 
@@ -461,7 +461,7 @@ class TestHolderTailKernel:
         rng = np.random.default_rng(n + k)
         stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
         values = stack[0] if k == 1 else stack
-        out = marchaud_difference_abs(values, 1.0 / n, 0.37)
+        out = marchaud_difference_abs(values, 0.37)
         assert np.array_equal(out, holder_tail_out_of_place(values, 1.0 / n, 0.37))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
@@ -470,7 +470,7 @@ class TestHolderTailKernel:
         # int_0^x |c| (x - y)^(-alpha) dy = |c| x^(1-alpha) / (1-alpha)
         n, c = 256, -2.5
         x = np.linspace(0.0, 1.0, n + 1)
-        out = marchaud_difference_abs(c * x, 1.0 / n, alpha)
+        out = marchaud_difference_abs(c * x, alpha)
         assert out[0] == 0.0
         np.testing.assert_allclose(out[1:], abs(c) * x[1:] ** (1 - alpha) / (1 - alpha),
                                    rtol=1e-13, atol=0.0)
@@ -483,10 +483,10 @@ class TestHolderTailKernel:
         rng = np.random.default_rng(n)
         stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
         stack[1] = 0.0
-        out = marchaud_difference_abs(stack, 1.0 / n, 0.3)
+        out = marchaud_difference_abs(stack, 0.3)
         assert out.shape == stack.shape
         for row, tail in zip(stack, out):
-            one = marchaud_difference_abs(row, 1.0 / n, 0.3)
+            one = marchaud_difference_abs(row, 0.3)
             assert one.shape == row.shape
             assert np.array_equal(tail, one)
 
@@ -526,7 +526,7 @@ class TestHolderTailKernel:
         # only the einsum's summation order changes with the band height
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n + 1).cumsum()
-        new = marchaud_difference_abs(v, 1.0 / n, 0.37)
+        new = marchaud_difference_abs(v, 0.37)
         old = holder_tail_out_of_place(v, 1.0 / n, 0.37, step=block_band_rows(n))
         assert (np.abs(new - old) <= 4 * np.spacing(old)).all()
 
@@ -536,7 +536,7 @@ class TestHolderTailKernel:
         # only the einsum's summation order changes with the band layout
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n + 1).cumsum()
-        new = marchaud_difference_abs(v, 1.0 / n, alpha)
+        new = marchaud_difference_abs(v, alpha)
         old = holder_tail_out_of_place(v, 1.0 / n, alpha, step=n - 1)
         assert (np.abs(new - old) <= 4 * np.spacing(old)).all()
 
@@ -545,11 +545,11 @@ class TestHolderTailKernel:
     def test_band_selection_is_bitwise_the_full_call(self, n, k):
         rng = np.random.default_rng(n + k)
         stack = rng.standard_normal((k, n + 1)).cumsum(axis=1)
-        full = marchaud_difference_abs(stack, 1.0 / n, 0.3)
-        column0 = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=())
+        full = marchaud_difference_abs(stack, 0.3)
+        column0 = marchaud_difference_abs(stack, 0.3, bands=())
         starts = _tail_bands(n)
         chosen = list(starts)[1::2]
-        part = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=chosen)
+        part = marchaud_difference_abs(stack, 0.3, bands=chosen)
         summed = np.zeros(n + 1, dtype=bool)
         for r0 in chosen:
             summed[r0:r0 + starts.step] = True
@@ -557,7 +557,7 @@ class TestHolderTailKernel:
         assert np.array_equal(part[:, ~summed], column0[:, ~summed])
         assert np.array_equal(column0[:, :2], full[:, :2])
         assert (column0 <= full).all()
-        every = marchaud_difference_abs(stack, 1.0 / n, 0.3, bands=starts)
+        every = marchaud_difference_abs(stack, 0.3, bands=starts)
         assert np.array_equal(every, full)
 
     @pytest.mark.parametrize("n, k", [(256, 1), (362, 1), (256, 25)])
@@ -567,10 +567,10 @@ class TestHolderTailKernel:
         # subtraction adds numpy's ufunc buffer of getbufsize() values.
         stack = np.random.default_rng(n).standard_normal((k, n + 1)).cumsum(axis=1)
         values = stack[0] if k == 1 else stack
-        marchaud_difference_abs(values, 1.0 / n, 0.37)      # fills the weight caches
+        marchaud_difference_abs(values, 0.37)      # fills the weight caches
         tracemalloc.start()
         try:
-            marchaud_difference_abs(values, 1.0 / n, 0.37)
+            marchaud_difference_abs(values, 0.37)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -582,7 +582,7 @@ class TestHolderTailKernel:
         v = np.random.default_rng(0).standard_normal(n + 1).cumsum()
         tracemalloc.start()
         try:
-            marchaud_difference_abs(v, 1.0 / n, 0.37)
+            marchaud_difference_abs(v, 0.37)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

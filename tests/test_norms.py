@@ -122,7 +122,7 @@ class TestPairMatrix:
         # of g on [0, xi_i] (reflect, then convolve): two independent paths
         g = fbm.fbm_path(0.75, n, 100 + n).values
         xi = np.linspace(0, 1, n + 1)
-        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        D = norms.right_derivative_pair_matrix(g, alpha)
         for i in (2, n // 2, n):
             ref = weyl_derivative_right(g[:i + 1], 1.0 - alpha, 0.0, xi[i])
             assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -138,11 +138,11 @@ class TestPairMatrix:
         # over the continuum for that driver
         g = fbm.fbm_path(0.75, n, 7).values
         lam = norms.lambda_from_pair_matrix(norms.right_derivative_pair_matrix(
-            g, 1.0 / n, alpha), alpha)
+            g, alpha), alpha)
         for r in (2, 4):
             fine = np.interp(np.linspace(0.0, 1.0, r * n + 1), np.linspace(0.0, 1.0, n + 1), g)
             refined = norms.lambda_from_pair_matrix(norms.right_derivative_pair_matrix(
-                fine, 1.0 / (r * n), alpha), alpha)
+                fine, alpha), alpha)
             assert abs(refined - lam) <= 1e-14 * lam
 
 
@@ -193,7 +193,7 @@ class TestBandedSweep:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_bitwise_equal_to_column_sweep(self, n, alpha):
         g = fbm.fbm_path(0.75, n, 300 + n).values
-        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        D = norms.right_derivative_pair_matrix(g, alpha)
         assert D.tobytes() == reference_pair_matrix(g, 1.0 / n, alpha).tobytes()
         assert norms.norm_1malpha_infty0(g, alpha) == reference_holder_norm(g, alpha)
 
@@ -201,9 +201,9 @@ class TestBandedSweep:
         n, a = 2048, 0.3
         g = fbm.fbm_path(0.75, n, 9).values
         matrix = (n + 1) ** 2 * 8
-        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 4e6
+        assert traced_peak(norms.right_derivative_pair_matrix, g, a) < matrix + 4e6
         assert traced_peak(norms.norm_1malpha_infty0, g, a) < 4e6
-        D = norms.right_derivative_pair_matrix(g, 1.0 / n, a)
+        D = norms.right_derivative_pair_matrix(g, a)
         assert traced_peak(norms.lambda_from_pair_matrix, D, a) < 1e6
 
 
@@ -236,7 +236,7 @@ class TestFixedRowBands:
         ref = np.zeros((n + 1, n + 1))
         ref[1:, :n] = one_band_sweep(g, h, alpha, (1.0 - alpha) * h ** (alpha - 1.0), False)
         ref[1:, :n] *= 1.0 / math.gamma(alpha)
-        D = norms.right_derivative_pair_matrix(g, h, alpha)
+        D = norms.right_derivative_pair_matrix(g, alpha)
         assert D.tobytes() == ref.tobytes()
         holder = max(0.0, float(one_band_sweep(g, h, alpha, h ** (alpha - 1.0), True).max()))
         assert norms.norm_1malpha_infty0(g, alpha) == holder
@@ -248,10 +248,10 @@ class TestFixedRowBands:
         # whole square traced 1.7 MB
         n, a = 256, 0.3
         g = fbm.fbm_path(0.75, n, 11).values
-        norms.right_derivative_pair_matrix(g, 1.0 / n, a)   # fill the weight caches
+        norms.right_derivative_pair_matrix(g, a)   # fill the weight caches
         band = (norms._SWEEP_ROWS + 1) * n * 8
         matrix = (n + 1) ** 2 * 8
-        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 8 * band
+        assert traced_peak(norms.right_derivative_pair_matrix, g, a) < matrix + 8 * band
         assert traced_peak(norms.norm_1malpha_infty0, g, a) < 8 * band
 
     def test_pair_matrix_bands_are_built_in_place_at_n1024(self):
@@ -260,10 +260,10 @@ class TestFixedRowBands:
         # operand): 2.5 bands traced; with a third band buffer it was 3.7
         n, a = 1024, 0.3
         g = fbm.fbm_path(0.75, n, 11).values
-        norms.right_derivative_pair_matrix(g, 1.0 / n, a)   # fill the weight caches
+        norms.right_derivative_pair_matrix(g, a)   # fill the weight caches
         band = (norms._SWEEP_ROWS + 1) * n * 8
         matrix = (n + 1) ** 2 * 8
-        assert traced_peak(norms.right_derivative_pair_matrix, g, 1.0 / n, a) < matrix + 3 * band
+        assert traced_peak(norms.right_derivative_pair_matrix, g, a) < matrix + 3 * band
 
 
 def pruning_rows(n, seed):
@@ -280,9 +280,9 @@ def pruning_rows(n, seed):
             "step": np.where(x < 0.6, 0.0, 1.0), "smooth": np.sin(3.0 * x) + x ** 2}
 
 
-def full_kernel_max(rows, h, alpha):
+def full_kernel_max(rows, alpha):
     """Oracle: the max over nodes of |f| plus the tail summed over every band."""
-    return (marchaud_difference_abs(rows, h, alpha) + np.abs(rows)).max(axis=1)
+    return (marchaud_difference_abs(rows, alpha) + np.abs(rows)).max(axis=1)
 
 
 class TestPrunedSliceNorm:
@@ -293,11 +293,11 @@ class TestPrunedSliceNorm:
     def test_bitwise_the_full_kernel_max(self, n, alpha):
         rows = pruning_rows(n, n)
         for name, row in rows.items():
-            got = norms.slice_norms_alpha_infty(row[None, :], 1.0 / n, alpha)
-            assert got.tobytes() == full_kernel_max(row[None, :], 1.0 / n, alpha).tobytes(), name
+            got = norms.slice_norms_alpha_infty(row[None, :], alpha)
+            assert got.tobytes() == full_kernel_max(row[None, :], alpha).tobytes(), name
         stack = np.stack([rows[k] for k in ("walk", "spike", "zero", "smooth", "step")])
-        got = norms.slice_norms_alpha_infty(stack, 1.0 / n, alpha)
-        assert got.tobytes() == full_kernel_max(stack, 1.0 / n, alpha).tobytes()
+        got = norms.slice_norms_alpha_infty(stack, alpha)
+        assert got.tobytes() == full_kernel_max(stack, alpha).tobytes()
 
     @pytest.mark.parametrize("n", [64] + SIZES)
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
@@ -309,19 +309,19 @@ class TestPrunedSliceNorm:
                   np.stack([c * walk for c in (0.5, 2.0, 1.0, -2.0)]),   # ties in the max
                   rows["spike"][None, :]]
         for stack in stacks:
-            got = norms.max_slice_norm(stack, 1.0 / n, alpha)
-            want = norms.slice_norms_alpha_infty(stack, 1.0 / n, alpha).max()
+            got = norms.max_slice_norm(stack, alpha)
+            want = norms.slice_norms_alpha_infty(stack, alpha).max()
             assert np.float64(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_stacked_max_starts_at_the_floor(self, n):
         walk = pruning_rows(n, 4)["walk"]
         stack = np.stack([0.5 * walk, walk])
-        full = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3).max()
+        full = norms.slice_norms_alpha_infty(stack, 0.3).max()
         for floor in (0.0, 0.5 * full, full, 2.0 * full):
-            got = norms.max_slice_norm(stack, 1.0 / n, 0.3, floor)
+            got = norms.max_slice_norm(stack, 0.3, floor)
             assert np.float64(got).tobytes() == np.float64(max(floor, full)).tobytes()
-        assert np.isnan(norms.max_slice_norm(stack, 1.0 / n, 0.3, np.nan))
+        assert np.isnan(norms.max_slice_norm(stack, 0.3, np.nan))
 
     @pytest.mark.parametrize("n", [363, 1024, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
@@ -329,10 +329,10 @@ class TestPrunedSliceNorm:
         rows = list(pruning_rows(n, n + 1).values())
         # each row again at 2 and 3 times its size once the ten are used up
         rows = np.stack([rows[i % 10] * (1 + i // 10) for i in range(25)])
-        exact = marchaud_difference_abs(rows, 1.0 / n, alpha) + np.abs(rows)
+        exact = marchaud_difference_abs(rows, alpha) + np.abs(rows)
         for k in (1, 5, 25):
             for i in range(0, 25, k):
-                bound = norms._tail_bound(rows[i:i + k], 1.0 / n, alpha)
+                bound = norms._tail_bound(rows[i:i + k], alpha)
                 assert (bound >= exact[i:i + k]).all(), (k, i)
 
     @pytest.mark.parametrize("n", [256, 1024])
@@ -341,26 +341,26 @@ class TestPrunedSliceNorm:
         stack = np.stack([pruning_rows(n, 3)["walk"]] * 2)
         stack[1, n // 2] = bad
         with np.errstate(invalid="ignore"):   # inf - inf in the kernel
-            got = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
-            assert got.tobytes() == full_kernel_max(stack, 1.0 / n, 0.3).tobytes()
-            assert np.isnan(norms.max_slice_norm(stack, 1.0 / n, 0.3))
+            got = norms.slice_norms_alpha_infty(stack, 0.3)
+            assert got.tobytes() == full_kernel_max(stack, 0.3).tobytes()
+            assert np.isnan(norms.max_slice_norm(stack, 0.3))
         assert np.isnan(got[1]) and np.isfinite(got[0])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_grids(self, n):
         stack = np.random.default_rng(n).standard_normal((3, n + 1))
-        got = norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
-        assert got.tobytes() == full_kernel_max(stack, 1.0 / n, 0.3).tobytes()
+        got = norms.slice_norms_alpha_infty(stack, 0.3)
+        assert got.tobytes() == full_kernel_max(stack, 0.3).tobytes()
 
     @staticmethod
     def band_spy(monkeypatch):
         """Count the kernel bands that the slice norm sums."""
         summed = []
 
-        def spy(values, h, alpha, bands=None):
+        def spy(values, alpha, bands=None):
             n = np.shape(values)[-1] - 1
             summed.append(len(_tail_bands(n) if bands is None else bands))
-            return marchaud_difference_abs(values, h, alpha, bands=bands)
+            return marchaud_difference_abs(values, alpha, bands=bands)
         monkeypatch.setattr(norms, "marchaud_difference_abs", spy)
         return summed
 
@@ -368,7 +368,7 @@ class TestPrunedSliceNorm:
         n = 1024
         summed = self.band_spy(monkeypatch)
         row = pruning_rows(n, 0)["smooth"]
-        norms.slice_norm_alpha_infty(row, 1.0 / n, 0.3)
+        norms.slice_norm_alpha_infty(row, 0.3)
         assert 0 < sum(summed) < len(_tail_bands(n))
 
     @pytest.mark.parametrize("n", [2, 64, 361, 362])
@@ -378,8 +378,8 @@ class TestPrunedSliceNorm:
         summed = self.band_spy(monkeypatch)
         monkeypatch.setattr(norms, "_tail_bound", None)   # a call would raise
         stack = np.stack([pruning_rows(n, 1)["walk"]] * 3)
-        norms.slice_norms_alpha_infty(stack, 1.0 / n, 0.3)
-        norms.max_slice_norm(stack, 1.0 / n, 0.3)
+        norms.slice_norms_alpha_infty(stack, 0.3)
+        norms.max_slice_norm(stack, 0.3)
         assert summed == [len(_tail_bands(n))] * 2
 
     def test_stacked_max_skips_rows_below_the_floor(self, monkeypatch):
@@ -387,10 +387,10 @@ class TestPrunedSliceNorm:
         summed = self.band_spy(monkeypatch)
         walk = pruning_rows(n, 2)["walk"]
         stack = np.stack([c * walk for c in (0.25, 1.0, 0.5)])
-        norms.max_slice_norm(stack, 1.0 / n, 0.3)
+        norms.max_slice_norm(stack, 0.3)
         one_row = list(summed)
         summed.clear()
-        norms.slice_norm_alpha_infty(walk, 1.0 / n, 0.3)
+        norms.slice_norm_alpha_infty(walk, 0.3)
         # only the row of the largest norm is summed; the others end below its floor
         assert one_row == summed
 

@@ -263,7 +263,7 @@ def assert_fft_sweep_matches_full_square(U, g, P, alpha):
 def sweep_inputs(n, alpha, k, seed=0):
     rng = np.random.default_rng(seed)
     g = fbm.fbm_path(0.75, n, 100 + n).values
-    P = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+    P = norms.right_derivative_pair_matrix(g, alpha)
     return rng.standard_normal((k, n + 1)), g, P
 
 
@@ -291,7 +291,7 @@ class TestAllUpperLimits:
 
     @pytest.mark.parametrize("n", [2, 3, 64, 257, 511])
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
-    def test_folded_sweep_matches_the_unfolded_oracle(self, n, alpha):
+    def test_sweep_matches_the_trapezoid_oracle(self, n, alpha):
         # the sweep adds the end corrections to the row sums one at a time
         # and scales last, the oracle forms them in one expression, so the
         # two round differently
@@ -320,7 +320,7 @@ class TestAllUpperLimits:
         n = 4096
         U, g, _ = sweep_inputs(n, alpha, 3)
         g = g + 100.0
-        P = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        P = norms.right_derivative_pair_matrix(g, alpha)
         assert_fft_sweep_matches_full_square(U, g, P, alpha)
 
     def test_fft_sweep_matches_streamed_oracle_at_n16384(self):
@@ -332,7 +332,7 @@ class TestAllUpperLimits:
         rowsum = np.zeros_like(Du)
         column, subdiagonal = np.zeros(n + 1), np.zeros(n)
         inv_gamma = 1.0 / math.gamma(alpha)
-        for i0, i1, X in norms._right_bands(g, 1.0 / n, alpha,
+        for i0, i1, X in norms._right_bands(g, alpha,
                                             (1.0 - alpha) * n ** (1.0 - alpha), False):
             X = X * inv_gamma
             rowsum[:, i0:i1] = np.einsum("sj,ij->si", Du[:, :i1 - 1], X)
@@ -447,6 +447,30 @@ def test_all_upper_limits_converge_to_young_sums_on_an_fbm_path():
     assert errors[-1] < 2e-3
 
 
+# (H, alpha) -> the sup errors measured at n = 256, 1024 and 4096
+CHAIN_RULE_INTEGRAL_ERRORS = {(0.75, 0.3): (5.74e-3, 2.89e-3, 1.49e-3),
+                              (0.6, 0.45): (5.87e-2, 4.08e-2, 3.17e-2),
+                              (0.9, 0.2): (3.67e-4, 1.35e-4, 4.74e-5)}
+
+
+@pytest.mark.parametrize("hurst, alpha", list(CHAIN_RULE_INTEGRAL_ERRORS))
+def test_all_upper_limits_against_the_chain_rule_on_an_fbm_path(hurst, alpha):
+    # for the piecewise-linear interpolant of g the chain rule is exact:
+    # int_0^x cos g dg = sin g(x) - sin g(0); one seed-7 path at n = 16384,
+    # restricted by stride.  The errors fall about as n^(-1/2) at H = 0.75,
+    # n^(-0.22) at H = 0.6 and n^(-0.73) at H = 0.9
+    recorded = CHAIN_RULE_INTEGRAL_ERRORS[hurst, alpha]
+    path = fbm.fbm_path(hurst, 16384, 7).values
+    errors = []
+    for n in (256, 1024, 4096):
+        g = path[::16384 // n]
+        op = stieltjes.slice_operator(g, alpha)
+        engine = stieltjes.stieltjes_all_upper_limits(np.cos(g), op)
+        errors.append(float(np.abs(engine - (np.sin(g) - np.sin(g[0]))).max()))
+    assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:])), errors
+    assert all(e <= 2 * r for e, r in zip(errors, recorded)), errors
+
+
 class TestSliceOperator:
     def test_holds_read_only_copies(self):
         g = fbm.fbm_path(0.75, 64, 3).values.copy()
@@ -465,7 +489,7 @@ class TestSliceOperator:
     def test_matrix_and_lambda_are_the_norms_kernels(self, n, alpha):
         g = fbm.fbm_path(0.75, n, 100 + n).values
         op = stieltjes.slice_operator(g, alpha)
-        D = norms.right_derivative_pair_matrix(g, 1.0 / n, alpha)
+        D = norms.right_derivative_pair_matrix(g, alpha)
         assert op.lam.hex() == norms.lambda_from_pair_matrix(D, alpha).hex()
         assert np.array_equal(op.pair_matrix, D)
         assert op.rise.tobytes() == (g - g[0]).tobytes()
@@ -475,7 +499,7 @@ class TestSliceOperator:
     def test_keeps_the_pair_matrix_below_the_fft_size_only(self, n):
         g = fbm.fbm_path(0.75, n, 100 + n).values
         op = stieltjes.slice_operator(g, 0.3)
-        D = norms.right_derivative_pair_matrix(g, 1.0 / n, 0.3)
+        D = norms.right_derivative_pair_matrix(g, 0.3)
         assert op.first.tobytes() == ((1.0 / (2.0 - 0.3) - 0.5) * D[:, 1]).tobytes()
         assert op.last.tobytes() == ((1.0 / (1.0 + 0.3) - 0.5) * np.diagonal(D, -1)).tobytes()
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
@@ -497,7 +521,7 @@ class TestSliceOperator:
 
 def window_setup(model="frozen", n=64, m=6, T=0.05):
     phi = GridFunction(0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1)))
-    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, n=n, T=T, phi=phi,
+    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=T, phi=phi,
                               coeff=co.tanh_coefficient(1.0))
     drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7,
                                           time_model=model), 0.3)
