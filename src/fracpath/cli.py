@@ -196,7 +196,7 @@ def _phi_from_config(spec: _Section, n: int) -> GridFunction:
         data = _load_xy_csv(params.get("path", str))
         v = np.interp(x, data[:, 0], data[:, 1])
     params.done()
-    return GridFunction(0.0, 1.0, v)
+    return GridFunction(v)
 
 
 def _driver_from_config(d: _Section, scfg: solver.SolverConfig):
@@ -285,7 +285,7 @@ def cmd_fbm(args) -> int:
                   _solution_rows(field), chash)
     if rep is not None:
         write_json(os.path.join(out, "fbm_validation.json"), _fields(rep), chash)
-        if args.strict and not rep.passed:
+        if not rep.passed:
             return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -343,14 +343,14 @@ def _suite_stieltjes(seed: int) -> list:
     prod = np.empty(10 ** 5)
     for name, ffn, gfn in _CLASSICAL_PAIRS:
         ref = _midpoint_stieltjes_sum(ffn, gfn, prod)
-        val = stieltjes.stieltjes_integral(GridFunction(0, 1, ffn(x)),
-                                           GridFunction(0, 1, gfn(x)), 0.3)
+        val = stieltjes.stieltjes_integral(GridFunction(ffn(x)),
+                                           GridFunction(gfn(x)), 0.3)
         rel = abs(val - ref) / abs(ref)
         checks.append({"suite": "stieltjes", "name": f"classical:{name}",
                        "passed": rel <= 1e-3, "worst_margin": 1e-3 - rel,
                        "details": {"value": val, "reference": ref, "rel_err": rel}})
-    f = GridFunction(0, 1, np.sin(x) + 1.0)
-    g = GridFunction(0, 1, np.sin(2 * x) + x ** 2)
+    f = GridFunction(np.sin(x) + 1.0)
+    g = GridFunction(np.sin(2 * x) + x ** 2)
     rep = stieltjes.stieltjes_indicator_consistency(f, g, 0.25, 0.25, 0.75)
     checks.append({"suite": "stieltjes", "name": "indicator(0.25,0.75)",
                    "passed": rep.gap <= 1e-2, "worst_margin": 1e-2 - rep.gap,
@@ -376,7 +376,7 @@ def _suite_bounds(seed: int) -> list:
     drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=1, T=1.0,
                                           seed=seed), 0.3)
     r = stieltjes.pathwise_integral_bound_check(
-        GridFunction(0, 1, np.ones(n + 1)), drv)
+        GridFunction(np.ones(n + 1)), drv)
     checks.append({"suite": "bounds", "name": "pathwise:u=1",
                    "passed": r.holds, "worst_margin": r.margin,
                    "details": r.to_dict()})
@@ -385,7 +385,7 @@ def _suite_bounds(seed: int) -> list:
 
 def _probe_config(n: int):
     x = np.linspace(0.0, 1.0, n + 1)
-    phi = GridFunction(0, 1, x)
+    phi = GridFunction(x)
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.5))
     drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
@@ -413,7 +413,7 @@ def _suite_gronwall(seed: int) -> list:
     checks = []
     n, m = 64, 120
     x = np.linspace(0.0, 1.0, n + 1)
-    phi = GridFunction(0, 1, x)
+    phi = GridFunction(x)
     cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=0.6, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.3))
     drv = fbm.stub_driving_field("linear", n, m, 0.6, 0.25)
@@ -591,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--field-m", type=int, default=0,
                     help="also write the frozen field CSV with this many time cells")
     pf.add_argument("--field-T", type=float, default=1.0)
-    pf.add_argument("--strict", action="store_true")
     pf.set_defaults(fn=cmd_fbm)
 
     ps = sub.add_parser("solve", help="run one solve from a JSON config")

@@ -126,7 +126,7 @@ def fbm_path(hurst: float, n: int, seed: int, stream: tuple = ()) -> GridFunctio
         raise GridError(f"need n >= 2 nodes per cell count, got {n}")
     fgn = fractional_gaussian_noise(hurst, n, _rng(seed, stream))
     values = np.concatenate([[0.0], np.cumsum(fgn)]) * (1.0 / n) ** hurst
-    return GridFunction(0.0, 1.0, values)
+    return GridFunction(values)
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
         row = params.get("amplitude", 1.0) * np.sin(np.multiply(k, math.pi) * xi)
     else:
         raise GridError(f"unknown stub kind {kind!r}; choose from {tuple(STUB_KINDS)}")
-    return field_from_path(GridFunction(0.0, 1.0, row), m, T, alpha)
+    return field_from_path(GridFunction(row), m, T, alpha)
 
 
 @dataclass

@@ -5,13 +5,14 @@ singular kernel is integrated exactly against the piecewise-linear
 interpolant of the data, so every operator is a linear map of the nodal
 values with nonnegative weights.  Weight tables depend only on the exact
 pair (n, order), are O(n), and are memoized read-only in plain
-``lru_cache``s, so concurrent readers are safe.  The Weyl derivatives take
-their grid's [a, b]; the other kernels work on [0, 1], with step 1/n.
+``lru_cache``s, so concurrent readers are safe.  Every kernel works on
+[0, 1], where a slice of n + 1 nodes has step 1/n; a sub-interval is
+passed as its sub-slice (see ``fracpath.stieltjes``).
 
-The left Weyl derivative of w = f - f(a) is Du = d w - e (C * w)
+The left Weyl derivative of w = f - f(0) is Du = d w - e (C * w)
 (``weyl_derivative_left``): the node factors d and the scalar e come from
-a read-only cache per (a, b, n, order) (``_weyl_coefficients``), and C * w
-is the causal convolution with the difference weights.  As w(a) = 0 an
+a read-only cache per (n, order) (``_weyl_coefficients``), and C * w
+is the causal convolution with the difference weights.  As w(0) = 0 an
 offset of f does not enter, and column 0's boundary weight drops out.  The
 convolution runs by ``np.convolve`` below ``_FFT_MIN_N`` cells, one call
 per row of a stack, and from there on by rfft against spectra cached per
@@ -20,7 +21,7 @@ rows per transform call), with the largest weights, which set the
 transform's rounding, summed directly.  The transform length is the
 smallest 5-smooth integer >= 2n + 1, so nothing wraps.  The derivatives
 are array kernels: they take one slice (n+1,) or a (k, n+1) stack of
-slices on the uniform grid of [a, b] (the Stieltjes sweep passes its rows
+slices on the uniform grid of [0, 1] (the Stieltjes sweep passes its rows
 as they are), refuse a non-finite value in one check, and return a
 read-only array of the input's shape, each row bitwise its one-slice call;
 a slice is a one-row stack.
@@ -277,21 +278,21 @@ def left_power_integral(values: np.ndarray, alpha: float) -> float:
     return float(np.dot(w, v)) * (1.0 / n) ** (1.0 - alpha)
 
 
-def weyl_derivative_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    """Marchaud-form left Weyl derivative of order alpha of w = f - f(a), the
-    f_{a+} of the Stieltjes pairing, 0 at x = a:
+def weyl_derivative_left(values, alpha) -> np.ndarray:
+    """Marchaud-form left Weyl derivative of order alpha of w = f - f(0), the
+    f_{0+} of the Stieltjes pairing, 0 at x = 0:
 
-    D f(x) = (1/Gamma(1-alpha)) [ w(x)/(x-a)^alpha
-             + alpha int_a^x (w(x)-w(y))/(x-y)^(alpha+1) dy ],
+    D f(x) = (1/Gamma(1-alpha)) [ w(x)/x^alpha
+             + alpha int_0^x (w(x)-w(y))/(x-y)^(alpha+1) dy ],
 
     product-integrated as Du = d w - e (C * w): d and e come from
     ``_weyl_coefficients``, C * w is the causal convolution with the
     difference weights, by ``np.convolve`` per row below ``_FFT_MIN_N``
-    cells and by ``_convolve`` from there on.  As w(a) = 0, the boundary
+    cells and by ``_convolve`` from there on.  As w(0) = 0, the boundary
     weight of column 0 drops out.
 
     ``values`` is one slice (n+1,) or a stack of slices (k, n+1) on the
-    uniform grid of [a, b]; the result is a read-only array of the same
+    uniform grid of [0, 1]; the result is a read-only array of the same
     shape, each row bitwise the one-slice call for that row.  A non-finite
     node value is refused.
     """
@@ -301,7 +302,7 @@ def weyl_derivative_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.nd
         raise GridError("non-finite node values")
     rows = v.reshape(-1, v.shape[-1])
     n = rows.shape[1] - 1
-    d, e = _weyl_coefficients(float(a), float(b), n, order)
+    d, e = _weyl_coefficients(n, order)
     w = rows - rows[:, :1]
     if n >= _FFT_MIN_N:
         conv = _convolve(w, _difference_kernel, order)[0]
@@ -318,13 +319,13 @@ def weyl_derivative_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.nd
     return out.reshape(v.shape)
 
 
-def weyl_derivative_right(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    """Marchaud-form right Weyl derivative of f - f(b) (real convention,
-    phase dropped): the mirror of :func:`weyl_derivative_left`, 0 at x = b,
+def weyl_derivative_right(values, alpha) -> np.ndarray:
+    """Marchaud-form right Weyl derivative of f - f(1) (real convention,
+    phase dropped): the mirror of :func:`weyl_derivative_left`, 0 at x = 1,
     for one slice or a stack, as a read-only view of the mirrored output.
     """
     mirrored = np.asarray(values, dtype=float)[..., ::-1]
-    return weyl_derivative_left(mirrored, alpha, a, b)[..., ::-1]
+    return weyl_derivative_left(mirrored, alpha)[..., ::-1]
 
 
 def beta_b1(alpha) -> float:
@@ -344,17 +345,17 @@ def beta_b1(alpha) -> float:
 
 
 @lru_cache(maxsize=64)
-def _weyl_coefficients(a: float, b: float, n: int, alpha: float):
+def _weyl_coefficients(n: int, alpha: float):
     """The node factor d (read-only, n+1) and the scalar e of the left Weyl
-    derivative Du = d w - e (C * w) on the grid of n cells on [a, b]:
-    d_i = ((x_i - a)^(-alpha) + alpha h^(-alpha) rowsum_i) / Gamma(1-alpha)
-    for i >= 1, with x_i - a bitwise ``(f.nodes - f.a)[i]`` of a
-    ``GridFunction`` f on that grid and rowsum from ``_difference_weights``,
-    d_0 = 0, and e = alpha h^(-alpha) / Gamma(1-alpha)."""
+    derivative Du = d w - e (C * w) on the grid of n cells on [0, 1], with
+    h = 1/n: d_i = (x_i^(-alpha) + alpha h^(-alpha) rowsum_i) / Gamma(1-alpha)
+    for i >= 1, with x_i bitwise ``f.nodes[i]`` of a ``GridFunction`` f of
+    n cells and rowsum from ``_difference_weights``, d_0 = 0, and
+    e = alpha h^(-alpha) / Gamma(1-alpha)."""
     _, _, rowsum = _difference_weights(n, alpha)
-    scale = alpha * ((b - a) / n) ** (-alpha)
+    scale = alpha * (1.0 / n) ** (-alpha)
     gamma = math.gamma(1.0 - alpha)
     d = np.zeros(n + 1)
-    d[1:] = ((np.linspace(a, b, n + 1) - a)[1:] ** (-alpha) + scale * rowsum[1:]) / gamma
+    d[1:] = (np.linspace(0.0, 1.0, n + 1)[1:] ** (-alpha) + scale * rowsum[1:]) / gamma
     d.setflags(write=False)
     return d, scale / gamma

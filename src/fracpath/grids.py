@@ -1,6 +1,6 @@
 """Uniform-grid containers and the grid and order checks.
 
-``GridFunction`` is one slice on [a, b], held as a read-only copy;
+``GridFunction`` is one slice on [0, 1], held as a read-only copy;
 ``SpaceTimeField`` is m+1 slices over [0, T] x [0, 1], which the solver
 and a time-constant driver also hold without a copy (``_adopt``).  Both
 refuse non-finite values.  The kernels of ``frac_calc`` take plain arrays,
@@ -24,13 +24,11 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples at the uniform nodes x_i = a + i*(b-a)/n, i = 0..n.
+    """Real samples at the uniform nodes x_i = i/n, i = 0..n, of [0, 1].
 
     One 1-D slice of finite node values, held as a read-only copy.
     """
 
-    a: float
-    b: float
     values: np.ndarray
 
     def __post_init__(self):
@@ -38,11 +36,7 @@ class GridFunction:
         if arr.ndim != 1:
             raise GridError("grid values must be one 1-D slice")
         arr.setflags(write=False)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "values", arr)
-        if not self.b > self.a:
-            raise GridError(f"need b > a, got a={self.a}, b={self.b}")
         if arr.size < 3:
             raise GridError("grid needs at least n = 2 cells (3 nodes)")
         if not np.isfinite(arr).all():
@@ -52,18 +46,11 @@ class GridFunction:
     def n(self) -> int:
         return self.values.size - 1
 
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.n
-
     @cached_property
     def nodes(self) -> np.ndarray:
-        x = np.linspace(self.a, self.b, self.n + 1)
+        x = np.linspace(0.0, 1.0, self.n + 1)
         x.setflags(write=False)
         return x
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.a, self.b, values)
 
 
 def order_value(alpha) -> float:

@@ -209,16 +209,14 @@ def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
 def norm_alpha_1(f: GridFunction, alpha) -> float:
     """int_0^1 |f|/eta^alpha + the double singular difference integral.
 
-    Defined on the unit interval; both terms use product integration, the
-    outer integral of the second term is trapezoidal.
+    Both terms use product integration, the outer integral of the second
+    term is trapezoidal.
     """
     a = order_value(alpha)
-    if abs(f.a) > 1e-12 or abs(f.b - 1.0) > 1e-12:
-        raise GridError("norm_alpha_1 is defined for grids on [0, 1]")
     v = np.abs(f.values)
     first = left_power_integral(v, a)
     tail = marchaud_difference_abs(f.values, a)
-    second = f.h * (tail.sum() - 0.5 * (tail[0] + tail[-1]))
+    second = (1.0 / f.n) * (tail.sum() - 0.5 * (tail[0] + tail[-1]))
     return float(first + second)
 
 

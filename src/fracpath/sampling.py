@@ -19,7 +19,7 @@ def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
     k = np.arange(1, _GRID_MODES + 1)
     amps = rng.standard_normal(_GRID_MODES) / k ** 1.5
     modes = amps[:, None] * np.sin(k[:, None] * np.pi * x)
-    return GridFunction(0.0, 1.0, np.add.reduce(modes, axis=0) + rng.standard_normal())
+    return GridFunction(np.add.reduce(modes, axis=0) + rng.standard_normal())
 
 
 def random_smooth_field(m: int, n: int, T: float,

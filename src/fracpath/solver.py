@@ -106,8 +106,6 @@ class SolverConfig:
         check_solver_order(self.alpha, self.hurst)
         if self.window_policy not in WINDOW_POLICIES:
             raise GridError(f"unknown window policy {self.window_policy!r}")
-        if abs(self.phi.a) > 1e-12 or abs(self.phi.b - 1.0) > 1e-12:
-            raise GridError("phi must live on [0, 1]")
         grids.check_grid(self.m, self.n, self.T)
         if self.max_iterations < 1 or not 0 < self.picard_tol < math.inf:
             raise GridError("need max_iterations >= 1 and a finite picard_tol > 0")

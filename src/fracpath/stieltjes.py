@@ -12,6 +12,12 @@ The pairing integral uses the trapezoid rule on interior nodes; the two
 endpoint cells, where the factors vanish like (x-c)^(1-alpha) and
 (d-x)^alpha, contribute through those local power models.
 
+Every slice lives on [0, 1].  A grid-aligned [c, d] is integrated as the
+[0, 1] pairing of the sub-slices on its nodes: under x = c + l s, with
+l = d - c, the left derivative of order alpha scales by l^(-alpha), the
+right one of order 1 - alpha by l^(alpha-1) and dx by l, and the product
+l^(-alpha) l^(alpha-1) l = 1, in the product-integration weights too.
+
 Against one integrator slice the integral up to every node is a linear
 operator, a ``SliceOperator`` built once per slice with the driver, and
 the one form in which a slice is passed around; its pair matrix D is read
@@ -70,7 +76,7 @@ PAIRING_SIGN = -1.0
 
 
 def _aligned_index(f: GridFunction, x: float, what: str) -> int:
-    pos = (x - f.a) / f.h
+    pos = x * f.n
     i = int(round(pos))
     if abs(pos - i) > 1e-9 or not 0 <= i <= f.n:
         raise GridError(f"{what} = {x} is not aligned to the grid")
@@ -78,12 +84,12 @@ def _aligned_index(f: GridFunction, x: float, what: str) -> int:
 
 
 def _check_compatible(f: GridFunction, g: GridFunction):
-    if f.n != g.n or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
+    if f.n != g.n:
         raise GridError("f and g must share one grid")
 
 
 def _pairing_quadrature(psi: np.ndarray, h: float, alpha: float) -> float:
-    """Integrate the pairing integrand given at the nodes of [c, d], of
+    """Integrate the pairing integrand given at the nodes of [0, 1], of
     which ``_pairing_value`` passes at least three."""
     inner = psi[1:-1]
     total = inner.sum() - 0.5 * (inner[0] + inner[-1])
@@ -91,29 +97,32 @@ def _pairing_quadrature(psi: np.ndarray, h: float, alpha: float) -> float:
     return h * float(total)
 
 
-def _pairing_value(fv: np.ndarray, gv: np.ndarray, a: float, b: float,
-                   alpha: float) -> float:
+def _pairing_value(fv: np.ndarray, gv: np.ndarray, alpha: float) -> float:
+    """The pairing of the Weyl derivatives of f - f(0) and g - g(1) for
+    the slices ``fv`` and ``gv`` on [0, 1], with step 1/(size - 1)."""
     if fv.size < 3:
         return 0.0
-    Du = weyl_derivative_left(fv, alpha, a, b)
-    Dg = weyl_derivative_right(gv, 1.0 - alpha, a, b)
-    return _pairing_quadrature(Du * Dg, (b - a) / (fv.size - 1), alpha)
+    Du = weyl_derivative_left(fv, alpha)
+    Dg = weyl_derivative_right(gv, 1.0 - alpha)
+    return _pairing_quadrature(Du * Dg, 1.0 / (fv.size - 1), alpha)
 
 
 def stieltjes_integral(f: GridFunction, g: GridFunction, alpha,
                        c: float | None = None, d: float | None = None) -> float:
-    """int_c^d f dg for grid-aligned [c, d] inside the common grid of f, g."""
+    """int_c^d f dg for grid-aligned [c, d] inside [0, 1] (all of it by
+    default), as the [0, 1] pairing of the sub-slices of f and g on the
+    nodes of [c, d]."""
     a = order_value(alpha)
     _check_compatible(f, g)
-    c = f.a if c is None else float(c)
-    d = f.b if d is None else float(d)
+    c = 0.0 if c is None else float(c)
+    d = 1.0 if d is None else float(d)
     ic = _aligned_index(f, c, "c")
     i_d = _aligned_index(f, d, "d")
     if ic >= i_d:
         raise GridError(f"need c < d, got ({c}, {d})")
     fv = f.values[ic:i_d + 1]
     gv = g.values[ic:i_d + 1]
-    pairing = _pairing_value(fv, gv, c, d, a)
+    pairing = _pairing_value(fv, gv, a)
     value = PAIRING_SIGN * pairing + float(fv[0]) * float(gv[-1] - gv[0])
     if not math.isfinite(value):
         raise GridError(f"non-finite Stieltjes integral on [{c}, {d}]")
@@ -242,17 +251,17 @@ class IndicatorReport:
 
 def stieltjes_indicator_consistency(f: GridFunction, g: GridFunction, alpha,
                                     c: float, d: float) -> IndicatorReport:
-    """Compare int_c^d f dg with the indicator-embedded integral on [a, b].
+    """Compare int_c^d f dg with the indicator-embedded integral on [0, 1].
 
     The indicator is applied at node level (nodes with c <= x_i <= d keep
-    f, all others are zeroed), so for (c, d) = (a, b) both sides are the
+    f, all others are zeroed), so for (c, d) = (0, 1) both sides are the
     same computation and the gap is exactly zero.
     """
     a = order_value(alpha)
     _check_compatible(f, g)
     direct = stieltjes_integral(f, g, a, c, d)
     ind = ((f.nodes >= c - 1e-12) & (f.nodes <= d + 1e-12)).astype(float)
-    embedded = stieltjes_integral(f.with_values(f.values * ind), g, a)
+    embedded = stieltjes_integral(GridFunction(f.values * ind), g, a)
     return IndicatorReport(direct, embedded, abs(direct - embedded))
 
 
@@ -280,8 +289,6 @@ _BOUND_SLACK = 1e-6
 def _bound_report(u: GridFunction, ops, lam: float) -> BoundReport:
     """max over the slices of ``ops`` and over xi of |int_0^xi u dg|, one
     sweep per slice, against lam ||u||_{alpha,1}."""
-    if abs(u.a) > 1e-12 or abs(u.b - 1.0) > 1e-12:
-        raise GridError("the bound is checked for u on the unit grid")
     lhs = max(float(np.abs(stieltjes_all_upper_limits(u.values, op)).max()) for op in ops)
     f_norm = norms.norm_alpha_1(u, ops[0].alpha)
     rhs = lam * f_norm

@@ -36,54 +36,55 @@ def _integral_weights(n: int, alpha: float):
     return C, A
 
 
-def rl_integral_left(f: GridFunction, alpha) -> GridFunction:
-    """Left-sided fractional integral of order alpha.
+def rl_integral_left(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
+    """Left-sided fractional integral of order alpha of the slice ``values``
+    on the uniform grid of [a, b].
 
     Node i receives (1/Gamma(alpha)) int_a^{x_i} f(y) (x_i - y)^(alpha-1) dy,
     with the integrable singularity handled by piecewise-linear product
     integration; the result is exact whenever f is piecewise linear.
     """
-    a = order_value(alpha)
-    v = f.values
-    n = f.n
-    C, A = _integral_weights(n, a)
+    order = order_value(alpha)
+    v = np.asarray(values, dtype=float)
+    n = v.size - 1
+    C, A = _integral_weights(n, order)
     conv = np.convolve(C, v)[: n + 1]
-    out = (f.h ** a / math.gamma(a)) * (conv - A * v[0])
+    out = (((b - a) / n) ** order / math.gamma(order)) * (conv - A * v[0])
     out[0] = 0.0
-    return f.with_values(out)
+    return out
 
 
-def rl_integral_right(f: GridFunction, alpha) -> GridFunction:
+def rl_integral_right(values, alpha, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Right-sided fractional integral (real convention, phase dropped)."""
-    out = rl_integral_left(GridFunction(f.a, f.b, f.values[::-1]), alpha)
-    return GridFunction(f.a, f.b, out.values[::-1])
+    return rl_integral_left(np.asarray(values, dtype=float)[::-1], alpha, a, b)[::-1]
 
 
-def marchaud_difference(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """int_a^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node of
-    one slice, by the package's difference weights applied by direct
-    ``np.convolve`` at every n to the slice centred at its mid-range: only
-    differences enter, so the shift is exact and keeps an offset from
+def marchaud_difference(values: np.ndarray, alpha: float) -> np.ndarray:
+    """int_0^{x_i} (f(x_i) - f(y)) / (x_i - y)^(alpha+1) dy at every node of
+    one slice on [0, 1], by the package's difference weights applied by
+    direct ``np.convolve`` at every n to the slice centred at its mid-range:
+    only differences enter, so the shift is exact and keeps an offset from
     cancelling."""
     v = np.asarray(values, dtype=float)
     n = v.size - 1
     C, A, rowsum = _difference_weights(n, alpha)
     w = v - 0.5 * (v.max() + v.min())
-    out = (w * rowsum - (np.convolve(C, w)[:n + 1] - A * w[0])) * h ** (-alpha)
+    out = (w * rowsum - (np.convolve(C, w)[:n + 1] - A * w[0])) * (1.0 / n) ** (-alpha)
     out[0] = 0.0
     return out
 
 
-def weyl_derivative_left(f: GridFunction, alpha) -> GridFunction:
-    """Left Weyl derivative of f - f(a) by its Marchaud form,
-    ((f(x) - f(a)) / (x - a)^alpha + alpha (centred Marchaud difference))
-    / Gamma(1 - alpha), 0 at x = a."""
+def weyl_derivative_left(values, alpha) -> np.ndarray:
+    """Left Weyl derivative of f - f(0) on [0, 1] by its Marchaud form,
+    ((f(x) - f(0)) / x^alpha + alpha (centred Marchaud difference))
+    / Gamma(1 - alpha), 0 at x = 0."""
     a = order_value(alpha)
-    v = f.values
-    diff = marchaud_difference(v, f.h, a)
+    v = np.asarray(values, dtype=float)
+    diff = marchaud_difference(v, a)
+    x = np.linspace(0.0, 1.0, v.size)
     out = np.zeros(v.shape)
-    out[1:] = ((v[1:] - v[0]) / (f.nodes - f.a)[1:] ** a + a * diff[1:]) / math.gamma(1.0 - a)
-    return f.with_values(out)
+    out[1:] = ((v[1:] - v[0]) / x[1:] ** a + a * diff[1:]) / math.gamma(1.0 - a)
+    return out
 
 
 def trapezoid_sweep(Du: np.ndarray, rows: np.ndarray, g: np.ndarray, D: np.ndarray,
@@ -108,7 +109,7 @@ def trapezoid_sweep(Du: np.ndarray, rows: np.ndarray, g: np.ndarray, D: np.ndarr
 def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:
     """Recompute the global pairing sign from the f = g = x smooth case."""
     x = np.linspace(0.0, 1.0, n + 1)
-    raw = _pairing_value(x, x, 0.0, 1.0, alpha)
+    raw = _pairing_value(x, x, alpha)
     if abs(abs(raw) - 0.5) > 0.05:
         raise RuntimeError(f"pairing calibration off: raw value {raw}")
     return float(np.sign(0.5 / raw))
@@ -185,7 +186,7 @@ def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
     k = np.arange(1, _GRID_MODES + 1)
     amps = rng.standard_normal(_GRID_MODES) / k ** 1.5
     v = sum(amps[i] * np.sin(k[i] * np.pi * x) for i in range(_GRID_MODES))
-    return GridFunction(0.0, 1.0, v + rng.standard_normal())
+    return GridFunction(v + rng.standard_normal())
 
 
 def random_smooth_field(m: int, n: int, T: float,

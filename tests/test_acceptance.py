@@ -40,14 +40,14 @@ def test_criterion_1_fractional_operator_oracles():
     xi = x[interior]
     for alpha in (0.1, 0.25, 0.4):
         for beta in (0, 1, 2):
-            f = GridFunction(0, 1, x ** beta)
-            got_i = rl_integral_left(f, alpha).values[interior]
+            f = x ** beta
+            got_i = rl_integral_left(f, alpha)[interior]
             exact_i = math.gamma(beta + 1) / math.gamma(alpha + beta + 1) \
                 * xi ** (alpha + beta)
-            got_d = weyl_derivative_left(f.values, alpha)[interior]
+            got_d = weyl_derivative_left(f, alpha)[interior]
             pairs = [(got_i, exact_i)]
             if beta == 0:
-                # the derivative acts on f - f(a), which is 0 for a constant
+                # the derivative acts on f - f(0), which is 0 for a constant
                 constant_ok = constant_ok and np.array_equal(got_d, np.zeros_like(got_d))
             else:
                 pairs.append((got_d, math.gamma(beta + 1) / math.gamma(beta + 1 - alpha)
@@ -62,8 +62,7 @@ def test_criterion_1_fractional_operator_oracles():
     for nn in (512, 1024, 2048):
         xx = np.linspace(0, 1, nn + 1)
         f = np.abs(xx - 1 / math.pi)
-        I = rl_integral_left(GridFunction(0, 1, f), 0.25)
-        D = weyl_derivative_left(I.values, 0.25)
+        D = weyl_derivative_left(rl_integral_left(f, 0.25), 0.25)
         sel = (xx >= 0.05) & (xx <= 0.95)
         errs.append(float(np.max(np.abs(D[sel] - f[sel]))))
     ratios = [b / a for a, b in zip(errs, errs[1:])]
@@ -93,13 +92,13 @@ def test_criterion_2_stieltjes_consistency():
     worst = 0.0
     for ffn, gfn in pairs:
         ref = float(np.sum(ffn(mid) * (gfn(xs[1:]) - gfn(xs[:-1]))))
-        got = stieltjes.stieltjes_integral(GridFunction(0, 1, ffn(x)),
-                                           GridFunction(0, 1, gfn(x)), 0.3)
+        got = stieltjes.stieltjes_integral(GridFunction(ffn(x)),
+                                           GridFunction(gfn(x)), 0.3)
         worst = max(worst, abs(got - ref) / abs(ref))
     classical_ok = worst <= 1e-3
 
-    f = GridFunction(0, 1, np.sin(x) + 1.0)
-    g = GridFunction(0, 1, np.sin(2 * x) + x ** 2)
+    f = GridFunction(np.sin(x) + 1.0)
+    g = GridFunction(np.sin(2 * x) + x ** 2)
     gap = stieltjes.stieltjes_indicator_consistency(f, g, 0.25, 0.25, 0.75).gap
     indicator_ok = gap <= 1e-2
     elapsed = time.perf_counter() - t0
@@ -154,7 +153,7 @@ def test_criterion_5_ball_invariance_and_contraction():
                  and abs(c.b1 - 2.396) < 5e-4 and abs(c.t1 - 0.0268) < 5e-5)
 
     n = 96
-    phi = GridFunction(0, 1, np.linspace(0, 1, n + 1))
+    phi = GridFunction(np.linspace(0, 1, n + 1))
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=co.tanh_coefficient(0.5))
     drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
@@ -209,10 +208,10 @@ def classical_picard_reference(phi_fn, A_fn, gprime_fn, n, m, T,
 def test_criterion_6_solver_correctness():
     # closed forms to 1e-12
     n, m = 48, 40
-    phi0 = GridFunction(0, 1, np.zeros(n + 1))
+    phi0 = GridFunction(np.zeros(n + 1))
     drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
     cfg0 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=1.0,
-                               phi=GridFunction(0, 1, np.linspace(0, 1, n + 1)),
+                               phi=GridFunction(np.linspace(0, 1, n + 1)),
                                coeff=co.zero_coefficient())
     rep0 = solver.solve(cfg0, drv, verify=False)
     dev0 = float(np.abs(rep0.solution.values - cfg0.phi.values[None, :]).max())
@@ -232,7 +231,7 @@ def test_criterion_6_solver_correctness():
                                      4 * ns, 4 * ms, T)
     xs = np.linspace(0, 1, ns + 1)
     cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=ms, T=T,
-                               phi=GridFunction(0, 1, phi_fn(xs)),
+                               phi=GridFunction(phi_fn(xs)),
                                coeff=co.tanh_coefficient(1.0))
     drv2 = fbm.stub_driving_field("quadratic", ns, ms, T, 0.3, scale=0.5)
     rep2 = solver.solve(cfg2, drv2, verify=False)
@@ -242,7 +241,7 @@ def test_criterion_6_solver_correctness():
     # two distinct Picard initializations agree within 10x tolerance
     tol = 1e-11
     cfg3 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=16, T=0.1,
-                               phi=GridFunction(0, 1, np.linspace(0, 1, 49)),
+                               phi=GridFunction(np.linspace(0, 1, 49)),
                                coeff=co.tanh_coefficient(0.5), picard_tol=tol)
     drv3 = fbm.stub_driving_field("quadratic", 48, 16, 0.1, 0.3)
     rep3 = solver.solve(cfg3, drv3, verify=False)
@@ -273,7 +272,7 @@ def test_criterion_6_solver_correctness():
 def test_criterion_7_global_behavior():
     # window continuation over T = 1.0 with T0 on the 1e-2 scale
     n, m = 96, 400
-    phi = GridFunction(0, 1, np.linspace(0, 1, n + 1))
+    phi = GridFunction(np.linspace(0, 1, n + 1))
     cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=1.0, phi=phi,
                               coeff=co.tanh_coefficient(0.2))
     drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.25)
@@ -291,7 +290,7 @@ def test_criterion_7_global_behavior():
     for seed in range(20):
         nf, mf, Tf = 48, 60, 0.05
         cfgf = solver.SolverConfig(alpha=0.3, hurst=0.75, m=mf, T=Tf,
-                                   phi=GridFunction(0, 1, np.linspace(0, 1, nf + 1)),
+                                   phi=GridFunction(np.linspace(0, 1, nf + 1)),
                                    coeff=co.tanh_coefficient(0.5))
         drvf = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=nf, m=mf, T=Tf,
                                                seed=seed), 0.3)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracpath import cli
+from fracpath import cli, fbm
 
 VERIFY_REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench/reference/verify-all.json"
 
@@ -84,10 +84,20 @@ class TestFbmCommand:
     def test_validator_mode(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.5",
                     "--n", "64", "--seed", "1", "--samples", "2000",
-                    "--validate", "--strict")
+                    "--validate")
         assert r.returncode == 0
         rep = json.loads((tmp_path / "fbm_validation.json").read_text())
         assert rep["passed"] and rep["max_abs_z"] <= 4.0
+
+    def test_failed_validation_exits_1_and_writes_the_report(self, tmp_path, monkeypatch):
+        # a failed validation exits 1, as every failed check does, and its
+        # report is still written
+        monkeypatch.setattr(fbm, "_Z_LIMIT", 0.0)
+        rc = cli.main(["--out", str(tmp_path), "fbm", "--hurst", "0.75", "--n", "64",
+                       "--seed", "1", "--samples", "2000", "--validate"])
+        assert rc == 1
+        rep = json.loads((tmp_path / "fbm_validation.json").read_text())
+        assert not rep["passed"]
 
     def test_bad_flags_exit_2(self, tmp_path):
         r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "1.5",
@@ -504,7 +514,6 @@ class TestCsvWriter:
         assert path.read_bytes() == pathlib.Path(str(path) + ".old").read_bytes()
 
     def test_fbm_path(self, tmp_path):
-        from fracpath import fbm
         assert cli.main(["--out", str(tmp_path), "fbm", "--hurst", "0.75",
                          "--n", "250", "--seed", "7"]) == 0
         path = fbm.fbm_path(0.75, 250, 7)

@@ -54,8 +54,8 @@ def test_only_frac_calc_reads_the_tail_weights():
 
 
 def test_the_unit_grid_is_not_an_argument():
-    # the norms and kernels work on [0, 1], where a slice of n + 1 nodes has
-    # step 1/n, and a solve's n is the number of cells of its phi
+    # every slice lives on [0, 1], where a slice of n + 1 nodes has step
+    # 1/n, and a solve's n is the number of cells of its phi
     taking_h = []
     for module in ("fracpath.norms", "fracpath.frac_calc"):
         mod = importlib.import_module(module)
@@ -64,6 +64,12 @@ def test_the_unit_grid_is_not_an_argument():
     assert taking_h == []
     from fracpath.solver import SolverConfig
     assert "n" not in {f.name for f in dataclasses.fields(SolverConfig)}
+    from fracpath.grids import GridFunction
+    assert [f.name for f in dataclasses.fields(GridFunction)] == ["values"]
+    frac_calc = importlib.import_module("fracpath.frac_calc")
+    taking_interval = [name for name in frac_calc.__all__
+                       if {"a", "b"} & set(inspect.signature(getattr(frac_calc, name)).parameters)]
+    assert taking_interval == []
 
 
 # sample arguments of every lru_cache'd table; a new cache must be listed here
@@ -74,7 +80,7 @@ CACHED_TABLES = {
         "_fft_length": (16,),
         "_split_kernels": ("_difference_kernel", 16, 0.3),
         "_tail_weights": (16, 0.3),
-        "_weyl_coefficients": (0.25, 0.75, 16, 0.3),
+        "_weyl_coefficients": (16, 0.3),
     },
     "fracpath.norms": {"_far_weights": (64, 0.3), "_right_weights": (16, 0.3),
                        "_row_bands": (16,)},

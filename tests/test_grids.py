@@ -39,10 +39,10 @@ class TestGridFunction:
     @pytest.mark.parametrize("shape", [(2, 9), (1, 9), (2, 3, 9), ()])
     def test_public_constructor_takes_one_slice(self, shape):
         with pytest.raises(GridError):
-            GridFunction(0.0, 1.0, np.zeros(shape))
+            GridFunction(np.zeros(shape))
 
     def test_public_constructor_copies(self):
         vals = np.zeros(9)
-        f = GridFunction(0.0, 1.0, vals)
+        f = GridFunction(vals)
         vals[1] = 1.0
         assert f.values[1] == 0.0 and not f.values.flags.writeable

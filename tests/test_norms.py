@@ -78,16 +78,16 @@ class TestNorm1mAlphaInfty0:
 
 class TestNormAlpha1:
     def test_zero(self):
-        assert norms.norm_alpha_1(GridFunction(0, 1, np.zeros(65)), 0.3) == 0.0
+        assert norms.norm_alpha_1(GridFunction(np.zeros(65)), 0.3) == 0.0
 
     def test_constant_closed_form(self):
         # second term vanishes; first is 1/(1-alpha)
-        f = GridFunction(0, 1, np.ones(129))
+        f = GridFunction(np.ones(129))
         assert norms.norm_alpha_1(f, 0.25) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_ramp_closed_form(self):
         # 1/(2-a) + 1/((1-a)(2-a)) = 2 at a = 1/2
-        f = GridFunction(0, 1, np.linspace(0, 1, 1025))
+        f = GridFunction(np.linspace(0, 1, 1025))
         assert norms.norm_alpha_1(f, 0.5) == pytest.approx(2.0, abs=1e-4)
 
 
@@ -119,12 +119,14 @@ class TestPairMatrix:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.49])
     def test_rows_match_right_weyl_derivative(self, n, alpha):
         # row i (prefix sums over columns) against the right Weyl derivative
-        # of g on [0, xi_i] (reflect, then convolve): two independent paths
+        # of g on [0, xi_i] (reflect, then convolve): two independent paths;
+        # g on [0, xi_i] is its sub-slice on [0, 1], whose derivative of
+        # order 1 - alpha scales by xi_i^(alpha-1) under x = xi_i s
         g = fbm.fbm_path(0.75, n, 100 + n).values
         xi = np.linspace(0, 1, n + 1)
         D = norms.right_derivative_pair_matrix(g, alpha)
         for i in (2, n // 2, n):
-            ref = weyl_derivative_right(g[:i + 1], 1.0 - alpha, 0.0, xi[i])
+            ref = xi[i] ** (alpha - 1) * weyl_derivative_right(g[:i + 1], 1 - alpha)
             assert np.abs(D[i, :i + 1] - ref).max() <= 1e-12 * np.abs(ref).max()
             assert not D[i, i + 1:].any()
 
@@ -401,8 +403,8 @@ class TestSharedProperties:
     def test_homogeneity_all_norms(self, c):
         f = random_field(11)
         scaled = SpaceTimeField(f.T, c * f.values)
-        g = GridFunction(0, 1, f.values[0])
-        gs = GridFunction(0, 1, c * f.values[0])
+        g = GridFunction(f.values[0])
+        gs = GridFunction(c * f.values[0])
         assert norms.norm_alpha_infty(scaled, 0.3) == pytest.approx(
             abs(c) * norms.norm_alpha_infty(f, 0.3), rel=1e-12, abs=1e-12)
         assert norms.norm_alpha_1(gs, 0.3) == pytest.approx(

@@ -23,7 +23,7 @@ README_CONFIG = {
 
 
 def ramp_phi(n):
-    return GridFunction(0, 1, np.linspace(0, 1, n + 1))
+    return GridFunction(np.linspace(0, 1, n + 1))
 
 
 def make_cfg(n=48, m=20, T=0.2, alpha=0.3, hurst=0.75, coeff=None, phi=None, **kw):
@@ -119,7 +119,7 @@ class TestApplyF:
     def test_odd_coefficient_fixes_zero(self):
         # A = tanh, phi = 0: F(0) = 0, so the zero field is a fixed point
         n, m = 32, 5
-        phi = GridFunction(0, 1, np.zeros(n + 1))
+        phi = GridFunction(np.zeros(n + 1))
         drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
         Y = SpaceTimeField.constant_in_time(np.zeros(n + 1), m, 1.0)
         F = oracles.apply_F(Y, phi, co.tanh_coefficient(), drv, 0.3)
@@ -166,7 +166,7 @@ class TestSolve:
     def test_constant_coefficient_exact_solution(self):
         n, m = 48, 40
         cfg = make_cfg(n=n, m=m, T=1.0, coeff=co.constant_coefficient(1.0),
-                       phi=GridFunction(0, 1, np.zeros(n + 1)))
+                       phi=GridFunction(np.zeros(n + 1)))
         drv = fbm.stub_driving_field("linear", n, m, 1.0, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         t = np.linspace(0, 1, m + 1)[:, None]
@@ -228,8 +228,8 @@ class TestSolve:
         path = fbm.fbm_path(0.75, 2048, 7).values
         solutions, lams = {}, {}
         for n in (256, 512, 1024, 2048):
-            drv = fbm.field_from_path(GridFunction(0, 1, path[::2048 // n]), 8, 0.02, 0.3)
-            phi = GridFunction(0, 1, 0.5 * np.sin(math.pi * np.linspace(0, 1, n + 1)))
+            drv = fbm.field_from_path(GridFunction(path[::2048 // n]), 8, 0.02, 0.3)
+            phi = GridFunction(0.5 * np.sin(math.pi * np.linspace(0, 1, n + 1)))
             cfg = make_cfg(n=n, m=8, T=0.02, phi=phi, coeff=co.tanh_coefficient(1.0))
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
@@ -257,9 +257,9 @@ class TestSolve:
         errors = []
         for n in (256, 1024, 4096)[:len(recorded)]:
             g = path[::16384 // n]
-            drv = fbm.field_from_path(GridFunction(0, 1, g), 40, 0.2, alpha)
+            drv = fbm.field_from_path(GridFunction(g), 40, 0.2, alpha)
             cfg = make_cfg(n=n, m=40, T=0.2, alpha=alpha, hurst=hurst,
-                           phi=GridFunction(0, 1, psi(g)), coeff=co.tanh_coefficient(1.0))
+                           phi=GridFunction(psi(g)), coeff=co.tanh_coefficient(1.0))
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
             exact = oracles.chain_rule_solution(g, psi, np.tanh, 40, 0.2)
@@ -419,7 +419,7 @@ def probe_case(name):
     else:
         n, t_w = 48, 0.05
         cfg = make_cfg(n=n, m=solver.PROBE_TIME_CELLS, T=t_w, phi=GridFunction(
-            0, 1, 0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
+            0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7,
                                               time_model="sheet"), cfg.alpha)
         cons = dataclasses.replace(constants_for(cfg, drv), t1=t_w, t2=t_w)
