@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import fbm, solver, stieltjes
 from .coefficients import coefficient_from_kind
-from .grids import GridError, GridFunction, SpaceTimeField, check_grid
+from .grids import GridError, GridFunction, check_grid
 from .sampling import random_trig_grid
 
 EXIT_OK = 0
@@ -206,8 +207,7 @@ def _driver_from_config(d: _Section, scfg: solver.SolverConfig):
         kind = d.get("kind", fbm.STUB_KINDS)
         params = d.get("params", dict, {}).numbers(fbm.STUB_KINDS[kind])
         d.done()
-        return lambda: fbm.stub_driving_field(kind, scfg.n, scfg.m, scfg.T,
-                                              scfg.alpha, **params)
+        return lambda: fbm.stub_driving_field(kind, scfg.n, scfg.alpha, **params)
     seed = (d.get("seed", list) if isinstance(d.obj.get("seed"), list)
             else [d.get("seed", int)])
     if not seed or any(type(s) is not int for s in seed):
@@ -252,13 +252,14 @@ def _run_config(cfg: dict, verify: bool = True):
     return solver.solve(scfg, build_driver(), verify=verify)
 
 
-def _solution_rows(field):
-    """The (t, xi, value) lines of a space-time field, time-major, as one
-    text block per time slice.  Every cell is %.17g, the digits of
-    ``format(float(x), ".17g")``; each xi is formatted once per field and
-    each t once per slice, so only the value cell is formatted per row."""
-    cells = ["%.17g,%%.17g\n" % x for x in field.xi_nodes]
-    for t, values in zip(field.t_nodes, field.values):
+def _solution_rows(t_nodes, xi_nodes, rows):
+    """The (t, xi, value) lines of the slices ``rows`` at the times
+    ``t_nodes``, time-major, as one text block per time slice.  Every cell
+    is %.17g, the digits of ``format(float(x), ".17g")``; each xi is
+    formatted once and each t once per slice, so only the value cell is
+    formatted per row."""
+    cells = ["%.17g,%%.17g\n" % x for x in xi_nodes]
+    for t, values in zip(t_nodes, rows):
         head = "%.17g," % t
         yield (head + head.join(cells)) % tuple(values.tolist())
 
@@ -274,15 +275,17 @@ def cmd_fbm(args) -> int:
     path = fbm.fbm_path(args.hurst, args.n, args.seed)
     # the field's grid and the validator's sample count are checked, and the
     # validator run, before the first file is written
-    field = (SpaceTimeField.constant_in_time(path.values, args.field_m, args.field_T)
-             if args.field_m else None)
+    if args.field_m:
+        check_grid(args.field_m, args.n, args.field_T)
     rep = (fbm.covariance_validator(args.hurst, args.samples, args.seed, n=min(args.n, 64))
            if args.validate else None)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
               ("%.17g,%.17g\n" % xv for xv in zip(path.nodes, path.values)), chash)
-    if field is not None:
+    if args.field_m:
+        # the frozen field is the one path at every time node, streamed, not tiled
         write_csv(os.path.join(out, "fbm_field.csv"), ("t", "xi", "g"),
-                  _solution_rows(field), chash)
+                  _solution_rows(np.linspace(0.0, args.field_T, args.field_m + 1),
+                                 path.nodes, itertools.repeat(path.values)), chash)
     if rep is not None:
         write_json(os.path.join(out, "fbm_validation.json"), _fields(rep), chash)
         if not rep.passed:
@@ -295,8 +298,9 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     chash = config_hash(cfg)
     report = _run_config(cfg)
+    sol = report.solution
     write_csv(os.path.join(out, "solution.csv"), ("t", "xi", "Y"),
-              _solution_rows(report.solution), chash)
+              _solution_rows(sol.t_nodes, sol.xi_nodes, sol.values), chash)
     write_json(os.path.join(out, "report.json"), report.to_dict(), chash)
     if not report.converged:
         return EXIT_NO_CONVERGENCE
@@ -388,7 +392,7 @@ def _probe_config(n: int):
     phi = GridFunction(x)
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.5))
-    drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
+    drv = fbm.stub_driving_field("quadratic", n, 0.3)
     return cfg, drv
 
 
@@ -416,7 +420,7 @@ def _suite_gronwall(seed: int) -> list:
     phi = GridFunction(x)
     cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=0.6, phi=phi,
                               coeff=coefficient_from_kind("tanh", scale=0.3))
-    drv = fbm.stub_driving_field("linear", n, m, 0.6, 0.25)
+    drv = fbm.stub_driving_field("linear", n, 0.25)
     rep = solver.solve(cfg, drv, verify=False)
     g = rep.verdicts["gronwall"]
     checks.append({"suite": "gronwall", "name": "stub-driver", "passed":

@@ -8,18 +8,18 @@ and cached read-only, so a path costs one inverse FFT of fresh noise.  A
 fixed seed determines the output bit-for-bit; ensemble member k draws from
 the split stream ``SeedSequence((seed, k))``.
 
-The equation's driver is a space-time field g(t, xi).  The joint temporal
-law is not pinned down by the model, so two constructions are provided:
-the canonical ``frozen`` field (one spatial path, constant in time) and a
-clearly non-canonical fractional-sheet field for experiments.  Smooth
-deterministic stubs are first-class drivers for oracle tests.
+The equation's driver g is a function of the space variable xi; the model
+does not pin down a law in time, so two constructions are provided: the
+canonical ``frozen`` driver (one spatial path, with no time axis) and a
+clearly non-canonical fractional sheet g(t, xi) for experiments, on the
+time grid of its ``FbmConfig``.  Smooth deterministic stubs are
+first-class drivers for oracle tests.
 
-A ``DrivingField`` is built once, with the integration operator
-(``stieltjes.SliceOperator``) of every distinct slice, and is read as it
-is: a time-constant driver holds its one slice once (its field is a
-read-only broadcast view of it) and serves any time grid over its spatial
-grid.  A sheet builds its m+1 operators one slice at a time, so beside
-them it holds one transient pair matrix at most.
+A ``DrivingField`` is its slice operators (``stieltjes.SliceOperator``),
+built once: a time-constant driver is one operator, which serves any time
+grid over its spatial grid; a sheet is m+1 operators over its own grid of
+[0, T], built one slice at a time, so beside them it holds one transient
+pair matrix at most and never the (m+1)(n+1) field of its values.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import norms
-from .grids import GridError, GridFunction, SpaceTimeField, order_value
+from .grids import GridError, GridFunction, check_grid, order_value
 from .stieltjes import SliceOperator, slice_operator
 
 __all__ = [
@@ -133,9 +133,10 @@ def fbm_path(hurst: float, n: int, seed: int, stream: tuple = ()) -> GridFunctio
 class FbmConfig:
     """Driver generation parameters.
 
-    ``time_model`` is "frozen" (one spatial path, constant in time) or
+    ``time_model`` is "frozen" (one spatial path, with no time axis) or
     "sheet" (fractional sheet with temporal Hurst ``hurst_t`` in [0.9, 1),
-    dense temporal Cholesky, m <= 64).  Seeds are nonnegative integers.
+    dense temporal Cholesky, m <= 64) on the time grid of m cells of [0, T].
+    Seeds are nonnegative integers.
     """
 
     hurst: float
@@ -168,19 +169,25 @@ class DrivingField:
 
     Satisfies g(t, 0) = 0 for all t.  ``slices`` holds the integration
     operator of every distinct time slice, built once so that Picard
-    iterations never re-quadrature: one for a time-constant driver, one per
-    time node otherwise.  The operators are built one slice at a time, and
-    from ``frac_calc._FFT_MIN_N`` cells on each keeps O(n) data, not its
-    pair matrix.  A time-constant driver's ``field`` is a read-only
-    broadcast of its one slice to every time node.
+    iterations never re-quadrature: one for a time-constant driver, one
+    per node of the grid of m cells of [0, T] otherwise, with ``T`` its
+    horizon (None for a time-constant driver).  The operators are built
+    one slice at a time, and from ``frac_calc._FFT_MIN_N`` cells on each
+    keeps O(n) data, not its pair matrix.
     """
 
-    field: SpaceTimeField
-    alpha: float
+    slices: tuple = dc_field(repr=False, compare=False)
     lambda_value: float
     holder_norm: float
-    time_constant: bool
-    slices: tuple = dc_field(repr=False, compare=False)
+    T: float | None = None
+
+    @property
+    def alpha(self) -> float:
+        return self.slices[0].alpha
+
+    @property
+    def time_constant(self) -> bool:
+        return len(self.slices) == 1
 
     def time_slice(self, t_index: int) -> SliceOperator:
         """The operator of time slice ``t_index``; a time-constant driver
@@ -188,25 +195,25 @@ class DrivingField:
         return self.slices[0 if self.time_constant else t_index]
 
 
-def _finish_field(f: SpaceTimeField, alpha: float, time_constant: bool) -> DrivingField:
-    if not np.all(f.values[:, 0] == 0.0):
+def _finish_field(rows, alpha: float, T: float | None = None) -> DrivingField:
+    """The driver of the slices ``rows``: one, or the m+1 of a sheet over [0, T]."""
+    if not np.all(rows[:, 0] == 0.0):
         raise GridError("driving field must satisfy g(t, 0) = 0")
-    rows = f.values[:1] if time_constant else f.values
     ops = tuple(slice_operator(row, alpha) for row in rows)
     lam = max(op.lam for op in ops)
     hnorm = max(norms.norm_1malpha_infty0(row, alpha) for row in rows)
     if not (np.isfinite(lam) and np.isfinite(hnorm)):
         raise GridError("realized driver functionals are non-finite")
-    return DrivingField(f, float(alpha), lam, hnorm, time_constant, ops)
+    return DrivingField(ops, lam, hnorm, T)
 
 
 def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     """Assemble the FBM driver for the solver and record Lambda and the norm."""
     a = order_value(alpha)
     if cfg.time_model == "frozen":
-        return field_from_path(fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream),
-                               cfg.m, cfg.T, a)
+        return field_from_path(fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream), a)
     # sheet: time-correlated mixture of iid spatial paths
+    check_grid(cfg.m, cfg.n, cfg.T)
     t = np.linspace(0.0, cfg.T, cfg.m + 1)[1:]
     cov_t = fbm_covariance(cfg.hurst_t, t[:, None], t[None, :])
     L = np.linalg.cholesky(cov_t + 1e-14 * np.eye(cfg.m))
@@ -216,20 +223,17 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     vals = np.zeros((cfg.m + 1, cfg.n + 1))
     # einsum calls no BLAS, so the bits do not depend on the BLAS thread count
     vals[1:] = np.einsum("tk,kj->tj", L, paths)
-    return _finish_field(SpaceTimeField(cfg.T, vals), a, False)
+    return _finish_field(vals, a, float(cfg.T))
 
 
-def field_from_path(path: GridFunction, m: int, T: float, alpha) -> DrivingField:
-    """Frozen driver built from an explicit spatial path with g(0) = 0.  Its
-    field is a read-only broadcast of the path's values to the m + 1 time
-    nodes, so the driver holds the path once."""
-    field = SpaceTimeField.constant_in_time(path.values, m, T)
-    return _finish_field(field, order_value(alpha), True)
+def field_from_path(path: GridFunction, alpha) -> DrivingField:
+    """Frozen driver built from an explicit spatial path with g(0) = 0: the
+    one operator of the path's slice."""
+    return _finish_field(path.values[None], order_value(alpha))
 
 
-def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
-                       **params) -> DrivingField:
-    """Deterministic drivers for oracle testing.
+def stub_driving_field(kind: str, n: int, alpha, **params) -> DrivingField:
+    """Deterministic time-constant drivers for oracle testing.
 
     kinds: zero, linear (scale*xi), quadratic (scale*xi^2),
     sine (amplitude*sin(k*pi*xi)).
@@ -246,7 +250,7 @@ def stub_driving_field(kind: str, n: int, m: int, T: float, alpha,
         row = params.get("amplitude", 1.0) * np.sin(np.multiply(k, math.pi) * xi)
     else:
         raise GridError(f"unknown stub kind {kind!r}; choose from {tuple(STUB_KINDS)}")
-    return field_from_path(GridFunction(row), m, T, alpha)
+    return field_from_path(GridFunction(row), alpha)
 
 
 @dataclass

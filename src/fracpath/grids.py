@@ -1,10 +1,10 @@
 """Uniform-grid containers and the grid and order checks.
 
 ``GridFunction`` is one slice on [0, 1], held as a read-only copy;
-``SpaceTimeField`` is m+1 slices over [0, T] x [0, 1], which the solver
-and a time-constant driver also hold without a copy (``_adopt``).  Both
-refuse non-finite values.  The kernels of ``frac_calc`` take plain arrays,
-one slice or a stack of slices, and check what they read themselves.
+``SpaceTimeField`` is m+1 slices over [0, T] x [0, 1], which a solve also
+holds without a copy (``_adopt``).  Both refuse non-finite values.  The
+kernels of ``frac_calc`` take plain arrays, one slice or a stack of
+slices, and check what they read themselves.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class SpaceTimeField:
     @classmethod
     def _adopt(cls, T: float, values: np.ndarray) -> "SpaceTimeField":
         """A field over ``values`` itself, not a copy, for an array that
-        nothing else writes: a finished result, or a read-only broadcast of
-        one slice.  The array is made read-only and validated as the public
-        constructor validates its copy."""
+        nothing else writes, such as a finished result.  The array is made
+        read-only and validated as the public constructor validates its
+        copy."""
         f = object.__new__(cls)
         object.__setattr__(f, "T", T)
         f._hold(np.asarray(values, dtype=float))
@@ -113,8 +113,7 @@ class SpaceTimeField:
         if arr.ndim != 2:
             raise GridError("field values must be a 2-D array")
         check_grid(arr.shape[0] - 1, arr.shape[1] - 1, self.T)
-        # a broadcast of one slice (row stride 0) is checked through that slice
-        if not np.isfinite(arr[:1] if arr.strides[0] == 0 else arr).all():
+        if not np.isfinite(arr).all():
             raise GridError("non-finite field values")
 
     @property
@@ -140,15 +139,3 @@ class SpaceTimeField:
         x = np.linspace(0.0, 1.0, self.n + 1)
         x.setflags(write=False)
         return x
-
-    @staticmethod
-    def constant_in_time(values, m: int, T: float) -> "SpaceTimeField":
-        """The slice ``values`` at every time node t_0..t_m: a read-only
-        broadcast view, shaped (m+1, n+1), of the slice itself if it is a
-        read-only float array (a ``GridFunction``'s values), else of a copy."""
-        row = np.asarray(values, dtype=float)
-        if row.flags.writeable:
-            row = row.copy()
-        if row.ndim != 1:
-            raise GridError("a time-constant field needs one 1-D slice")
-        return SpaceTimeField._adopt(T, np.broadcast_to(row, (m + 1, row.size)))

@@ -30,12 +30,12 @@ and ``verify contraction``; it hands each probe the norms of its scaled
 fields.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
-and the report adopts it); the driver's slices and their operators (from
-512 cells on O(n) data, below it also the (n+1)^2 pair matrix); at most
-three window-sized arrays (the iterate, its inner integrals and its image
-during a sweep; the iterate and its image during the residual norm, which
-forms each band's difference in its step), plus one band of scratch of
-the sweep and the norm, and a record of about 1 kB per window.  The
+and the report adopts it); the driver, one operator per distinct slice
+(from 512 cells on O(n) data, below it also the (n+1)^2 pair matrix); at
+most three window-sized arrays (the iterate, its inner integrals and its
+image during a sweep; the iterate and its image during the residual norm,
+which forms each band's difference in its step), plus one band of scratch
+of the sweep and the norm, and a record of about 1 kB per window.  The
 Gronwall running norms go ``_SWEEP_ROWS`` rows at a time, so no copy of
 the solution is stacked.  A driver build forms the pair matrix D of each
 distinct slice once, and from 512 cells on drops it after the build; that
@@ -267,9 +267,9 @@ def _check_driver(driver: DrivingField, alpha: float, m: int, n: int, T: float):
     driver serves any time grid over its spatial grid, a sheet only its own."""
     if abs(driver.alpha - alpha) > 1e-12:
         raise GridError("driver was prepared for a different alpha")
-    f = driver.field
-    if f.n != n or not driver.time_constant and (f.m != m or abs(f.T - T) > 1e-12):
-        raise GridError("field and driver grids must match")
+    if driver.slices[0].rise.size - 1 != n or not driver.time_constant and (
+            len(driver.slices) - 1 != m or abs(driver.T - T) > 1e-12):
+        raise GridError("the driver was built on another grid")
 
 
 def _window_norm(F: np.ndarray, Y: np.ndarray, alpha: float) -> float:
@@ -373,7 +373,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         pn = norms.slice_norm_alpha_infty(phi_w, a)
         start_norms[j0] = pn
         cons = compute_constants(a, cfg.coeff, lam, pn, horizon=cfg.T)
-        paper_cells = max(1, int(cons.t0 / dt + 1e-12))
+        # capped at m, so that a T0 far past the horizon cannot overflow int
+        paper_cells = max(1, int(min(cons.t0 / dt + 1e-12, m)))
         if cfg.window_policy == "adaptive" and adaptive_cells is not None:
             cells = adaptive_cells
         else:
@@ -433,7 +434,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
             "passed": converged,
         },
     }
-    gr = gronwall_check(solution, cfg, constants, start_norms)
+    gr = gronwall_check(solution, constants, start_norms)
     verdicts["gronwall"] = gr
     if verify and converged:
         verdicts.update(_spot_verdicts(cfg, driver, constants))
@@ -441,9 +442,11 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
                         lam, verdicts, failed_window)
 
 
-def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
-                   constants: ProofConstants, known_norms: dict) -> dict:
-    """Envelope ||phi|| exp(K t) against the running slice norm at every node.
+def gronwall_check(sol: SpaceTimeField, constants: ProofConstants,
+                   known_norms: dict) -> dict:
+    """Envelope ||phi|| exp(K t) against the running slice norm at every
+    node, with ||phi||, K and the order alpha of the norms read from
+    ``constants``.
 
     ``known_norms`` maps rows of ``sol`` to slice norms already taken (the
     window starts of ``solve``); the other rows are computed in stacked
@@ -454,7 +457,7 @@ def gronwall_check(sol: SpaceTimeField, cfg: SolverConfig,
     +inf, 0 while ||phi|| = 0, and bounds nothing; ``unbounded_from`` is
     the first such t, or None.
     """
-    a = cfg.alpha
+    a = constants.alpha
     phi_norm = constants.phi_norm
     k = constants.gronwall_k
     t = sol.t_nodes

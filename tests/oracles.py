@@ -5,8 +5,8 @@ way: the Riemann-Liouville integrals (the Abel inverse of the Weyl
 derivative), the Weyl derivative by the mid-range-centred Marchaud
 difference, the Stieltjes sweep with its trapezoid ends applied to the
 unfolded pair matrix and its folded weights as per-pair factors, the
-pairing sign recomputed from the f = g = x case, Lambda_alpha over a whole
-field, the Davies-Harte sampler without the cached spectrum, the
+pairing sign recomputed from the f = g = x case, Lambda_alpha over a stack
+of slices, the Davies-Harte sampler without the cached spectrum, the
 fixed-point operator F one field and one row at a time, and the random
 probe data as sums of one mode at a time.  They read the package's
 private weight tables and helpers, so their bits are those the package
@@ -115,12 +115,12 @@ def calibrate_pairing_sign(n: int = 256, alpha: float = 0.3) -> float:
     return float(np.sign(0.5 / raw))
 
 
-def lambda_alpha(g: SpaceTimeField, alpha) -> float:
-    """sup over times and pairs eta < xi of |D^{1-alpha}_{xi-} g_{xi-}(eta)|,
-    divided by Gamma(1-alpha)."""
+def lambda_alpha(rows, alpha) -> float:
+    """sup over the slices ``rows`` and pairs eta < xi of
+    |D^{1-alpha}_{xi-} g_{xi-}(eta)|, divided by Gamma(1-alpha)."""
     a = order_value(alpha)
     return max(lambda_from_pair_matrix(right_derivative_pair_matrix(row, a), a)
-               for row in g.values)
+               for row in rows)
 
 
 def fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):

@@ -156,7 +156,7 @@ def test_criterion_5_ball_invariance_and_contraction():
     phi = GridFunction(np.linspace(0, 1, n + 1))
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=co.tanh_coefficient(0.5))
-    drv = fbm.stub_driving_field("quadratic", n, 4, 0.2, 0.3)
+    drv = fbm.stub_driving_field("quadratic", n, 0.3)
     cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
                                     cfg.phi_norm(), horizon=cfg.T)
     ball = solver.ball_invariance_check(cfg, drv, cons, trials=100, seed=55)
@@ -209,7 +209,7 @@ def test_criterion_6_solver_correctness():
     # closed forms to 1e-12
     n, m = 48, 40
     phi0 = GridFunction(np.zeros(n + 1))
-    drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
+    drv = fbm.stub_driving_field("linear", n, 0.3)
     cfg0 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=1.0,
                                phi=GridFunction(np.linspace(0, 1, n + 1)),
                                coeff=co.zero_coefficient())
@@ -233,7 +233,7 @@ def test_criterion_6_solver_correctness():
     cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=ms, T=T,
                                phi=GridFunction(phi_fn(xs)),
                                coeff=co.tanh_coefficient(1.0))
-    drv2 = fbm.stub_driving_field("quadratic", ns, ms, T, 0.3, scale=0.5)
+    drv2 = fbm.stub_driving_field("quadratic", ns, 0.3, scale=0.5)
     rep2 = solver.solve(cfg2, drv2, verify=False)
     dev2 = float(np.abs(rep2.solution.values - ref[::4, ::4]).max())
     reference_ok = rep2.converged and dev2 <= 5e-3
@@ -243,7 +243,7 @@ def test_criterion_6_solver_correctness():
     cfg3 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=16, T=0.1,
                                phi=GridFunction(np.linspace(0, 1, 49)),
                                coeff=co.tanh_coefficient(0.5), picard_tol=tol)
-    drv3 = fbm.stub_driving_field("quadratic", 48, 16, 0.1, 0.3)
+    drv3 = fbm.stub_driving_field("quadratic", 48, 0.3)
     rep3 = solver.solve(cfg3, drv3, verify=False)
     cons = solver.compute_constants(cfg3.alpha, cfg3.coeff, drv3.lambda_value,
                                     cfg3.phi_norm(), horizon=cfg3.T)
@@ -275,7 +275,7 @@ def test_criterion_7_global_behavior():
     phi = GridFunction(np.linspace(0, 1, n + 1))
     cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=1.0, phi=phi,
                               coeff=co.tanh_coefficient(0.2))
-    drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.25)
+    drv = fbm.stub_driving_field("linear", n, 0.25)
     rep = solver.solve(cfg, drv, verify=False)
     t0_scale = rep.windows[0].constants.t0
     horizon_ok = (rep.converged

@@ -73,6 +73,23 @@ class TestFbmCommand:
         for j in range(1, 4):
             np.testing.assert_array_equal(vals[j], vals[0])
 
+    def test_field_streams_the_one_path(self, tmp_path):
+        # the frozen field is written from the one path at every time node:
+        # m = 1000 takes no more traced memory than m = 1, where a tiled
+        # field of n = 1024 would hold 8.2 MB
+        def traced_peak(m):
+            tracemalloc.start()
+            try:
+                assert cli.main(["--out", str(tmp_path), "fbm", "--hurst", "0.75",
+                                 "--n", "1024", "--seed", "7", "--field-m", str(m)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        traced_peak(1)   # fill the caches
+        peaks = {m: traced_peak(m) for m in (1, 1000)}
+        assert (tmp_path / "fbm_field.csv").stat().st_size > 1001 * 1025 * 30
+        assert peaks[1000] - peaks[1] <= 256 * 2 ** 10, peaks
+
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):
             r = run_cli("--out", str(tmp_path / sub), "fbm", "--hurst", "0.6",
@@ -200,6 +217,17 @@ class TestSolveCommand:
         r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
         assert_usage_error(r)
 
+    def test_a_tiny_time_step_is_not_an_overflow(self, tmp_path):
+        # T0 / dt = 3.8e197 / 2.5e-201 overflows to inf; the window is m cells
+        write_config(tmp_path / "cfg.json", grid={"m": 4, "n": 32, "T": 1e-200},
+                     driver={"model": "frozen", "seed": 7},
+                     A={"kind": "gaussian-bump", "params": {"amplitude": 1e-200}})
+        assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert [(w["cells"], w["guarantee_ok"]) for w in rep["windows"]] == [(4, True)]
+        assert rep["constants"]["t0"] / 2.5e-201 == math.inf
+        assert all(v["passed"] for v in rep["verdicts"].values())
+
     def test_nonconvergence_exit_3(self, tmp_path):
         write_config(tmp_path / "cfg.json", picard={"tol": 1e-16, "max_iter": 1},
                      driver={"model": "stub", "kind": "quadratic"})
@@ -217,9 +245,9 @@ class TestSolveCommand:
         checked = []
         gronwall_check = cli.solver.gronwall_check
 
-        def recorded(sol, *args):
+        def recorded(sol, constants, known_norms):
             checked.append(sol.t_nodes.copy())
-            return gronwall_check(sol, *args)
+            return gronwall_check(sol, constants, known_norms)
 
         monkeypatch.setattr(cli.solver, "gronwall_check", recorded)
         assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 3
@@ -583,7 +611,8 @@ class TestSolutionWriter:
             rows = self.row_by_row(field).encode()
             for name, header in (("solution.csv", "t,xi,Y"), ("fbm_field.csv", "t,xi,g")):
                 cli.write_csv(str(tmp_path / name), header.split(","),
-                              cli._solution_rows(field), "abc")
+                              cli._solution_rows(field.t_nodes, field.xi_nodes,
+                                                 field.values), "abc")
                 assert (tmp_path / name).read_bytes() \
                     == f"# config_hash=abc\n{header}\n".encode() + rows, (name, T)
 
@@ -594,7 +623,9 @@ class TestSolutionWriter:
         path = tmp_path / "solution.csv"
         tracemalloc.start()
         try:
-            cli.write_csv(str(path), ("t", "xi", "Y"), cli._solution_rows(field), "abc")
+            cli.write_csv(str(path), ("t", "xi", "Y"),
+                          cli._solution_rows(field.t_nodes, field.xi_nodes, field.values),
+                          "abc")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -72,6 +72,19 @@ def test_the_unit_grid_is_not_an_argument():
     assert taking_interval == []
 
 
+def test_a_time_constant_driver_has_no_time_axis():
+    # a driver is its slice operators: the frozen and stub drivers take no
+    # time grid, a driver holds no field, and the Gronwall check reads the
+    # order from its constants
+    from fracpath import fbm, solver
+    from fracpath.grids import SpaceTimeField
+    for build in (fbm.field_from_path, fbm.stub_driving_field):
+        assert not {"m", "T"} & set(inspect.signature(build).parameters), build.__name__
+    assert "field" not in {f.name for f in dataclasses.fields(fbm.DrivingField)}
+    assert not hasattr(SpaceTimeField, "constant_in_time")
+    assert "cfg" not in inspect.signature(solver.gronwall_check).parameters
+
+
 # sample arguments of every lru_cache'd table; a new cache must be listed here
 CACHED_TABLES = {
     "fracpath.frac_calc": {

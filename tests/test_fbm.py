@@ -3,12 +3,11 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracpath.grids import GridError, SpaceTimeField
+from fracpath.grids import GridError
 from fracpath import fbm, norms
 from oracles import fgn_davies_harte, lambda_alpha
 
@@ -93,46 +92,22 @@ class TestDrivingField:
         cfg = fbm.FbmConfig(hurst=0.75, n=64, m=6, T=0.5, seed=3)
         df = fbm.driving_field(cfg, 0.3)
         for j in range(1, 7):
-            assert np.array_equal(df.field.values[0], df.field.values[j])
-
-    def test_frozen_field_is_a_read_only_view_of_the_path(self):
-        path = fbm.fbm_path(0.75, 64, 3)
-        values = fbm.field_from_path(path, 6, 0.5, 0.3).field.values
-        assert values.shape == (7, 65) and not values.flags.writeable
-        assert np.array_equal(values, np.tile(path.values, (7, 1)))
-        # one slice at every time node: the path's own values, not a tile
-        assert values.strides[0] == 0 and np.shares_memory(values, path.values)
+            assert np.array_equal(df.time_slice(0).rise, df.time_slice(j).rise)
 
     def test_frozen_driver_refuses_a_non_finite_slice(self):
-        # the time-constant broadcast (row stride 0) is checked through its slice
-        with pytest.raises(GridError, match="non-finite"):
-            SpaceTimeField.constant_in_time([0.0, 0.5, np.nan], 3, 1.0)
-
-    def test_frozen_driver_holds_its_path_once(self):
-        # beside its O(n) operator, a frozen driver of m = 1000 time cells
-        # holds no more than one of a single cell: tiles of the path would
-        # be 8.2 MB per copy
-        path = fbm.fbm_path(0.75, 1024, 7)
-        fbm.field_from_path(path, 1, 2.0, 0.3)   # fill the weight caches
-        peaks = {}
-        for m in (1, 1000):
-            tracemalloc.start()
-            try:
-                fbm.field_from_path(path, m, 2.0, 0.3)
-                peaks[m] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[1000] - peaks[1] < 2 ** 16
+        # inf * xi is NaN at xi = 0 and inf elsewhere
+        with np.errstate(invalid="ignore"), pytest.raises(GridError, match="non-finite"):
+            fbm.stub_driving_field("linear", 8, 0.3, scale=np.inf)
 
     def test_linear_stub_lambda_closed_form(self):
-        st = fbm.stub_driving_field("linear", 128, 4, 1.0, 0.3)
+        st = fbm.stub_driving_field("linear", 128, 0.3)
         exact = 1.0 / (math.gamma(0.7) * math.gamma(1.3))
         assert st.lambda_value == pytest.approx(exact, rel=1e-12)
 
     def test_spatial_origin_pinned_to_zero(self):
         for kind in ("zero", "linear", "quadratic", "sine"):
-            st = fbm.stub_driving_field(kind, 32, 3, 1.0, 0.3)
-            assert np.all(st.field.values[:, 0] == 0.0)
+            st = fbm.stub_driving_field(kind, 32, 0.3)
+            assert all(op.rise[0] == 0.0 for op in st.slices)
 
     @pytest.mark.parametrize("seed", range(0, 100, 7))
     def test_lambda_finite_for_fbm(self, seed):
@@ -145,7 +120,7 @@ class TestDrivingField:
         cfg = fbm.FbmConfig(hurst=0.75, n=64, m=2, T=1.0, seed=12)
         df = fbm.driving_field(cfg, 0.3)
         assert df.lambda_value == pytest.approx(
-            lambda_alpha(df.field, 0.3), rel=1e-12)
+            lambda_alpha([op.rise for op in df.slices], 0.3), rel=1e-12)
 
     def test_sheet_rejects_large_time_grid(self):
         with pytest.raises(GridError):
@@ -169,11 +144,13 @@ class TestDrivingField:
         cfg = fbm.FbmConfig(hurst=0.75, n=32, m=12, T=1.0, seed=5,
                             time_model="sheet")
         df = fbm.driving_field(cfg, 0.3)
-        assert np.all(df.field.values[:, 0] == 0.0)
-        assert np.all(df.field.values[0] == 0.0)  # sheet vanishes at t = 0
+        values = np.stack([op.rise for op in df.slices])
+        assert values.shape == (13, 33) and df.T == 1.0
+        assert np.all(values[:, 0] == 0.0)
+        assert np.all(values[0] == 0.0)  # sheet vanishes at t = 0
         assert not df.time_constant
         df2 = fbm.driving_field(cfg, 0.3)
-        assert np.array_equal(df.field.values, df2.field.values)
+        assert np.array_equal(values, np.stack([op.rise for op in df2.slices]))
 
     def test_pair_matrices_built_once(self):
         frozen = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
@@ -181,11 +158,13 @@ class TestDrivingField:
         sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
                                                 seed=8, time_model="sheet"), 0.3)
         assert len(frozen.slices) == 1 and len(sheet.slices) == 6
+        assert frozen.slices[0].rise.tobytes() == fbm.fbm_path(0.75, 32, 8).values.tobytes()
         for drv in (frozen, sheet):
             for j in range(6):
                 op = drv.time_slice(j)
-                g, D = drv.field.values[j], op.pair_matrix
-                assert op.rise.tobytes() == (g - g[0]).tobytes()
+                # g(t, 0) = 0, so the rise g - g(0) is the slice g itself
+                g, D = op.rise, op.pair_matrix
+                assert g[0] == 0.0
                 assert not D.flags.writeable
                 assert np.array_equal(D, norms.right_derivative_pair_matrix(g, 0.3))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -201,7 +180,7 @@ class TestDrivingField:
         assert held < 2 ** 20
 
     def test_time_slice_returns_the_stored_operator(self):
-        frozen = fbm.stub_driving_field("sine", 32, 5, 1.0, 0.3)
+        frozen = fbm.stub_driving_field("sine", 32, 0.3)
         sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
                                                 seed=8, time_model="sheet"), 0.3)
         # a time-constant driver answers every index with its one operator
@@ -217,7 +196,7 @@ class TestDrivingField:
         (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=4, T=0.1, seed=7,
                                                  time_model="sheet"), 0.3),
          "0x1.0c44e1bc0366ep+0", "0x1.909fcb9d4e6c7p-3"),
-        (lambda: fbm.stub_driving_field("sine", 96, 2, 0.2, 0.25),
+        (lambda: fbm.stub_driving_field("sine", 96, 0.25),
          "0x1.7a0afdc656da2p+3", "0x1.0afa12f5321d8p+1"),
         (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.6, n=1024, m=1, T=1.0,
                                                  seed=3), 0.45),
@@ -235,7 +214,8 @@ class TestDrivingField:
         code = ("import hashlib; from fracpath import fbm; "
                 "d = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=256, m=64, T=0.1, "
                 "seed=7, time_model='sheet'), 0.3); "
-                "print(hashlib.sha256(d.field.values.tobytes()).hexdigest())")
+                "print(hashlib.sha256(b''.join(op.rise.tobytes() for op in d.slices))"
+                ".hexdigest())")
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -13,11 +13,11 @@ from oracles import lambda_alpha
 
 
 def constant_field(c, m=3, n=64):
-    return SpaceTimeField.constant_in_time(np.full(n + 1, float(c)), m, 1.0)
+    return SpaceTimeField(1.0, np.full((m + 1, n + 1), float(c)))
 
 
 def ramp_field(m=3, n=256):
-    return SpaceTimeField.constant_in_time(np.linspace(0, 1, n + 1), m, 1.0)
+    return SpaceTimeField(1.0, np.tile(np.linspace(0, 1, n + 1), (m + 1, 1)))
 
 
 def random_field(seed, m=3, n=48):
@@ -67,7 +67,7 @@ class TestNorm1mAlphaInfty0:
     def test_slice_equals_field_form(self):
         f = random_field(8)
         for row in f.values:
-            one_row = SpaceTimeField.constant_in_time(row, 1, 1.0)
+            one_row = SpaceTimeField(1.0, np.tile(row, (2, 1)))
             assert norms.norm_1malpha_infty0(row, 0.3) == field_holder_norm(one_row, 0.3)
         assert field_holder_norm(f, 0.3) == max(
             norms.norm_1malpha_infty0(row, 0.3) for row in f.values)
@@ -93,23 +93,23 @@ class TestNormAlpha1:
 
 class TestLambdaAlpha:
     def test_constant_vanishes(self):
-        assert lambda_alpha(constant_field(3.0), 0.3) == 0.0
+        assert lambda_alpha(constant_field(3.0).values, 0.3) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
     def test_ramp_closed_form(self, alpha):
-        val = lambda_alpha(ramp_field(), alpha)
+        val = lambda_alpha(ramp_field().values, alpha)
         exact = 1.0 / (math.gamma(1 - alpha) * math.gamma(1 + alpha))
         assert val == pytest.approx(exact, rel=1e-12)
 
     def test_ramp_at_half_is_two_over_pi(self):
-        assert lambda_alpha(ramp_field(), 0.5) == pytest.approx(2 / math.pi)
+        assert lambda_alpha(ramp_field().values, 0.5) == pytest.approx(2 / math.pi)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bounded_by_holder_norm(self, seed):
         # Lambda_a(g) <= ||g||_{1-a,inf,0} / (Gamma(1-a) Gamma(a))
         f = random_field(seed)
         a = 0.3
-        lam = lambda_alpha(f, a)
+        lam = lambda_alpha(f.values, a)
         bound = field_holder_norm(f, a) / (math.gamma(1 - a) * math.gamma(a))
         assert lam <= bound * (1 + 1e-6)
 
@@ -409,8 +409,8 @@ class TestSharedProperties:
             abs(c) * norms.norm_alpha_infty(f, 0.3), rel=1e-12, abs=1e-12)
         assert norms.norm_alpha_1(gs, 0.3) == pytest.approx(
             abs(c) * norms.norm_alpha_1(g, 0.3), rel=1e-12, abs=1e-12)
-        assert lambda_alpha(scaled, 0.3) == pytest.approx(
-            abs(c) * lambda_alpha(f, 0.3), rel=1e-12, abs=1e-12)
+        assert lambda_alpha(scaled.values, 0.3) == pytest.approx(
+            abs(c) * lambda_alpha(f.values, 0.3), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_triangle_inequality(self, seed):
@@ -425,7 +425,7 @@ class TestSharedProperties:
         vals = []
         for n in (128, 256, 512, 1024):
             x = np.linspace(0, 1, n + 1)
-            f = SpaceTimeField.constant_in_time(np.abs(x - 0.5) ** 0.7, 1, 1.0)
+            f = SpaceTimeField(1.0, np.tile(np.abs(x - 0.5) ** 0.7, (2, 1)))
             vals.append(norms.norm_alpha_infty(f, 0.3))
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert diffs[0] > diffs[1] > diffs[2]

@@ -98,7 +98,7 @@ class TestApplyF:
     def test_zero_coefficient_returns_phi(self):
         n, m = 32, 6
         phi = ramp_phi(n)
-        drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
+        drv = fbm.stub_driving_field("linear", n, 0.3)
         Y = SpaceTimeField(1.0, np.random.default_rng(0).standard_normal((m + 1, n + 1)))
         F = oracles.apply_F(Y, phi, co.zero_coefficient(), drv, 0.3)
         np.testing.assert_array_equal(F.values, np.tile(phi.values, (m + 1, 1)))
@@ -109,10 +109,10 @@ class TestApplyF:
         phi = ramp_phi(n)
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=0.5,
                                               seed=2), 0.3)
-        Y = SpaceTimeField.constant_in_time(np.zeros(n + 1), m, 0.5)
+        Y = SpaceTimeField(0.5, np.zeros((m + 1, n + 1)))
         F = oracles.apply_F(Y, phi, co.constant_coefficient(2.0), drv, 0.3)
         t = np.linspace(0, 0.5, m + 1)[:, None]
-        g = drv.field.values[0]
+        g = fbm.fbm_path(0.75, n, 2).values
         exact = phi.values[None, :] + 2.0 * t * (g - g[0])[None, :]
         np.testing.assert_allclose(F.values, exact, atol=1e-14)
 
@@ -120,25 +120,25 @@ class TestApplyF:
         # A = tanh, phi = 0: F(0) = 0, so the zero field is a fixed point
         n, m = 32, 5
         phi = GridFunction(np.zeros(n + 1))
-        drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.3)
-        Y = SpaceTimeField.constant_in_time(np.zeros(n + 1), m, 1.0)
+        drv = fbm.stub_driving_field("linear", n, 0.3)
+        Y = SpaceTimeField(1.0, np.zeros((m + 1, n + 1)))
         F = oracles.apply_F(Y, phi, co.tanh_coefficient(), drv, 0.3)
         np.testing.assert_allclose(F.values, 0.0, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
-        drv = fbm.stub_driving_field("linear", 32, 5, 1.0, 0.3)
-        Y = SpaceTimeField.constant_in_time(np.zeros(49), 5, 1.0)
+        drv = fbm.stub_driving_field("linear", 32, 0.3)
+        Y = SpaceTimeField(1.0, np.zeros((6, 49)))
         with pytest.raises(GridError):
             oracles.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
 
     def test_frozen_driver_serves_any_time_grid(self):
-        # a frozen driver built on one time grid, applied on a probe grid,
-        # gives the bits of a driver built on the probe grid itself
+        # a frozen driver from a config of another time grid, applied on a
+        # probe grid, gives the bits of the driver of its path alone
         n = 48
         path = fbm.fbm_path(0.75, n, 11)
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0,
                                               seed=11), 0.3)
-        probe = fbm.field_from_path(path, 4, 0.25, 0.3)
+        probe = fbm.field_from_path(path, 0.3)
         Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
         F = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
         F_probe = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
@@ -156,7 +156,7 @@ class TestApplyF:
 class TestSolve:
     def test_zero_coefficient_single_iteration(self):
         cfg = make_cfg(coeff=co.zero_coefficient())
-        drv = fbm.stub_driving_field("linear", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("linear", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert rep.converged
         assert all(w.iterations == 1 for w in rep.windows)
@@ -167,7 +167,7 @@ class TestSolve:
         n, m = 48, 40
         cfg = make_cfg(n=n, m=m, T=1.0, coeff=co.constant_coefficient(1.0),
                        phi=GridFunction(np.zeros(n + 1)))
-        drv = fbm.stub_driving_field("linear", n, m, 1.0, cfg.alpha)
+        drv = fbm.stub_driving_field("linear", n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         t = np.linspace(0, 1, m + 1)[:, None]
         xi = np.linspace(0, 1, n + 1)[None, :]
@@ -176,7 +176,7 @@ class TestSolve:
 
     def test_residual_invariant(self):
         cfg = make_cfg()
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert rep.converged
         assert all(w.final_residual <= cfg.picard_tol for w in rep.windows)
@@ -186,7 +186,7 @@ class TestSolve:
         # the same fixed point to within 10x the tolerance
         n, m, T = 48, 16, 0.1
         cfg = make_cfg(n=n, m=m, T=T, picard_tol=1e-11)
-        drv = fbm.stub_driving_field("quadratic", n, m, T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
 
         cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
@@ -212,7 +212,7 @@ class TestSolve:
         fields = []
         for n in (128, 256, 512):
             cfg = make_cfg(n=n, m=m, T=T)
-            drv = fbm.stub_driving_field("quadratic", n, m, T, cfg.alpha)
+            drv = fbm.stub_driving_field("quadratic", n, cfg.alpha)
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
             fields.append(rep.solution.values)
@@ -228,7 +228,7 @@ class TestSolve:
         path = fbm.fbm_path(0.75, 2048, 7).values
         solutions, lams = {}, {}
         for n in (256, 512, 1024, 2048):
-            drv = fbm.field_from_path(GridFunction(path[::2048 // n]), 8, 0.02, 0.3)
+            drv = fbm.field_from_path(GridFunction(path[::2048 // n]), 0.3)
             phi = GridFunction(0.5 * np.sin(math.pi * np.linspace(0, 1, n + 1)))
             cfg = make_cfg(n=n, m=8, T=0.02, phi=phi, coeff=co.tanh_coefficient(1.0))
             rep = solver.solve(cfg, drv, verify=False)
@@ -257,7 +257,7 @@ class TestSolve:
         errors = []
         for n in (256, 1024, 4096)[:len(recorded)]:
             g = path[::16384 // n]
-            drv = fbm.field_from_path(GridFunction(g), 40, 0.2, alpha)
+            drv = fbm.field_from_path(GridFunction(g), alpha)
             cfg = make_cfg(n=n, m=40, T=0.2, alpha=alpha, hurst=hurst,
                            phi=GridFunction(psi(g)), coeff=co.tanh_coefficient(1.0))
             rep = solver.solve(cfg, drv, verify=False)
@@ -274,7 +274,7 @@ class TestSolve:
         n, m = 32, 160
         cfg = make_cfg(n=n, m=m, T=1.0, alpha=0.25, hurst=0.8,
                        coeff=co.tanh_coefficient(0.2))
-        drv = fbm.stub_driving_field("linear", n, m, 1.0, 0.25)
+        drv = fbm.stub_driving_field("linear", n, 0.25)
         rep = solver.solve(cfg, drv, verify=False)
         assert rep.converged
         assert len(rep.windows) > 10
@@ -288,7 +288,7 @@ class TestSolve:
         n, m, T = 48, 40, 0.2
         cfg_p = make_cfg(n=n, m=m, T=T)
         cfg_a = make_cfg(n=n, m=m, T=T, window_policy="adaptive")
-        drv = fbm.stub_driving_field("quadratic", n, m, T, cfg_p.alpha)
+        drv = fbm.stub_driving_field("quadratic", n, cfg_p.alpha)
         rp = solver.solve(cfg_p, drv, verify=False)
         ra = solver.solve(cfg_a, drv, verify=False)
         assert rp.converged and ra.converged
@@ -296,7 +296,7 @@ class TestSolve:
 
     def test_nonconvergence_reported_not_silent(self):
         cfg = make_cfg(max_iterations=1, picard_tol=1e-16)
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert not rep.converged
         assert rep.failed_window == 0
@@ -327,8 +327,10 @@ class TestSolve:
 
     def test_frozen_driver_from_another_time_grid(self):
         cfg = make_cfg()
-        own = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
-        other = fbm.stub_driving_field("quadratic", cfg.n, 3, 1.0, cfg.alpha)
+        own = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=cfg.n, m=cfg.m, T=cfg.T,
+                                              seed=4), cfg.alpha)
+        other = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=cfg.n, m=3, T=1.0,
+                                                seed=4), cfg.alpha)
         r_own = solver.solve(cfg, own, verify=False)
         r_other = solver.solve(cfg, other, verify=False)
         assert np.array_equal(r_own.solution.values, r_other.solution.values)
@@ -360,12 +362,12 @@ class TestDriverOrder:
     @staticmethod
     def mismatched():
         cfg = make_cfg(n=64, m=4, T=0.01, alpha=0.35)
-        drv = fbm.stub_driving_field("sine", 64, 4, 0.01, 0.3)
+        drv = fbm.stub_driving_field("sine", 64, 0.3)
         return cfg, drv, constants_for(cfg, drv)
 
     def test_apply_F(self):
-        drv = fbm.stub_driving_field("sine", 64, 4, 1.0, 0.3)
-        Y = SpaceTimeField.constant_in_time(ramp_phi(64).values, 4, 1.0)
+        drv = fbm.stub_driving_field("sine", 64, 0.3)
+        Y = SpaceTimeField(1.0, np.tile(ramp_phi(64).values, (5, 1)))
         with pytest.raises(GridError, match="different alpha"):
             oracles.apply_F(Y, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
 
@@ -381,7 +383,7 @@ class TestDriverOrder:
 
     def test_contraction_probe(self):
         cfg, drv, cons = self.mismatched()
-        Y1 = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
+        Y1 = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
         Y2 = SpaceTimeField(0.01, 0.5 * Y1.values)
         with pytest.raises(GridError, match="different alpha"):
             solver.contraction_probe(Y1, Y2, cfg, drv, cons)
@@ -395,7 +397,7 @@ class TestDriverOrder:
 class TestConstantsFlow:
     def test_verdicts_use_the_window_zero_constants(self):
         cfg = make_cfg(n=32, m=8)
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv)
         cons = rep.constants
         assert cons == rep.windows[0].constants
@@ -437,7 +439,8 @@ def hand_rolled_ball(cfg, drv, cons, trials, seed):
     a = cfg.alpha
     t_w = cons.t1 if math.isfinite(cons.t1) else cfg.T
     rng = np.random.default_rng(seed)
-    fields = [SpaceTimeField.constant_in_time(cfg.phi.values, solver.PROBE_TIME_CELLS, t_w)]
+    fields = [SpaceTimeField(t_w, np.tile(cfg.phi.values,
+                                          (solver.PROBE_TIME_CELLS + 1, 1)))]
     for _ in range(trials - 1):
         Y = random_smooth_field(solver.PROBE_TIME_CELLS, cfg.n, t_w, rng)
         nrm = norms.norm_alpha_infty(Y, a)
@@ -472,16 +475,16 @@ def hand_rolled_contraction(cfg, drv, cons, t_w, trials, rng):
 class TestContractionProbe:
     def test_rejects_identical_fields(self):
         cfg = make_cfg()
-        drv = fbm.stub_driving_field("quadratic", cfg.n, 4, 0.01, cfg.alpha)
-        Y = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
+        Y = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
         with pytest.raises(GridError):
             solver.contraction_probe(Y, Y, cfg, drv, constants_for(cfg, drv))
 
     def test_constant_coefficient_has_zero_ratio(self):
         # F depends on Y only through A, so constant A gives numerator 0
         cfg = make_cfg(coeff=co.constant_coefficient(1.5))
-        drv = fbm.stub_driving_field("quadratic", cfg.n, 4, 0.01, cfg.alpha)
-        Y1 = SpaceTimeField.constant_in_time(cfg.phi.values, 4, 0.01)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
+        Y1 = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
         Y2 = SpaceTimeField(0.01, Y1.values + 0.3)
         probe = solver.contraction_probe(Y1, Y2, cfg, drv, constants_for(cfg, drv))
         assert probe["ratio"] == 0.0
@@ -491,7 +494,7 @@ class TestContractionProbe:
         """25 probes on random pairs scaled to 0.8 R1, written out by hand
         as the reference for ``solver.contraction_sweep``."""
         cfg = make_cfg(n=64)
-        drv = fbm.stub_driving_field("quadratic", 64, 4, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
         cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
                                         cfg.phi_norm(), horizon=cfg.T)
         t2 = min(cons.t2, cfg.T)
@@ -586,7 +589,7 @@ class TestContractionProbe:
 
     def test_ratio_scales_linearly_in_window_length(self):
         cfg = make_cfg(n=64)
-        drv = fbm.stub_driving_field("quadratic", 64, 8, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
         rng = np.random.default_rng(4)
         base = random_smooth_field(8, 64, 1.0, rng).values
         pert = random_smooth_field(8, 64, 1.0, rng).values
@@ -602,21 +605,21 @@ class TestContractionProbe:
 class TestBallInvariance:
     def test_zero_coefficient_never_leaves_ball(self):
         cfg = make_cfg(coeff=co.zero_coefficient())
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
                                            trials=20, seed=0)
         assert rep["passed"]
 
     def test_flat_extension_of_phi_stays_inside(self):
         cfg = make_cfg()
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
                                            trials=1, seed=0)
         assert rep["passed"] and rep["worst_excess"] < 0
 
     def test_random_sweep(self):
         cfg = make_cfg(n=64)
-        drv = fbm.stub_driving_field("quadratic", 64, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
         rep = solver.ball_invariance_check(cfg, drv, constants_for(cfg, drv),
                                            trials=100, seed=3)
         assert rep["passed"]
@@ -706,7 +709,7 @@ class TestStackedMaxInProbes:
 class TestGronwall:
     def test_zero_coefficient_flat_envelope(self):
         cfg = make_cfg(coeff=co.zero_coefficient())
-        drv = fbm.stub_driving_field("linear", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("linear", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         g = rep.verdicts["gronwall"]
         assert g["passed"] and g["k"] == 0.0
@@ -714,7 +717,7 @@ class TestGronwall:
     def test_constant_coefficient_closed_form_run(self):
         n, m = 48, 40
         cfg = make_cfg(n=n, m=m, T=1.0, coeff=co.constant_coefficient(0.5))
-        drv = fbm.stub_driving_field("linear", n, m, 1.0, cfg.alpha)
+        drv = fbm.stub_driving_field("linear", n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert rep.verdicts["gronwall"]["passed"]
 
@@ -737,10 +740,10 @@ class TestGronwall:
         rep = solver.solve(cfg, drv, verify=False)
         assert len(rep.windows) > 1
         # recomputing every row gives the same verdict, bit for bit
-        assert solver.gronwall_check(rep.solution, cfg, rep.constants, {}) == \
+        assert solver.gronwall_check(rep.solution, rep.constants, {}) == \
             rep.verdicts["gronwall"]
         # and a known norm is taken as given, not recomputed
-        bad = solver.gronwall_check(rep.solution, cfg, rep.constants, {3: 1e9})
+        bad = solver.gronwall_check(rep.solution, rep.constants, {3: 1e9})
         assert not bad["passed"] and bad["violations"][0]["running_norm"] == 1e9
 
     @pytest.mark.parametrize("k, phi_norm, first", [(1e4, None, 8), (1e4, 0.0, None),
@@ -751,13 +754,13 @@ class TestGronwall:
         # NaN), min_margin stays finite, and unbounded_from names the first
         # such node
         cfg = make_cfg(n=32, m=20, T=0.2)
-        drv = fbm.stub_driving_field("linear", cfg.n, cfg.m, cfg.T, cfg.alpha)
+        drv = fbm.stub_driving_field("linear", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         cons = dataclasses.replace(rep.constants, gronwall_k=k)
         if phi_norm is not None:
             cons = dataclasses.replace(cons, phi_norm=phi_norm)
         with np.errstate(over="raise", invalid="raise"):
-            g = solver.gronwall_check(rep.solution, cfg, cons, {})
+            g = solver.gronwall_check(rep.solution, cons, {})
         assert math.isfinite(g["min_margin"])
         if first is None:
             assert g["unbounded_from"] is None and not g["passed"]

@@ -173,7 +173,7 @@ class TestPathwiseBound:
                                               seed=4), 0.3)
         u = grid(lambda x: np.ones_like(x), 128)
         rep = stieltjes.pathwise_integral_bound_check(u, drv)
-        path = drv.field.values[0]
+        path = fbm.fbm_path(0.75, 128, 4).values
         assert rep.lhs >= abs(path[-1] - path[0]) - 1e-12
         assert rep.rhs == pytest.approx(drv.lambda_value / 0.7, rel=1e-9)
         assert rep.holds
@@ -199,7 +199,7 @@ class TestPathwiseBound:
         u = random_trig_grid(64, np.random.default_rng(2))
         rep = stieltjes.pathwise_integral_bound_check(u, drv)
         per_slice = [stieltjes.bound_357_check(u, GridFunction(row), 0.3)
-                     for row in drv.field.values]
+                     for row in (op.rise for op in drv.slices)]
         assert rep.lhs > 0.0
         assert rep.lhs == max(r.lhs for r in per_slice)
         assert rep.lam == drv.lambda_value == max(r.lam for r in per_slice)
@@ -212,7 +212,7 @@ class TestPathwiseBound:
         # one sweep per slice, each computing its own left derivative of u
         sups = [float(np.abs(stieltjes.stieltjes_all_upper_limits(
                     u.values, stieltjes.slice_operator(row, drv.alpha))).max())
-                for row in drv.field.values]
+                for row in (op.rise for op in drv.slices)]
         assert len(sups) == 9 and len(set(sups)) == 9
         rep = stieltjes.pathwise_integral_bound_check(u, drv)
         assert rep.lhs == max(sups)
