@@ -4,10 +4,12 @@ Subcommands: ``fbm`` (paths and law validation), ``solve`` (one run from a
 JSON config), ``verify`` (inequality suites), ``ensemble`` (seed sweeps),
 ``convergence`` (refinement studies with deterministic drivers only).
 
-Exit codes: 0 success, 1 verification/ensemble failure, 2 usage or config
-error, 3 Picard non-convergence.  All outputs are deterministic under
-fixed flags and seeds; files carry the column names and a hash of the
-generating configuration.
+A config is read once per run, by ``_read_config``; the solves of
+``verify all`` are configs too.  ``--out`` is created only once the inputs
+have passed.  Exit codes: 0 success, 1 verification/ensemble failure, 2
+usage or config error, 3 Picard non-convergence.  All outputs are
+deterministic under fixed flags and seeds; files carry the column names
+and a hash of the generating configuration.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def config_hash(obj) -> str:
 
 
 def _outdir(args) -> str:
+    """The output directory, created: call it once the inputs have passed."""
     out = args.out or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
@@ -129,8 +132,9 @@ class _Section:
             raise ConfigError(f"unknown key {self.name}{min(self.unread)}")
 
 
-def load_config(path: str) -> dict:
-    """The config in ``path``, read as a solve reads it but without a driver."""
+def load_config(path: str) -> tuple:
+    """The JSON object in ``path``, its SolverConfig and its driver builder:
+    the one read of a run's config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -138,8 +142,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a JSON object")
-    _read_config(cfg)
-    return cfg
+    return (cfg, *_read_config(cfg))
 
 
 def _load_xy_csv(path: str) -> np.ndarray:
@@ -247,9 +250,10 @@ def _read_config(cfg) -> tuple:
     return scfg, build_driver
 
 
-def _run_config(cfg: dict, verify: bool = True):
+def _run_config(cfg: dict):
+    """The unverified solve of the config ``cfg``."""
     scfg, build_driver = _read_config(cfg)
-    return solver.solve(scfg, build_driver(), verify=verify)
+    return solver.solve(scfg, build_driver(), verify=False)
 
 
 def _solution_rows(t_nodes, xi_nodes, rows):
@@ -267,7 +271,6 @@ def _solution_rows(t_nodes, xi_nodes, rows):
 def cmd_fbm(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     _check_at_least("--field-m", args.field_m, 0)
-    out = _outdir(args)
     cfg = {"hurst": args.hurst, "n": args.n, "seed": args.seed,
            "samples": args.samples, "validate": bool(args.validate),
            "field_m": args.field_m, "field_T": args.field_T}
@@ -279,6 +282,7 @@ def cmd_fbm(args) -> int:
         check_grid(args.field_m, args.n, args.field_T)
     rep = (fbm.covariance_validator(args.hurst, args.samples, args.seed, n=min(args.n, 64))
            if args.validate else None)
+    out = _outdir(args)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
               ("%.17g,%.17g\n" % xv for xv in zip(path.nodes, path.values)), chash)
     if args.field_m:
@@ -294,11 +298,9 @@ def cmd_fbm(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    out = _outdir(args)
-    cfg = load_config(args.config)
-    chash = config_hash(cfg)
-    report = _run_config(cfg)
-    sol = report.solution
+    cfg, scfg, build_driver = load_config(args.config)
+    report = solver.solve(scfg, build_driver())
+    out, chash, sol = _outdir(args), config_hash(cfg), report.solution
     write_csv(os.path.join(out, "solution.csv"), ("t", "xi", "Y"),
               _solution_rows(sol.t_nodes, sol.xi_nodes, sol.values), chash)
     write_json(os.path.join(out, "report.json"), report.to_dict(), chash)
@@ -377,8 +379,7 @@ def _suite_bounds(seed: int) -> list:
     checks.append({"suite": "bounds", "name": "bound_357:100-seed-sweep",
                    "passed": ok, "worst_margin": worst,
                    "details": {"hurst": 0.75, "alpha": 0.3, "n": n}})
-    drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=1, T=1.0,
-                                          seed=seed), 0.3)
+    drv = fbm.field_from_path(fbm.fbm_path(0.75, n, seed), 0.3)
     r = stieltjes.pathwise_integral_bound_check(
         GridFunction(np.ones(n + 1)), drv)
     checks.append({"suite": "bounds", "name": "pathwise:u=1",
@@ -388,12 +389,12 @@ def _suite_bounds(seed: int) -> list:
 
 
 def _probe_config(n: int):
-    x = np.linspace(0.0, 1.0, n + 1)
-    phi = GridFunction(x)
-    cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
-                              coeff=coefficient_from_kind("tanh", scale=0.5))
-    drv = fbm.stub_driving_field("quadratic", n, 0.3)
-    return cfg, drv
+    """The solver config and driver of ``verify contraction`` on n cells."""
+    cfg, build_driver = _read_config({
+        "alpha": 0.3, "hurst": 0.75, "grid": {"m": 4, "n": n, "T": 0.2},
+        "phi": {"kind": "ramp"}, "A": {"kind": "tanh", "params": {"scale": 0.5}},
+        "driver": {"model": "stub", "kind": "quadratic"}})
+    return cfg, build_driver()
 
 
 def _suite_contraction(seed: int) -> list:
@@ -414,28 +415,21 @@ def _suite_contraction(seed: int) -> list:
 
 
 def _suite_gronwall(seed: int) -> list:
+    stub = {"alpha": 0.25, "hurst": 0.8, "grid": {"m": 120, "n": 64, "T": 0.6},
+            "A": {"kind": "tanh", "params": {"scale": 0.3}},
+            "driver": {"model": "stub", "kind": "linear"}}
+    frozen = {"alpha": 0.3, "hurst": 0.75, "grid": {"m": 80, "n": 64, "T": 0.08},
+              "A": {"kind": "tanh", "params": {"scale": 0.5}}}
+    runs = [("stub-driver", stub)] + [
+        (f"fbm-seed-{s}", dict(frozen, driver={"model": "frozen", "seed": [seed, s]}))
+        for s in range(5)]
     checks = []
-    n, m = 64, 120
-    x = np.linspace(0.0, 1.0, n + 1)
-    phi = GridFunction(x)
-    cfg = solver.SolverConfig(alpha=0.25, hurst=0.8, m=m, T=0.6, phi=phi,
-                              coeff=coefficient_from_kind("tanh", scale=0.3))
-    drv = fbm.stub_driving_field("linear", n, 0.25)
-    rep = solver.solve(cfg, drv, verify=False)
-    g = rep.verdicts["gronwall"]
-    checks.append({"suite": "gronwall", "name": "stub-driver", "passed":
-                   rep.converged and g["passed"], "worst_margin": g["min_margin"],
-                   "details": g})
-    for s in range(5):
-        cfgf = fbm.FbmConfig(hurst=0.75, n=n, m=80, T=0.08, seed=seed, stream=(s,))
-        drvf = fbm.driving_field(cfgf, 0.3)
-        cfg2 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=80, T=0.08,
-                                   phi=phi, coeff=coefficient_from_kind("tanh", scale=0.5))
-        rep2 = solver.solve(cfg2, drvf, verify=False)
-        g2 = rep2.verdicts["gronwall"]
-        checks.append({"suite": "gronwall", "name": f"fbm-seed-{s}",
-                       "passed": rep2.converged and g2["passed"],
-                       "worst_margin": g2["min_margin"], "details": g2})
+    for name, cfg in runs:
+        rep = _run_config(dict(cfg, phi={"kind": "ramp"}))
+        g = rep.verdicts["gronwall"]
+        checks.append({"suite": "gronwall", "name": name,
+                       "passed": rep.converged and g["passed"],
+                       "worst_margin": g["min_margin"], "details": g})
     return checks
 
 
@@ -475,12 +469,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _ensemble_run(cfg: dict, base_seed: int, k: int):
-    run_cfg = dict(cfg, driver=dict(cfg["driver"], seed=[base_seed, k]))
+def _ensemble_run(scfg: solver.SolverConfig, driver: dict, base_seed: int, k: int):
+    """Member k: the solve of ``scfg`` on the driver section ``driver`` with
+    seed [base_seed, k]."""
+    member = _Section(dict(driver, seed=[base_seed, k]), "driver.")
     try:
         # numpy keeps its error state per thread: this worker sets main's
         with np.errstate(over="raise"):
-            report = _run_config(run_cfg, verify=False)
+            report = solver.solve(scfg, _driver_from_config(member, scfg)(), verify=False)
     except (GridError, ConfigError) as exc:
         return {"seed": k, "ok": False, "error": str(exc)}
     g = report.verdicts["gronwall"]
@@ -499,15 +495,15 @@ def _ensemble_run(cfg: dict, base_seed: int, k: int):
 def cmd_ensemble(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     _check_at_least("--count", args.count, 1)
-    out = _outdir(args)
-    cfg = load_config(args.config)
+    cfg, scfg, _ = load_config(args.config)
     if cfg["driver"]["model"] == "stub":
         raise ConfigError("ensembles need a stochastic driver")
     chash = config_hash({"config": cfg, "count": args.count, "seed": args.seed})
     import concurrent.futures   # here: its import (logging) costs every other command
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as ex:
-        rows = list(ex.map(lambda k: _ensemble_run(cfg, args.seed, k),
+        rows = list(ex.map(lambda k: _ensemble_run(scfg, cfg["driver"], args.seed, k),
                            range(args.count)))
+    out = _outdir(args)
     write_csv(os.path.join(out, "ensemble_summary.csv"),
               ("seed", "lambda_alpha", "sup_norm", "iterations",
                "gronwall_margin", "converged"),
@@ -539,8 +535,7 @@ def _agg(values) -> dict:
 
 
 def cmd_convergence(args) -> int:
-    out = _outdir(args)
-    cfg = load_config(args.config)
+    cfg = load_config(args.config)[0]
     if cfg["driver"]["model"] != "stub":
         raise ConfigError(
             "convergence studies need a deterministic stub driver: an FBM "
@@ -563,7 +558,7 @@ def cmd_convergence(args) -> int:
     solutions = {}
     for n in res:
         run_cfg = dict(cfg, grid=dict(cfg["grid"], n=n))
-        report = _run_config(run_cfg, verify=False)
+        report = _run_config(run_cfg)
         if not report.converged:
             return EXIT_NO_CONVERGENCE
         solutions[n] = report.solution.values
@@ -575,7 +570,7 @@ def cmd_convergence(args) -> int:
     # errors at machine-epsilon scale count as converged
     sig = [e for e in errors if e > 1e-12]
     monotone = all(b <= a * 1.1 for a, b in zip(sig, sig[1:]))
-    write_csv(os.path.join(out, "convergence.csv"), ("n", "sup_error"),
+    write_csv(os.path.join(_outdir(args), "convergence.csv"), ("n", "sup_error"),
               ("%d,%.17g\n" % ne for ne in zip(res[:-1], errors)), chash)
     return EXIT_OK if monotone else EXIT_CHECK_FAILED
 

@@ -518,6 +518,52 @@ class TestReproducibility:
         assert (tmp_path / "envout/fbm_path.csv").exists()
 
 
+class TestOneRead:
+    """A run reads its config once, through ``_read_config``, and makes
+    ``--out`` only once its inputs have passed."""
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "{cfg}"),
+        ("ensemble", "{stub}", "--count", "2", "--seed", "1"),
+        ("convergence", "{stub}", "--resolutions", "16,16"),
+        ("fbm", "--hurst", "1.5", "--n", "8", "--seed", "1"),
+    ], ids=["solve", "ensemble", "convergence", "fbm"])
+    def test_refused_input_makes_no_outdir(self, tmp_path, capsys, command):
+        (tmp_path / "cfg.json").write_text(json.dumps({"grid": {"m": 4}}))
+        write_config(tmp_path / "stub.json")
+        argv = [a.format(cfg=tmp_path / "cfg.json", stub=tmp_path / "stub.json")
+                for a in command]
+        assert cli.main(["--out", str(tmp_path / "out"), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """Calls of ``_read_config``, and the paths that ``cli`` opens."""
+        reads, opened = [], []
+        read = cli._read_config
+        monkeypatch.setattr(cli, "_read_config", lambda cfg: reads.append(cfg) or read(cfg))
+        monkeypatch.setattr(cli, "open", lambda path, *a, **kw: opened.append(str(path))
+                            or open(path, *a, **kw), raising=False)
+        return reads, opened
+
+    def test_solve_reads_config_and_phi_file_once(self, tmp_path, monkeypatch):
+        csv = tmp_path / "phi.csv"
+        csv.write_text("x,y\n0,0\n1,0.5\n")
+        write_config(tmp_path / "cfg.json", phi={"kind": "file", "params": {"path": str(csv)}})
+        reads, opened = self.count_reads(monkeypatch)
+        assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 0
+        assert len(reads) == 1
+        assert opened.count(str(csv)) == 1 and opened.count(str(tmp_path / "cfg.json")) == 1
+
+    def test_ensemble_reads_config_once(self, tmp_path, monkeypatch):
+        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5})
+        reads, opened = self.count_reads(monkeypatch)
+        assert cli.main(["--out", str(tmp_path), "ensemble", str(tmp_path / "cfg.json"),
+                         "--count", "3", "--seed", "7"]) == 0
+        assert len(reads) == 1 and opened.count(str(tmp_path / "cfg.json")) == 1
+
+
 class TestCsvWriter:
     @staticmethod
     def cell_by_cell(path, columns, rows, chash):
@@ -553,8 +599,7 @@ class TestCsvWriter:
                            driver={"model": "stub", "kind": "sine"})
         assert cli.main(["--out", str(tmp_path), "convergence", str(tmp_path / "cfg.json"),
                          "--resolutions", "32,64,128"]) == 0
-        sol = {n: cli._run_config(dict(cfg, grid=dict(cfg["grid"], n=n)),
-                                  verify=False).solution.values
+        sol = {n: cli._run_config(dict(cfg, grid=dict(cfg["grid"], n=n))).solution.values
                for n in (32, 64, 128)}
         rows = [(n, float(np.abs(sol[n] - sol[128][:, ::128 // n]).max()))
                 for n in (32, 64)]
@@ -568,7 +613,8 @@ class TestCsvWriter:
         rc = cli.main(["--out", str(tmp_path), "ensemble", str(tmp_path / "cfg.json"),
                        "--count", "3", "--seed", "7"])
         assert rc == (0 if max_iter > 1 else 1)
-        members = [cli._ensemble_run(cfg, 7, k) for k in range(3)]
+        _, scfg, _ = cli.load_config(str(tmp_path / "cfg.json"))
+        members = [cli._ensemble_run(scfg, cfg["driver"], 7, k) for k in range(3)]
         assert all(r["ok"] == (max_iter > 1) for r in members)
         rows = [(r["seed"], r["lambda_alpha"], r["sup_norm"], r["iterations"],
                  r["gronwall_margin"], 1) if r["ok"]

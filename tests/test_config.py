@@ -404,7 +404,7 @@ def test_readme_config_loads_and_solves_without_jsonschema(tmp_path):
     cfg = readme_config()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert cli.load_config(str(path)) == cfg
+    assert cli.load_config(str(path))[0] == cfg
     script = ("import sys\n"
               "from fracpath import cli\n"
               f"rc = cli.main(['--out', {str(tmp_path)!r}, 'solve', {str(path)!r}])\n"
