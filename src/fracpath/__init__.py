@@ -43,14 +43,16 @@ from .coefficients import (
     zero_coefficient,
 )
 from .solver import (
-    ProofConstants,
+    RunConstants,
     SolverConfig,
     SolverReport,
+    WindowConstants,
     ball_invariance_check,
     compute_constants,
     contraction_probe,
     gronwall_check,
     quadruple_inequality_check,
+    run_constants,
     solve,
 )
 
@@ -68,8 +70,8 @@ __all__ = [
     "CoefficientFunction", "coefficient_from_kind", "constant_coefficient",
     "gaussian_bump", "smoothed_biot_savart", "tanh_coefficient",
     "zero_coefficient",
-    "ProofConstants", "SolverConfig", "SolverReport",
+    "RunConstants", "SolverConfig", "SolverReport", "WindowConstants",
     "ball_invariance_check", "compute_constants",
     "contraction_probe", "gronwall_check", "quadruple_inequality_check",
-    "solve",
+    "run_constants", "solve",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -270,26 +269,17 @@ def _solution_rows(t_nodes, xi_nodes, rows):
 
 def cmd_fbm(args) -> int:
     _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--field-m", args.field_m, 0)
     cfg = {"hurst": args.hurst, "n": args.n, "seed": args.seed,
-           "samples": args.samples, "validate": bool(args.validate),
-           "field_m": args.field_m, "field_T": args.field_T}
+           "samples": args.samples, "validate": bool(args.validate)}
     chash = config_hash(cfg)
     path = fbm.fbm_path(args.hurst, args.n, args.seed)
-    # the field's grid and the validator's sample count are checked, and the
-    # validator run, before the first file is written
-    if args.field_m:
-        check_grid(args.field_m, args.n, args.field_T)
+    # the validator's sample count is checked, and the validator run, before
+    # the first file is written
     rep = (fbm.covariance_validator(args.hurst, args.samples, args.seed, n=min(args.n, 64))
            if args.validate else None)
     out = _outdir(args)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
               ("%.17g,%.17g\n" % xv for xv in zip(path.nodes, path.values)), chash)
-    if args.field_m:
-        # the frozen field is the one path at every time node, streamed, not tiled
-        write_csv(os.path.join(out, "fbm_field.csv"), ("t", "xi", "g"),
-                  _solution_rows(np.linspace(0.0, args.field_T, args.field_m + 1),
-                                 path.nodes, itertools.repeat(path.values)), chash)
     if rep is not None:
         write_json(os.path.join(out, "fbm_validation.json"), _fields(rep), chash)
         if not rep.passed:
@@ -399,8 +389,8 @@ def _probe_config(n: int):
 
 def _suite_contraction(seed: int) -> list:
     cfg, drv = _probe_config(96)
-    cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                    cfg.phi_norm(), horizon=cfg.T)
+    run = solver.run_constants(cfg.alpha, cfg.coeff, drv.lambda_value)
+    cons = solver.compute_constants(run, cfg.coeff, cfg.phi_norm(), horizon=cfg.T)
     t2 = min(cons.t2, cfg.T)
     sweep = solver.contraction_sweep(cfg, drv, cons, t2, 60,
                                      np.random.default_rng(seed))
@@ -587,9 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--seed", type=int, required=True)
     pf.add_argument("--samples", type=int, default=10 ** 4)
     pf.add_argument("--validate", action="store_true")
-    pf.add_argument("--field-m", type=int, default=0,
-                    help="also write the frozen field CSV with this many time cells")
-    pf.add_argument("--field-T", type=float, default=1.0)
     pf.set_defaults(fn=cmd_fbm)
 
     ps = sub.add_parser("solve", help="run one solve from a JSON config")

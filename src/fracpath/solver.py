@@ -15,19 +15,19 @@ the last, carrying one pruning floor across them
 (``norms.max_slice_norm``).
 
 Local existence windows are sized from the explicitly computed proof
-constants (b1..b5, R1, T1, T2, T0), computed once per window; continuation
-re-anchors the initial slice and refreshes them window by window, and the
-window-0 set is the report's global ``constants``, which the Gronwall
-envelope and the probes take as an argument.  Every inequality the
-analysis asserts is re-checked numerically and reported.  Every entry
-point checks that the driver was prepared for its order alpha; a
-time-constant driver serves any time grid over its spatial grid, so the
-probes apply the solve's own driver to their short probe windows, and a
-sheet serves only its own grid.  The probes apply F through the same
-window sweep, to all their trials as one field stack.  ``contraction_sweep``
-is the one loop of random contraction probes, for the solve's spot check
-and ``verify contraction``; it hands each probe the norms of its scaled
-fields.
+constants: the run set (alpha, Lambda_alpha, M1, M2, b1..b3, K) once per
+solve, and the window set (R1, M_N(R1), b4, b5, T1, T2, T0) once per
+window from the norm of its start slice, which continuation re-anchors.
+The Gronwall envelope reads the run set and window 0's ||phi||, the
+probes window 0's set.  Every inequality the analysis asserts is
+re-checked numerically and reported.  Every entry point checks that the
+driver was prepared for its order alpha; a time-constant driver serves
+any time grid over its spatial grid, so the probes apply the solve's own
+driver to their short probe windows, and a sheet serves only its own
+grid.  The probes apply F through the same window sweep, to all their
+trials as one field stack.  ``contraction_sweep`` is the one loop of
+random contraction probes, for the solve's spot check and ``verify
+contraction``; it hands each probe the norms of its scaled fields.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
 and the report adopts it); the driver, one operator per distinct slice
@@ -60,9 +60,11 @@ from .stieltjes import SliceOperator, stieltjes_all_upper_limits
 
 __all__ = [
     "SolverConfig",
-    "ProofConstants",
+    "RunConstants",
+    "WindowConstants",
     "WindowRecord",
     "SolverReport",
+    "run_constants",
     "compute_constants",
     "solve",
     "contraction_probe",
@@ -123,74 +125,83 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class ProofConstants:
-    """All constants the existence proof manufactures, computed numerically.
-
-    b5 carries the full contraction prefactor including the realized
-    sup Lambda_alpha(g) and b3 = max(1, b1); since b1 = B(2 alpha, 1 - alpha)
-    exceeds 1 on (0, 1/2), b3 = b1.  K is the Gronwall exponent (identical
-    to b2 by construction).
-    """
+class RunConstants:
+    """The proof constants that do not depend on the initial slice, once
+    per solve: alpha, the realized sup Lambda_alpha(g), M1, M2, b1..b3 (b3 =
+    max(1, b1) = b1, as b1 = B(2 alpha, 1 - alpha) > 1 on (0, 1/2)), the
+    Gronwall exponent K (b2 by construction) and the level b5 T2."""
 
     alpha: float
     lam: float
     m1: float
     m2: float
-    mn_r1: float
-    phi_norm: float
-    r1: float
     b1: float
     b2: float
     b3: float
+    gronwall_k: float
+    contraction_target: float
+
+
+@dataclass(frozen=True)
+class WindowConstants:
+    """The constants of one window, from the norm of its start slice:
+    R1, M_N(R1), b4, b5 (the full contraction prefactor, with Lambda_alpha
+    and b3) and the window lengths T1, T2, T0."""
+
+    phi_norm: float
+    r1: float
+    mn_r1: float
     b4: float
     b5: float
     t1: float
     t2: float
     t0: float
-    gronwall_k: float
-    contraction_target: float
 
 
-def compute_constants(alpha: float, coeff: CoefficientFunction, lam: float,
-                      phi_norm: float, horizon: float = math.inf) -> ProofConstants:
-    """Evaluate b1..b5, the window lengths T1, T2, T0 and the Gronwall rate.
+def run_constants(alpha: float, coeff: CoefficientFunction, lam: float) -> RunConstants:
+    """Evaluate M1, M2, b1..b3 and the Gronwall rate for the order alpha in
+    (0, 1/2) and the driver's Lambda_alpha ``lam``."""
+    a = float(alpha)
+    if not 0.0 < a < 0.5:
+        raise GridError(f"constants need alpha in (0, 1/2), got {a}")
+    m1, m2 = coeff.lipschitz, coeff.bound
+    b1 = beta_b1(a)
+    b2 = (m2 * (1.0 / (1.0 - a) + b1 / (1.0 - 2.0 * a))
+          + m1 * (1.0 + 1.0 / (a * (1.0 - a)))) * lam
+    return RunConstants(a, lam, m1, m2, b1, b2, max(1.0, b1), b2, CONTRACTION_TARGET)
+
+
+def compute_constants(run: RunConstants, coeff: CoefficientFunction,
+                      phi_norm: float, horizon: float = math.inf) -> WindowConstants:
+    """Evaluate R1, M_N(R1), b4, b5 and the window lengths T1, T2, T0 of a
+    window whose start slice has the norm ``phi_norm``.
 
     T1 makes the ball of radius R1 = 2 max(1, ||phi||) invariant (a
     non-finite ||phi|| is refused); T2 scales the contraction factor to
-    ``CONTRACTION_TARGET`` < 1.  Degenerate coefficients
+    ``run.contraction_target`` < 1.  Degenerate coefficients
     (A identically 0) make both windows unbounded, in which case the
     configured horizon is returned.  A constant past float64 (M1, M2,
     M_N(R1), b2, b4 or b5) raises OverflowError naming the coefficient.
     """
-    a = float(alpha)
-    if not 0.0 < a < 0.5:
-        raise GridError(f"constants need alpha in (0, 1/2), got {a}")
     if not math.isfinite(phi_norm):
         raise GridError(f"constants need a finite ||phi||, got {phi_norm}")
+    a = run.alpha
     r1 = 2.0 * max(1.0, phi_norm)
-    m1, m2 = coeff.lipschitz, coeff.bound
-    b1 = beta_b1(a)
-    b3 = max(1.0, b1)
-    bracket = m2 * (1.0 / (1.0 - a) + b1 / (1.0 - 2.0 * a)) \
-        + m1 * (1.0 + 1.0 / (a * (1.0 - a)))
-    b2 = bracket * lam
     mn = float(coeff.deriv_lipschitz(r1))
-    b4 = (m1 + mn) * (1.0 + 2.0 * r1)
+    b4 = (run.m1 + mn) * (1.0 + 2.0 * r1)
     rho = (2.0 - 3.0 * a) / ((1.0 - 2.0 * a) * (1.0 - a))
-    b5 = lam * b3 * b4 * rho
-    for name, value in (("M1", m1), ("M2", m2), ("M_N(R1)", mn), ("b2", b2),
+    b5 = run.lam * run.b3 * b4 * rho
+    for name, value in (("M1", run.m1), ("M2", run.m2), ("M_N(R1)", mn), ("b2", run.b2),
                         ("b4", b4), ("b5", b5)):
         if not math.isfinite(value):
             raise OverflowError(f"coefficient {coeff.name} gives the proof constant "
                                 f"{name} = {value} at R1 = {r1:g}")
-    t1 = (r1 - phi_norm) / (b2 * (1.0 + r1)) if b2 > 0 else horizon
-    t2 = CONTRACTION_TARGET / b5 if b5 > 0 else horizon
+    t1 = (r1 - phi_norm) / (run.b2 * (1.0 + r1)) if run.b2 > 0 else horizon
+    t2 = run.contraction_target / b5 if b5 > 0 else horizon
     t0 = min(t1, t2)
     if not math.isfinite(t0):
         t0 = horizon
-    return ProofConstants(a, lam, m1, m2, mn, phi_norm, r1,
-                          b1, b2, b3, b4, b5, t1, t2, t0, b2,
-                          CONTRACTION_TARGET)
+    return WindowConstants(phi_norm, r1, mn, b4, b5, t1, t2, t0)
 
 
 def _inner_integrals(y_rows: np.ndarray, coeff: CoefficientFunction,
@@ -294,10 +305,12 @@ def _window_norm(F: np.ndarray, Y: np.ndarray, alpha: float) -> float:
 class WindowRecord:
     """One Picard window of a solve, an entry of ``windows`` in report.json:
     its time span [t_start, t_end] of ``cells`` time cells, the iterations
-    run and whether the residual reached the tolerance, the residual (the
-    max slice norm of the change of an iterate) after each iteration, the
-    largest ratio of successive residuals, whether the window fits the
-    proof's T0 (``guarantee_ok``), and the constants that sized it."""
+    run and whether the residual reached the tolerance, the residual r_k
+    (the max slice norm of the change of an iterate) after each iteration
+    k = 0, 1, ..., whether the window fits the proof's T0
+    (``guarantee_ok``), and the window constants that sized it.
+    ``contraction_ratio`` is the largest r_k / r_(k-1) over k >= 2 with
+    r_(k-1) > 1e-14 (r_1 / r_0 is left out), or 0.0 if there is none."""
 
     index: int
     t_start: float
@@ -309,21 +322,21 @@ class WindowRecord:
     residual_history: list
     contraction_ratio: float
     guarantee_ok: bool
-    constants: ProofConstants
+    constants: WindowConstants
 
 
 @dataclass
 class SolverReport:
     """The outcome of ``solve``: the solution field (solution.csv) and, in
     report.json, whether every window converged and the first that did not,
-    the driver's Lambda_alpha, the constants of window 0 (the global set),
-    the window records, and the verdicts of the proof's checks, each with
-    its ``passed``."""
+    the driver's Lambda_alpha, the run constants, the window records (each
+    with its window constants), and the verdicts of the proof's checks,
+    each with its ``passed``."""
 
     solution: SpaceTimeField
     converged: bool
     windows: list
-    constants: ProofConstants
+    constants: RunConstants
     lambda_alpha: float
     verdicts: dict
     failed_window: int | None = None
@@ -360,6 +373,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     _check_driver(driver, a, cfg.m, cfg.n, cfg.T)
     m, dt = cfg.m, cfg.dt
     lam = driver.lambda_value
+    run = run_constants(a, cfg.coeff, lam)
     phi0 = cfg.phi.values
     Y = np.tile(phi0, (m + 1, 1))
     windows: list[WindowRecord] = []
@@ -372,7 +386,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     while j0 < m:
         pn = norms.slice_norm_alpha_infty(phi_w, a)
         start_norms[j0] = pn
-        cons = compute_constants(a, cfg.coeff, lam, pn, horizon=cfg.T)
+        cons = compute_constants(run, cfg.coeff, pn, horizon=cfg.T)
         # capped at m, so that a T0 far past the horizon cannot overflow int
         paper_cells = max(1, int(min(cons.t0 / dt + 1e-12, m)))
         if cfg.window_policy == "adaptive" and adaptive_cells is not None:
@@ -425,8 +439,8 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
 
     # nothing else holds Y, so the solution takes it over instead of a copy
     solution = SpaceTimeField._adopt(cfg.T if converged else windows[-1].t_end, Y)
-    # window 0 starts from phi itself, so its constants are the global set
-    constants = windows[0].constants
+    # window 0 starts from phi itself: the probes check its constants
+    start = windows[0].constants
     verdicts = {
         "fixed_point_residual": {
             "max_final_residual": max(w.final_residual for w in windows),
@@ -434,19 +448,16 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
             "passed": converged,
         },
     }
-    gr = gronwall_check(solution, constants, start_norms)
-    verdicts["gronwall"] = gr
+    verdicts["gronwall"] = gronwall_check(solution, run, start.phi_norm, start_norms)
     if verify and converged:
-        verdicts.update(_spot_verdicts(cfg, driver, constants))
-    return SolverReport(solution, converged, windows, constants,
-                        lam, verdicts, failed_window)
+        verdicts.update(_spot_verdicts(cfg, driver, start))
+    return SolverReport(solution, converged, windows, run, lam, verdicts, failed_window)
 
 
-def gronwall_check(sol: SpaceTimeField, constants: ProofConstants,
+def gronwall_check(sol: SpaceTimeField, run: RunConstants, phi_norm: float,
                    known_norms: dict) -> dict:
     """Envelope ||phi|| exp(K t) against the running slice norm at every
-    node, with ||phi||, K and the order alpha of the norms read from
-    ``constants``.
+    node, with K and the order alpha of the norms read from ``run``.
 
     ``known_norms`` maps rows of ``sol`` to slice norms already taken (the
     window starts of ``solve``); the other rows are computed in stacked
@@ -457,9 +468,7 @@ def gronwall_check(sol: SpaceTimeField, constants: ProofConstants,
     +inf, 0 while ||phi|| = 0, and bounds nothing; ``unbounded_from`` is
     the first such t, or None.
     """
-    a = constants.alpha
-    phi_norm = constants.phi_norm
-    k = constants.gronwall_k
+    a, k = run.alpha, run.gronwall_k
     t = sol.t_nodes
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.exp(k * t)
@@ -489,7 +498,7 @@ def gronwall_check(sol: SpaceTimeField, constants: ProofConstants,
 
 
 def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
-                      driver: DrivingField, constants: ProofConstants, *,
+                      driver: DrivingField, constants: WindowConstants, *,
                       field_norms: tuple | None = None) -> dict:
     """Measured Lipschitz ratio of F on a field pair against the b5*T ceiling.
 
@@ -519,7 +528,7 @@ def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
 
 
 def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
-                      constants: ProofConstants, t_w: float, trials: int,
+                      constants: WindowConstants, t_w: float, trials: int,
                       rng: np.random.Generator) -> dict:
     """``trials`` contraction probes on random field pairs of length t_w,
     each field scaled to 0.8 R1, summarized as one verdict."""
@@ -543,7 +552,7 @@ def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
 
 
 def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
-                          constants: ProofConstants, trials: int = 100,
+                          constants: WindowConstants, trials: int = 100,
                           seed: int = 0) -> dict:
     """Sample fields with norm <= R1 and verify ||F(Y)|| <= R1 on [0, T1].
 
@@ -589,7 +598,7 @@ def quadruple_inequality_check(coeff: CoefficientFunction, radius: float,
 
 
 def _spot_verdicts(cfg: SolverConfig, driver: DrivingField,
-                   constants: ProofConstants) -> dict:
+                   constants: WindowConstants) -> dict:
     if not driver.time_constant:
         return {}
     trials, seed = VERIFICATION_TRIALS, VERIFICATION_SEED

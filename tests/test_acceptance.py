@@ -143,22 +143,23 @@ def test_criterion_5_ball_invariance_and_contraction():
     import mpmath
 
     # the constant calculator against an independent Beta/Gamma evaluation
-    c = solver.compute_constants(0.25, co.tanh_coefficient(1.0), lam=1.0,
-                                 phi_norm=1.0)
+    run = solver.run_constants(0.25, co.tanh_coefficient(1.0), lam=1.0)
+    c = solver.compute_constants(run, co.tanh_coefficient(1.0), phi_norm=1.0)
     b1_ref = float(mpmath.beta(0.5, 0.75))
     b2_ref = (1 / 0.75 + b1_ref / 0.5) + (1 + 1 / (0.25 * 0.75))
     t1_ref = 1.0 / (3.0 * b2_ref)
-    four_figs = (abs(c.b1 - b1_ref) / b1_ref < 5e-5
+    four_figs = (abs(run.b1 - b1_ref) / b1_ref < 5e-5
                  and abs(c.t1 - t1_ref) / t1_ref < 5e-5
-                 and abs(c.b1 - 2.396) < 5e-4 and abs(c.t1 - 0.0268) < 5e-5)
+                 and abs(run.b1 - 2.396) < 5e-4 and abs(c.t1 - 0.0268) < 5e-5)
 
     n = 96
     phi = GridFunction(np.linspace(0, 1, n + 1))
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=4, T=0.2, phi=phi,
                               coeff=co.tanh_coefficient(0.5))
     drv = fbm.stub_driving_field("quadratic", n, 0.3)
-    cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                    cfg.phi_norm(), horizon=cfg.T)
+    cons = solver.compute_constants(
+        solver.run_constants(cfg.alpha, cfg.coeff, drv.lambda_value), cfg.coeff,
+        cfg.phi_norm(), horizon=cfg.T)
     ball = solver.ball_invariance_check(cfg, drv, cons, trials=100, seed=55)
 
     t2 = min(cons.t2, cfg.T)
@@ -176,7 +177,7 @@ def test_criterion_5_ball_invariance_and_contraction():
         contraction_ok = contraction_ok and p["ratio"] <= p["ceiling"] * 1.1
     report("criterion 5 (ball invariance and contraction)",
            four_figs and ball["passed"] and contraction_ok,
-           f"constants to 4 sig figs (b1={c.b1:.6f}, T1={c.t1:.6f}); "
+           f"constants to 4 sig figs (b1={run.b1:.6f}, T1={c.t1:.6f}); "
            f"100 ball probes worst excess {ball['worst_excess']:.3f} (<=0); "
            f"100 contraction probes max ratio {max_ratio:.4f} "
            f"vs ceiling {cons.b5 * t2:.3f}")
@@ -245,8 +246,7 @@ def test_criterion_6_solver_correctness():
                                coeff=co.tanh_coefficient(0.5), picard_tol=tol)
     drv3 = fbm.stub_driving_field("quadratic", 48, 0.3)
     rep3 = solver.solve(cfg3, drv3, verify=False)
-    cons = solver.compute_constants(cfg3.alpha, cfg3.coeff, drv3.lambda_value,
-                                    cfg3.phi_norm(), horizon=cfg3.T)
+    cons = rep3.windows[0].constants
     rng = np.random.default_rng(77)
     bump = random_smooth_field(16, 48, 0.1, rng)
     scale = 0.2 * cons.r1 / max(norms.norm_alpha_infty(bump, cfg3.alpha), 1e-9)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from fracpath import cli, fbm
 
 VERIFY_REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench/reference/verify-all.json"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -60,36 +63,6 @@ class TestFbmCommand:
         assert len(rows) == 1025
         assert float(rows[0][1]) == 0.0
 
-    def test_field_export(self, tmp_path):
-        r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.75",
-                    "--n", "32", "--seed", "2", "--field-m", "3",
-                    "--field-T", "0.5")
-        assert r.returncode == 0
-        header, rows = read_csv(tmp_path / "fbm_field.csv")
-        assert header == ["t", "xi", "g"]
-        assert len(rows) == 4 * 33
-        # frozen field: every time slice repeats the path
-        vals = np.array([float(row[2]) for row in rows]).reshape(4, 33)
-        for j in range(1, 4):
-            np.testing.assert_array_equal(vals[j], vals[0])
-
-    def test_field_streams_the_one_path(self, tmp_path):
-        # the frozen field is written from the one path at every time node:
-        # m = 1000 takes no more traced memory than m = 1, where a tiled
-        # field of n = 1024 would hold 8.2 MB
-        def traced_peak(m):
-            tracemalloc.start()
-            try:
-                assert cli.main(["--out", str(tmp_path), "fbm", "--hurst", "0.75",
-                                 "--n", "1024", "--seed", "7", "--field-m", str(m)]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        traced_peak(1)   # fill the caches
-        peaks = {m: traced_peak(m) for m in (1, 1000)}
-        assert (tmp_path / "fbm_field.csv").stat().st_size > 1001 * 1025 * 30
-        assert peaks[1000] - peaks[1] <= 256 * 2 ** 10, peaks
-
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):
             r = run_cli("--out", str(tmp_path / sub), "fbm", "--hurst", "0.6",
@@ -126,15 +99,8 @@ class TestFbmCommand:
                     "--n", "64", "--seed", "-1")
         assert_usage_error(r)
 
-    def test_negative_field_m_exit_2(self, tmp_path):
-        r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.75",
-                    "--n", "64", "--seed", "1", "--field-m", "-2")
-        assert_usage_error(r)
-
-    @pytest.mark.parametrize("flags", [
-        ["--field-m", "2", "--field-T", "0"],
-        ["--field-m", "2", "--validate", "--samples", "999"],
-    ], ids=["field-T-0", "samples-999"])
+    @pytest.mark.parametrize("flags", [["--validate", "--samples", "999"]],
+                             ids=["samples-999"])
     def test_bad_flag_writes_nothing(self, tmp_path, flags):
         # the flags are checked before the path is written
         r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.7", "--n", "8",
@@ -176,23 +142,29 @@ class TestSolveCommand:
         assert r.returncode == 0
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["converged"]
-        for key in ("b1", "b2", "b3", "b4", "b5", "t1", "t2", "t0", "gronwall_k"):
+        for key in ("b1", "b2", "b3", "gronwall_k"):
             assert key in rep["constants"]
+        for key in ("b4", "b5", "t1", "t2", "t0"):
+            assert key in rep["windows"][0]["constants"]
         assert rep["verdicts"]["gronwall"]["passed"]
         assert rep["windows"]
 
     def test_report_records_are_their_fields(self, tmp_path):
         from dataclasses import fields
-        from fracpath.solver import ProofConstants, WindowRecord
+        from fracpath.solver import RunConstants, WindowConstants, WindowRecord
         write_config(tmp_path / "cfg.json")
         assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 0
         rep = json.loads((tmp_path / "report.json").read_text())
         window_keys = {f.name for f in fields(WindowRecord)}
-        constant_keys = {f.name for f in fields(ProofConstants)}
-        assert set(rep["constants"]) == constant_keys
+        run_keys = {f.name for f in fields(RunConstants)}
+        window_constant_keys = {f.name for f in fields(WindowConstants)}
+        # each constant is written once: the run set at the top, the window
+        # set in each window
+        assert not run_keys & window_constant_keys
+        assert set(rep["constants"]) == run_keys
         for w in rep["windows"]:
             assert set(w) == window_keys
-            assert set(w["constants"]) == constant_keys
+            assert set(w["constants"]) == window_constant_keys
 
     def test_alpha_outside_window_exit_2(self, tmp_path):
         write_config(tmp_path / "cfg.json", alpha=0.2)  # 1-H = 0.25 > alpha
@@ -225,7 +197,7 @@ class TestSolveCommand:
         assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 0
         rep = json.loads((tmp_path / "report.json").read_text())
         assert [(w["cells"], w["guarantee_ok"]) for w in rep["windows"]] == [(4, True)]
-        assert rep["constants"]["t0"] / 2.5e-201 == math.inf
+        assert rep["windows"][0]["constants"]["t0"] / 2.5e-201 == math.inf
         assert all(v["passed"] for v in rep["verdicts"].values())
 
     def test_nonconvergence_exit_3(self, tmp_path):
@@ -245,9 +217,9 @@ class TestSolveCommand:
         checked = []
         gronwall_check = cli.solver.gronwall_check
 
-        def recorded(sol, constants, known_norms):
+        def recorded(sol, run, phi_norm, known_norms):
             checked.append(sol.t_nodes.copy())
-            return gronwall_check(sol, constants, known_norms)
+            return gronwall_check(sol, run, phi_norm, known_norms)
 
         monkeypatch.setattr(cli.solver, "gronwall_check", recorded)
         assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 3
@@ -655,12 +627,11 @@ class TestSolutionWriter:
         for T in (0.1, 0.5, 1.0 / 3.0):
             field = self.field(m, n, T)
             rows = self.row_by_row(field).encode()
-            for name, header in (("solution.csv", "t,xi,Y"), ("fbm_field.csv", "t,xi,g")):
-                cli.write_csv(str(tmp_path / name), header.split(","),
-                              cli._solution_rows(field.t_nodes, field.xi_nodes,
-                                                 field.values), "abc")
-                assert (tmp_path / name).read_bytes() \
-                    == f"# config_hash=abc\n{header}\n".encode() + rows, (name, T)
+            path = tmp_path / "solution.csv"
+            cli.write_csv(str(path), ("t", "xi", "Y"),
+                          cli._solution_rows(field.t_nodes, field.xi_nodes, field.values),
+                          "abc")
+            assert path.read_bytes() == b"# config_hash=abc\nt,xi,Y\n" + rows, T
 
     def test_memory_holds_a_few_slices_not_the_file(self, tmp_path):
         # m=200, n=1024: the file is about 12 MB, one slice about 60 kB of
@@ -677,3 +648,22 @@ class TestSolutionWriter:
             tracemalloc.stop()
         assert path.stat().st_size > 10 * 2 ** 20
         assert peak <= 2 ** 20, peak
+
+
+def long_options(parser):
+    """The long options of ``parser`` and of its subcommands, but --help."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= long_options(sub)
+        flags.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return flags
+
+
+def test_readme_cli_section_names_exactly_the_flags():
+    # every option the parser takes, global or of a subcommand, is named in
+    # the README's CLI section, and the section names no other
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    assert named == long_options(cli.build_parser())

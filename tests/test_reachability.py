@@ -84,7 +84,7 @@ def commands(tmp_path) -> list:
             ["verify", "all"],
             ["--threads", "2", "ensemble", ensemble, "--count", "2", "--seed", "1"],
             ["convergence", refine, "--resolutions", "8,16"],
-            ["fbm", "--hurst", "0.7", "--n", "32", "--seed", "1", "--field-m", "2",
+            ["fbm", "--hurst", "0.7", "--n", "32", "--seed", "1",
              "--validate", "--samples", "1000"]]
 
 

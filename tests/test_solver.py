@@ -34,64 +34,65 @@ def make_cfg(n=48, m=20, T=0.2, alpha=0.3, hurst=0.75, coeff=None, phi=None, **k
 
 
 def constants_for(cfg, drv):
-    """The global proof constants of a solve of cfg against drv."""
-    return solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                    cfg.phi_norm(), horizon=cfg.T)
+    """The window-0 proof constants of a solve of cfg against drv."""
+    run = solver.run_constants(cfg.alpha, cfg.coeff, drv.lambda_value)
+    return solver.compute_constants(run, cfg.coeff, cfg.phi_norm(), horizon=cfg.T)
+
+
+def run_and_window(alpha, coeff, lam, phi_norm, horizon=math.inf):
+    """The run constants and the window constants of one start norm."""
+    run = solver.run_constants(alpha, coeff, lam)
+    return run, solver.compute_constants(run, coeff, phi_norm, horizon)
 
 
 class TestComputeConstants:
     def test_worked_example_to_four_figures(self):
         # alpha = 1/4, M1 = M2 = Lambda = 1, ||phi|| = 1, R1 = 2
-        c = solver.compute_constants(0.25, co.tanh_coefficient(1.0), lam=1.0,
-                                     phi_norm=1.0)
+        run, c = run_and_window(0.25, co.tanh_coefficient(1.0), lam=1.0, phi_norm=1.0)
         assert c.r1 == 2.0
-        assert c.b1 == pytest.approx(2.396, abs=5e-4)
-        assert c.b2 == pytest.approx(12.459, abs=5e-3)
+        assert run.b1 == pytest.approx(2.396, abs=5e-4)
+        assert run.b2 == pytest.approx(12.459, abs=5e-3)
         assert c.t1 == pytest.approx(0.02675, abs=5e-6)
 
     def test_worked_example_against_independent_gamma_evaluation(self):
         import mpmath
 
-        c = solver.compute_constants(0.25, co.tanh_coefficient(1.0), lam=1.0,
-                                     phi_norm=1.0)
+        run, c = run_and_window(0.25, co.tanh_coefficient(1.0), lam=1.0, phi_norm=1.0)
         b1 = float(mpmath.beta(0.5, 0.75))
         b2 = (1 / 0.75 + b1 / 0.5) + (1 + 1 / (0.25 * 0.75))
         t1 = (2 - 1) / (b2 * 3)
-        assert c.b1 == pytest.approx(b1, rel=5e-5)   # 4 significant figures
-        assert c.b2 == pytest.approx(b2, rel=5e-5)
+        assert run.b1 == pytest.approx(b1, rel=5e-5)   # 4 significant figures
+        assert run.b2 == pytest.approx(b2, rel=5e-5)
         assert c.t1 == pytest.approx(t1, rel=5e-5)
 
     def test_degenerate_coefficient_returns_horizon(self):
-        c = solver.compute_constants(0.3, co.zero_coefficient(), lam=2.0,
-                                     phi_norm=1.0, horizon=7.5)
-        assert c.b2 == 0.0 and c.t1 == 7.5 and c.t0 == 7.5
+        run, c = run_and_window(0.3, co.zero_coefficient(), lam=2.0, phi_norm=1.0,
+                                horizon=7.5)
+        assert run.b2 == 0.0 and c.t1 == 7.5 and c.t0 == 7.5
 
     def test_b3_is_max_of_one_and_b1(self):
-        c = solver.compute_constants(0.3, co.tanh_coefficient(), lam=1.0,
-                                     phi_norm=0.5)
-        assert c.b3 == max(1.0, c.b1)
+        run = solver.run_constants(0.3, co.tanh_coefficient(), lam=1.0)
+        assert run.b3 == max(1.0, run.b1)
+        assert run.gronwall_k == run.b2
 
     def test_b5_scales_with_lambda_and_b4(self):
-        c1 = solver.compute_constants(0.3, co.tanh_coefficient(), lam=1.0,
-                                      phi_norm=0.5)
-        c2 = solver.compute_constants(0.3, co.tanh_coefficient(), lam=3.0,
-                                      phi_norm=0.5)
+        run, c1 = run_and_window(0.3, co.tanh_coefficient(), lam=1.0, phi_norm=0.5)
+        c2 = run_and_window(0.3, co.tanh_coefficient(), lam=3.0, phi_norm=0.5)[1]
         assert c2.b5 == pytest.approx(3.0 * c1.b5, rel=1e-12)
         rho = (2 - 0.9) / ((1 - 0.6) * 0.7)
-        assert c1.b5 == pytest.approx(c1.b3 * c1.b4 * rho, rel=1e-12)
+        assert c1.b5 == pytest.approx(run.b3 * c1.b4 * rho, rel=1e-12)
 
     @pytest.mark.parametrize("phi_norm", [2.0, 0.25])
     def test_radius_is_twice_the_larger_of_one_and_the_initial_norm(self, phi_norm):
-        c = solver.compute_constants(0.3, co.tanh_coefficient(), lam=1.0,
-                                     phi_norm=phi_norm)
+        c = run_and_window(0.3, co.tanh_coefficient(), lam=1.0, phi_norm=phi_norm)[1]
         assert c.r1 == 2.0 * max(1.0, phi_norm) > phi_norm
 
     @pytest.mark.parametrize("phi_norm", [math.inf, math.nan])
     def test_rejects_non_finite_initial_norm(self, phi_norm):
         # unrefused, a NaN norm would give R1 = 2 and t0 = horizon
         with pytest.raises(GridError, match="finite"):
-            solver.compute_constants(0.3, co.tanh_coefficient(), lam=1.0,
-                                     phi_norm=phi_norm, horizon=1.0)
+            run_and_window(0.3, co.tanh_coefficient(), lam=1.0, phi_norm=phi_norm,
+                           horizon=1.0)
 
 
 class TestApplyF:
@@ -189,8 +190,7 @@ class TestSolve:
         drv = fbm.stub_driving_field("quadratic", n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
 
-        cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                        cfg.phi_norm(), horizon=T)
+        cons = constants_for(cfg, drv)
         rng = np.random.default_rng(9)
         bump = random_smooth_field(m, n, T, rng)
         scale = 0.2 * cons.r1 / max(norms.norm_alpha_infty(bump, cfg.alpha), 1e-9)
@@ -399,10 +399,10 @@ class TestConstantsFlow:
         cfg = make_cfg(n=32, m=8)
         drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv)
-        cons = rep.constants
-        assert cons == rep.windows[0].constants
+        run, cons = rep.constants, rep.windows[0].constants
+        assert run == solver.run_constants(cfg.alpha, cfg.coeff, drv.lambda_value)
         assert cons == constants_for(cfg, drv)
-        assert rep.verdicts["gronwall"]["k"] == cons.gronwall_k
+        assert rep.verdicts["gronwall"]["k"] == run.gronwall_k
         assert rep.verdicts["gronwall"]["phi_norm"] == cons.phi_norm
         t2 = cons.t2 if math.isfinite(cons.t2) else cfg.T
         assert rep.verdicts["contraction"]["ceiling"] == cons.b5 * t2
@@ -495,8 +495,7 @@ class TestContractionProbe:
         as the reference for ``solver.contraction_sweep``."""
         cfg = make_cfg(n=64)
         drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
-        cons = solver.compute_constants(cfg.alpha, cfg.coeff, drv.lambda_value,
-                                        cfg.phi_norm(), horizon=cfg.T)
+        cons = constants_for(cfg, drv)
         t2 = min(cons.t2, cfg.T)
         rng = np.random.default_rng(2)
         probes = []
@@ -740,10 +739,11 @@ class TestGronwall:
         rep = solver.solve(cfg, drv, verify=False)
         assert len(rep.windows) > 1
         # recomputing every row gives the same verdict, bit for bit
-        assert solver.gronwall_check(rep.solution, rep.constants, {}) == \
+        phi_norm = rep.windows[0].constants.phi_norm
+        assert solver.gronwall_check(rep.solution, rep.constants, phi_norm, {}) == \
             rep.verdicts["gronwall"]
         # and a known norm is taken as given, not recomputed
-        bad = solver.gronwall_check(rep.solution, rep.constants, {3: 1e9})
+        bad = solver.gronwall_check(rep.solution, rep.constants, phi_norm, {3: 1e9})
         assert not bad["passed"] and bad["violations"][0]["running_norm"] == 1e9
 
     @pytest.mark.parametrize("k, phi_norm, first", [(1e4, None, 8), (1e4, 0.0, None),
@@ -756,17 +756,30 @@ class TestGronwall:
         cfg = make_cfg(n=32, m=20, T=0.2)
         drv = fbm.stub_driving_field("linear", cfg.n, cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
-        cons = dataclasses.replace(rep.constants, gronwall_k=k)
-        if phi_norm is not None:
-            cons = dataclasses.replace(cons, phi_norm=phi_norm)
+        run = dataclasses.replace(rep.constants, gronwall_k=k)
+        if phi_norm is None:
+            phi_norm = rep.windows[0].constants.phi_norm
         with np.errstate(over="raise", invalid="raise"):
-            g = solver.gronwall_check(rep.solution, cons, {})
+            g = solver.gronwall_check(rep.solution, run, phi_norm, {})
         assert math.isfinite(g["min_margin"])
         if first is None:
             assert g["unbounded_from"] is None and not g["passed"]
         else:
             assert g["unbounded_from"] == rep.solution.t_nodes[first] and g["passed"]
         assert rep.verdicts["gronwall"]["unbounded_from"] is None
+
+
+class TestContractionRatio:
+    @pytest.mark.parametrize("history, ratio", [
+        ([1.0, 5.0, 1.0], 0.2),              # r_1 / r_0 = 5 is left out
+        ([1.0, 0.5, 0.25, 0.2], 0.8),        # the largest later ratio
+        ([1.0, 0.5, 1e-15, 1e-16], 2e-15),   # r_2 = 1e-15 <= 1e-14 divides nothing
+        ([1.0, 1e-14, 1e-15], 0.0),          # nor does r_1 = 1e-14: no pair is left
+        ([1.0, 0.5], 0.0),                   # fewer than three residuals
+        ([0.3], 0.0),
+    ])
+    def test_largest_ratio_after_the_first_above_the_floor(self, history, ratio):
+        assert solver._measured_ratio(history) == ratio
 
 
 class TestWindowNorm:
