@@ -214,10 +214,13 @@ def _driver_from_config(d: _Section, scfg: solver.SolverConfig):
             else [d.get("seed", int)])
     if not seed or any(type(s) is not int for s in seed):
         raise ConfigError(f"driver.seed must hold integers, got {json.dumps(seed)}")
-    fc = fbm.FbmConfig(hurst=scfg.hurst, n=scfg.n, m=scfg.m, T=scfg.T,
-                       seed=seed[0], time_model=model, stream=tuple(seed[1:]),
-                       # a frozen driver has no time law: done() refuses hurst_t
-                       hurst_t=d.get("hurst_t", float, 0.95) if model == "sheet" else 0.95)
+    seed, *stream = fbm.check_seeds(seed)
+    if model == "frozen":
+        d.done()
+        return lambda: fbm.field_from_path(
+            fbm.fbm_path(scfg.hurst, scfg.n, seed, tuple(stream)), scfg.alpha)
+    fc = fbm.FbmConfig(hurst=scfg.hurst, n=scfg.n, m=scfg.m, T=scfg.T, seed=seed,
+                       hurst_t=d.get("hurst_t", float, 0.95), stream=tuple(stream))
     d.done()
     return lambda: fbm.driving_field(fc, scfg.alpha)
 
@@ -474,7 +477,7 @@ def _ensemble_run(scfg: solver.SolverConfig, driver: dict, base_seed: int, k: in
     return {
         "seed": k,
         "ok": bool(report.converged),
-        "lambda_alpha": report.lambda_alpha,
+        "lambda_alpha": report.constants.lam,
         "sup_norm": sup,
         "iterations": int(sum(w.iterations for w in report.windows)),
         "gronwall_margin": g["min_margin"],

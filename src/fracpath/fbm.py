@@ -6,14 +6,14 @@ covariance is nonnegative for every H in (0, 1), and a negative eigenvalue
 raises.  The square roots of its eigenvalues are computed once per (H, n)
 and cached read-only, so a path costs one inverse FFT of fresh noise.  A
 fixed seed determines the output bit-for-bit; ensemble member k draws from
-the split stream ``SeedSequence((seed, k))``.
+the split stream ``SeedSequence((seed, k))``; no entry may be negative.
 
 The equation's driver g is a function of the space variable xi; the model
 does not pin down a law in time, so two constructions are provided: the
-canonical ``frozen`` driver (one spatial path, with no time axis) and a
-clearly non-canonical fractional sheet g(t, xi) for experiments, on the
-time grid of its ``FbmConfig``.  Smooth deterministic stubs are
-first-class drivers for oracle tests.
+canonical ``frozen`` driver (one spatial path, ``field_from_path``, with no
+time axis) and a clearly non-canonical fractional sheet g(t, xi) for
+experiments (``driving_field``), on the time grid of its ``FbmConfig``.
+Smooth deterministic stubs are first-class drivers for oracle tests.
 
 A ``DrivingField`` is its slice operators (``stieltjes.SliceOperator``),
 built once: a time-constant driver is one operator, which serves any time
@@ -37,6 +37,7 @@ from .stieltjes import SliceOperator, slice_operator
 __all__ = [
     "FbmConfig",
     "DrivingField",
+    "check_seeds",
     "fbm_path",
     "fbm_covariance",
     "increment_covariance",
@@ -54,9 +55,16 @@ STUB_KINDS = {"zero": (), "linear": ("scale",), "quadratic": ("scale",),  # kind
               "sine": ("k", "amplitude")}
 
 
+def check_seeds(seeds) -> tuple:
+    """A seed and its split-stream entries as ints; a negative one is refused."""
+    seeds = tuple(int(s) for s in seeds)
+    if min(seeds) < 0:
+        raise GridError(f"seeds must be >= 0, got {seeds}")
+    return seeds
+
+
 def _rng(seed: int, stream: tuple = ()) -> np.random.Generator:
-    entropy = (int(seed),) + tuple(int(s) for s in stream)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(check_seeds((seed, *stream))))
 
 
 def fbm_covariance(hurst: float, s, t):
@@ -131,36 +139,25 @@ def fbm_path(hurst: float, n: int, seed: int, stream: tuple = ()) -> GridFunctio
 
 @dataclass(frozen=True)
 class FbmConfig:
-    """Driver generation parameters.
-
-    ``time_model`` is "frozen" (one spatial path, with no time axis) or
-    "sheet" (fractional sheet with temporal Hurst ``hurst_t`` in [0.9, 1),
-    dense temporal Cholesky, m <= 64) on the time grid of m cells of [0, T].
-    Seeds are nonnegative integers.
-    """
+    """A fractional sheet: spatial Hurst ``hurst`` on n cells of [0, 1] and
+    temporal Hurst ``hurst_t`` in [0.9, 1) on m <= 64 cells of [0, T] (dense
+    temporal Cholesky), from ``seed`` and its split ``stream``; the sampler
+    checks the Hurst parameter and the seeds of every path."""
 
     hurst: float
     n: int
     m: int
     T: float
     seed: int
-    time_model: str = "frozen"
     hurst_t: float = 0.95
     stream: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise GridError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
-        if self.time_model not in ("frozen", "sheet"):
-            raise GridError(f"unknown time model {self.time_model!r}")
-        if self.time_model == "sheet" and self.m > _SHEET_MAX_TIME_NODES:
-            raise GridError(
-                f"sheet model limited to m <= {_SHEET_MAX_TIME_NODES} "
-                f"time cells (dense temporal Cholesky), got m={self.m}")
+        if self.m > _SHEET_MAX_TIME_NODES:
+            raise GridError(f"sheet model limited to m <= {_SHEET_MAX_TIME_NODES} time "
+                            f"cells (dense temporal Cholesky), got m={self.m}")
         if not 0.9 <= self.hurst_t < 1.0:
             raise GridError(f"temporal Hurst must lie in [0.9, 1), got {self.hurst_t}")
-        if min((self.seed, *self.stream)) < 0:
-            raise GridError(f"seeds must be >= 0, got {(self.seed, *self.stream)}")
 
 
 @dataclass(frozen=True)
@@ -208,11 +205,7 @@ def _finish_field(rows, alpha: float, T: float | None = None) -> DrivingField:
 
 
 def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
-    """Assemble the FBM driver for the solver and record Lambda and the norm."""
-    a = order_value(alpha)
-    if cfg.time_model == "frozen":
-        return field_from_path(fbm_path(cfg.hurst, cfg.n, cfg.seed, cfg.stream), a)
-    # sheet: time-correlated mixture of iid spatial paths
+    """The sheet of ``cfg``: a time-correlated mixture of iid spatial paths."""
     check_grid(cfg.m, cfg.n, cfg.T)
     t = np.linspace(0.0, cfg.T, cfg.m + 1)[1:]
     cov_t = fbm_covariance(cfg.hurst_t, t[:, None], t[None, :])
@@ -223,7 +216,7 @@ def driving_field(cfg: FbmConfig, alpha) -> DrivingField:
     vals = np.zeros((cfg.m + 1, cfg.n + 1))
     # einsum calls no BLAS, so the bits do not depend on the BLAS thread count
     vals[1:] = np.einsum("tk,kj->tj", L, paths)
-    return _finish_field(vals, a, float(cfg.T))
+    return _finish_field(vals, order_value(alpha), float(cfg.T))
 
 
 def field_from_path(path: GridFunction, alpha) -> DrivingField:

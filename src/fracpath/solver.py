@@ -24,10 +24,10 @@ re-checked numerically and reported.  Every entry point checks that the
 driver was prepared for its order alpha; a time-constant driver serves
 any time grid over its spatial grid, so the probes apply the solve's own
 driver to their short probe windows, and a sheet serves only its own
-grid.  The probes apply F through the same window sweep, to all their
-trials as one field stack.  ``contraction_sweep`` is the one loop of
-random contraction probes, for the solve's spot check and ``verify
-contraction``; it hands each probe the norms of its scaled fields.
+grid.  The probes apply F through the same window sweep: the ball check
+to all its trials as one field stack, ``contraction_sweep`` (the one loop
+of random contraction probes, for the solve's spot check and ``verify
+contraction``) to one two-field stack per probe, with their norms.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
 and the report adopts it); the driver, one operator per distinct slice
@@ -158,9 +158,18 @@ class WindowConstants:
     t0: float
 
 
+def _check_finite(coeff: CoefficientFunction, constants, where: str = ""):
+    """OverflowError naming the coefficient at the first (name, value) past float64."""
+    for name, value in constants:
+        if not math.isfinite(value):
+            raise OverflowError(f"coefficient {coeff.name} gives the proof constant "
+                                f"{name} = {value}{where}")
+
+
 def run_constants(alpha: float, coeff: CoefficientFunction, lam: float) -> RunConstants:
     """Evaluate M1, M2, b1..b3 and the Gronwall rate for the order alpha in
-    (0, 1/2) and the driver's Lambda_alpha ``lam``."""
+    (0, 1/2) and the driver's Lambda_alpha ``lam``; M1, M2 or b2 past float64
+    raises OverflowError naming the coefficient."""
     a = float(alpha)
     if not 0.0 < a < 0.5:
         raise GridError(f"constants need alpha in (0, 1/2), got {a}")
@@ -168,6 +177,7 @@ def run_constants(alpha: float, coeff: CoefficientFunction, lam: float) -> RunCo
     b1 = beta_b1(a)
     b2 = (m2 * (1.0 / (1.0 - a) + b1 / (1.0 - 2.0 * a))
           + m1 * (1.0 + 1.0 / (a * (1.0 - a)))) * lam
+    _check_finite(coeff, (("M1", m1), ("M2", m2), ("b2", b2)))
     return RunConstants(a, lam, m1, m2, b1, b2, max(1.0, b1), b2, CONTRACTION_TARGET)
 
 
@@ -180,8 +190,8 @@ def compute_constants(run: RunConstants, coeff: CoefficientFunction,
     non-finite ||phi|| is refused); T2 scales the contraction factor to
     ``run.contraction_target`` < 1.  Degenerate coefficients
     (A identically 0) make both windows unbounded, in which case the
-    configured horizon is returned.  A constant past float64 (M1, M2,
-    M_N(R1), b2, b4 or b5) raises OverflowError naming the coefficient.
+    configured horizon is returned.  M_N(R1), b4 or b5 past float64 raises
+    OverflowError naming the coefficient and R1.
     """
     if not math.isfinite(phi_norm):
         raise GridError(f"constants need a finite ||phi||, got {phi_norm}")
@@ -191,11 +201,7 @@ def compute_constants(run: RunConstants, coeff: CoefficientFunction,
     b4 = (run.m1 + mn) * (1.0 + 2.0 * r1)
     rho = (2.0 - 3.0 * a) / ((1.0 - 2.0 * a) * (1.0 - a))
     b5 = run.lam * run.b3 * b4 * rho
-    for name, value in (("M1", run.m1), ("M2", run.m2), ("M_N(R1)", mn), ("b2", run.b2),
-                        ("b4", b4), ("b5", b5)):
-        if not math.isfinite(value):
-            raise OverflowError(f"coefficient {coeff.name} gives the proof constant "
-                                f"{name} = {value} at R1 = {r1:g}")
+    _check_finite(coeff, (("M_N(R1)", mn), ("b4", b4), ("b5", b5)), f" at R1 = {r1:g}")
     t1 = (r1 - phi_norm) / (run.b2 * (1.0 + r1)) if run.b2 > 0 else horizon
     t2 = run.contraction_target / b5 if b5 > 0 else horizon
     t0 = min(t1, t2)
@@ -329,15 +335,14 @@ class WindowRecord:
 class SolverReport:
     """The outcome of ``solve``: the solution field (solution.csv) and, in
     report.json, whether every window converged and the first that did not,
-    the driver's Lambda_alpha, the run constants, the window records (each
-    with its window constants), and the verdicts of the proof's checks,
-    each with its ``passed``."""
+    the run constants (with the driver's Lambda_alpha), the window records
+    (each with its window constants), and the verdicts of the proof's
+    checks, each with its ``passed``."""
 
     solution: SpaceTimeField
     converged: bool
     windows: list
     constants: RunConstants
-    lambda_alpha: float
     verdicts: dict
     failed_window: int | None = None
 
@@ -346,7 +351,6 @@ class SolverReport:
         return {
             "converged": self.converged,
             "failed_window": self.failed_window,
-            "lambda_alpha": self.lambda_alpha,
             "constants": self.constants,
             "windows": self.windows,
             "verdicts": self.verdicts,
@@ -372,8 +376,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     a = cfg.alpha
     _check_driver(driver, a, cfg.m, cfg.n, cfg.T)
     m, dt = cfg.m, cfg.dt
-    lam = driver.lambda_value
-    run = run_constants(a, cfg.coeff, lam)
+    run = run_constants(a, cfg.coeff, driver.lambda_value)
     phi0 = cfg.phi.values
     Y = np.tile(phi0, (m + 1, 1))
     windows: list[WindowRecord] = []
@@ -451,7 +454,7 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
     verdicts["gronwall"] = gronwall_check(solution, run, start.phi_norm, start_norms)
     if verify and converged:
         verdicts.update(_spot_verdicts(cfg, driver, start))
-    return SolverReport(solution, converged, windows, run, lam, verdicts, failed_window)
+    return SolverReport(solution, converged, windows, run, verdicts, failed_window)
 
 
 def gronwall_check(sol: SpaceTimeField, run: RunConstants, phi_norm: float,

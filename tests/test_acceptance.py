@@ -292,8 +292,7 @@ def test_criterion_7_global_behavior():
         cfgf = solver.SolverConfig(alpha=0.3, hurst=0.75, m=mf, T=Tf,
                                    phi=GridFunction(np.linspace(0, 1, nf + 1)),
                                    coeff=co.tanh_coefficient(0.5))
-        drvf = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=nf, m=mf, T=Tf,
-                                               seed=seed), 0.3)
+        drvf = fbm.field_from_path(fbm.fbm_path(0.75, nf, seed), 0.3)
         repf = solver.solve(cfgf, drvf, verify=False)
         g = repf.verdicts["gronwall"]
         envelope_ok = envelope_ok and repf.converged and g["passed"]

@@ -161,6 +161,8 @@ class TestSolveCommand:
         # each constant is written once: the run set at the top, the window
         # set in each window
         assert not run_keys & window_constant_keys
+        assert set(rep) == {"converged", "failed_window", "constants", "windows",
+                            "verdicts", "config_hash"}
         assert set(rep["constants"]) == run_keys
         for w in rep["windows"]:
             assert set(w) == window_keys
@@ -185,9 +187,14 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("seed", [-1, [3, -1]], ids=["int", "list"])
     def test_negative_driver_seed_exit_2(self, tmp_path, seed):
-        write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": seed})
-        r = run_cli("--out", str(tmp_path), "solve", str(tmp_path / "cfg.json"))
-        assert_usage_error(r)
+        # refused as the config is read, for a frozen driver and a sheet
+        text = "(%s,)" % seed if seed == -1 else str(tuple(seed))
+        for model in ("frozen", "sheet"):
+            write_config(tmp_path / "cfg.json", driver={"model": model, "seed": seed})
+            r = run_cli("--out", str(tmp_path / "out"), "solve", str(tmp_path / "cfg.json"))
+            assert_usage_error(r)
+            assert r.stderr == f"error: seeds must be >= 0, got {text}\n", model
+            assert not (tmp_path / "out").exists()
 
     def test_a_tiny_time_step_is_not_an_overflow(self, tmp_path):
         # T0 / dt = 3.8e197 / 2.5e-201 overflows to inf; the window is m cells
@@ -332,7 +339,7 @@ class TestEnsembleCommand:
         assert r2.returncode == 0
         rep = json.loads((tmp_path / "single/report.json").read_text())
         _, rows = read_csv(tmp_path / "ens/ensemble_summary.csv")
-        assert float(rows[0][1]) == pytest.approx(rep["lambda_alpha"], rel=1e-15)
+        assert float(rows[0][1]) == pytest.approx(rep["constants"]["lam"], rel=1e-15)
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         write_config(tmp_path / "cfg.json", driver={"model": "frozen", "seed": 5})

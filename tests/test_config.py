@@ -213,13 +213,15 @@ def test_overflow_refused_with_one_line(tmp_path, changes, before, after):
     assert not any(tmp_path.glob("*.csv"))
 
 
-# (id, coefficient, the name and the proof constant the error line gives;
-# R1 is twice the norm of the ramp phi)
+# (id, coefficient, the name and the proof constant the error line gives; a
+# window constant is given at R1, twice the norm of the ramp phi, and a run
+# constant, which does not depend on R1, without it)
 OVERFLOWING_COEFFICIENTS = [
-    ("tanh-1e200", {"kind": "tanh", "params": {"scale": 1e200}}, "tanh(1e+200)", "M_N(R1)"),
-    ("tanh-1e308", {"kind": "tanh", "params": {"scale": 1e308}}, "tanh(1e+308)", "M_N(R1)"),
+    ("tanh-1e200", {"kind": "tanh", "params": {"scale": 1e200}}, "tanh(1e+200)",
+     "M_N(R1) = inf at R1 = 4.85714"),
+    ("tanh-1e308", {"kind": "tanh", "params": {"scale": 1e308}}, "tanh(1e+308)", "b2 = inf"),
     ("biot-savart-1e-80", {"kind": "smoothed-biot-savart", "params": {"epsilon": 1e-80}},
-     "smoothed-biot-savart(1e-80,1.0)", "M_N(R1)"),
+     "smoothed-biot-savart(1e-80,1.0)", "M_N(R1) = inf at R1 = 4.85714"),
 ]
 
 
@@ -235,7 +237,7 @@ def test_overflowing_coefficient_constant_names_the_coefficient(tmp_path, A, nam
                         "solve", str(path)], capture_output=True, text=True)
     assert r.returncode == 2, r.stderr
     assert r.stderr == (f"error: the inputs overflow float64 (coefficient {name} gives "
-                        f"the proof constant {constant} = inf at R1 = 4.85714)\n"), r.stderr
+                        f"the proof constant {constant})\n"), r.stderr
     assert not any(tmp_path.glob("*.csv"))
 
 

@@ -85,6 +85,24 @@ def test_a_time_constant_driver_has_no_time_axis():
     assert "cfg" not in inspect.signature(solver.gronwall_check).parameters
 
 
+def test_fbm_config_is_the_sheet(monkeypatch):
+    # a frozen driver is its path: its config builds no FbmConfig, which
+    # configures the sheet alone and has no time model
+    from fracpath import cli, fbm
+    assert "time_model" not in {f.name for f in dataclasses.fields(fbm.FbmConfig)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FbmConfig built for a frozen driver")
+
+    monkeypatch.setattr(fbm, "FbmConfig", refuse)
+    _, build_driver = cli._read_config({
+        "alpha": 0.3, "hurst": 0.75, "grid": {"m": 4, "n": 32, "T": 0.1},
+        "phi": {"kind": "ramp"}, "A": {"kind": "tanh"},
+        "driver": {"model": "frozen", "seed": [7, 1]}})
+    want = fbm.field_from_path(fbm.fbm_path(0.75, 32, 7, (1,)), 0.3)
+    assert build_driver().slices[0].rise.tobytes() == want.slices[0].rise.tobytes()
+
+
 # sample arguments of every lru_cache'd table; a new cache must be listed here
 CACHED_TABLES = {
     "fracpath.frac_calc": {

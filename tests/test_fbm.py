@@ -89,8 +89,7 @@ class TestCovarianceLaw:
 
 class TestDrivingField:
     def test_frozen_slices_identical(self):
-        cfg = fbm.FbmConfig(hurst=0.75, n=64, m=6, T=0.5, seed=3)
-        df = fbm.driving_field(cfg, 0.3)
+        df = fbm.field_from_path(fbm.fbm_path(0.75, 64, 3), 0.3)
         for j in range(1, 7):
             assert np.array_equal(df.time_slice(0).rise, df.time_slice(j).rise)
 
@@ -111,38 +110,42 @@ class TestDrivingField:
 
     @pytest.mark.parametrize("seed", range(0, 100, 7))
     def test_lambda_finite_for_fbm(self, seed):
-        cfg = fbm.FbmConfig(hurst=0.75, n=96, m=1, T=1.0, seed=seed)
-        df = fbm.driving_field(cfg, 0.3)
+        df = fbm.field_from_path(fbm.fbm_path(0.75, 96, seed), 0.3)
         assert np.isfinite(df.lambda_value) and df.lambda_value > 0
         assert np.isfinite(df.holder_norm)
 
     def test_lambda_matches_norms_module(self):
-        cfg = fbm.FbmConfig(hurst=0.75, n=64, m=2, T=1.0, seed=12)
-        df = fbm.driving_field(cfg, 0.3)
+        df = fbm.field_from_path(fbm.fbm_path(0.75, 64, 12), 0.3)
         assert df.lambda_value == pytest.approx(
             lambda_alpha([op.rise for op in df.slices], 0.3), rel=1e-12)
 
     def test_sheet_rejects_large_time_grid(self):
         with pytest.raises(GridError):
-            fbm.FbmConfig(hurst=0.75, n=32, m=65, T=1.0, seed=0, time_model="sheet")
+            fbm.FbmConfig(hurst=0.75, n=32, m=65, T=1.0, seed=0)
 
     def test_config_rejects_negative_seed(self):
-        with pytest.raises(GridError):
-            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=-1)
+        # one rule, where a seed becomes a generator: a path and a sheet,
+        # whose path k draws from the stream (k,)
+        sheet = fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=-1)
+        for build in (lambda: fbm.fbm_path(0.75, 32, -1),
+                      lambda: fbm.driving_field(sheet, 0.3)):
+            with pytest.raises(GridError, match=r"^seeds must be >= 0, got \(-1,"):
+                build()
 
     def test_config_rejects_negative_stream_entry(self):
-        with pytest.raises(GridError):
-            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=3, stream=(0, -2))
+        sheet = fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=3, stream=(0, -2))
+        for build in (lambda: fbm.fbm_path(0.75, 32, 3, (0, -2)),
+                      lambda: fbm.driving_field(sheet, 0.3)):
+            with pytest.raises(GridError, match=r"^seeds must be >= 0, got \(3, 0, -2"):
+                build()
 
     @pytest.mark.parametrize("hurst_t", [1.0, 1.5])
     def test_config_rejects_temporal_hurst_at_least_one(self, hurst_t):
         with pytest.raises(GridError):
-            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=0,
-                          time_model="sheet", hurst_t=hurst_t)
+            fbm.FbmConfig(hurst=0.75, n=32, m=2, T=1.0, seed=0, hurst_t=hurst_t)
 
     def test_sheet_model(self):
-        cfg = fbm.FbmConfig(hurst=0.75, n=32, m=12, T=1.0, seed=5,
-                            time_model="sheet")
+        cfg = fbm.FbmConfig(hurst=0.75, n=32, m=12, T=1.0, seed=5)
         df = fbm.driving_field(cfg, 0.3)
         values = np.stack([op.rise for op in df.slices])
         assert values.shape == (13, 33) and df.T == 1.0
@@ -153,10 +156,8 @@ class TestDrivingField:
         assert np.array_equal(values, np.stack([op.rise for op in df2.slices]))
 
     def test_pair_matrices_built_once(self):
-        frozen = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
-                                                 seed=8), 0.3)
-        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
-                                                seed=8, time_model="sheet"), 0.3)
+        frozen = fbm.field_from_path(fbm.fbm_path(0.75, 32, 8), 0.3)
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0, seed=8), 0.3)
         assert len(frozen.slices) == 1 and len(sheet.slices) == 6
         assert frozen.slices[0].rise.tobytes() == fbm.fbm_path(0.75, 32, 8).values.tobytes()
         for drv in (frozen, sheet):
@@ -172,8 +173,7 @@ class TestDrivingField:
 
     def test_sheet_slices_keep_no_pair_matrix_from_the_fft_size(self):
         # nine n = 1024 pair matrices would hold 9 x 8.4 MB
-        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=1024, m=8, T=0.1,
-                                                seed=8, time_model="sheet"), 0.3)
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=1024, m=8, T=0.1, seed=8), 0.3)
         assert len(sheet.slices) == 9
         held = sum(v.nbytes for op in sheet.slices for v in vars(op).values()
                    if isinstance(v, np.ndarray))
@@ -181,8 +181,7 @@ class TestDrivingField:
 
     def test_time_slice_returns_the_stored_operator(self):
         frozen = fbm.stub_driving_field("sine", 32, 0.3)
-        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0,
-                                                seed=8, time_model="sheet"), 0.3)
+        sheet = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=5, T=1.0, seed=8), 0.3)
         # a time-constant driver answers every index with its one operator
         assert all(frozen.time_slice(j) is frozen.slices[0] for j in range(6))
         assert all(sheet.time_slice(j) is sheet.slices[j] for j in range(6))
@@ -190,16 +189,13 @@ class TestDrivingField:
     # (driver, holder_norm, lambda_value) as float.hex, recorded before the
     # driver functionals were reorganized; they must not move by one bit
     RECORDED = [
-        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=256, m=3, T=0.5,
-                                                 seed=7), 0.3),
+        (lambda: fbm.field_from_path(fbm.fbm_path(0.75, 256, 7), 0.3),
          "0x1.6125861fa9549p+3", "0x1.1017e2a76f082p+1"),
-        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=4, T=0.1, seed=7,
-                                                 time_model="sheet"), 0.3),
+        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=4, T=0.1, seed=7), 0.3),
          "0x1.0c44e1bc0366ep+0", "0x1.909fcb9d4e6c7p-3"),
         (lambda: fbm.stub_driving_field("sine", 96, 0.25),
          "0x1.7a0afdc656da2p+3", "0x1.0afa12f5321d8p+1"),
-        (lambda: fbm.driving_field(fbm.FbmConfig(hurst=0.6, n=1024, m=1, T=1.0,
-                                                 seed=3), 0.45),
+        (lambda: fbm.field_from_path(fbm.fbm_path(0.6, 1024, 3), 0.45),
          "0x1.28e9519692c91p+4", "0x1.c6cfc9794aedap+1"),
     ]
 
@@ -213,7 +209,7 @@ class TestDrivingField:
     def test_sheet_field_independent_of_blas_threads(self):
         code = ("import hashlib; from fracpath import fbm; "
                 "d = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=256, m=64, T=0.1, "
-                "seed=7, time_model='sheet'), 0.3); "
+                "seed=7), 0.3); "
                 "print(hashlib.sha256(b''.join(op.rise.tobytes() for op in d.slices))"
                 ".hexdigest())")
         digests = []

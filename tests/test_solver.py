@@ -87,6 +87,13 @@ class TestComputeConstants:
         c = run_and_window(0.3, co.tanh_coefficient(), lam=1.0, phi_norm=phi_norm)[1]
         assert c.r1 == 2.0 * max(1.0, phi_norm) > phi_norm
 
+    def test_overflowing_run_constant_names_the_coefficient(self):
+        # M1 = 1e308 is finite and b2 is not; no run constant depends on R1,
+        # so the line gives none, and the window constants are not reached
+        with pytest.raises(OverflowError, match=r"^coefficient tanh\(1e\+308\) gives "
+                                                r"the proof constant b2 = inf$"):
+            solver.run_constants(0.3, co.tanh_coefficient(1e308), lam=1.0)
+
     @pytest.mark.parametrize("phi_norm", [math.inf, math.nan])
     def test_rejects_non_finite_initial_norm(self, phi_norm):
         # unrefused, a NaN norm would give R1 = 2 and t0 = horizon
@@ -108,8 +115,7 @@ class TestApplyF:
         # A = c, frozen g: F(Y) = phi + c t (g(xi) - g(0)) exactly
         n, m = 48, 10
         phi = ramp_phi(n)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=0.5,
-                                              seed=2), 0.3)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, n, 2), 0.3)
         Y = SpaceTimeField(0.5, np.zeros((m + 1, n + 1)))
         F = oracles.apply_F(Y, phi, co.constant_coefficient(2.0), drv, 0.3)
         t = np.linspace(0, 0.5, m + 1)[:, None]
@@ -133,22 +139,21 @@ class TestApplyF:
             oracles.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
 
     def test_frozen_driver_serves_any_time_grid(self):
-        # a frozen driver from a config of another time grid, applied on a
-        # probe grid, gives the bits of the driver of its path alone
+        # one frozen driver, applied on two time grids, gives on each the
+        # bits of a driver built from its path for that grid alone
         n = 48
         path = fbm.fbm_path(0.75, n, 11)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0,
-                                              seed=11), 0.3)
-        probe = fbm.field_from_path(path, 0.3)
-        Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
-        F = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
-        F_probe = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
-        assert np.array_equal(F.values, F_probe.values)
+        drv = fbm.field_from_path(path, 0.3)
+        for m, T in ((4, 0.25), (10, 1.0)):
+            Y = random_smooth_field(m, n, T, np.random.default_rng(1))
+            probe = fbm.field_from_path(path, 0.3)
+            F = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+            F_probe = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
+            assert np.array_equal(F.values, F_probe.values)
 
     def test_sheet_driver_rejects_other_time_grid(self):
         n = 48
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0,
-                                              seed=11, time_model="sheet"), 0.3)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0, seed=11), 0.3)
         Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
         with pytest.raises(GridError):
             oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
@@ -304,8 +309,7 @@ class TestSolve:
 
     def test_determinism(self):
         cfg = make_cfg()
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=cfg.n, m=cfg.m,
-                                              T=cfg.T, seed=5), cfg.alpha)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, cfg.n, 5), cfg.alpha)
         r1 = solver.solve(cfg, drv, verify=False)
         r2 = solver.solve(cfg, drv, verify=False)
         assert np.array_equal(r1.solution.values, r2.solution.values)
@@ -325,29 +329,29 @@ class TestSolve:
         with pytest.raises(GridError):
             make_cfg(picard_tol=tol)
 
-    def test_frozen_driver_from_another_time_grid(self):
+    def test_one_frozen_driver_solves_two_time_grids(self):
+        # a frozen driver has no time grid: one driver solves on two grids,
+        # on each with the bits of a driver built for that solve alone
         cfg = make_cfg()
-        own = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=cfg.n, m=cfg.m, T=cfg.T,
-                                              seed=4), cfg.alpha)
-        other = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=cfg.n, m=3, T=1.0,
-                                                seed=4), cfg.alpha)
-        r_own = solver.solve(cfg, own, verify=False)
-        r_other = solver.solve(cfg, other, verify=False)
-        assert np.array_equal(r_own.solution.values, r_other.solution.values)
+        path = fbm.fbm_path(0.75, cfg.n, 4)
+        shared = fbm.field_from_path(path, cfg.alpha)
+        for grid in (cfg, make_cfg(m=7, T=0.1)):
+            r_shared = solver.solve(grid, shared, verify=False)
+            r_own = solver.solve(grid, fbm.field_from_path(path, grid.alpha), verify=False)
+            assert r_shared.converged
+            assert r_shared.solution.values.shape == (grid.m + 1, grid.n + 1)
+            assert np.array_equal(r_shared.solution.values, r_own.solution.values)
 
     def test_sheet_driver_on_another_grid_rejected(self):
         cfg = make_cfg(n=32, m=24, T=0.05)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=12, T=0.05,
-                                              seed=6, time_model="sheet"), cfg.alpha)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=32, m=12, T=0.05, seed=6), cfg.alpha)
         with pytest.raises(GridError):
             solver.solve(cfg, drv, verify=False)
 
     def test_sheet_driver_runs(self):
         n, m, T = 32, 24, 0.05
         cfg = make_cfg(n=n, m=m, T=T)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T,
-                                              seed=6, time_model="sheet"),
-                                cfg.alpha)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=6), cfg.alpha)
         rep = solver.solve(cfg, drv, verify=True)
         assert rep.converged
         assert rep.verdicts["gronwall"]["passed"]
@@ -422,8 +426,7 @@ def probe_case(name):
         n, t_w = 48, 0.05
         cfg = make_cfg(n=n, m=solver.PROBE_TIME_CELLS, T=t_w, phi=GridFunction(
             0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1))))
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7,
-                                              time_model="sheet"), cfg.alpha)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=cfg.m, T=t_w, seed=7), cfg.alpha)
         cons = dataclasses.replace(constants_for(cfg, drv), t1=t_w, t2=t_w)
         return cfg, drv, cons, t_w
     cons = constants_for(cfg, drv)
@@ -724,8 +727,7 @@ class TestGronwall:
     def test_fbm_runs(self, seed):
         n, m, T = 48, 60, 0.05
         cfg = make_cfg(n=n, m=m, T=T)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T,
-                                              seed=seed), cfg.alpha)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, n, seed), cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert rep.converged
         assert rep.verdicts["gronwall"]["passed"]
@@ -734,8 +736,7 @@ class TestGronwall:
     def test_window_start_norms_reused_bitwise(self):
         n, m, T = 48, 60, 0.05
         cfg = make_cfg(n=n, m=m, T=T)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=1),
-                                cfg.alpha)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, n, 1), cfg.alpha)
         rep = solver.solve(cfg, drv, verify=False)
         assert len(rep.windows) > 1
         # recomputing every row gives the same verdict, bit for bit
@@ -820,8 +821,8 @@ class TestLongWindow:
         # output: bitwise one stacked call per slice and the out-of-place sum
         n = 64
         cfg = make_cfg(n=n, m=w, T=0.01)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=w, T=0.01, seed=7,
-                                              time_model=model), 0.3)
+        drv = (fbm.field_from_path(fbm.fbm_path(0.75, n, 7), 0.3) if model == "frozen" else
+               fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=w, T=0.01, seed=7), 0.3))
         rng = np.random.default_rng(5)
         Yw = cfg.phi.values + 0.1 * rng.standard_normal((w + 1, n + 1)).cumsum(axis=0)
         got = solver._apply_window(Yw, cfg.phi.values, cfg.coeff, drv, 0, cfg.dt)
@@ -845,8 +846,8 @@ class TestLongWindow:
         # share a slice on both drivers at k = 40; n = 600 contracts by FFT
         m, T = 4, 0.01
         cfg = make_cfg(n=n, m=m, T=T)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7,
-                                              time_model=model), 0.3)
+        drv = (fbm.field_from_path(fbm.fbm_path(0.75, n, 7), 0.3) if model == "frozen" else
+               fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7), 0.3))
         rng = np.random.default_rng(k)
         Ys = cfg.phi.values + 0.1 * rng.standard_normal((m + 1, k, n + 1)).cumsum(axis=0)
         v0 = solver._inner_integrals(Ys[0], cfg.coeff, drv.time_slice(0)) if with_v0 else None
@@ -890,7 +891,7 @@ class TestSolveMemory:
         cfg = make_cfg(n=128, m=m, T=T)
         tracemalloc.start()
         try:
-            drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=m, T=T, seed=7), 0.3)
+            drv = fbm.field_from_path(fbm.fbm_path(0.75, 128, 7), 0.3)
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
             return tracemalloc.get_traced_memory()[1]

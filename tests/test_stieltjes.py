@@ -162,15 +162,13 @@ class TestBound357:
 
 class TestPathwiseBound:
     def test_zero(self):
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=1, T=1.0,
-                                              seed=4), 0.3)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, 128, 4), 0.3)
         u = grid(lambda x: np.zeros_like(x), 128)
         assert stieltjes.pathwise_integral_bound_check(u, drv).holds
 
     def test_unit_integrand_boundary_identity(self):
         # u = 1: integral is B(1) - B(0); bound G/(1-alpha)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=1, T=1.0,
-                                              seed=4), 0.3)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, 128, 4), 0.3)
         u = grid(lambda x: np.ones_like(x), 128)
         rep = stieltjes.pathwise_integral_bound_check(u, drv)
         path = fbm.fbm_path(0.75, 128, 4).values
@@ -181,21 +179,18 @@ class TestPathwiseBound:
     @pytest.mark.parametrize("seed", range(0, 40, 3))
     def test_sweep(self, seed):
         rng = np.random.default_rng(seed)
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=1, T=1.0,
-                                              seed=seed), 0.3)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, 128, seed), 0.3)
         u = random_trig_grid(128, rng)
         assert stieltjes.pathwise_integral_bound_check(u, drv).holds
 
     def test_rejects_integrand_on_other_grid(self):
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=128, m=1, T=1.0,
-                                              seed=4), 0.3)
+        drv = fbm.field_from_path(fbm.fbm_path(0.75, 128, 4), 0.3)
         with pytest.raises(GridError):
             stieltjes.pathwise_integral_bound_check(grid(np.ones_like, 64), drv)
 
     def test_sheet_driver_checks_every_slice(self):
         # slice 0 of a sheet is identically zero; the check must see the others
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=6, T=0.5, seed=4,
-                                              time_model="sheet"), 0.3)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=6, T=0.5, seed=4), 0.3)
         u = random_trig_grid(64, np.random.default_rng(2))
         rep = stieltjes.pathwise_integral_bound_check(u, drv)
         per_slice = [stieltjes.bound_357_check(u, GridFunction(row), 0.3)
@@ -206,8 +201,7 @@ class TestPathwiseBound:
         assert rep.holds
 
     def test_sheet_bound_is_the_largest_one_slice_sweep(self):
-        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=8, T=0.5, seed=4,
-                                              time_model="sheet"), 0.3)
+        drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=64, m=8, T=0.5, seed=4), 0.3)
         u = random_trig_grid(64, np.random.default_rng(5))
         # one sweep per slice, each computing its own left derivative of u
         sups = [float(np.abs(stieltjes.stieltjes_all_upper_limits(
@@ -539,8 +533,8 @@ def window_setup(model="frozen", n=64, m=6, T=0.05):
     phi = GridFunction(0.5 * np.sin(np.pi * np.linspace(0, 1, n + 1)))
     cfg = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=T, phi=phi,
                               coeff=co.tanh_coefficient(1.0))
-    drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7,
-                                          time_model=model), 0.3)
+    drv = (fbm.field_from_path(fbm.fbm_path(0.75, n, 7), 0.3) if model == "frozen" else
+           fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=m, T=T, seed=7), 0.3))
     return cfg, drv
 
 
