@@ -395,13 +395,13 @@ def _suite_contraction(seed: int) -> list:
     run = solver.run_constants(cfg.alpha, cfg.coeff, drv.lambda_value)
     cons = solver.compute_constants(run, cfg.coeff, cfg.phi_norm(), horizon=cfg.T)
     t2 = min(cons.t2, cfg.T)
-    sweep = solver.contraction_sweep(cfg, drv, cons, t2, 60,
+    probe = solver.contraction_probe(cfg, drv, cons, t2, 60,
                                      np.random.default_rng(seed))
     ball = solver.ball_invariance_check(cfg, drv, cons, trials=60, seed=seed)
     return [
-        {"suite": "contraction", "name": "ratio<=b5*T2*1.1", "passed": sweep["passed"],
-         "worst_margin": cons.b5 * t2 * 1.1 - sweep["max_ratio"],
-         "details": {"max_ratio": sweep["max_ratio"], "ceiling": sweep["ceiling"]}},
+        {"suite": "contraction", "name": "ratio<=b5*T2*1.1", "passed": probe["passed"],
+         "worst_margin": cons.b5 * t2 * 1.1 - probe["max_ratio"],
+         "details": {"max_ratio": probe["max_ratio"], "ceiling": probe["ceiling"]}},
         {"suite": "contraction", "name": "ball_invariance", "passed": ball["passed"],
          "worst_margin": -ball["worst_excess"], "details": ball},
     ]
@@ -617,6 +617,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ArithmeticError as exc:   # numpy's FloatingPointError or Python's own
         print(f"error: the inputs overflow float64 ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: the inputs need more memory than there is ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

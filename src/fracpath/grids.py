@@ -73,12 +73,16 @@ def check_solver_order(alpha: float, hurst: float) -> None:
 
 
 def check_grid(m: int, n: int, T: float) -> None:
-    """Reject fewer than 1 time cell or 2 space cells, or a horizon T that
-    is not finite and positive with a normal time step T/m (the reciprocal
-    of a subnormal step overflows)."""
+    """Reject fewer than 1 time cell or 2 space cells, a horizon T that is
+    not finite and positive with a normal time step T/m (the reciprocal of
+    a subnormal step overflows), or more (m+1)(n+1) float64 values than
+    numpy can index."""
     if m < 1 or n < 2 or not 0 < T <= sys.float_info.max or T / m < sys.float_info.min:
         raise GridError(f"need m >= 1, n >= 2 and a finite T > 0 with T/m a normal float, "
                         f"got m={m}, n={n}, T={T}")
+    if (m + 1) * (n + 1) > np.iinfo(np.intp).max // 8:
+        raise GridError(f"a grid of m={m} by n={n} cells has more float64 values "
+                        f"than an array can index")
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,6 @@ class SpaceTimeField:
     @property
     def n(self) -> int:
         return self.values.shape[1] - 1
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.m
 
     @cached_property
     def t_nodes(self) -> np.ndarray:

@@ -24,10 +24,10 @@ re-checked numerically and reported.  Every entry point checks that the
 driver was prepared for its order alpha; a time-constant driver serves
 any time grid over its spatial grid, so the probes apply the solve's own
 driver to their short probe windows, and a sheet serves only its own
-grid.  The probes apply F through the same window sweep: the ball check
-to all its trials as one field stack, ``contraction_sweep`` (the one loop
-of random contraction probes, for the solve's spot check and ``verify
-contraction``) to one two-field stack per probe, with their norms.
+grid.  Each probe draws its random fields and applies F to all of them
+through the same window sweep, as one field stack: the ball check to its
+trials, ``contraction_probe`` (the solve's spot check and ``verify
+contraction``) to its field pairs.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
 and the report adopts it); the driver, one operator per distinct slice
@@ -68,7 +68,6 @@ __all__ = [
     "compute_constants",
     "solve",
     "contraction_probe",
-    "contraction_sweep",
     "ball_invariance_check",
     "gronwall_check",
     "quadruple_inequality_check",
@@ -500,57 +499,37 @@ def gronwall_check(sol: SpaceTimeField, run: RunConstants, phi_norm: float,
     }
 
 
-def contraction_probe(Y1: SpaceTimeField, Y2: SpaceTimeField, cfg: SolverConfig,
-                      driver: DrivingField, constants: WindowConstants, *,
-                      field_norms: tuple | None = None) -> dict:
-    """Measured Lipschitz ratio of F on a field pair against the b5*T ceiling.
-
-    ``field_norms`` are the norms of Y1 and Y2 when the caller has them (a
-    field scaled by s > 0 has s times the norm); without them they are
-    computed.  Either way a field outside the ball of radius R1 is refused.
-    F maps the pair as one two-field stack.
-    """
-    a = cfg.alpha
-    if Y1.values.shape != Y2.values.shape or abs(Y1.T - Y2.T) > 1e-12 or Y1.n != cfg.n:
-        raise GridError("probe fields must share one grid with phi")
-    if np.array_equal(Y1.values, Y2.values):
-        raise GridError("probe fields must differ (zero denominator)")
-    if field_norms is None:
-        field_norms = (norms.norm_alpha_infty(Y1, a), norms.norm_alpha_infty(Y2, a))
-    if max(field_norms) > constants.r1 * (1.0 + 1e-9):
-        raise GridError(f"probe fields leave the ball of radius R1 = {constants.r1}")
-    _check_driver(driver, a, Y1.m, Y1.n, Y1.T)
-    F = _apply_window(np.stack((Y1.values, Y2.values), axis=1), cfg.phi.values,
-                      cfg.coeff, driver, 0, Y1.dt)
-    num = _window_norm(F[:, 0], F[:, 1], a)
-    den = _window_norm(Y1.values, Y2.values, a)
-    ratio = num / den
-    ceiling = constants.b5 * Y1.T
-    return {"ratio": float(ratio), "ceiling": float(ceiling), "b5": constants.b5,
-            "T": Y1.T, "passed": bool(ratio <= ceiling * 1.1 or ceiling == 0.0)}
+def _probe_images(fields: np.ndarray, cfg: SolverConfig, driver: DrivingField,
+                  t_w: float) -> np.ndarray:
+    """F of a probe's field stack (PROBE_TIME_CELLS + 1, k, n+1) on the
+    probe window [0, t_w], once the driver is checked for it."""
+    _check_driver(driver, cfg.alpha, PROBE_TIME_CELLS, cfg.n, t_w)
+    return _apply_window(fields, cfg.phi.values, cfg.coeff, driver, 0,
+                         t_w / PROBE_TIME_CELLS)
 
 
-def contraction_sweep(cfg: SolverConfig, driver: DrivingField,
+def contraction_probe(cfg: SolverConfig, driver: DrivingField,
                       constants: WindowConstants, t_w: float, trials: int,
                       rng: np.random.Generator) -> dict:
-    """``trials`` contraction probes on random field pairs of length t_w,
-    each field scaled to 0.8 R1, summarized as one verdict."""
-    probes = []
-    for _ in range(trials):
-        pair, scaled_norms = [], []
-        for _ in range(2):
-            Y = random_smooth_field(PROBE_TIME_CELLS, cfg.n, t_w, rng)
-            nrm = norms.norm_alpha_infty(Y, cfg.alpha)
-            s = 0.8 * constants.r1 / max(nrm, 1e-12)
-            pair.append(SpaceTimeField(t_w, Y.values * s))
-            scaled_norms.append(s * nrm)
-        probes.append(contraction_probe(*pair, cfg, driver, constants,
-                                        field_norms=tuple(scaled_norms)))
+    """Measured Lipschitz ratios of F on ``trials`` random field pairs of
+    length t_w, each field scaled to 0.8 R1, against the b5*t_w ceiling,
+    summarized as one verdict.  F maps all the fields as one field stack."""
+    a, n = cfg.alpha, cfg.n
+    fields = np.empty((PROBE_TIME_CELLS + 1, 2 * trials, n + 1))
+    for i in range(fields.shape[1]):
+        Y = random_smooth_field(PROBE_TIME_CELLS, n, t_w, rng)
+        fields[:, i] = Y.values * (0.8 * constants.r1
+                                   / max(norms.norm_alpha_infty(Y, a), 1e-12))
+    images = _probe_images(fields, cfg, driver, t_w)
+    ratios = [_window_norm(images[:, i], images[:, i + 1], a)
+              / _window_norm(fields[:, i], fields[:, i + 1], a)
+              for i in range(0, fields.shape[1], 2)]
+    ceiling = float(constants.b5 * t_w)
     return {
-        "passed": all(p["passed"] for p in probes),
-        "max_ratio": max((p["ratio"] for p in probes), default=0.0),
-        "ceiling": float(constants.b5 * t_w),
-        "trials": len(probes),
+        "passed": all(r <= ceiling * 1.1 or ceiling == 0.0 for r in ratios),
+        "max_ratio": max(ratios, default=0.0),
+        "ceiling": ceiling,
+        "trials": trials,
     }
 
 
@@ -564,7 +543,6 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
     """
     a, n = cfg.alpha, cfg.n
     t_w = constants.t1 if math.isfinite(constants.t1) else cfg.T
-    _check_driver(driver, a, PROBE_TIME_CELLS, n, t_w)
     rng = np.random.default_rng(seed)
     fields = np.empty((PROBE_TIME_CELLS + 1, max(1, trials), n + 1))
     fields[:, 0] = cfg.phi.values
@@ -573,8 +551,7 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
         nrm = norms.norm_alpha_infty(Yr, a)
         target = rng.uniform(0.2, 1.0) * constants.r1
         fields[:, i] = Yr.values * (target / max(nrm, 1e-12))
-    images = _apply_window(fields, cfg.phi.values, cfg.coeff, driver, 0,
-                           t_w / PROBE_TIME_CELLS)
+    images = _probe_images(fields, cfg, driver, t_w)
     # the verdict and the excess need only the largest image norm
     worst = norms.max_slice_norm(images.reshape(-1, n + 1), a)
     return {"passed": bool(worst <= constants.r1 * (1.0 + _REL_SLACK)), "r1": constants.r1,
@@ -609,7 +586,7 @@ def _spot_verdicts(cfg: SolverConfig, driver: DrivingField,
     out["ball_invariance"] = ball_invariance_check(cfg, driver, constants,
                                                    trials=trials, seed=seed)
     t2 = constants.t2 if math.isfinite(constants.t2) else cfg.T
-    out["contraction"] = contraction_sweep(cfg, driver, constants, t2, trials,
+    out["contraction"] = contraction_probe(cfg, driver, constants, t2, trials,
                                            np.random.default_rng(seed + 1))
     out["prop2"] = quadruple_inequality_check(cfg.coeff, constants.r1,
                                               max(1000, trials * 100), seed + 2)

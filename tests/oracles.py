@@ -139,7 +139,7 @@ def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff, driver, alpha) -> Space
                   for j, y in enumerate(Y.values)])
     out = np.empty_like(V)
     out[0] = phi.values
-    out[1:] = phi.values + np.cumsum(0.5 * Y.dt * (V[1:] + V[:-1]), axis=0)
+    out[1:] = phi.values + np.cumsum(0.5 * (Y.T / Y.m) * (V[1:] + V[:-1]), axis=0)
     return SpaceTimeField(Y.T, out)
 
 

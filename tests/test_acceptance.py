@@ -163,18 +163,8 @@ def test_criterion_5_ball_invariance_and_contraction():
     ball = solver.ball_invariance_check(cfg, drv, cons, trials=100, seed=55)
 
     t2 = min(cons.t2, cfg.T)
-    rng = np.random.default_rng(66)
-    max_ratio = 0.0
-    contraction_ok = True
-    for _ in range(100):
-        Y1 = random_smooth_field(4, n, t2, rng)
-        Y2 = random_smooth_field(4, n, t2, rng)
-        s1 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y1, cfg.alpha), 1e-12)
-        s2 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y2, cfg.alpha), 1e-12)
-        p = solver.contraction_probe(SpaceTimeField(t2, Y1.values * s1),
-                                     SpaceTimeField(t2, Y2.values * s2), cfg, drv, cons)
-        max_ratio = max(max_ratio, p["ratio"])
-        contraction_ok = contraction_ok and p["ratio"] <= p["ceiling"] * 1.1
+    contraction = solver.contraction_probe(cfg, drv, cons, t2, 100, np.random.default_rng(66))
+    max_ratio, contraction_ok = contraction["max_ratio"], contraction["passed"]
     report("criterion 5 (ball invariance and contraction)",
            four_figs and ball["passed"] and contraction_ok,
            f"constants to 4 sig figs (b1={run.b1:.6f}, T1={c.t1:.6f}); "

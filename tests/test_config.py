@@ -79,6 +79,10 @@ BAD = [
     ("sheet-without-seed", {"driver": {"model": "sheet"}}),
     ("stub-without-kind", {"driver": {"model": "stub"}}),
     ("frozen-with-hurst_t", {"driver": FROZEN, "driver.hurst_t": 0.95}),
+    # (m+1)(n+1) float64 values past any 57-bit address space: m = 10**16
+    # passes the grid check and fails to allocate, the larger m are refused
+    # by it, before any allocation
+    *[(f"size-grid.m=10**{e}", {"grid.m": 10 ** e}) for e in (16, 17, 30)],
 ]
 
 NOT_OBJECT = [[], 3, "config", None, [BASE]]
@@ -122,6 +126,22 @@ def test_base_config_solves(tmp_path, capsys):
 def test_bad_config_refused(tmp_path, capsys, changes):
     rc, err = solve_exit(tmp_path, capsys, bad_config(changes))
     assert_refused(tmp_path, rc, err)
+
+
+@pytest.mark.parametrize("m", [10 ** 17, 10 ** 30])
+def test_grid_too_large_to_index_names_m_and_n(tmp_path, capsys, m):
+    rc, err = solve_exit(tmp_path, capsys, bad_config({"grid.m": m}))
+    assert_refused(tmp_path, rc, err)
+    assert f"m={m} by n=48 cells" in err
+
+
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+    monkeypatch.setattr(cli.solver, "solve", exhausted)
+    rc, err = solve_exit(tmp_path, capsys, BASE)
+    assert_refused(tmp_path, rc, err)
+    assert "8.00 EiB" in err
 
 
 @pytest.mark.parametrize("cfg", NOT_OBJECT, ids=[json.dumps(c)[:12] for c in NOT_OBJECT])

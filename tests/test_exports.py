@@ -85,6 +85,18 @@ def test_a_time_constant_driver_has_no_time_axis():
     assert "cfg" not in inspect.signature(solver.gronwall_check).parameters
 
 
+def test_one_contraction_probe():
+    # the contraction probe draws, scales and maps all its field pairs
+    # itself: no per-pair entry point, no norms handed in, and no field
+    # states its time step
+    from fracpath import solver
+    from fracpath.grids import SpaceTimeField
+    assert not hasattr(solver, "contraction_sweep")
+    params = inspect.signature(solver.contraction_probe).parameters
+    assert not {"Y1", "Y2", "field_norms"} & set(params)
+    assert not hasattr(SpaceTimeField, "dt")
+
+
 def test_fbm_config_is_the_sheet(monkeypatch):
     # a frozen driver is its path: its config builds no FbmConfig, which
     # configures the sheet alone and has no time model

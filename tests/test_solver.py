@@ -387,15 +387,8 @@ class TestDriverOrder:
 
     def test_contraction_probe(self):
         cfg, drv, cons = self.mismatched()
-        Y1 = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
-        Y2 = SpaceTimeField(0.01, 0.5 * Y1.values)
         with pytest.raises(GridError, match="different alpha"):
-            solver.contraction_probe(Y1, Y2, cfg, drv, cons)
-
-    def test_contraction_sweep(self):
-        cfg, drv, cons = self.mismatched()
-        with pytest.raises(GridError, match="different alpha"):
-            solver.contraction_sweep(cfg, drv, cons, 0.01, 2, np.random.default_rng(1))
+            solver.contraction_probe(cfg, drv, cons, 0.01, 2, np.random.default_rng(1))
 
 
 class TestConstantsFlow:
@@ -456,8 +449,8 @@ def hand_rolled_ball(cfg, drv, cons, trials, seed):
 
 
 def hand_rolled_contraction(cfg, drv, cons, t_w, trials, rng):
-    """``contraction_sweep`` as a loop over its probes, each field mapped
-    by F on its own and each norm the max of the slice norms."""
+    """``contraction_probe`` as a loop over its field pairs, each field
+    mapped by F on its own and each norm the max of the slice norms."""
     a = cfg.alpha
     ceiling = cons.b5 * t_w
     ratios = []
@@ -476,131 +469,42 @@ def hand_rolled_contraction(cfg, drv, cons, t_w, trials, rng):
 
 
 class TestContractionProbe:
-    def test_rejects_identical_fields(self):
-        cfg = make_cfg()
-        drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
-        Y = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
-        with pytest.raises(GridError):
-            solver.contraction_probe(Y, Y, cfg, drv, constants_for(cfg, drv))
-
     def test_constant_coefficient_has_zero_ratio(self):
         # F depends on Y only through A, so constant A gives numerator 0
         cfg = make_cfg(coeff=co.constant_coefficient(1.5))
         drv = fbm.stub_driving_field("quadratic", cfg.n, cfg.alpha)
-        Y1 = SpaceTimeField(0.01, np.tile(cfg.phi.values, (5, 1)))
-        Y2 = SpaceTimeField(0.01, Y1.values + 0.3)
-        probe = solver.contraction_probe(Y1, Y2, cfg, drv, constants_for(cfg, drv))
-        assert probe["ratio"] == 0.0
-
-    @staticmethod
-    def randomized_probes():
-        """25 probes on random pairs scaled to 0.8 R1, written out by hand
-        as the reference for ``solver.contraction_sweep``."""
-        cfg = make_cfg(n=64)
-        drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
-        cons = constants_for(cfg, drv)
-        t2 = min(cons.t2, cfg.T)
-        rng = np.random.default_rng(2)
-        probes = []
-        for _ in range(25):
-            Y1 = random_smooth_field(4, 64, t2, rng)
-            Y2 = random_smooth_field(4, 64, t2, rng)
-            s1 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y1, cfg.alpha), 1e-12)
-            s2 = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y2, cfg.alpha), 1e-12)
-            probes.append(solver.contraction_probe(SpaceTimeField(t2, Y1.values * s1),
-                                                   SpaceTimeField(t2, Y2.values * s2),
-                                                   cfg, drv, cons))
-        return cfg, drv, cons, t2, probes
+        probe = solver.contraction_probe(cfg, drv, constants_for(cfg, drv), 0.01, 3,
+                                         np.random.default_rng(1))
+        assert probe["max_ratio"] == 0.0
 
     def test_randomized_ratios_below_ceiling(self):
-        for probe in self.randomized_probes()[-1]:
-            assert probe["ratio"] <= probe["ceiling"] * 1.1
-
-    def test_sweep_matches_hand_rolled_probes(self):
-        cfg, drv, cons, t2, probes = self.randomized_probes()
-        sweep = solver.contraction_sweep(cfg, drv, cons, t2, 25,
-                                         np.random.default_rng(2))
-        assert sweep["max_ratio"] == max(p["ratio"] for p in probes)
-        assert sweep["ceiling"] == probes[0]["ceiling"]
-        assert sweep["passed"] == all(p["passed"] for p in probes)
-        assert sweep["trials"] == 25
-        # each probe maps its pair as one two-field stack: the same verdict,
-        # bit for bit, as mapping each field on its own
-        for name, trials in PROBE_CASES:
-            cfg, drv, cons, t_w = probe_case(name)
-            sweep = solver.contraction_sweep(cfg, drv, cons, t_w, trials,
-                                             np.random.default_rng(2))
-            assert sweep == hand_rolled_contraction(cfg, drv, cons, t_w, trials,
-                                                    np.random.default_rng(2)), (name, trials)
-
-    @staticmethod
-    def swept_probes(name, monkeypatch):
-        """Every ``contraction_probe`` call of a contraction sweep on the README
-        config or on the ``verify contraction`` config: (args, kwargs, result)."""
-        if name == "readme":
-            cfg, build = cli._read_config(README_CONFIG)
-            drv = build()
-        else:
-            cfg, drv = cli._probe_config(96)
-        cons = constants_for(cfg, drv)
-        calls = []
-        probe = solver.contraction_probe
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs, probe(*args, **kwargs)))
-            return calls[-1][2]
-        monkeypatch.setattr(solver, "contraction_probe", spy)
-        solver.contraction_sweep(cfg, drv, cons, min(cons.t2, cfg.T), 5,
-                                 np.random.default_rng(1))
-        monkeypatch.undo()
-        assert len(calls) == 5
-        return calls
-
-    @pytest.mark.parametrize("name", ["readme", "probe96"])
-    def test_known_field_norms_give_the_same_probe(self, name, monkeypatch):
-        for args, kwargs, result in self.swept_probes(name, monkeypatch):
-            assert set(kwargs) == {"field_norms"}
-            assert solver.contraction_probe(*args) == result
-
-    @pytest.mark.parametrize("name", ["readme", "probe96"])
-    def test_known_field_norms_match_the_scaled_fields(self, name, monkeypatch):
-        # s ||Y|| against ||s Y||: the norm is positively homogeneous
-        for args, kwargs, _ in self.swept_probes(name, monkeypatch):
-            cfg = args[2]
-            for Y, known in zip(args[:2], kwargs["field_norms"]):
-                measured = norms.norm_alpha_infty(Y, cfg.alpha)
-                assert known == pytest.approx(measured, rel=1e-14, abs=0.0)
-
-    def test_known_field_norms_above_r1_refused(self):
-        cfg, drv = cli._probe_config(96)
-        cons = constants_for(cfg, drv)
-        rng = np.random.default_rng(3)
-        Y1, Y2 = (random_smooth_field(4, 96, 0.01, rng) for _ in range(2))
-        n1, n2 = (norms.norm_alpha_infty(Y, cfg.alpha) for Y in (Y1, Y2))
-        inside = [SpaceTimeField(0.01, Y.values * (0.5 * cons.r1 / nrm))
-                  for Y, nrm in ((Y1, n1), (Y2, n2))]
-        outside = [SpaceTimeField(0.01, Y.values * (1.5 * cons.r1 / nrm))
-                   for Y, nrm in ((Y1, n1), (Y2, n2))]
-        with pytest.raises(GridError, match="leave the ball"):
-            solver.contraction_probe(*inside, cfg, drv, cons,
-                                     field_norms=(0.5 * cons.r1, 1.5 * cons.r1))
-        with pytest.raises(GridError, match="leave the ball"):
-            solver.contraction_probe(*outside, cfg, drv, cons)
-        solver.contraction_probe(*inside, cfg, drv, cons,
-                                 field_norms=(0.5 * cons.r1, 0.5 * cons.r1))
-
-    def test_ratio_scales_linearly_in_window_length(self):
         cfg = make_cfg(n=64)
         drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
-        rng = np.random.default_rng(4)
-        base = random_smooth_field(8, 64, 1.0, rng).values
-        pert = random_smooth_field(8, 64, 1.0, rng).values
-        ratios = []
-        for T in (0.02, 0.01):
-            Y1 = SpaceTimeField(T, 0.3 * base)
-            Y2 = SpaceTimeField(T, 0.3 * base + 0.1 * pert)
-            ratios.append(solver.contraction_probe(Y1, Y2, cfg, drv,
-                                                   constants_for(cfg, drv))["ratio"])
+        cons = constants_for(cfg, drv)
+        probe = solver.contraction_probe(cfg, drv, cons, min(cons.t2, cfg.T), 25,
+                                         np.random.default_rng(2))
+        assert probe["passed"] and probe["trials"] == 25
+        assert probe["max_ratio"] <= probe["ceiling"] * 1.1
+
+    def test_sweep_matches_hand_rolled_probes(self):
+        # all pairs are mapped as one field stack: the same verdict, bit for
+        # bit, as mapping each field on its own
+        for name, trials in PROBE_CASES:
+            cfg, drv, cons, t_w = probe_case(name)
+            probe = solver.contraction_probe(cfg, drv, cons, t_w, trials,
+                                             np.random.default_rng(2))
+            assert probe == hand_rolled_contraction(cfg, drv, cons, t_w, trials,
+                                                    np.random.default_rng(2)), (name, trials)
+
+    def test_ratio_scales_linearly_in_window_length(self):
+        # a random field's values do not depend on its length, so one seed
+        # draws the same scaled pairs for both windows
+        cfg = make_cfg(n=64)
+        drv = fbm.stub_driving_field("quadratic", 64, cfg.alpha)
+        cons = constants_for(cfg, drv)
+        ratios = [solver.contraction_probe(cfg, drv, cons, t_w, 5,
+                                           np.random.default_rng(4))["max_ratio"]
+                  for t_w in (0.02, 0.01)]
         assert ratios[1] == pytest.approx(0.5 * ratios[0], rel=0.2)
 
 
@@ -691,9 +595,9 @@ class TestStackedMaxInProbes:
     def probe_dicts(cfg, drv):
         cons = constants_for(cfg, drv)
         ball = solver.ball_invariance_check(cfg, drv, cons, trials=5, seed=0)
-        sweep = solver.contraction_sweep(cfg, drv, cons, min(cons.t2, cfg.T), 5,
-                                         np.random.default_rng(1))
-        return ball, sweep
+        contraction = solver.contraction_probe(cfg, drv, cons, min(cons.t2, cfg.T), 5,
+                                               np.random.default_rng(1))
+        return ball, contraction
 
     @pytest.mark.parametrize("name", ["readme", "probe96", "probe400"])
     def test_equal_to_the_max_of_slice_norms(self, name, monkeypatch):
