@@ -386,9 +386,16 @@ class TestDriverOrder:
             solver.ball_invariance_check(cfg, drv, cons, trials=2, seed=0)
 
     def test_contraction_probe(self):
+        # one trial: a single field pair
         cfg, drv, cons = self.mismatched()
         with pytest.raises(GridError, match="different alpha"):
-            solver.contraction_probe(cfg, drv, cons, 0.01, 2, np.random.default_rng(1))
+            solver.contraction_probe(cfg, drv, cons, 0.01, 1, np.random.default_rng(1))
+
+    def test_contraction_sweep(self):
+        # several trials: every pair mapped as one field stack
+        cfg, drv, cons = self.mismatched()
+        with pytest.raises(GridError, match="different alpha"):
+            solver.contraction_probe(cfg, drv, cons, 0.01, 5, np.random.default_rng(1))
 
 
 class TestConstantsFlow:
