@@ -3,16 +3,16 @@ for the driven integral equation Y(t, xi) = phi(xi) + int_0^t int_0^xi
 A(Y(s, eta)) dg(s, eta) ds, with the existence proof's constants and
 inequalities computed and checked numerically."""
 
-from .grids import GridError, GridFunction, SpaceTimeField
+from .grids import GridError, GridFunction
 from .frac_calc import (
     beta_b1,
     weyl_derivative_left,
     weyl_derivative_right,
 )
 from .norms import (
+    max_slice_norm,
     norm_1malpha_infty0,
     norm_alpha_1,
-    norm_alpha_infty,
 )
 from .fbm import (
     CovarianceReport,
@@ -59,9 +59,9 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridError", "GridFunction", "SpaceTimeField",
+    "GridError", "GridFunction",
     "beta_b1", "weyl_derivative_left", "weyl_derivative_right",
-    "norm_1malpha_infty0", "norm_alpha_1", "norm_alpha_infty",
+    "max_slice_norm", "norm_1malpha_infty0", "norm_alpha_1",
     "CovarianceReport", "DrivingField", "FbmConfig", "covariance_validator",
     "driving_field", "fbm_path", "field_from_path", "stub_driving_field",
     "PAIRING_SIGN", "BoundReport", "IndicatorReport", "bound_357_check",

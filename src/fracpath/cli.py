@@ -272,13 +272,16 @@ def _solution_rows(t_nodes, xi_nodes, rows):
 
 def cmd_fbm(args) -> int:
     _check_at_least("--seed", args.seed, 0)
+    if args.samples is not None and not args.validate:
+        raise ConfigError("--samples needs --validate")
+    samples = 10 ** 4 if args.samples is None else args.samples
     cfg = {"hurst": args.hurst, "n": args.n, "seed": args.seed,
-           "samples": args.samples, "validate": bool(args.validate)}
+           "samples": samples, "validate": bool(args.validate)}
     chash = config_hash(cfg)
     path = fbm.fbm_path(args.hurst, args.n, args.seed)
     # the validator's sample count is checked, and the validator run, before
     # the first file is written
-    rep = (fbm.covariance_validator(args.hurst, args.samples, args.seed, n=min(args.n, 64))
+    rep = (fbm.covariance_validator(args.hurst, samples, args.seed, n=min(args.n, 64))
            if args.validate else None)
     out = _outdir(args)
     write_csv(os.path.join(out, "fbm_path.csv"), ("xi", "value"),
@@ -293,9 +296,9 @@ def cmd_fbm(args) -> int:
 def cmd_solve(args) -> int:
     cfg, scfg, build_driver = load_config(args.config)
     report = solver.solve(scfg, build_driver())
-    out, chash, sol = _outdir(args), config_hash(cfg), report.solution
+    out, chash = _outdir(args), config_hash(cfg)
     write_csv(os.path.join(out, "solution.csv"), ("t", "xi", "Y"),
-              _solution_rows(sol.t_nodes, sol.xi_nodes, sol.values), chash)
+              _solution_rows(report.t_nodes, scfg.phi.nodes, report.solution), chash)
     write_json(os.path.join(out, "report.json"), report.to_dict(), chash)
     if not report.converged:
         return EXIT_NO_CONVERGENCE
@@ -377,7 +380,7 @@ def _suite_bounds(seed: int) -> list:
         GridFunction(np.ones(n + 1)), drv)
     checks.append({"suite": "bounds", "name": "pathwise:u=1",
                    "passed": r.holds, "worst_margin": r.margin,
-                   "details": r.to_dict()})
+                   "details": r})
     return checks
 
 
@@ -473,7 +476,7 @@ def _ensemble_run(scfg: solver.SolverConfig, driver: dict, base_seed: int, k: in
     except (GridError, ConfigError) as exc:
         return {"seed": k, "ok": False, "error": str(exc)}
     g = report.verdicts["gronwall"]
-    sup = float(np.abs(report.solution.values).max())
+    sup = float(np.abs(report.solution).max())
     return {
         "seed": k,
         "ok": bool(report.converged),
@@ -554,7 +557,7 @@ def cmd_convergence(args) -> int:
         report = _run_config(run_cfg)
         if not report.converged:
             return EXIT_NO_CONVERGENCE
-        solutions[n] = report.solution.values
+        solutions[n] = report.solution
     ref = solutions[n_ref]
     errors = []
     for n in res[:-1]:
@@ -578,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--hurst", type=float, required=True)
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--seed", type=int, required=True)
-    pf.add_argument("--samples", type=int, default=10 ** 4)
+    pf.add_argument("--samples", type=int, default=None)
     pf.add_argument("--validate", action="store_true")
     pf.set_defaults(fn=cmd_fbm)
 

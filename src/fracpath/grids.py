@@ -1,10 +1,11 @@
-"""Uniform-grid containers and the grid and order checks.
+"""The uniform-grid slice and the grid and order checks.
 
-``GridFunction`` is one slice on [0, 1], held as a read-only copy;
-``SpaceTimeField`` is m+1 slices over [0, T] x [0, 1], which a solve also
-holds without a copy (``_adopt``).  Both refuse non-finite values.  The
-kernels of ``frac_calc`` take plain arrays, one slice or a stack of
-slices, and check what they read themselves.
+``GridFunction`` is one slice on [0, 1] that comes from outside the
+solver (the initial slice phi, an fBm path, the integrands of ``verify``),
+held as a read-only copy that refuses non-finite values.  Everything else
+is a plain array on the unit grid: the kernels of ``frac_calc`` take one
+slice or a stack of slices and check what they read themselves, and a
+solve's field is its (rows, n+1) array, row j the slice at t_j.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridError", "GridFunction", "SpaceTimeField"]
+__all__ = ["GridError", "GridFunction"]
 
 
 class GridError(ValueError):
@@ -83,59 +84,3 @@ def check_grid(m: int, n: int, T: float) -> None:
     if (m + 1) * (n + 1) > np.iinfo(np.intp).max // 8:
         raise GridError(f"a grid of m={m} by n={n} cells has more float64 values "
                         f"than an array can index")
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Real values on the tensor grid [0, T] x [0, 1].
-
-    ``values`` has shape (m+1, n+1): row j holds the spatial slice at
-    t_j = j*T/m.  The spatial domain is fixed to [0, 1].
-    """
-
-    T: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self._hold(np.array(self.values, dtype=float))
-
-    @classmethod
-    def _adopt(cls, T: float, values: np.ndarray) -> "SpaceTimeField":
-        """A field over ``values`` itself, not a copy, for an array that
-        nothing else writes, such as a finished result.  The array is made
-        read-only and validated as the public constructor validates its
-        copy."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "T", T)
-        f._hold(np.asarray(values, dtype=float))
-        return f
-
-    def _hold(self, arr: np.ndarray) -> None:
-        object.__setattr__(self, "T", float(self.T))
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 2:
-            raise GridError("field values must be a 2-D array")
-        check_grid(arr.shape[0] - 1, arr.shape[1] - 1, self.T)
-        if not np.isfinite(arr).all():
-            raise GridError("non-finite field values")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1] - 1
-
-    @cached_property
-    def t_nodes(self) -> np.ndarray:
-        t = np.linspace(0.0, self.T, self.m + 1)
-        t.setflags(write=False)
-        return t
-
-    @cached_property
-    def xi_nodes(self) -> np.ndarray:
-        x = np.linspace(0.0, 1.0, self.n + 1)
-        x.setflags(write=False)
-        return x

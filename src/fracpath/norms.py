@@ -42,10 +42,9 @@ import numpy as np
 from .frac_calc import (_BLOCK_ELEMENTS, _SWEEP_ROWS, _difference_weights, _hat_moments,
                         _lower_toeplitz, _square_fits_block, _tail_bands,
                         left_power_integral, marchaud_difference_abs)
-from .grids import GridError, GridFunction, SpaceTimeField, order_value
+from .grids import GridError, GridFunction, order_value
 
 __all__ = [
-    "norm_alpha_infty",
     "norm_1malpha_infty0",
     "norm_alpha_1",
     "lambda_from_pair_matrix",
@@ -199,11 +198,6 @@ def _tail_bound(v: np.ndarray, a: float) -> np.ndarray:
     # a slack of 1 + 1e-9, far above the rounding of either sum of nonnegative
     # terms (about n * eps <= 1e-12 at n <= 4096); 1e-300 covers underflow
     return (tail * (1.0 / n) ** (-a) + np.abs(v)) * (1.0 + 1e-9) + 1e-300
-
-
-def norm_alpha_infty(f: SpaceTimeField, alpha) -> float:
-    """sup over t and xi of |f| plus the singular Hoelder tail in xi."""
-    return max_slice_norm(f.values, alpha)
 
 
 def norm_alpha_1(f: GridFunction, alpha) -> float:

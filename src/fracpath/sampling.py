@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridFunction, SpaceTimeField
+from .grids import GridFunction
 
 __all__ = ["random_trig_grid", "random_smooth_field"]
 
@@ -23,8 +23,9 @@ def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
 
 
 def random_smooth_field(m: int, n: int, T: float,
-                        rng: np.random.Generator) -> SpaceTimeField:
-    """Random smooth space-time field with mode amplitudes drifting in time."""
+                        rng: np.random.Generator) -> np.ndarray:
+    """Random smooth space-time field on [0, T] x [0, 1], as its (m+1, n+1)
+    node values, with mode amplitudes drifting in time."""
     t = np.linspace(0.0, T, m + 1)[:, None]
     xi = np.linspace(0.0, 1.0, n + 1)[None, :]
     k = np.arange(1, _FIELD_MODES + 1)
@@ -33,4 +34,4 @@ def random_smooth_field(m: int, n: int, T: float,
     c0 = rng.standard_normal()
     tt = t / T if T > 0 else t
     modes = (a[:, None, None] + b[:, None, None] * tt) * np.sin(k[:, None, None] * np.pi * xi)
-    return SpaceTimeField(T, c0 + np.add.reduce(modes, axis=0))
+    return c0 + np.add.reduce(modes, axis=0)

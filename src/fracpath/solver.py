@@ -30,14 +30,14 @@ trials, ``contraction_probe`` (the solve's spot check and ``verify
 contraction``) to its field pairs.
 
 What a solve holds: the solution once (``solve`` writes Y window by window
-and the report adopts it); the driver, one operator per distinct slice
-(from 512 cells on O(n) data, below it also the (n+1)^2 pair matrix); at
-most three window-sized arrays (the iterate, its inner integrals and its
-image during a sweep; the iterate and its image during the residual norm,
-which forms each band's difference in its step), plus one band of scratch
-of the sweep and the norm, and a record of about 1 kB per window.  The
-Gronwall running norms go ``_SWEEP_ROWS`` rows at a time, so no copy of
-the solution is stacked.  A driver build forms the pair matrix D of each
+and the report holds that array itself, read-only); the driver, one
+operator per distinct slice (from 512 cells on O(n) data, below it also
+the (n+1)^2 pair matrix); at most three window-sized arrays (the iterate,
+its inner integrals and its image during a sweep; the iterate and its
+image during the residual norm, which forms each band's difference in its
+step), plus one band of scratch of the sweep and the norm, and a record of
+about 1 kB per window.  The Gronwall running norms go ``_SWEEP_ROWS`` rows
+at a time, so no copy of the solution is stacked.  A driver build forms the pair matrix D of each
 distinct slice once, and from 512 cells on drops it after the build; that
 transient matrix sets the peak of a short large-n solve (8.4 MB at
 n = 1024, 134 MB at n = 4096).
@@ -54,7 +54,7 @@ from . import grids, norms
 from .coefficients import CoefficientFunction
 from .fbm import DrivingField
 from .frac_calc import _SWEEP_ROWS, beta_b1
-from .grids import GridError, GridFunction, SpaceTimeField, check_solver_order
+from .grids import GridError, GridFunction, check_solver_order
 from .sampling import random_smooth_field
 from .stieltjes import SliceOperator, stieltjes_all_upper_limits
 
@@ -332,13 +332,16 @@ class WindowRecord:
 
 @dataclass
 class SolverReport:
-    """The outcome of ``solve``: the solution field (solution.csv) and, in
-    report.json, whether every window converged and the first that did not,
-    the run constants (with the driver's Lambda_alpha), the window records
-    (each with its window constants), and the verdicts of the proof's
-    checks, each with its ``passed``."""
+    """The outcome of ``solve``: the solution (solution.csv), the read-only
+    (rows, n+1) array that ``solve`` wrote, row j the slice at the time
+    ``t_nodes[j]`` (rows = m+1 on [0, T], fewer if a window failed), and,
+    in report.json, whether every window converged and the first that did
+    not, the run constants (with the driver's Lambda_alpha), the window
+    records (each with its window constants), and the verdicts of the
+    proof's checks, each with its ``passed``."""
 
-    solution: SpaceTimeField
+    solution: np.ndarray
+    t_nodes: np.ndarray
     converged: bool
     windows: list
     constants: RunConstants
@@ -346,7 +349,8 @@ class SolverReport:
     failed_window: int | None = None
 
     def to_dict(self) -> dict:
-        """Every field but ``solution``; the records in it stay records."""
+        """Every field but ``solution`` and ``t_nodes``; the records in it
+        stay records."""
         return {
             "converged": self.converged,
             "failed_window": self.failed_window,
@@ -439,8 +443,10 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
         phi_w = Y[j1]
         j0 = j1
 
-    # nothing else holds Y, so the solution takes it over instead of a copy
-    solution = SpaceTimeField._adopt(cfg.T if converged else windows[-1].t_end, Y)
+    # nothing else holds Y, so the report holds it itself, not a copy
+    Y.setflags(write=False)
+    t = np.linspace(0.0, cfg.T if converged else windows[-1].t_end, len(Y))
+    t.setflags(write=False)
     # window 0 starts from phi itself: the probes check its constants
     start = windows[0].constants
     verdicts = {
@@ -450,28 +456,28 @@ def solve(cfg: SolverConfig, driver: DrivingField, verify: bool = True) -> Solve
             "passed": converged,
         },
     }
-    verdicts["gronwall"] = gronwall_check(solution, run, start.phi_norm, start_norms)
+    verdicts["gronwall"] = gronwall_check(Y, t, run, start.phi_norm, start_norms)
     if verify and converged:
         verdicts.update(_spot_verdicts(cfg, driver, start))
-    return SolverReport(solution, converged, windows, run, verdicts, failed_window)
+    return SolverReport(Y, t, converged, windows, run, verdicts, failed_window)
 
 
-def gronwall_check(sol: SpaceTimeField, run: RunConstants, phi_norm: float,
-                   known_norms: dict) -> dict:
+def gronwall_check(values: np.ndarray, t: np.ndarray, run: RunConstants,
+                   phi_norm: float, known_norms: dict) -> dict:
     """Envelope ||phi|| exp(K t) against the running slice norm at every
-    node, with K and the order alpha of the norms read from ``run``.
+    node, for the rows ``values`` of a field at the times ``t``, with K and
+    the order alpha of the norms read from ``run``.
 
-    ``known_norms`` maps rows of ``sol`` to slice norms already taken (the
-    window starts of ``solve``); the other rows are computed in stacked
-    calls of ``_SWEEP_ROWS`` rows, so that no copy of the field is formed,
-    and each entry is bitwise the one-slice norm.
+    ``known_norms`` maps rows of ``values`` to slice norms already taken
+    (the window starts of ``solve``); the other rows are computed in
+    stacked calls of ``_SWEEP_ROWS`` rows, so that no copy of the field is
+    formed, and each entry is bitwise the one-slice norm.
 
     Where the envelope overflows (at every t > 0 when K is +inf) it is
     +inf, 0 while ||phi|| = 0, and bounds nothing; ``unbounded_from`` is
     the first such t, or None.
     """
     a, k = run.alpha, run.gronwall_k
-    t = sol.t_nodes
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.exp(k * t)
         growth[0] = 1.0   # an infinite K gives inf * 0 at t = 0
@@ -482,7 +488,7 @@ def gronwall_check(sol: SpaceTimeField, run: RunConstants, phi_norm: float,
     running = np.empty(len(t))
     for c in range(0, len(rest), _SWEEP_ROWS):
         rows = rest[c:c + _SWEEP_ROWS]
-        running[rows] = norms.slice_norms_alpha_infty(sol.values[rows], a)
+        running[rows] = norms.slice_norms_alpha_infty(values[rows], a)
     running[list(known_norms)] = list(known_norms.values())
     ok = running <= ceiling
     violations = [
@@ -518,8 +524,7 @@ def contraction_probe(cfg: SolverConfig, driver: DrivingField,
     fields = np.empty((PROBE_TIME_CELLS + 1, 2 * trials, n + 1))
     for i in range(fields.shape[1]):
         Y = random_smooth_field(PROBE_TIME_CELLS, n, t_w, rng)
-        fields[:, i] = Y.values * (0.8 * constants.r1
-                                   / max(norms.norm_alpha_infty(Y, a), 1e-12))
+        fields[:, i] = Y * (0.8 * constants.r1 / max(norms.max_slice_norm(Y, a), 1e-12))
     images = _probe_images(fields, cfg, driver, t_w)
     ratios = [_window_norm(images[:, i], images[:, i + 1], a)
               / _window_norm(fields[:, i], fields[:, i + 1], a)
@@ -548,9 +553,9 @@ def ball_invariance_check(cfg: SolverConfig, driver: DrivingField,
     fields[:, 0] = cfg.phi.values
     for i in range(1, fields.shape[1]):
         Yr = random_smooth_field(PROBE_TIME_CELLS, n, t_w, rng)
-        nrm = norms.norm_alpha_infty(Yr, a)
+        nrm = norms.max_slice_norm(Yr, a)
         target = rng.uniform(0.2, 1.0) * constants.r1
-        fields[:, i] = Yr.values * (target / max(nrm, 1e-12))
+        fields[:, i] = Yr * (target / max(nrm, 1e-12))
     images = _probe_images(fields, cfg, driver, t_w)
     # the verdict and the excess need only the largest image norm
     worst = norms.max_slice_norm(images.reshape(-1, n + 1), a)

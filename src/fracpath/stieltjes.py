@@ -278,10 +278,6 @@ class BoundReport:
     lam: float
     f_norm: float
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-                "margin": self.margin, "lambda": self.lam, "f_norm": self.f_norm}
-
 
 _BOUND_SLACK = 1e-6
 

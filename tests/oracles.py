@@ -21,7 +21,7 @@ import numpy as np
 
 from fracpath.fbm import _circulant_root, _fgn_sample
 from fracpath.frac_calc import _difference_weights, _hat_moments
-from fracpath.grids import GridError, GridFunction, SpaceTimeField, order_value
+from fracpath.grids import GridError, GridFunction, order_value
 from fracpath.norms import _row_bands, lambda_from_pair_matrix, right_derivative_pair_matrix
 from fracpath.sampling import _FIELD_MODES, _GRID_MODES
 from fracpath.solver import _check_driver
@@ -128,19 +128,22 @@ def fgn_davies_harte(c: np.ndarray, n: int, rng: np.random.Generator):
     return _fgn_sample(_circulant_root(c), n, rng)
 
 
-def apply_F(Y: SpaceTimeField, phi: GridFunction, coeff, driver, alpha) -> SpaceTimeField:
-    """One application of the fixed-point operator to one field: the inner
-    integral int_0^xi A(Y) dg of each row against its own driver slice, one
-    row per sweep, then phi plus the trapezoid integral in time."""
-    _check_driver(driver, order_value(alpha), Y.m, Y.n, Y.T)
-    if phi.n != Y.n:
+def apply_F(Y: np.ndarray, T: float, phi: GridFunction, coeff, driver,
+            alpha) -> np.ndarray:
+    """One application of the fixed-point operator to one field, the
+    (m+1, n+1) rows ``Y`` on [0, T]: the inner integral int_0^xi A(Y) dg of
+    each row against its own driver slice, one row per sweep, then phi
+    plus the trapezoid integral in time."""
+    m, n = Y.shape[0] - 1, Y.shape[1] - 1
+    _check_driver(driver, order_value(alpha), m, n, T)
+    if phi.n != n:
         raise GridError("phi must live on the field's spatial grid")
     V = np.array([stieltjes_all_upper_limits(coeff(y), driver.time_slice(j))
-                  for j, y in enumerate(Y.values)])
+                  for j, y in enumerate(Y)])
     out = np.empty_like(V)
     out[0] = phi.values
-    out[1:] = phi.values + np.cumsum(0.5 * (Y.T / Y.m) * (V[1:] + V[:-1]), axis=0)
-    return SpaceTimeField(Y.T, out)
+    out[1:] = phi.values + np.cumsum(0.5 * (T / m) * (V[1:] + V[:-1]), axis=0)
+    return out
 
 
 def chain_rule_solution(g: np.ndarray, psi, A, m: int, T: float,
@@ -190,7 +193,7 @@ def random_trig_grid(n: int, rng: np.random.Generator) -> GridFunction:
 
 
 def random_smooth_field(m: int, n: int, T: float,
-                        rng: np.random.Generator) -> SpaceTimeField:
+                        rng: np.random.Generator) -> np.ndarray:
     """``sampling.random_smooth_field`` as a sum of one mode at a time."""
     t = np.linspace(0.0, T, m + 1)[:, None]
     xi = np.linspace(0.0, 1.0, n + 1)[None, :]
@@ -201,4 +204,4 @@ def random_smooth_field(m: int, n: int, T: float,
     tt = t / T if T > 0 else t
     vals = c0 + sum((a[i] + b[i] * tt) * np.sin(k[i] * np.pi * xi)
                     for i in range(_FIELD_MODES))
-    return SpaceTimeField(T, np.broadcast_to(vals, (m + 1, n + 1)).copy())
+    return np.broadcast_to(vals, (m + 1, n + 1)).copy()

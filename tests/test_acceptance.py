@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fracpath.grids import GridFunction, SpaceTimeField
+from fracpath.grids import GridFunction
 from fracpath import coefficients as co, fbm, norms, solver, stieltjes
 from fracpath.frac_calc import weyl_derivative_left
 from fracpath.sampling import random_smooth_field, random_trig_grid
@@ -205,14 +205,14 @@ def test_criterion_6_solver_correctness():
                                phi=GridFunction(np.linspace(0, 1, n + 1)),
                                coeff=co.zero_coefficient())
     rep0 = solver.solve(cfg0, drv, verify=False)
-    dev0 = float(np.abs(rep0.solution.values - cfg0.phi.values[None, :]).max())
+    dev0 = float(np.abs(rep0.solution - cfg0.phi.values[None, :]).max())
 
     cfg1 = solver.SolverConfig(alpha=0.3, hurst=0.75, m=m, T=1.0, phi=phi0,
                                coeff=co.constant_coefficient(1.0))
     rep1 = solver.solve(cfg1, drv, verify=False)
     t = np.linspace(0, 1, m + 1)[:, None]
     xi = np.linspace(0, 1, n + 1)[None, :]
-    dev1 = float(np.abs(rep1.solution.values - t * xi).max())
+    dev1 = float(np.abs(rep1.solution - t * xi).max())
     closed_ok = dev0 <= 1e-12 and dev1 <= 1e-12
 
     # tanh + smooth driver vs 4x-resolution classical-quadrature reference
@@ -226,7 +226,7 @@ def test_criterion_6_solver_correctness():
                                coeff=co.tanh_coefficient(1.0))
     drv2 = fbm.stub_driving_field("quadratic", ns, 0.3, scale=0.5)
     rep2 = solver.solve(cfg2, drv2, verify=False)
-    dev2 = float(np.abs(rep2.solution.values - ref[::4, ::4]).max())
+    dev2 = float(np.abs(rep2.solution - ref[::4, ::4]).max())
     reference_ok = rep2.converged and dev2 <= 5e-3
 
     # two distinct Picard initializations agree within 10x tolerance
@@ -239,18 +239,17 @@ def test_criterion_6_solver_correctness():
     cons = rep3.windows[0].constants
     rng = np.random.default_rng(77)
     bump = random_smooth_field(16, 48, 0.1, rng)
-    scale = 0.2 * cons.r1 / max(norms.norm_alpha_infty(bump, cfg3.alpha), 1e-9)
-    Y = SpaceTimeField(0.1, np.tile(cfg3.phi.values, (17, 1))
-                       + scale * bump.values * np.linspace(0, 1, 17)[:, None])
+    scale = 0.2 * cons.r1 / max(norms.max_slice_norm(bump, cfg3.alpha), 1e-9)
+    Y = np.tile(cfg3.phi.values, (17, 1)) + scale * bump * np.linspace(0, 1, 17)[:, None]
     for _ in range(cfg3.max_iterations):
-        F = apply_F(Y, cfg3.phi, cfg3.coeff, drv3, cfg3.alpha)
+        F = apply_F(Y, 0.1, cfg3.phi, cfg3.coeff, drv3, cfg3.alpha)
         res = max(norms.slice_norm_alpha_infty(r, cfg3.alpha)
-                  for r in F.values - Y.values)
+                  for r in F - Y)
         Y = F
         if res <= tol:
             break
     dev3 = max(norms.slice_norm_alpha_infty(r, cfg3.alpha)
-               for r in Y.values - rep3.solution.values)
+               for r in Y - rep3.solution)
     unique_ok = dev3 <= 10 * tol
     report("criterion 6 (solver correctness)",
            closed_ok and reference_ok and unique_ok,

@@ -99,8 +99,9 @@ class TestFbmCommand:
                     "--n", "64", "--seed", "-1")
         assert_usage_error(r)
 
-    @pytest.mark.parametrize("flags", [["--validate", "--samples", "999"]],
-                             ids=["samples-999"])
+    @pytest.mark.parametrize("flags", [["--validate", "--samples", "999"],
+                                       ["--samples", "5"]],
+                             ids=["samples-999", "samples-without-validate"])
     def test_bad_flag_writes_nothing(self, tmp_path, flags):
         # the flags are checked before the path is written
         r = run_cli("--out", str(tmp_path), "fbm", "--hurst", "0.7", "--n", "8",
@@ -224,9 +225,9 @@ class TestSolveCommand:
         checked = []
         gronwall_check = cli.solver.gronwall_check
 
-        def recorded(sol, run, phi_norm, known_norms):
-            checked.append(sol.t_nodes.copy())
-            return gronwall_check(sol, run, phi_norm, known_norms)
+        def recorded(values, t, run, phi_norm, known_norms):
+            checked.append(t.copy())
+            return gronwall_check(values, t, run, phi_norm, known_norms)
 
         monkeypatch.setattr(cli.solver, "gronwall_check", recorded)
         assert cli.main(["--out", str(tmp_path), "solve", str(tmp_path / "cfg.json")]) == 3
@@ -578,7 +579,7 @@ class TestCsvWriter:
                            driver={"model": "stub", "kind": "sine"})
         assert cli.main(["--out", str(tmp_path), "convergence", str(tmp_path / "cfg.json"),
                          "--resolutions", "32,64,128"]) == 0
-        sol = {n: cli._run_config(dict(cfg, grid=dict(cfg["grid"], n=n))).solution.values
+        sol = {n: cli._run_config(dict(cfg, grid=dict(cfg["grid"], n=n))).solution
                for n in (32, 64, 128)}
         rows = [(n, float(np.abs(sol[n] - sol[128][:, ::128 // n]).max()))
                 for n in (32, 64)]
@@ -624,7 +625,7 @@ class TestSolutionWriter:
         flat = values.reshape(-1)
         flat[:4] = specials
         flat[-4:] = specials
-        # n=1 is below the solver's least grid, so no SpaceTimeField here
+        # n=1 is below the solver's least grid: the writer takes any nodes
         return SimpleNamespace(t_nodes=np.linspace(0.0, T, m + 1),
                                xi_nodes=np.linspace(0.0, 1.0, n + 1), values=values)
 

@@ -76,12 +76,11 @@ def test_a_time_constant_driver_has_no_time_axis():
     # a driver is its slice operators: the frozen and stub drivers take no
     # time grid, a driver holds no field, and the Gronwall check reads the
     # order from its constants
-    from fracpath import fbm, solver
-    from fracpath.grids import SpaceTimeField
+    from fracpath import fbm, grids, solver
     for build in (fbm.field_from_path, fbm.stub_driving_field):
         assert not {"m", "T"} & set(inspect.signature(build).parameters), build.__name__
     assert "field" not in {f.name for f in dataclasses.fields(fbm.DrivingField)}
-    assert not hasattr(SpaceTimeField, "constant_in_time")
+    assert not hasattr(grids, "SpaceTimeField")
     assert "cfg" not in inspect.signature(solver.gronwall_check).parameters
 
 
@@ -89,12 +88,23 @@ def test_one_contraction_probe():
     # the contraction probe draws, scales and maps all its field pairs
     # itself: no per-pair entry point, no norms handed in, and no field
     # states its time step
-    from fracpath import solver
-    from fracpath.grids import SpaceTimeField
+    from fracpath import grids, solver
     assert not hasattr(solver, "contraction_sweep")
     params = inspect.signature(solver.contraction_probe).parameters
     assert not {"Y1", "Y2", "field_norms"} & set(params)
-    assert not hasattr(SpaceTimeField, "dt")
+    assert not hasattr(grids, "SpaceTimeField")
+
+
+def test_a_field_is_a_plain_array():
+    # a solve's field and a probe's random field are plain arrays: no field
+    # type, no field norm beside max_slice_norm, and no record with its own
+    # serializer
+    from fracpath import grids, norms, sampling, stieltjes
+    assert not hasattr(grids, "SpaceTimeField")
+    assert not hasattr(norms, "norm_alpha_infty")
+    field = sampling.random_smooth_field(2, 4, 0.5, np.random.default_rng(0))
+    assert type(field) is np.ndarray and field.shape == (3, 5)
+    assert not hasattr(stieltjes.BoundReport, "to_dict")
 
 
 def test_fbm_config_is_the_sheet(monkeypatch):

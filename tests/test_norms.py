@@ -7,17 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from fracpath.frac_calc import (_hat_moments, _lower_toeplitz, _tail_bands,
                                 marchaud_difference_abs, weyl_derivative_right)
-from fracpath.grids import GridError, GridFunction, SpaceTimeField
+from fracpath.grids import GridError, GridFunction
 from fracpath import fbm, norms
 from oracles import lambda_alpha
 
 
 def constant_field(c, m=3, n=64):
-    return SpaceTimeField(1.0, np.full((m + 1, n + 1), float(c)))
+    return np.full((m + 1, n + 1), float(c))
 
 
 def ramp_field(m=3, n=256):
-    return SpaceTimeField(1.0, np.tile(np.linspace(0, 1, n + 1), (m + 1, 1)))
+    return np.tile(np.linspace(0, 1, n + 1), (m + 1, 1))
 
 
 def random_field(seed, m=3, n=48):
@@ -26,24 +26,24 @@ def random_field(seed, m=3, n=48):
     xi = np.linspace(0, 1, n + 1)[None, :]
     vals = sum((rng.standard_normal() + rng.standard_normal() * t)
                * np.sin(k * np.pi * xi) / k ** 2 for k in range(1, 5))
-    return SpaceTimeField(1.0, vals + rng.standard_normal())
+    return vals + rng.standard_normal()
 
 
 def field_holder_norm(f, alpha):
     """``norm_1malpha_infty0`` of a field: the max over its slices."""
-    return max(norms.norm_1malpha_infty0(row, alpha) for row in f.values)
+    return max(norms.norm_1malpha_infty0(row, alpha) for row in f)
 
 
 class TestNormAlphaInfty:
     def test_zero(self):
-        assert norms.norm_alpha_infty(constant_field(0.0), 0.3) == 0.0
+        assert norms.max_slice_norm(constant_field(0.0), 0.3) == 0.0
 
     def test_constant(self):
-        assert norms.norm_alpha_infty(constant_field(-2.5), 0.3) == pytest.approx(2.5)
+        assert norms.max_slice_norm(constant_field(-2.5), 0.3) == pytest.approx(2.5)
 
     def test_ramp_closed_form(self):
         # 1 + sup_xi int_0^xi (xi-eta)^(-1/2) deta = 1 + 2
-        val = norms.norm_alpha_infty(ramp_field(), 0.5)
+        val = norms.max_slice_norm(ramp_field(), 0.5)
         assert val == pytest.approx(3.0, rel=1e-12)
 
 
@@ -60,20 +60,20 @@ class TestNorm1mAlphaInfty0:
     @settings(max_examples=20, deadline=None)
     def test_homogeneity(self, c):
         f = random_field(5)
-        scaled = SpaceTimeField(f.T, c * f.values)
+        scaled = c * f
         assert field_holder_norm(scaled, 0.3) == pytest.approx(
             abs(c) * field_holder_norm(f, 0.3), rel=1e-12, abs=1e-12)
 
     def test_slice_equals_field_form(self):
         f = random_field(8)
-        for row in f.values:
-            one_row = SpaceTimeField(1.0, np.tile(row, (2, 1)))
+        for row in f:
+            one_row = np.tile(row, (2, 1))
             assert norms.norm_1malpha_infty0(row, 0.3) == field_holder_norm(one_row, 0.3)
         assert field_holder_norm(f, 0.3) == max(
-            norms.norm_1malpha_infty0(row, 0.3) for row in f.values)
+            norms.norm_1malpha_infty0(row, 0.3) for row in f)
         # the norm takes one slice; a field's rows are maxed by the caller
         with pytest.raises(GridError):
-            norms.norm_1malpha_infty0(f.values, 0.3)
+            norms.norm_1malpha_infty0(f, 0.3)
 
 
 class TestNormAlpha1:
@@ -93,23 +93,23 @@ class TestNormAlpha1:
 
 class TestLambdaAlpha:
     def test_constant_vanishes(self):
-        assert lambda_alpha(constant_field(3.0).values, 0.3) == 0.0
+        assert lambda_alpha(constant_field(3.0), 0.3) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
     def test_ramp_closed_form(self, alpha):
-        val = lambda_alpha(ramp_field().values, alpha)
+        val = lambda_alpha(ramp_field(), alpha)
         exact = 1.0 / (math.gamma(1 - alpha) * math.gamma(1 + alpha))
         assert val == pytest.approx(exact, rel=1e-12)
 
     def test_ramp_at_half_is_two_over_pi(self):
-        assert lambda_alpha(ramp_field().values, 0.5) == pytest.approx(2 / math.pi)
+        assert lambda_alpha(ramp_field(), 0.5) == pytest.approx(2 / math.pi)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bounded_by_holder_norm(self, seed):
         # Lambda_a(g) <= ||g||_{1-a,inf,0} / (Gamma(1-a) Gamma(a))
         f = random_field(seed)
         a = 0.3
-        lam = lambda_alpha(f.values, a)
+        lam = lambda_alpha(f, a)
         bound = field_holder_norm(f, a) / (math.gamma(1 - a) * math.gamma(a))
         assert lam <= bound * (1 + 1e-6)
 
@@ -402,21 +402,21 @@ class TestSharedProperties:
     @settings(max_examples=20, deadline=None)
     def test_homogeneity_all_norms(self, c):
         f = random_field(11)
-        scaled = SpaceTimeField(f.T, c * f.values)
-        g = GridFunction(f.values[0])
-        gs = GridFunction(c * f.values[0])
-        assert norms.norm_alpha_infty(scaled, 0.3) == pytest.approx(
-            abs(c) * norms.norm_alpha_infty(f, 0.3), rel=1e-12, abs=1e-12)
+        scaled = c * f
+        g = GridFunction(f[0])
+        gs = GridFunction(c * f[0])
+        assert norms.max_slice_norm(scaled, 0.3) == pytest.approx(
+            abs(c) * norms.max_slice_norm(f, 0.3), rel=1e-12, abs=1e-12)
         assert norms.norm_alpha_1(gs, 0.3) == pytest.approx(
             abs(c) * norms.norm_alpha_1(g, 0.3), rel=1e-12, abs=1e-12)
-        assert lambda_alpha(scaled.values, 0.3) == pytest.approx(
-            abs(c) * lambda_alpha(f.values, 0.3), rel=1e-12, abs=1e-12)
+        assert lambda_alpha(scaled, 0.3) == pytest.approx(
+            abs(c) * lambda_alpha(f, 0.3), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_triangle_inequality(self, seed):
         f, g = random_field(seed), random_field(seed + 100)
-        fg = SpaceTimeField(1.0, f.values + g.values)
-        for norm in (norms.norm_alpha_infty, field_holder_norm):
+        fg = f + g
+        for norm in (norms.max_slice_norm, field_holder_norm):
             assert norm(fg, 0.3) <= norm(f, 0.3) + norm(g, 0.3) + 1e-12
 
     def test_refinement_stability_for_holder_function(self):
@@ -425,7 +425,7 @@ class TestSharedProperties:
         vals = []
         for n in (128, 256, 512, 1024):
             x = np.linspace(0, 1, n + 1)
-            f = SpaceTimeField(1.0, np.tile(np.abs(x - 0.5) ** 0.7, (2, 1)))
-            vals.append(norms.norm_alpha_infty(f, 0.3))
+            f = np.tile(np.abs(x - 0.5) ** 0.7, (2, 1))
+            vals.append(norms.max_slice_norm(f, 0.3))
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert diffs[0] > diffs[1] > diffs[2]

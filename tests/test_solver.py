@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpath.grids import GridError, GridFunction, SpaceTimeField
+from fracpath.grids import GridError, GridFunction
 from fracpath import cli, coefficients as co, fbm, norms, sampling, solver, stieltjes
 from fracpath.sampling import random_smooth_field
 import oracles
@@ -107,36 +107,34 @@ class TestApplyF:
         n, m = 32, 6
         phi = ramp_phi(n)
         drv = fbm.stub_driving_field("linear", n, 0.3)
-        Y = SpaceTimeField(1.0, np.random.default_rng(0).standard_normal((m + 1, n + 1)))
-        F = oracles.apply_F(Y, phi, co.zero_coefficient(), drv, 0.3)
-        np.testing.assert_array_equal(F.values, np.tile(phi.values, (m + 1, 1)))
+        Y = np.random.default_rng(0).standard_normal((m + 1, n + 1))
+        F = oracles.apply_F(Y, 1.0, phi, co.zero_coefficient(), drv, 0.3)
+        np.testing.assert_array_equal(F, np.tile(phi.values, (m + 1, 1)))
 
     def test_constant_coefficient_closed_form(self):
         # A = c, frozen g: F(Y) = phi + c t (g(xi) - g(0)) exactly
         n, m = 48, 10
         phi = ramp_phi(n)
         drv = fbm.field_from_path(fbm.fbm_path(0.75, n, 2), 0.3)
-        Y = SpaceTimeField(0.5, np.zeros((m + 1, n + 1)))
-        F = oracles.apply_F(Y, phi, co.constant_coefficient(2.0), drv, 0.3)
+        F = oracles.apply_F(np.zeros((m + 1, n + 1)), 0.5, phi, co.constant_coefficient(2.0),
+                            drv, 0.3)
         t = np.linspace(0, 0.5, m + 1)[:, None]
         g = fbm.fbm_path(0.75, n, 2).values
         exact = phi.values[None, :] + 2.0 * t * (g - g[0])[None, :]
-        np.testing.assert_allclose(F.values, exact, atol=1e-14)
+        np.testing.assert_allclose(F, exact, atol=1e-14)
 
     def test_odd_coefficient_fixes_zero(self):
         # A = tanh, phi = 0: F(0) = 0, so the zero field is a fixed point
         n, m = 32, 5
         phi = GridFunction(np.zeros(n + 1))
         drv = fbm.stub_driving_field("linear", n, 0.3)
-        Y = SpaceTimeField(1.0, np.zeros((m + 1, n + 1)))
-        F = oracles.apply_F(Y, phi, co.tanh_coefficient(), drv, 0.3)
-        np.testing.assert_allclose(F.values, 0.0, atol=1e-15)
+        F = oracles.apply_F(np.zeros((m + 1, n + 1)), 1.0, phi, co.tanh_coefficient(), drv, 0.3)
+        np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
         drv = fbm.stub_driving_field("linear", 32, 0.3)
-        Y = SpaceTimeField(1.0, np.zeros((6, 49)))
         with pytest.raises(GridError):
-            oracles.apply_F(Y, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
+            oracles.apply_F(np.zeros((6, 49)), 1.0, ramp_phi(48), co.tanh_coefficient(), drv, 0.3)
 
     def test_frozen_driver_serves_any_time_grid(self):
         # one frozen driver, applied on two time grids, gives on each the
@@ -147,16 +145,16 @@ class TestApplyF:
         for m, T in ((4, 0.25), (10, 1.0)):
             Y = random_smooth_field(m, n, T, np.random.default_rng(1))
             probe = fbm.field_from_path(path, 0.3)
-            F = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
-            F_probe = oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
-            assert np.array_equal(F.values, F_probe.values)
+            F = oracles.apply_F(Y, T, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+            F_probe = oracles.apply_F(Y, T, ramp_phi(n), co.tanh_coefficient(), probe, 0.3)
+            assert np.array_equal(F, F_probe)
 
     def test_sheet_driver_rejects_other_time_grid(self):
         n = 48
         drv = fbm.driving_field(fbm.FbmConfig(hurst=0.75, n=n, m=10, T=1.0, seed=11), 0.3)
         Y = random_smooth_field(4, n, 0.25, np.random.default_rng(1))
         with pytest.raises(GridError):
-            oracles.apply_F(Y, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
+            oracles.apply_F(Y, 0.25, ramp_phi(n), co.tanh_coefficient(), drv, 0.3)
 
 
 class TestSolve:
@@ -167,7 +165,7 @@ class TestSolve:
         assert rep.converged
         assert all(w.iterations == 1 for w in rep.windows)
         np.testing.assert_array_equal(
-            rep.solution.values, np.tile(cfg.phi.values, (cfg.m + 1, 1)))
+            rep.solution, np.tile(cfg.phi.values, (cfg.m + 1, 1)))
 
     def test_constant_coefficient_exact_solution(self):
         n, m = 48, 40
@@ -178,7 +176,18 @@ class TestSolve:
         t = np.linspace(0, 1, m + 1)[:, None]
         xi = np.linspace(0, 1, n + 1)[None, :]
         assert rep.converged
-        np.testing.assert_allclose(rep.solution.values, t * xi, atol=1e-12)
+        np.testing.assert_allclose(rep.solution, t * xi, atol=1e-12)
+
+    def test_solution_is_read_only_at_its_time_nodes(self):
+        # the report holds the array the solve wrote, read-only (TestSolveMemory
+        # fails if it were a copy), and its times are the grid's, bit for bit
+        cfg = make_cfg(m=20, T=0.2)
+        rep = solver.solve(cfg, fbm.stub_driving_field("linear", cfg.n, cfg.alpha),
+                           verify=False)
+        assert rep.converged and not rep.solution.flags.writeable
+        assert rep.solution.shape == (cfg.m + 1, cfg.n + 1)
+        assert not rep.t_nodes.flags.writeable
+        assert rep.t_nodes.tobytes() == np.linspace(0, cfg.T, cfg.m + 1).tobytes()
 
     def test_residual_invariant(self):
         cfg = make_cfg()
@@ -198,18 +207,18 @@ class TestSolve:
         cons = constants_for(cfg, drv)
         rng = np.random.default_rng(9)
         bump = random_smooth_field(m, n, T, rng)
-        scale = 0.2 * cons.r1 / max(norms.norm_alpha_infty(bump, cfg.alpha), 1e-9)
-        Y = SpaceTimeField(T, np.tile(cfg.phi.values, (m + 1, 1))
-                           + scale * bump.values * np.linspace(0, 1, m + 1)[:, None])
+        scale = 0.2 * cons.r1 / max(norms.max_slice_norm(bump, cfg.alpha), 1e-9)
+        Y = (np.tile(cfg.phi.values, (m + 1, 1))
+             + scale * bump * np.linspace(0, 1, m + 1)[:, None])
         for _ in range(cfg.max_iterations):
-            F = oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, cfg.alpha)
+            F = oracles.apply_F(Y, T, cfg.phi, cfg.coeff, drv, cfg.alpha)
             res = max(norms.slice_norm_alpha_infty(r, cfg.alpha)
-                      for r in F.values - Y.values)
+                      for r in F - Y)
             Y = F
             if res <= cfg.picard_tol:
                 break
         dev = max(norms.slice_norm_alpha_infty(r, cfg.alpha)
-                  for r in Y.values - rep.solution.values)
+                  for r in Y - rep.solution)
         assert dev <= 10 * cfg.picard_tol
 
     def test_grid_convergence(self):
@@ -220,7 +229,7 @@ class TestSolve:
             drv = fbm.stub_driving_field("quadratic", n, cfg.alpha)
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
-            fields.append(rep.solution.values)
+            fields.append(rep.solution)
         e1 = np.abs(fields[0] - fields[2][:, ::4]).max()
         e2 = np.abs(fields[1] - fields[2][:, ::2]).max()
         assert e2 < e1
@@ -238,7 +247,7 @@ class TestSolve:
             cfg = make_cfg(n=n, m=8, T=0.02, phi=phi, coeff=co.tanh_coefficient(1.0))
             rep = solver.solve(cfg, drv, verify=False)
             assert rep.converged
-            solutions[n], lams[n] = rep.solution.values, drv.lambda_value
+            solutions[n], lams[n] = rep.solution, drv.lambda_value
         errors = [np.abs(solutions[n] - solutions[2048][:, ::2048 // n]).max()
                   for n in (256, 512, 1024)]
         for e0, e1 in zip(errors, errors[1:]):
@@ -271,7 +280,7 @@ class TestSolve:
             # the oracle's own space step is far below the errors it measures
             coarse = oracles.chain_rule_solution(g, psi, np.tanh, 40, 0.2, dx=2.0 ** -12)
             assert np.abs(exact - coarse).max() < 1e-6
-            errors.append(float(np.abs(rep.solution.values - exact).max()))
+            errors.append(float(np.abs(rep.solution - exact).max()))
         assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:])), errors
         assert all(e <= 2 * r for e, r in zip(errors, recorded)), errors
 
@@ -297,7 +306,7 @@ class TestSolve:
         rp = solver.solve(cfg_p, drv, verify=False)
         ra = solver.solve(cfg_a, drv, verify=False)
         assert rp.converged and ra.converged
-        assert np.abs(rp.solution.values - ra.solution.values).max() < 1e-7
+        assert np.abs(rp.solution - ra.solution).max() < 1e-7
 
     def test_nonconvergence_reported_not_silent(self):
         cfg = make_cfg(max_iterations=1, picard_tol=1e-16)
@@ -312,7 +321,7 @@ class TestSolve:
         drv = fbm.field_from_path(fbm.fbm_path(0.75, cfg.n, 5), cfg.alpha)
         r1 = solver.solve(cfg, drv, verify=False)
         r2 = solver.solve(cfg, drv, verify=False)
-        assert np.array_equal(r1.solution.values, r2.solution.values)
+        assert np.array_equal(r1.solution, r2.solution)
 
     @pytest.mark.parametrize("alpha, hurst", [(0.2, 0.75), (0.5, 0.75), (0.3, 0.5),
                                               (0.3, 1.0)])
@@ -339,8 +348,8 @@ class TestSolve:
             r_shared = solver.solve(grid, shared, verify=False)
             r_own = solver.solve(grid, fbm.field_from_path(path, grid.alpha), verify=False)
             assert r_shared.converged
-            assert r_shared.solution.values.shape == (grid.m + 1, grid.n + 1)
-            assert np.array_equal(r_shared.solution.values, r_own.solution.values)
+            assert r_shared.solution.shape == (grid.m + 1, grid.n + 1)
+            assert np.array_equal(r_shared.solution, r_own.solution)
 
     def test_sheet_driver_on_another_grid_rejected(self):
         cfg = make_cfg(n=32, m=24, T=0.05)
@@ -371,9 +380,9 @@ class TestDriverOrder:
 
     def test_apply_F(self):
         drv = fbm.stub_driving_field("sine", 64, 0.3)
-        Y = SpaceTimeField(1.0, np.tile(ramp_phi(64).values, (5, 1)))
+        Y = np.tile(ramp_phi(64).values, (5, 1))
         with pytest.raises(GridError, match="different alpha"):
-            oracles.apply_F(Y, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
+            oracles.apply_F(Y, 1.0, ramp_phi(64), co.tanh_coefficient(), drv, 0.2)
 
     def test_solve(self):
         cfg, drv, _ = self.mismatched()
@@ -442,14 +451,13 @@ def hand_rolled_ball(cfg, drv, cons, trials, seed):
     a = cfg.alpha
     t_w = cons.t1 if math.isfinite(cons.t1) else cfg.T
     rng = np.random.default_rng(seed)
-    fields = [SpaceTimeField(t_w, np.tile(cfg.phi.values,
-                                          (solver.PROBE_TIME_CELLS + 1, 1)))]
+    fields = [np.tile(cfg.phi.values, (solver.PROBE_TIME_CELLS + 1, 1))]
     for _ in range(trials - 1):
         Y = random_smooth_field(solver.PROBE_TIME_CELLS, cfg.n, t_w, rng)
-        nrm = norms.norm_alpha_infty(Y, a)
+        nrm = norms.max_slice_norm(Y, a)
         target = rng.uniform(0.2, 1.0) * cons.r1
-        fields.append(SpaceTimeField(t_w, Y.values * (target / max(nrm, 1e-12))))
-    images = [oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, a).values for Y in fields]
+        fields.append(Y * (target / max(nrm, 1e-12)))
+    images = [oracles.apply_F(Y, t_w, cfg.phi, cfg.coeff, drv, a) for Y in fields]
     worst = max(norms.slice_norms_alpha_infty(F, a).max() for F in images)
     return {"passed": bool(worst <= cons.r1 * (1.0 + solver._REL_SLACK)), "r1": cons.r1,
             "t1": t_w, "worst_excess": float(worst - cons.r1), "trials": trials}
@@ -465,11 +473,11 @@ def hand_rolled_contraction(cfg, drv, cons, t_w, trials, rng):
         pair = []
         for _ in range(2):
             Y = random_smooth_field(solver.PROBE_TIME_CELLS, cfg.n, t_w, rng)
-            s = 0.8 * cons.r1 / max(norms.norm_alpha_infty(Y, a), 1e-12)
-            pair.append(SpaceTimeField(t_w, Y.values * s))
-        F1, F2 = (oracles.apply_F(Y, cfg.phi, cfg.coeff, drv, a) for Y in pair)
-        num = norms.slice_norms_alpha_infty(F1.values - F2.values, a).max()
-        den = norms.slice_norms_alpha_infty(pair[0].values - pair[1].values, a).max()
+            s = 0.8 * cons.r1 / max(norms.max_slice_norm(Y, a), 1e-12)
+            pair.append(Y * s)
+        F1, F2 = (oracles.apply_F(Y, t_w, cfg.phi, cfg.coeff, drv, a) for Y in pair)
+        num = norms.slice_norms_alpha_infty(F1 - F2, a).max()
+        den = norms.slice_norms_alpha_infty(pair[0] - pair[1], a).max()
         ratios.append(float(num / den))
     return {"passed": all(r <= ceiling * 1.1 or ceiling == 0.0 for r in ratios),
             "max_ratio": max(ratios), "ceiling": float(ceiling), "trials": trials}
@@ -588,7 +596,7 @@ def test_time_step_is_second_order_against_rk4():
         run, _ = cli._read_config(dict(cfg_dict, grid={"m": m, "n": 64, "T": 0.5}))
         rep = solver.solve(run, drv, verify=False)
         assert rep.converged
-        errors.append(np.abs(rep.solution.values[-1] - y).max())
+        errors.append(np.abs(rep.solution[-1] - y).max())
     for e0, e1 in zip(errors, errors[1:]):
         assert e0 / e1 == pytest.approx(4.0, abs=0.2), errors
 
@@ -652,10 +660,11 @@ class TestGronwall:
         assert len(rep.windows) > 1
         # recomputing every row gives the same verdict, bit for bit
         phi_norm = rep.windows[0].constants.phi_norm
-        assert solver.gronwall_check(rep.solution, rep.constants, phi_norm, {}) == \
-            rep.verdicts["gronwall"]
+        assert solver.gronwall_check(rep.solution, rep.t_nodes, rep.constants,
+                                     phi_norm, {}) == rep.verdicts["gronwall"]
         # and a known norm is taken as given, not recomputed
-        bad = solver.gronwall_check(rep.solution, rep.constants, phi_norm, {3: 1e9})
+        bad = solver.gronwall_check(rep.solution, rep.t_nodes, rep.constants, phi_norm,
+                                    {3: 1e9})
         assert not bad["passed"] and bad["violations"][0]["running_norm"] == 1e9
 
     @pytest.mark.parametrize("k, phi_norm, first", [(1e4, None, 8), (1e4, 0.0, None),
@@ -672,12 +681,12 @@ class TestGronwall:
         if phi_norm is None:
             phi_norm = rep.windows[0].constants.phi_norm
         with np.errstate(over="raise", invalid="raise"):
-            g = solver.gronwall_check(rep.solution, run, phi_norm, {})
+            g = solver.gronwall_check(rep.solution, rep.t_nodes, run, phi_norm, {})
         assert math.isfinite(g["min_margin"])
         if first is None:
             assert g["unbounded_from"] is None and not g["passed"]
         else:
-            assert g["unbounded_from"] == rep.solution.t_nodes[first] and g["passed"]
+            assert g["unbounded_from"] == rep.t_nodes[first] and g["passed"]
         assert rep.verdicts["gronwall"]["unbounded_from"] is None
 
 
@@ -765,8 +774,8 @@ class TestLongWindow:
         got = solver._apply_window(Ys, cfg.phi.values, cfg.coeff, drv, 0, cfg.dt, v0)
         assert got.shape == Ys.shape
         for f in range(k):
-            want = oracles.apply_F(SpaceTimeField(T, Ys[:, f]), cfg.phi, cfg.coeff, drv, 0.3)
-            assert got[:, f].tobytes() == want.values.tobytes(), f
+            want = oracles.apply_F(Ys[:, f], T, cfg.phi, cfg.coeff, drv, 0.3)
+            assert got[:, f].tobytes() == want.tobytes(), f
 
     def test_time_integral_names_the_node_of_a_field_stack(self):
         V = np.zeros((6, 4, 17))
@@ -791,7 +800,7 @@ class TestSampling:
             for m, T in ((4, 0.01), (1, 1.0), (16, 0.3)):
                 Y = sampling.random_smooth_field(m, n, T, got)
                 ref = oracles.random_smooth_field(m, n, T, want)
-                assert Y.T == ref.T and Y.values.tobytes() == ref.values.tobytes(), (seed, m)
+                assert Y.shape == ref.shape and Y.tobytes() == ref.tobytes(), (seed, m)
             assert got.standard_normal() == want.standard_normal()
 
 

@@ -152,7 +152,7 @@ class TestBound357:
         f = random_trig_grid(256, rng)
         g = fbm.fbm_path(0.75, 256, 1000 + seed)
         rep = stieltjes.bound_357_check(f, g, 0.3)
-        assert rep.holds, rep.to_dict()
+        assert rep.holds, rep
 
     def test_rejects_integrator_on_other_grid(self):
         f = grid(lambda x: np.ones_like(x), 256)
@@ -561,7 +561,7 @@ class TestWindowSweep:
 
         monkeypatch.setattr(solver, "_apply_window", recompute_row_zero)
         fresh = solver.solve(cfg, drv, verify=False)
-        assert np.array_equal(cached.solution.values, fresh.solution.values)
+        assert np.array_equal(cached.solution, fresh.solution)
         assert [w.residual_history for w in cached.windows] \
             == [w.residual_history for w in fresh.windows]
 
@@ -583,7 +583,7 @@ class TestWindowSweep:
         swept = solver.solve(cfg, drv, verify=False)
         if policy == "adaptive":
             assert max(w.cells for w in swept.windows) > 1
-        assert np.array_equal(reused.solution.values, swept.solution.values)
+        assert np.array_equal(reused.solution, swept.solution)
         assert [w.residual_history for w in reused.windows] \
             == [w.residual_history for w in swept.windows]
 
